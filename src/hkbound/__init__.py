@@ -9,7 +9,7 @@ theory, ``protocol`` simulates timed sessions, ``adversary`` bundles
 the attack catalog, and ``harness`` wraps Monte Carlo estimation.
 """
 
-from .bits import BitString, IndexSet, MaskedBitString, hamming_distance
+from .bits import BitString, hamming_distance
 from .hkfun import Block, PartitionedFunction, ResponseToken, boxplus
 from .oracle import GuardSpec, advantage, chance, check_prob_guard, guess_chance
 from .protocol import ProtocolConfig, Transcript, Verdict, run_session, verifier_decide
@@ -23,8 +23,6 @@ __all__ = [
     "Block",
     "Estimate",
     "GuardSpec",
-    "IndexSet",
-    "MaskedBitString",
     "PartitionedFunction",
     "ProtocolConfig",
     "ResponseToken",

@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from .bits import BitString, concat, sample_uniform
-from .hkfun import ResponseToken, extract_token
+from .hkfun import ResponseToken, extract_token, kernel_mask, select
 from .protocol import (
     ADVERSARY,
     PROVER,
@@ -112,8 +112,7 @@ class CounterReuseExtract(Responder):
 
     def play(self, view: SessionView, challenges: BitString) -> tuple[int, int]:
         t = self._token
-        x = challenges.value
-        return (t.h0.value & ~x | t.h1.value & x) & ((1 << t.ell) - 1), 0
+        return select(challenges.value, t.h0.value, t.h1.value, t.ell), 0
 
 
 class EarlyResponder(Responder):
@@ -135,14 +134,10 @@ class EarlyResponder(Responder):
         self.mode = mode
 
     def play(self, view: SessionView, challenges: BitString) -> tuple[int, int]:
-        token = view.token
-        ell = token.ell
-        mask = (1 << ell) - 1
+        h0, h1, ell = view.token.h0.value, view.token.h1.value, view.token.ell
         if self.mode == "full":
-            return token.h0.value, mask
-        kernel_mask = ~(token.h0.value ^ token.h1.value) & mask
-        x = challenges.value
-        return (token.h0.value & ~x | token.h1.value & x) & mask, kernel_mask
+            return h0, (1 << ell) - 1
+        return select(challenges.value, h0, h1, ell), kernel_mask(h0, h1, ell)
 
 
 class SecretGuesser(Responder):
@@ -158,8 +153,7 @@ class SecretGuesser(Responder):
 
     def play(self, view: SessionView, challenges: BitString) -> tuple[int, int]:
         t = self._token
-        x = challenges.value
-        return (t.h0.value & ~x | t.h1.value & x) & ((1 << t.ell) - 1), 0
+        return select(challenges.value, t.h0.value, t.h1.value, t.ell), 0
 
 
 STRATEGIES = {
@@ -210,25 +204,10 @@ def attack_session(
 
 
 def _strategy_key(strategy) -> str:
-    if isinstance(strategy, str):
-        s = _as_strategy(strategy)
-    else:
-        s = strategy
+    s = _as_strategy(strategy)
     if isinstance(s, EarlyResponder):
         return f"early-{s.mode}"
     return getattr(s, "kind", type(s).__name__)
-
-
-def per_bit_success(strategy, ell: int) -> Fraction:
-    """Closed-form acceptance chance for the strategies that have one."""
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-    key = _strategy_key(strategy)
-    if key == "naive-guess":
-        return Fraction(1, 2**ell)
-    if key in ("prequery-stick", "early-full"):
-        return Fraction(3, 4) ** ell
-    raise ValueError(f"no closed form for strategy {key!r}")
 
 
 def exact_acceptance(strategy, cfg: ProtocolConfig) -> Fraction:
@@ -258,7 +237,7 @@ def exact_acceptance(strategy, cfg: ProtocolConfig) -> Fraction:
             for x in range(n)
             for h0 in range(n)
             for h1 in range(n)
-            if g == (h0 & ~x | h1 & x) & (n - 1)
+            if g == select(x, h0, h1, ell)
         )
         return Fraction(wins, n**4)
     if key == "prequery-stick":
@@ -267,12 +246,8 @@ def exact_acceptance(strategy, cfg: ProtocolConfig) -> Fraction:
             wins = 0
             for h0 in range(n):
                 for h1 in range(n):
-                    w = (h0 & ~z | h1 & z) & (n - 1)
-                    wins += sum(
-                        1
-                        for x in range(n)
-                        if w == (h0 & ~x | h1 & x) & (n - 1)
-                    )
+                    w = select(z, h0, h1, ell)
+                    wins += sum(1 for x in range(n) if w == select(x, h0, h1, ell))
             chances.add(Fraction(wins, n**3))
         if len(chances) != 1:
             raise AssertionError("pre-query acceptance depends on z")
@@ -283,7 +258,7 @@ def exact_acceptance(strategy, cfg: ProtocolConfig) -> Fraction:
             for h0 in range(n)
             for h1 in range(n)
             for x in range(n)
-            if h0 == (h0 & ~x | h1 & x) & (n - 1)
+            if h0 == select(x, h0, h1, ell)
         )
         return Fraction(wins, n**3)
     if key == "secret-guess":

@@ -1,4 +1,4 @@
-"""Fixed-length bitstrings and index sets.
+"""Fixed-length bitstrings.
 
 Bit positions are 1-based and count from the most significant end, so
 ``BitString.from_text("10")`` has bit 1 equal to 1 and bit 2 equal to 0.
@@ -99,92 +99,3 @@ def sample_uniform(rng: random.Random, length: int) -> BitString:
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     return BitString(length, rng.getrandbits(length) if length else 0)
-
-
-@dataclass(frozen=True, slots=True)
-class IndexSet:
-    """A subset of positions {1..universe}, kept sorted and deduplicated."""
-
-    universe: int
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.universe < 0:
-            raise ValueError(f"universe must be >= 0, got {self.universe}")
-        ms = tuple(sorted(set(self.members)))
-        if ms != self.members:
-            object.__setattr__(self, "members", ms)
-        if ms and (ms[0] < 1 or ms[-1] > self.universe):
-            raise ValueError(f"members {ms} not within 1..{self.universe}")
-
-    @classmethod
-    def of(cls, universe: int, members) -> "IndexSet":
-        return cls(universe, tuple(members))
-
-    def complement(self) -> "IndexSet":
-        present = set(self.members)
-        return IndexSet(self.universe, tuple(i for i in range(1, self.universe + 1) if i not in present))
-
-    def __contains__(self, i: int) -> bool:
-        return i in set(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-
-@dataclass(frozen=True, slots=True)
-class MaskedBitString:
-    """A bitstring with some positions blanked out.
-
-    ``stars`` marks the blanked positions as a bitmask aligned with the
-    value: position i (1-based from the left) is blank iff bit
-    ``length - i`` of ``stars`` is set.  Blanked positions carry no value
-    bit; the corresponding bits of ``value`` are forced to zero so that
-    equal masked strings compare equal.
-    """
-
-    length: int
-    value: int
-    stars: int
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError(f"length must be >= 0, got {self.length}")
-        full = (1 << self.length) - 1
-        if self.stars < 0 or self.stars & ~full:
-            raise ValueError("star mask does not fit the length")
-        if self.value < 0 or self.value & ~full:
-            raise ValueError(f"value {self.value} does not fit in {self.length} bits")
-        if self.value & self.stars:
-            object.__setattr__(self, "value", self.value & ~self.stars)
-
-    def text(self) -> str:
-        out = []
-        for i in range(self.length - 1, -1, -1):
-            if (self.stars >> i) & 1:
-                out.append("*")
-            else:
-                out.append("01"[(self.value >> i) & 1])
-        return "".join(out)
-
-    def masked_positions(self) -> IndexSet:
-        return IndexSet.of(
-            self.length,
-            (i for i in range(1, self.length + 1) if (self.stars >> (self.length - i)) & 1),
-        )
-
-    def __str__(self) -> str:
-        return self.text()
-
-
-def mask(x: BitString, positions: IndexSet) -> MaskedBitString:
-    """Blank out the given positions of x."""
-    if positions.universe != x.length:
-        raise ValueError(f"index universe {positions.universe} != length {x.length}")
-    stars = 0
-    for i in positions:
-        stars |= 1 << (x.length - i)
-    return MaskedBitString(x.length, x.value & ~stars, stars)

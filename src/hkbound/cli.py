@@ -21,12 +21,11 @@ from fractions import Fraction
 from . import adversary as adv
 from . import exprs, harness, oracle, symbolic
 from .bits import BitString, hamming_distance
-from .hkfun import Block, PartitionedFunction, ResponseToken
+from .hkfun import Block, PartitionedFunction, ResponseToken, kernel_mask
 from .protocol import ProtocolConfig
 
 
-def _frac(p: Fraction) -> dict:
-    return oracle.prob_json(p)
+_frac = oracle.prob_json
 
 
 def _lit(value: int, bits: int) -> exprs.Lit:
@@ -91,7 +90,7 @@ def _claim_early(ell: int):
     by_kernel = Fraction(0)
     for h0 in range(n):
         for h1 in range(n):
-            kappa = bin(~(h0 ^ h1) & (n - 1)).count("1")
+            kappa = kernel_mask(h0, h1, ell).bit_count()
             by_kernel += Fraction(1, n * n) * Fraction(2**kappa, n)
     expect = oracle.analytic("early", ell=ell)
     ok = by_policy == expect and by_kernel == expect
@@ -111,7 +110,7 @@ def _claim_kernel(ell: int, samples: int = 20, seed: int = 0):
     for _ in range(samples):
         raw = rng.getrandbits(2 * ell)
         token = ResponseToken.from_bits(BitString(2 * ell, raw))
-        kappa = len(token.kernel().members)
+        kappa = token.kernel().bit_count()
         value = oracle.chance({"x": ell}, [_lit(raw, 2 * ell)],
                               [exprs.BoxPlus(x, _lit(raw, 2 * ell))])
         expect = oracle.analytic("kernel", kappa=kappa, ell=ell)
@@ -253,15 +252,19 @@ def _claim_lemma3(ell: int = 1, secret_bits: int = 2):
     return payload, ok, rows
 
 
+def _ell(args, default: int) -> int:
+    return default if args.ell is None else args.ell
+
+
 _CLAIMS = {
-    "monty": lambda args: _claim_monty(args.ell if args.ell else 4),
-    "prop34": lambda args: _claim_prop34(args.ell if args.ell else 4),
-    "early": lambda args: _claim_early(args.ell if args.ell else 3),
-    "kernel": lambda args: _claim_kernel(args.ell if args.ell else 4),
-    "hamming": lambda args: _claim_hamming(args.ell if args.ell else 3),
+    "monty": lambda args: _claim_monty(_ell(args, 4)),
+    "prop34": lambda args: _claim_prop34(_ell(args, 4)),
+    "early": lambda args: _claim_early(_ell(args, 3)),
+    "kernel": lambda args: _claim_kernel(_ell(args, 4)),
+    "hamming": lambda args: _claim_hamming(_ell(args, 3)),
     "subbayes": lambda args: _claim_subbayes(),
-    "binomial": lambda args: _claim_binomial(args.ell if args.ell else 20),
-    "lemma3": lambda args: _claim_lemma3(args.ell if args.ell else 1),
+    "binomial": lambda args: _claim_binomial(_ell(args, 20)),
+    "lemma3": lambda args: _claim_lemma3(_ell(args, 1)),
 }
 
 
@@ -320,6 +323,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _positive_ell(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("ell must be at least 1")
+    return value
+
+
 def _parse_ell_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -327,10 +337,7 @@ def _parse_ell_range(text: str) -> list[int]:
         if lo < 1 or hi < lo:
             raise argparse.ArgumentTypeError("ell range must be A..B with 1 <= A <= B")
         return list(range(lo, hi + 1))
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("ell must be at least 1")
-    return [value]
+    return [_positive_ell(text)]
 
 
 def _cmd_sweep(args) -> int:
@@ -354,7 +361,7 @@ def _cmd_guard_check(args) -> int:
             spec = symbolic.builtin_alg_guard_spec(args.builtin)
             algebraic = True
         else:
-            spec = oracle.builtin_guard_spec(args.builtin, ell=args.ell or 1,
+            spec = oracle.builtin_guard_spec(args.builtin, ell=_ell(args, 1),
                                              secret_bits=args.secret_bits)
             algebraic = args.algebraic
     else:
@@ -366,7 +373,8 @@ def _cmd_guard_check(args) -> int:
     if algebraic:
         report = symbolic.check_alg_guard(spec)
         rows = [
-            {"subset": list(r.subset_text), "derives_target": r.derives_target,
+            {"subset": [spec.context[i].render() for i in r.subset],
+             "derives_target": r.derives_target,
              "witness": r.witness, "ok": r.ok}
             for r in report.rows
         ]
@@ -375,7 +383,8 @@ def _cmd_guard_check(args) -> int:
     else:
         report = oracle.check_prob_guard(spec)
         rows = [
-            {"subset": list(r.subset_text), "chance": _frac(r.lhs),
+            {"subset": [exprs.render(spec.context[i]) for i in r.subset],
+             "chance": _frac(r.lhs),
              "advantage": _frac(r.advantage),
              "bound": None if r.rhs is None else _frac(r.rhs),
              "witness": r.witness, "exempt": r.exempt, "ok": r.ok}
@@ -407,14 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="run an exact finite check")
     p_enum.add_argument("--claim", required=True, choices=sorted(_CLAIMS))
-    p_enum.add_argument("--ell", type=int, default=None)
+    p_enum.add_argument("--ell", type=_positive_ell, default=None)
     p_enum.add_argument("--out", choices=("json", "csv"), default="json")
     p_enum.set_defaults(func=_cmd_enumerate)
 
     strategies = sorted(adv.STRATEGIES) + ["early-kernel", "early-full", "honest"]
     p_sim = sub.add_parser("simulate", help="Monte Carlo acceptance estimate")
     p_sim.add_argument("--strategy", required=True, choices=strategies)
-    p_sim.add_argument("--ell", type=int, default=None)
+    p_sim.add_argument("--ell", type=_positive_ell, default=None)
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", default="0")
     p_sim.add_argument("--config", default=None, help="ProtocolConfig JSON file")
@@ -440,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--algebraic", action="store_true")
     mode.add_argument("--probabilistic", dest="algebraic", action="store_false")
     p_guard.set_defaults(algebraic=False)
-    p_guard.add_argument("--ell", type=int, default=None)
+    p_guard.add_argument("--ell", type=_positive_ell, default=None)
     p_guard.add_argument("--secret-bits", type=int, default=2, dest="secret_bits")
     p_guard.set_defaults(func=_cmd_guard_check)
 

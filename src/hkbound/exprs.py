@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Union
 
+from .hkfun import kernel_mask, select
+
 Value = tuple  # (length, value) or (length, value, stars)
 
 
@@ -226,15 +228,11 @@ def evaluate(e: Expr, env: dict[str, Value], htable: dict, argrec: dict[int, tup
     if isinstance(e, BoxPlus):
         xl, xv = evaluate(e.x, env, htable, argrec)[:2]
         hl, hv = evaluate(e.h, env, htable, argrec)[:2]
-        h0 = hv >> xl
-        h1 = hv & ((1 << xl) - 1)
-        return (xl, (h0 & ~xv & ((1 << xl) - 1)) | (h1 & xv))
+        return (xl, select(xv, hv >> xl, hv, xl))
     if isinstance(e, KernelMask):
         xl, xv = evaluate(e.x, env, htable, argrec)[:2]
         hl, hv = evaluate(e.h, env, htable, argrec)[:2]
-        h0 = hv >> xl
-        h1 = hv & ((1 << xl) - 1)
-        stars = ~(h0 ^ h1) & ((1 << xl) - 1)
+        stars = kernel_mask(hv >> xl, hv, xl)
         return (xl, xv & ~stars, stars)
     if isinstance(e, Hash):
         al, av = evaluate(e.arg, env, htable, argrec)[:2]

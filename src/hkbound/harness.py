@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import adversary as adv
+from . import oracle
 from .protocol import VERIFIER, PROVER, ProtocolConfig, run_session
 
 
@@ -80,11 +81,7 @@ class Estimate:
             "successes": self.successes,
             "p_hat": self.p_hat,
             "ci95": list(self.ci95),
-            "analytic": None if self.analytic is None else {
-                "num": self.analytic.numerator,
-                "den": self.analytic.denominator,
-                "decimal": float(self.analytic),
-            },
+            "analytic": None if self.analytic is None else oracle.prob_json(self.analytic),
             "z_score": self.z_score,
         }
 
@@ -95,22 +92,25 @@ def _resolve_strategy(strategy):
     return adv._as_strategy(strategy)
 
 
+# strategy key -> its claim in oracle.analytic
+_CLOSED_FORMS = {"naive-guess": "naive", "prequery-stick": "prequery", "early-full": "early"}
+
+
 def analytic_acceptance(strategy, cfg: ProtocolConfig) -> Fraction | None:
     """Exact acceptance probability when one is known, else None.
 
-    Closed forms first; the cheap policy-level enumerations cover the
-    catalog strategies without closed forms.  The honest prover accepts
-    with certainty iff its tick-rounded distance fits the bound.
+    Closed forms come from ``oracle.analytic``; the cheap policy-level
+    enumerations cover the catalog strategies without closed forms.  The
+    honest prover accepts with certainty iff its tick-rounded distance
+    fits the bound.
     """
     if strategy is None or strategy == "honest":
         reach = cfg.distance_bound + cfg.acceptance_slack
         within = cfg.delay_ticks(VERIFIER, PROVER) * cfg.velocity <= reach
         return Fraction(1) if within else Fraction(0)
-    try:
-        return adv.per_bit_success(strategy, cfg.ell)
-    except ValueError:
-        pass
     key = adv._strategy_key(strategy)
+    if key in _CLOSED_FORMS:
+        return oracle.analytic(_CLOSED_FORMS[key], ell=cfg.ell)
     if key in ("counter-reuse", "early-kernel", "secret-guess"):
         return adv.exact_acceptance(strategy, cfg)
     return None

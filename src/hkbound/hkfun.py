@@ -17,7 +17,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .bits import BitString, IndexSet, concat
+from .bits import BitString, concat
+
+
+def select(x: int, h0: int, h1: int, n: int) -> int:
+    """Challenge selection on n-bit ints: bit i is h1_i where x_i = 1, else h0_i.
+
+    Only the low n bits of each argument matter.
+    """
+    return (h0 & ~x | h1 & x) & ((1 << n) - 1)
+
+
+def kernel_mask(h0: int, h1: int, n: int) -> int:
+    """The n-bit mask of the positions where h0 and h1 agree.
+
+    Position i (1-based from the left) is bit n - i, as in ``BitString``.
+    Only the low n bits of each argument matter.
+    """
+    return ~(h0 ^ h1) & ((1 << n) - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,11 +63,9 @@ class ResponseToken:
     def bits(self) -> BitString:
         return self.h0.concat(self.h1)
 
-    def kernel(self) -> IndexSet:
-        """Positions where the two halves agree."""
-        same = ~(self.h0.value ^ self.h1.value)
-        n = self.ell
-        return IndexSet.of(n, (i for i in range(1, n + 1) if (same >> (n - i)) & 1))
+    def kernel(self) -> int:
+        """Positions where the two halves agree, as a ``kernel_mask``."""
+        return kernel_mask(self.h0.value, self.h1.value, self.ell)
 
     def text(self) -> str:
         return self.bits().text()
@@ -60,8 +75,7 @@ def boxplus(x: BitString, h: ResponseToken) -> BitString:
     """Per-bit half selection: bit i of the result is h[x_i]_i."""
     if x.length != h.ell:
         raise ValueError(f"challenge length {x.length} != token half length {h.ell}")
-    # For each position take h0 where x is 0 and h1 where x is 1.
-    return BitString(x.length, (h.h0.value & ~x.value) | (h.h1.value & x.value))
+    return BitString(x.length, select(x.value, h.h0.value, h.h1.value, x.length))
 
 
 def extract_token(x: BitString, r0: BitString, r1: BitString) -> ResponseToken:
@@ -74,9 +88,9 @@ def extract_token(x: BitString, r0: BitString, r1: BitString) -> ResponseToken:
     if not (x.length == r0.length == r1.length):
         raise ValueError("challenge and responses must have equal length")
     # Where x_i = 0, r0 carries h0_i and r1 carries h1_i; flipped elsewhere.
-    h0 = (r0.value & ~x.value) | (r1.value & x.value)
-    h1 = (r1.value & ~x.value) | (r0.value & x.value)
     n = x.length
+    h0 = select(x.value, r0.value, r1.value, n)
+    h1 = select(x.value, r1.value, r0.value, n)
     return ResponseToken(BitString(n, h0), BitString(n, h1))
 
 

@@ -38,15 +38,15 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from . import exprs
 from .bits import BitString
-from .exprs import Expr, NeedHash, evaluate, free_vars, hash_nodes, render, width
-from .hkfun import PartitionedFunction, eval_partitioned
+from .exprs import Expr, NeedHash, evaluate, free_vars, hash_nodes, width
+from .hkfun import PartitionedFunction, eval_partitioned, select
 
 ExactProb = Fraction
 
@@ -86,23 +86,6 @@ class GuessScenario:
     @property
     def declared(self) -> dict[str, int]:
         return dict(self.variables)
-
-    @classmethod
-    def from_json(cls, doc: str | dict) -> "GuessScenario":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        return cls(
-            variables=tuple((v["name"], v["bits"]) for v in doc["vars"]),
-            knowns=tuple(exprs.from_json(d) for d in doc.get("knowns", [])),
-            targets=tuple(exprs.from_json(d) for d in doc["targets"]),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "vars": [{"name": n, "bits": b} for n, b in self.variables],
-            "knowns": [exprs.to_json(e) for e in self.knowns],
-            "targets": [exprs.to_json(e) for e in self.targets],
-        }
 
 
 def _env_iter(var_order: list[tuple[str, int]], lo: int, hi: int):
@@ -192,8 +175,7 @@ def _derivable_values(seed: Iterable, max_bits: int, cap: int = 512) -> set:
                 if 0 < n1 + n2 <= max_bits:
                     fresh.add((n1 + n2, (v1 << n2) | v2))
                 if n1 and n2 == 2 * n1:
-                    mask = (1 << n1) - 1
-                    fresh.add((n1, ((v2 >> n1) & ~v1 & mask) | (v2 & mask & v1)))
+                    fresh.add((n1, select(v1, v2 >> n1, v2, n1)))
         if fresh <= pool:
             break
         pool |= fresh
@@ -394,12 +376,15 @@ class GuardSpec:
     def from_json(cls, doc: str | dict) -> "GuardSpec":
         if isinstance(doc, str):
             doc = json.loads(doc)
-        return cls(
-            variables=tuple((v["name"], v["bits"]) for v in doc["vars"]),
-            context=tuple(exprs.from_json(d) for d in doc["context"]),
-            target=exprs.from_json(doc["target"]),
-            guards=tuple(tuple(exprs.from_json(d) for d in g) for g in doc["guards"]),
-        )
+        try:
+            return cls(
+                variables=tuple((v["name"], v["bits"]) for v in doc["vars"]),
+                context=tuple(exprs.from_json(d) for d in doc["context"]),
+                target=exprs.from_json(doc["target"]),
+                guards=tuple(tuple(exprs.from_json(d) for d in g) for g in doc["guards"]),
+            )
+        except KeyError as missing:
+            raise ValueError(f"guard spec is missing the field {missing}") from None
 
     def to_json(self) -> dict:
         return {
@@ -412,8 +397,12 @@ class GuardSpec:
 
 @dataclass(frozen=True)
 class GuardRow:
+    """One context subset, by indices into the context.
+
+    Chances are exact Fractions, or 0/1 ints in the collapsed regime.
+    """
+
     subset: tuple[int, ...]
-    subset_text: tuple[str, ...]
     lhs: Fraction
     advantage: Fraction
     rhs: Fraction | None
@@ -429,38 +418,47 @@ class GuardReport:
     ok: bool
 
 
-def check_prob_guard(spec: GuardSpec, budget: int = DEFAULT_BUDGET) -> GuardReport:
+def context_subsets(n: int):
+    """Index tuples of every subset of range(n), smallest first."""
+    return itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in range(n + 1))
+
+
+def cover(context: Sequence, target, guards: Sequence[Sequence], chance_of) -> GuardReport:
     """Quantify over every context subset with positive advantage.
 
-    For each such subset the target's guessing chance must be covered by
-    some guard: chance(subset -> guard) * chance(subset,guard -> target)
-    at least as large.  Subsets without advantage are listed but exempt.
+    ``chance_of(known, want)`` is the chance of producing every term of
+    ``want`` from the tuple ``known``.  For each subset whose chance of
+    the target beats the baseline (the chance from nothing), some guard
+    must cover it: chance(subset -> guard) * chance(subset,guard ->
+    target) at least as large.  Subsets without advantage are listed
+    but exempt.  The witness is the first guard reaching the best cover.
     """
-    variables = tuple(spec.variables)
-    baseline = chance(variables, (), (spec.target,), budget)
+    baseline = chance_of((), (target,))
     rows = []
-    all_ok = True
-    for picks in itertools.chain.from_iterable(
-        itertools.combinations(range(len(spec.context)), k) for k in range(len(spec.context) + 1)
-    ):
-        subset = tuple(spec.context[i] for i in picks)
-        lhs = chance(variables, subset, (spec.target,), budget)
+    for picks in context_subsets(len(context)):
+        subset = tuple(context[i] for i in picks)
+        lhs = chance_of(subset, (target,))
         adv = lhs - baseline
         if adv <= 0:
-            rows.append(GuardRow(picks, tuple(render(e) for e in subset), lhs, adv, None, None, True, True))
+            rows.append(GuardRow(picks, lhs, adv, None, None, True, True))
             continue
-        best = Fraction(0)
+        best = 0
         witness = None
-        for gi, guard in enumerate(spec.guards):
-            reach = chance(variables, subset, guard, budget)
-            then = chance(variables, subset + guard, (spec.target,), budget)
+        for gi, guard in enumerate(guards):
+            reach = chance_of(subset, guard)
+            then = chance_of(subset + tuple(guard), (target,))
             if reach * then > best:
                 best = reach * then
                 witness = gi
-        ok = lhs <= best
-        all_ok = all_ok and ok
-        rows.append(GuardRow(picks, tuple(render(e) for e in subset), lhs, adv, best, witness, ok, False))
-    return GuardReport(baseline, tuple(rows), all_ok)
+        rows.append(GuardRow(picks, lhs, adv, best, witness, lhs <= best, False))
+    return GuardReport(baseline, tuple(rows), all(r.ok for r in rows))
+
+
+def check_prob_guard(spec: GuardSpec, budget: int = DEFAULT_BUDGET) -> GuardReport:
+    """``cover`` with exact guessing chances over the spec's variables."""
+    variables = tuple(spec.variables)
+    return cover(spec.context, spec.target, spec.guards,
+                 lambda known, want: chance(variables, known, want, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .bits import BitString, concat, sample_uniform
-from .hkfun import ResponseToken
+from .hkfun import ResponseToken, boxplus, select
 
 VERIFIER = "verifier"
 PROVER = "prover"
@@ -56,8 +56,6 @@ class ProtocolConfig:
     )
     rtt_mode: str = "max"  # "max" or "mean" aggregation of per-bit RTTs
     enforce_counter_freshness: bool = True
-    # lazy per-pair delay cache; the config itself stays immutable
-    _delays: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ell < 1:
@@ -93,10 +91,7 @@ class ProtocolConfig:
         return abs(self.position(p) - self.position(q))
 
     def delay_ticks(self, p: str, q: str) -> int:
-        hit = self._delays.get((p, q))
-        if hit is None:
-            hit = self._delays[(p, q)] = math.ceil(self.distance(p, q) / self.velocity)
-        return hit
+        return math.ceil(self.distance(p, q) / self.velocity)
 
     @property
     def timeout_rtt(self) -> float:
@@ -120,22 +115,35 @@ class ProtocolConfig:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ProtocolConfig":
-        known = {
-            "ell",
-            "secret_bits",
-            "counter_bits",
-            "velocity",
-            "distance_bound",
-            "acceptance_slack",
-            "processing_ticks",
-            "positions",
-            "rtt_mode",
-            "enforce_counter_freshness",
-        }
-        extra = set(data) - known
+        """Build from a JSON object; a field of the wrong type is a ValueError."""
+        if not isinstance(data, Mapping):
+            raise ValueError("config must be a JSON object")
+        extra = set(data) - set(_JSON_FIELDS)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
-        return cls(**{k: data[k] for k in data})
+        for key, value in data.items():
+            if type(value) not in _JSON_FIELDS[key]:
+                raise ValueError(f"config field {key!r} has the wrong type: {value!r}")
+        for who, where in data.get("positions", {}).items():
+            if type(where) not in _NUMBER:
+                raise ValueError(f"config field 'positions' places {who!r} at {where!r}, not a number")
+        return cls(**data)
+
+
+_NUMBER = (int, float)
+# JSON field -> the exact types it may hold (a bool is not a number here).
+_JSON_FIELDS = {
+    "ell": (int,),
+    "secret_bits": (int,),
+    "counter_bits": (int, type(None)),
+    "velocity": _NUMBER,
+    "distance_bound": _NUMBER,
+    "acceptance_slack": _NUMBER,
+    "processing_ticks": (int,),
+    "positions": (dict,),
+    "rtt_mode": (str,),
+    "enforce_counter_freshness": (bool,),
+}
 
 
 class RandomOracle:
@@ -185,12 +193,6 @@ class CounterStore:
     @staticmethod
     def _key(a: BitString, b: BitString) -> tuple[int, int, int, int]:
         return (a.length, a.value, b.length, b.value)
-
-    def seen(self, a: BitString, b: BitString) -> bool:
-        return self._key(a, b) in self._seen
-
-    def mark(self, a: BitString, b: BitString) -> None:
-        self._seen.add(self._key(a, b))
 
     def check_and_mark(self, a: BitString, b: BitString) -> bool:
         """True iff the pair was fresh; the pair is recorded either way."""
@@ -328,11 +330,7 @@ class ProverHandle:
             token = s.token
         else:
             token = ResponseToken.from_bits(s.oracle.query(concat(s.secret, a, b)))
-        reply = BitString(
-            token.ell,
-            (token.h0.value & ~challenges.value | token.h1.value & challenges.value)
-            & ((1 << token.ell) - 1),
-        )
+        reply = boxplus(challenges, token)
         s.note_interrogation(a, b, challenges, reply)
         return reply
 
@@ -516,17 +514,14 @@ def run_session(
         silent = cfg.enforce_counter_freshness and not fresh_for_prover
 
     challenges = sample_uniform(rng, cfg.ell)
+    expected_value = select(challenges.value, token.h0.value, token.h1.value, cfg.ell)
     if adversary is not None:
         response_value, early_mask = adversary.play(view, challenges)
         response_value &= mask
         early_mask &= mask
     else:
-        h0, h1 = token.h0.value, token.h1.value
-        response_value = (h0 & ~challenges.value | h1 & challenges.value) & mask
+        response_value = expected_value
         early_mask = 0
-    expected_value = (
-        token.h0.value & ~challenges.value | token.h1.value & challenges.value
-    ) & mask
 
     # Stage 2: sequential timed rounds.
     who = PROVER if responder_pos == PROVER else ADVERSARY

@@ -18,17 +18,16 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+from .oracle import GuardRow, context_subsets, cover
 
 
 @dataclass(frozen=True, slots=True)
 class Term:
     op: str
     args: tuple["Term", ...] = ()
-
-    def is_atom(self) -> bool:
-        return not self.args
 
     def nodes(self) -> int:
         return 1 + sum(a.nodes() for a in self.args)
@@ -336,8 +335,7 @@ def derivable(
 
 @dataclass(frozen=True)
 class AlgGuardRow:
-    subset: tuple[int, ...]
-    subset_text: tuple[str, ...]
+    subset: tuple[int, ...]  # indices into the spec's context
     derives_target: bool
     witness: int | None
     ok: bool
@@ -361,92 +359,65 @@ class AlgGuardSpec:
     def from_json(cls, doc: str | dict) -> "AlgGuardSpec":
         if isinstance(doc, str):
             doc = json.loads(doc)
-        theory = THEORIES[doc.get("theory", "pairing")]
-        return cls(
-            theory=theory,
-            context=tuple(parse(t) for t in doc["context"]),
-            target=parse(doc["target"]),
-            guards=tuple(tuple(parse(t) for t in g) for g in doc["guards"]),
-            depth=doc.get("depth", DEFAULT_DEPTH),
-        )
+        name = doc.get("theory", "pairing")
+        if name not in THEORIES:
+            raise ValueError(f"unknown theory {name!r} in field 'theory'; choose from {sorted(THEORIES)}")
+        try:
+            return cls(
+                theory=THEORIES[name],
+                context=tuple(parse(t) for t in doc["context"]),
+                target=parse(doc["target"]),
+                guards=tuple(tuple(parse(t) for t in g) for g in doc["guards"]),
+                depth=doc.get("depth", DEFAULT_DEPTH),
+            )
+        except KeyError as missing:
+            raise ValueError(f"algebraic guard spec is missing the field {missing}") from None
 
 
 def check_alg_guard(spec: AlgGuardSpec) -> AlgGuardReport:
     """Whoever can derive the target can derive some guard set whole."""
     rows = []
-    all_ok = True
-    for picks in itertools.chain.from_iterable(
-        itertools.combinations(range(len(spec.context)), k) for k in range(len(spec.context) + 1)
-    ):
+    for picks in context_subsets(len(spec.context)):
         subset = tuple(spec.context[i] for i in picks)
-        hits = derivable(subset, spec.target, spec.theory, spec.depth)
-        if not hits:
-            rows.append(AlgGuardRow(picks, tuple(t.render() for t in subset), False, None, True))
+        if not derivable(subset, spec.target, spec.theory, spec.depth):
+            rows.append(AlgGuardRow(picks, False, None, True))
             continue
         witness = None
         for gi, guard in enumerate(spec.guards):
             if all(derivable(subset, g, spec.theory, spec.depth) for g in guard):
                 witness = gi
                 break
-        ok = witness is not None
-        all_ok = all_ok and ok
-        rows.append(AlgGuardRow(picks, tuple(t.render() for t in subset), True, witness, ok))
-    return AlgGuardReport(tuple(rows), all_ok)
-
-
-@dataclass(frozen=True)
-class CollapsedRow:
-    subset: tuple[int, ...]
-    lhs01: int
-    advantage01: int
-    rhs01: int | None
-    ok: bool
-    exempt: bool
+        rows.append(AlgGuardRow(picks, True, witness, witness is not None))
+    return AlgGuardReport(tuple(rows), all(r.ok for r in rows))
 
 
 @dataclass(frozen=True)
 class CollapsedReport:
-    rows: tuple[CollapsedRow, ...]
+    baseline: int
+    rows: tuple[GuardRow, ...]
     ok: bool
     agrees_with_algebraic: bool
-    baseline01: int
 
 
 def check_guard_deterministic(spec: AlgGuardSpec) -> CollapsedReport:
     """Guard check with guessing collapsed to zero-or-one derivability.
 
-    This is the degenerate regime where values carry no bits, so a
-    guesser that never consults randomness either derives a term or has
-    nothing: every chance is 0 or 1 and the product condition reduces to
-    plain guard coverage.  The report also states whether the verdict
-    matches check_alg_guard; the verdicts can only part ways when the
-    target is derivable from the empty context, in which case every
-    advantage vanishes and the probabilistic reading exempts all subsets.
+    This is ``oracle.cover`` in the degenerate regime where values carry
+    no bits, so a guesser that never consults randomness either derives
+    a term or has nothing: every chance is 0 or 1 and the product
+    condition reduces to plain guard coverage.  The report also states
+    whether the verdict matches check_alg_guard; the verdicts can only
+    part ways when the target is derivable from the empty context, in
+    which case every advantage vanishes and the probabilistic reading
+    exempts all subsets.
     """
 
     def c01(known: tuple[Term, ...], want: Sequence[Term]) -> int:
         return int(all(derivable(known, w, spec.theory, spec.depth) for w in want))
 
-    baseline = c01((), [spec.target])
-    rows = []
-    all_ok = True
-    for picks in itertools.chain.from_iterable(
-        itertools.combinations(range(len(spec.context)), k) for k in range(len(spec.context) + 1)
-    ):
-        subset = tuple(spec.context[i] for i in picks)
-        lhs = c01(subset, [spec.target])
-        adv = lhs - baseline
-        if adv <= 0:
-            rows.append(CollapsedRow(picks, lhs, adv, None, True, True))
-            continue
-        rhs = 0
-        for guard in spec.guards:
-            rhs = max(rhs, c01(subset, guard) * c01(subset + tuple(guard), [spec.target]))
-        ok = lhs <= rhs
-        all_ok = all_ok and ok
-        rows.append(CollapsedRow(picks, lhs, adv, rhs, ok, False))
+    report = cover(spec.context, spec.target, spec.guards, c01)
     algebraic = check_alg_guard(spec)
-    return CollapsedReport(tuple(rows), all_ok, all_ok == algebraic.ok, baseline)
+    return CollapsedReport(report.baseline, report.rows, report.ok, report.ok == algebraic.ok)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,9 @@ from hkbound.adversary import (
     attack_session,
     exact_acceptance,
     make_strategy,
-    per_bit_success,
     stick_policy_search,
 )
-from hkbound.harness import monte_carlo
+from hkbound.harness import analytic_acceptance, monte_carlo
 
 
 def cfg_at(ell: int, **kw) -> ProtocolConfig:
@@ -42,30 +41,35 @@ def test_exact_acceptances_match_closed_forms():
     ) == Fraction(1, 4) + Fraction(3, 4) * Fraction(1, 8)
 
 
+# per-bit success chance of each strategy with a closed form: acceptance
+# is this chance to the power ell
+PER_BIT = {"naive-guess": Fraction(1, 2), "prequery-stick": Fraction(3, 4),
+           "early-full": Fraction(3, 4)}
+
+
 def test_per_bit_success_closed_forms():
     for ell in (1, 2, 5):
-        assert per_bit_success("naive-guess", ell) == Fraction(1, 2) ** ell
-        assert per_bit_success("prequery-stick", ell) == Fraction(3, 4) ** ell
-        assert per_bit_success("early-full", ell) == Fraction(3, 4) ** ell
+        for name, per_bit in PER_BIT.items():
+            assert analytic_acceptance(name, cfg_at(ell)) == per_bit**ell
+    assert analytic_acceptance("naive-guess", cfg_at(5)) == Fraction(1, 32)
+    assert analytic_acceptance("prequery-stick", cfg_at(2)) == Fraction(9, 16)
+    # no closed form, so the policy-level enumeration answers
+    assert analytic_acceptance("early-kernel", cfg_at(4)) == 1
     with pytest.raises(ValueError):
-        per_bit_success("early-kernel", 4)
-    with pytest.raises(ValueError):
-        per_bit_success("naive-guess", 0)
+        cfg_at(0)
 
 
 def test_enumeration_equals_closed_form_up_to_ell_3():
     for ell in (1, 2, 3):
-        cfg = cfg_at(ell)
-        assert exact_acceptance("naive-guess", cfg) == per_bit_success("naive-guess", ell)
-        assert exact_acceptance("prequery-stick", cfg) == per_bit_success("prequery-stick", ell)
-        assert exact_acceptance("early-full", cfg) == per_bit_success("early-full", ell)
+        for name, per_bit in PER_BIT.items():
+            assert exact_acceptance(name, cfg_at(ell)) == per_bit**ell
 
 
 def test_simulated_rates_sit_on_the_exact_values():
     trials = 3000
     for name, ell in (("naive-guess", 2), ("prequery-stick", 2), ("early-full", 3)):
         est = monte_carlo(cfg_at(ell), name, trials, f"cal-{name}")
-        assert est.analytic == per_bit_success(name, ell)
+        assert est.analytic == PER_BIT[name] ** ell
         assert est.calibrated(z=5.0)
 
 

@@ -1,8 +1,7 @@
 """Invariants of the bit-level carriers.
 
-Mostly property-based: round trips between representations, algebraic
-laws of concatenation/negation/slicing, and the masking conventions the
-rest of the package leans on.
+Mostly property-based: round trips between representations and the
+algebraic laws of concatenation/negation/slicing.
 """
 
 import random
@@ -10,15 +9,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from hkbound.bits import (
-    BitString,
-    IndexSet,
-    MaskedBitString,
-    concat,
-    hamming_distance,
-    mask,
-    sample_uniform,
-)
+from hkbound.bits import BitString, concat, hamming_distance, sample_uniform
 
 bitstrings = st.integers(min_value=0, max_value=64).flatmap(
     lambda n: st.integers(min_value=0, max_value=(1 << n) - 1).map(
@@ -113,62 +104,3 @@ def test_sample_uniform_is_seed_determined():
     assert a == b and len(a) == 40
     with pytest.raises(ValueError):
         sample_uniform(random.Random(0), -1)
-
-
-# --- index sets -----------------------------------------------------------
-
-
-def test_index_set_sorts_and_dedupes():
-    s = IndexSet.of(5, (3, 1, 3, 5))
-    assert s.members == (1, 3, 5)
-    assert 3 in s and 2 not in s
-    assert len(s) == 3
-
-
-def test_index_set_complement():
-    s = IndexSet.of(5, (1, 4))
-    assert s.complement().members == (2, 3, 5)
-    assert s.complement().complement() == s
-
-
-def test_index_set_bounds():
-    with pytest.raises(ValueError):
-        IndexSet.of(3, (0,))
-    with pytest.raises(ValueError):
-        IndexSet.of(3, (4,))
-
-
-# --- masked strings -------------------------------------------------------
-
-
-def test_mask_blanks_positions():
-    x = BitString.from_text("1011")
-    m = mask(x, IndexSet.of(4, (1, 3)))
-    assert m.text() == "*0*1"
-    assert m.masked_positions().members == (1, 3)
-
-
-def test_masked_equality_ignores_hidden_bits():
-    # two strings differing only under the stars are the same observation
-    a = MaskedBitString(3, 0b101, 0b100)
-    b = MaskedBitString(3, 0b001, 0b100)
-    assert a == b
-    assert a.text() == "*01"
-
-
-def test_mask_universe_must_match():
-    with pytest.raises(ValueError):
-        mask(BitString.from_text("10"), IndexSet.of(3, (1,)))
-
-
-@given(bitstrings, st.data())
-def test_mask_roundtrip_on_visible_positions(x, data):
-    if len(x) == 0:
-        return
-    picks = data.draw(st.sets(st.integers(1, len(x)), max_size=len(x)))
-    m = mask(x, IndexSet.of(len(x), picks))
-    for i in range(1, len(x) + 1):
-        if i in picks:
-            assert m.text()[i - 1] == "*"
-        else:
-            assert m.text()[i - 1] == str(x.bit(i))

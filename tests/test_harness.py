@@ -284,3 +284,50 @@ def test_cli_missing_config_is_a_usage_error(capsys):
     )
     assert rc == 2
     capsys.readouterr()
+
+
+def _usage_error(argv, capsys) -> str:
+    """Run the CLI on argv, assert exit code 2, and return stderr."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    return err
+
+
+def test_cli_malformed_config_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    for doc, field in (({"ell": "8"}, "'ell'"), ({"ell": True}, "'ell'"),
+                       ({"ell": 2, "positions": {"verifier": 0, "prover": "3"}}, "'positions'"),
+                       ([2], "JSON object")):
+        path.write_text(json.dumps(doc))
+        err = _usage_error(["simulate", "--strategy", "naive-guess", "--trials", "5",
+                            "--config", str(path)], capsys)
+        assert field in err
+
+
+def test_cli_malformed_guard_specs_are_usage_errors(tmp_path, capsys):
+    from hkbound.oracle import builtin_guard_spec
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"theory": "nonsense", "context": ["a"],
+                                "target": "a", "guards": [["a"]]}))
+    err = _usage_error(["guard-check", "--spec", str(path), "--algebraic"], capsys)
+    assert "'theory'" in err and "nonsense" in err
+
+    doc = builtin_guard_spec("early-run").to_json()
+    del doc["vars"]
+    path.write_text(json.dumps(doc))
+    assert "'vars'" in _usage_error(["guard-check", "--spec", str(path)], capsys)
+
+
+@pytest.mark.parametrize("ell", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--claim", "monty"],
+    ["simulate", "--strategy", "naive-guess", "--trials", "5"],
+    ["guard-check", "--builtin", "early-run"],
+])
+def test_cli_rejects_ell_below_one(argv, ell, capsys):
+    with pytest.raises(SystemExit) as out:
+        cli.main(argv + ["--ell", ell])
+    assert out.value.code == 2
+    assert "ell must be at least 1" in capsys.readouterr().err

@@ -1,4 +1,9 @@
-"""The response function, token extraction, and table-defined relatives."""
+"""The response function, token extraction, and table-defined relatives.
+
+The int primitives ``select`` and ``kernel_mask`` are checked against
+their per-bit definitions, and every caller that evaluates them on
+values (token extraction, expression evaluation) against them.
+"""
 
 import random
 
@@ -6,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hkbound.bits import BitString, sample_uniform
+from hkbound.exprs import BoxPlus, KernelMask, Var, evaluate
 from hkbound.hkfun import (
     Block,
     PartitionedFunction,
@@ -15,6 +21,8 @@ from hkbound.hkfun import (
     eval_partitioned,
     extract_token,
     hk_function,
+    kernel_mask,
+    select,
 )
 
 
@@ -62,20 +70,20 @@ def test_boxplus_definition_exhaustively():
 
 def test_kernel_is_where_halves_agree():
     t = tok("011010")  # halves 011 and 010 agree on the first two positions
-    assert t.kernel().members == (1, 2)
-    assert tok("0110").kernel().members == ()
-    assert tok("0101").kernel().members == (1, 2)
+    assert t.kernel() == 0b110
+    assert tok("0110").kernel() == 0
+    assert tok("0101").kernel() == 0b11
 
 
 @given(st.integers(0, 255))
 def test_kernel_bits_ignore_the_challenge(hv):
     t = ResponseToken.from_bits(BitString(8, hv))
     answers = {boxplus(BitString(4, x), t) for x in range(16)}
-    for i in t.kernel():
-        assert len({a.bit(i) for a in answers}) == 1
-    # off-kernel positions take both values across challenges
-    for i in t.kernel().complement():
-        assert len({a.bit(i) for a in answers}) == 2
+    for i in range(1, 5):
+        in_kernel = (t.kernel() >> (4 - i)) & 1
+        # kernel positions answer the same to every challenge; the others
+        # take both values across challenges
+        assert len({a.bit(i) for a in answers}) == (1 if in_kernel else 2)
 
 
 def test_extract_token_from_challenge_and_negation():
@@ -102,6 +110,66 @@ def test_extract_token_validation():
             BitString.from_text("0"),
             BitString.from_text("01"),
         )
+
+
+# --- int primitives against their per-bit definitions ----------------------
+
+# (n, x, h0, h1): a width 0..64 and three n-bit values
+selections = st.integers(min_value=0, max_value=64).flatmap(
+    lambda n: st.tuples(st.just(n), *(st.integers(0, (1 << n) - 1),) * 3)
+)
+
+
+def bit(v: int, n: int, i: int) -> int:
+    """Bit at 1-based position i from the left of an n-bit value."""
+    return (v >> (n - i)) & 1
+
+
+@given(selections)
+def test_select_picks_h1_where_the_challenge_is_set(case):
+    n, x, h0, h1 = case
+    got = select(x, h0, h1, n)
+    assert got >> n == 0
+    for i in range(1, n + 1):
+        assert bit(got, n, i) == (bit(h1, n, i) if bit(x, n, i) else bit(h0, n, i))
+
+
+@given(selections)
+def test_extract_token_inverts_select(case):
+    n, x, h0, h1 = case
+    r0 = BitString(n, select(x, h0, h1, n))
+    r1 = BitString(n, select(x ^ ((1 << n) - 1), h0, h1, n))
+    t = extract_token(BitString(n, x), r0, r1)
+    assert (t.h0.value, t.h1.value) == (h0, h1)
+
+
+@given(selections)
+def test_kernel_mask_marks_where_the_halves_agree(case):
+    n, _x, h0, h1 = case
+    k = kernel_mask(h0, h1, n)
+    assert k >> n == 0
+    for i in range(1, n + 1):
+        assert bit(k, n, i) == (bit(h0, n, i) == bit(h1, n, i))
+    assert ResponseToken(BitString(n, h0), BitString(n, h1)).kernel() == k
+
+
+@given(selections)
+def test_expression_operators_evaluate_to_the_primitives(case):
+    n, x, h0, h1 = case
+    env = {"x": (n, x), "h": (2 * n, (h0 << n) | h1)}
+    k = kernel_mask(h0, h1, n)
+    assert evaluate(BoxPlus(Var("x"), Var("h")), env, {}) == (n, select(x, h0, h1, n))
+    assert evaluate(KernelMask(Var("x"), Var("h")), env, {}) == (n, x & ~k, k)
+
+
+def test_kernel_mask_equality_ignores_hidden_bits():
+    # halves 10 and 00 agree on position 2, so the challenge's second bit
+    # is hidden: challenges 01 and 00 give the same observation
+    h = Var("h")
+    seen = [evaluate(KernelMask(Var("x"), h), {"x": (2, xv), "h": (4, 0b1000)}, {})
+            for xv in (0b01, 0b00, 0b11)]
+    assert seen[0] == seen[1] == (2, 0b00, 0b01)
+    assert seen[2] == (2, 0b10, 0b01) != seen[0]
 
 
 # --- partitioned functions --------------------------------------------------

@@ -181,7 +181,7 @@ def test_kernel_chance_exhaustive():
     x = Var("x")
     for hv in range(16):
         token = ResponseToken.from_bits(BitString(4, hv))
-        kappa = len(token.kernel())
+        kappa = token.kernel().bit_count()
         p = chance({"x": 2}, [lit(hv, 4)], [BoxPlus(x, lit(hv, 4))])
         assert p == Fraction(2**kappa, 4)
         assert p == analytic("kernel", kappa=kappa, ell=2)

@@ -245,12 +245,13 @@ def test_oracle_long_outputs():
 def test_counter_store_semantics():
     store = CounterStore()
     a, b = BitString.from_text("01"), BitString.from_text("10")
-    assert not store.seen(a, b)
+    assert len(store) == 0
     assert store.check_and_mark(a, b)
     assert not store.check_and_mark(a, b)
-    assert store.seen(a, b) and len(store) == 1
+    assert len(store) == 1
     # order matters: (b, a) is a different pair
     assert store.check_and_mark(b, a)
+    assert len(store) == 2
 
 
 def test_prover_handle_refuses_replayed_counters():

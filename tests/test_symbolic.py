@@ -132,11 +132,11 @@ def test_collapsed_guard_agrees_with_algebraic():
     report = check_guard_deterministic(spec)
     assert report.ok
     assert report.agrees_with_algebraic
-    assert report.baseline01 == 0
+    assert report.baseline == 0
     exempt = [r for r in report.rows if r.exempt]
     covered = [r for r in report.rows if not r.exempt]
     assert covered and exempt
-    assert all(r.lhs01 in (0, 1) for r in report.rows)
+    assert all(r.lhs in (0, 1) for r in report.rows)
 
 
 def test_alg_guard_spec_json():
@@ -177,7 +177,7 @@ def test_builtin_cr_guard_passes():
     assert all(r.witness == 0 for r in deriving)
     collapsed = check_guard_deterministic(spec)
     assert collapsed.ok and collapsed.agrees_with_algebraic
-    assert collapsed.baseline01 == 0
+    assert collapsed.baseline == 0
 
 
 # --- knowledge contexts over recorded runs ------------------------------------
