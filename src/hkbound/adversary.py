@@ -7,12 +7,11 @@ but answers early to appear closer than she is.
 
 Every strategy keeps its scratch state inside the session view lifetime,
 so one instance can be reused across any number of independent trials.
+The strategies only play; their exact acceptance chances live in
+``harness.analytic_acceptance``.
 """
 
 from __future__ import annotations
-
-import itertools
-from fractions import Fraction
 
 from .bits import BitString, concat, sample_uniform
 from .hkfun import ResponseToken, extract_token, kernel_mask, select
@@ -208,86 +207,3 @@ def _strategy_key(strategy) -> str:
     if isinstance(s, EarlyResponder):
         return f"early-{s.mode}"
     return getattr(s, "kind", type(s).__name__)
-
-
-def exact_acceptance(strategy, cfg: ProtocolConfig) -> Fraction:
-    """Acceptance probability by exhaustive enumeration of the randomness.
-
-    Enumerates at the policy level (token halves, challenges, and the
-    strategy's own coins), assuming the configured geometry lets correct
-    answers through (the distance gate passes; it always does for the
-    bundled strategies, which answer from the verifier's doorstep or the
-    honest position).  Exponential in ell, so keep ell small.
-    """
-    key = _strategy_key(strategy)
-    ell = cfg.ell
-    n = 1 << ell
-    if key == "counter-reuse":
-        if cfg.enforce_counter_freshness:
-            raise StrategyInfeasibleError(
-                "counter reuse needs enforce_counter_freshness disabled"
-            )
-        return Fraction(1)
-    if key == "early-kernel":
-        return Fraction(1)
-    if key == "naive-guess":
-        wins = sum(
-            1
-            for g in range(n)
-            for x in range(n)
-            for h0 in range(n)
-            for h1 in range(n)
-            if g == select(x, h0, h1, ell)
-        )
-        return Fraction(wins, n**4)
-    if key == "prequery-stick":
-        chances = set()
-        for z in range(n):
-            wins = 0
-            for h0 in range(n):
-                for h1 in range(n):
-                    w = select(z, h0, h1, ell)
-                    wins += sum(1 for x in range(n) if w == select(x, h0, h1, ell))
-            chances.add(Fraction(wins, n**3))
-        if len(chances) != 1:
-            raise AssertionError("pre-query acceptance depends on z")
-        return chances.pop()
-    if key == "early-full":
-        wins = sum(
-            1
-            for h0 in range(n)
-            for h1 in range(n)
-            for x in range(n)
-            if h0 == select(x, h0, h1, ell)
-        )
-        return Fraction(wins, n**3)
-    if key == "secret-guess":
-        p_hit = Fraction(1, 2**cfg.secret_bits)
-        return p_hit + (1 - p_hit) * Fraction(1, n)
-    raise ValueError(f"no exact enumeration for strategy {key!r}")
-
-
-def stick_policy_search(z: int = 0) -> tuple[int, int, int]:
-    """Exhaust single-round deterministic policies given (z, w, x).
-
-    Returns (best wins, stick wins, outcomes) over the 8 equiprobable
-    (x, h0, h1) single-bit worlds.  A policy maps the observed pair
-    (w, x) to an answer bit; the stick policy ignores x and answers w.
-    """
-    worlds = list(itertools.product((0, 1), repeat=3))  # (x, h0, h1)
-
-    def wins(policy) -> int:
-        total = 0
-        for x, h0, h1 in worlds:
-            w = h1 if z else h0
-            correct = h1 if x else h0
-            if policy[(w, x)] == correct:
-                total += 1
-        return total
-
-    best = 0
-    for bits in itertools.product((0, 1), repeat=4):
-        policy = dict(zip(itertools.product((0, 1), repeat=2), bits))
-        best = max(best, wins(policy))
-    stick = wins({(w, x): w for w in (0, 1) for x in (0, 1)})
-    return best, stick, len(worlds)

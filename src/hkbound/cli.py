@@ -83,8 +83,10 @@ def _claim_prop34(ell: int):
 
 
 def _claim_early(ell: int):
-    cfg = ProtocolConfig(ell=ell)
-    by_policy = adv.exact_acceptance("early-full", cfg)
+    # the early prover holds the token h, not the challenge x; sending
+    # the first half blind is one of its best guesses
+    x, h = exprs.Var("x"), exprs.Var("h")
+    by_policy = oracle.chance({"x": ell, "h": 2 * ell}, [h], [exprs.BoxPlus(x, h)])
     # the same average, through the kernel-size distribution
     n = 1 << ell
     by_kernel = Fraction(0)

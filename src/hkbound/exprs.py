@@ -265,24 +265,44 @@ def to_json(e: Expr) -> dict[str, Any]:
     raise TypeError(f"not an expression: {e!r}")
 
 
+def json_field(doc, key: str, kind: type, default=None):
+    """``doc[key]`` of a parsed JSON object, which must be of type ``kind``.
+
+    A bool is not an int here.  A missing key gives ``default`` when one
+    is passed; every other mismatch is a ValueError naming the field.
+    """
+    if type(doc) is not dict:
+        raise ValueError(f"expected a JSON object, got {doc!r}")
+    if key not in doc and default is not None:
+        return default
+    if key not in doc:
+        raise ValueError(f"missing the field {key!r}")
+    if type(doc[key]) is not kind:
+        raise ValueError(f"field {key!r} must be of type {kind.__name__}, got {doc[key]!r}")
+    return doc[key]
+
+
 def from_json(doc: dict[str, Any]) -> Expr:
-    op = doc.get("op")
+    def sub(key: str) -> Expr:
+        return from_json(json_field(doc, key, dict))
+
+    op = json_field(doc, "op", str)
     if op == "var":
-        return Var(doc["name"])
+        return Var(json_field(doc, "name", str))
     if op == "lit":
-        return Lit(doc["bits"])
+        return Lit(json_field(doc, "bits", str))
     if op == "concat":
-        return Concat(tuple(from_json(d) for d in doc["args"]))
+        return Concat(tuple(from_json(d) for d in json_field(doc, "args", list)))
     if op == "negate":
-        return Negate(from_json(doc["arg"]))
+        return Negate(sub("arg"))
     if op == "proj":
-        return Proj(from_json(doc["arg"]), doc["lo"], doc["hi"])
+        return Proj(sub("arg"), json_field(doc, "lo", int), json_field(doc, "hi", int))
     if op == "boxplus":
-        return BoxPlus(from_json(doc["x"]), from_json(doc["h"]))
+        return BoxPlus(sub("x"), sub("h"))
     if op == "kernel_mask":
-        return KernelMask(from_json(doc["x"]), from_json(doc["h"]))
+        return KernelMask(sub("x"), sub("h"))
     if op == "hash":
-        return Hash(from_json(doc["arg"]), doc["bits"])
+        return Hash(sub("arg"), json_field(doc, "bits", int))
     raise ValueError(f"unknown expression op {op!r}")
 
 

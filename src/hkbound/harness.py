@@ -1,4 +1,5 @@
-"""Monte Carlo estimation and calibration against the exact values.
+"""Monte Carlo estimation and calibration against the exact values,
+which ``analytic_acceptance`` holds in one table.
 
 Per-trial seeds are derived from the master seed in counter mode, so an
 estimate is a pure function of (config, strategy, master seed, trials):
@@ -99,10 +100,14 @@ _CLOSED_FORMS = {"naive-guess": "naive", "prequery-stick": "prequery", "early-fu
 def analytic_acceptance(strategy, cfg: ProtocolConfig) -> Fraction | None:
     """Exact acceptance probability when one is known, else None.
 
-    Closed forms come from ``oracle.analytic``; the cheap policy-level
-    enumerations cover the catalog strategies without closed forms.  The
-    honest prover accepts with certainty iff its tick-rounded distance
-    fits the bound.
+    The one table of exact acceptance values.  Naive guessing, pre-query
+    sticking and blind early answers take their closed forms from
+    ``oracle.analytic``, which the ``enumerate`` claims check against
+    the oracle.  Kernel-only early answers and counter reuse are always
+    right, and counter reuse is infeasible under counter freshness.  A
+    secret guesser hits the secret with chance 2**-s, else guesses the
+    response.  The honest prover accepts with certainty iff its
+    tick-rounded distance fits the bound.
     """
     if strategy is None or strategy == "honest":
         reach = cfg.distance_bound + cfg.acceptance_slack
@@ -111,8 +116,13 @@ def analytic_acceptance(strategy, cfg: ProtocolConfig) -> Fraction | None:
     key = adv._strategy_key(strategy)
     if key in _CLOSED_FORMS:
         return oracle.analytic(_CLOSED_FORMS[key], ell=cfg.ell)
-    if key in ("counter-reuse", "early-kernel", "secret-guess"):
-        return adv.exact_acceptance(strategy, cfg)
+    if key == "counter-reuse" and cfg.enforce_counter_freshness:
+        raise adv.StrategyInfeasibleError("counter reuse needs enforce_counter_freshness disabled")
+    if key in ("counter-reuse", "early-kernel"):
+        return Fraction(1)
+    if key == "secret-guess":
+        hit = Fraction(1, 2**cfg.secret_bits)
+        return hit + (1 - hit) * Fraction(1, 2**cfg.ell)
     return None
 
 

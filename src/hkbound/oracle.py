@@ -48,8 +48,6 @@ from .bits import BitString
 from .exprs import Expr, NeedHash, evaluate, free_vars, hash_nodes, width
 from .hkfun import PartitionedFunction, eval_partitioned, select
 
-ExactProb = Fraction
-
 DEFAULT_BUDGET = 24
 
 
@@ -88,11 +86,11 @@ class GuessScenario:
         return dict(self.variables)
 
 
-def _env_iter(var_order: list[tuple[str, int]], lo: int, hi: int):
-    """Environments with index in [lo, hi): each variable uniform."""
+def _env_iter(var_order: list[tuple[str, int]]):
+    """Every environment, each variable uniform over its width."""
     widths = [b for _, b in var_order]
     names = [n for n, _ in var_order]
-    for idx in range(lo, hi):
+    for idx in range(1 << sum(widths)):
         env = {}
         rest = idx
         for name, b in zip(reversed(names), reversed(widths)):
@@ -155,13 +153,14 @@ def _derivable_values(seed: Iterable, max_bits: int, cap: int = 512) -> set:
     """Close observed (length, value) pairs under the public bit ops.
 
     Grows by negation, contiguous slices, concatenation, and challenge
-    selection, keeping results at most max_bits wide; stops at a
-    fixpoint or once the pool passes the cap.  Masked values and absent
-    entries in the seed are skipped: they are observations a guesser
-    cannot feed back into the bit operations whole.
+    selection, keeping results at most max_bits wide, to a fixpoint.
+    Masked values and absent entries in the seed are skipped: they are
+    observations a guesser cannot feed back into the bit operations
+    whole.  A pool that passes the cap before its fixpoint is a
+    ValueError, not a silently truncated answer.
     """
     pool = {v for v in seed if isinstance(v, tuple) and len(v) == 2}
-    while len(pool) < cap:
+    while True:
         fresh = set()
         for n, v in pool:
             if n:
@@ -177,13 +176,26 @@ def _derivable_values(seed: Iterable, max_bits: int, cap: int = 512) -> set:
                 if n1 and n2 == 2 * n1:
                     fresh.add((n1, select(v1, v2 >> n1, v2, n1)))
         if fresh <= pool:
-            break
+            return pool
         pool |= fresh
-    return pool
+        if len(pool) > cap:
+            raise ValueError(f"derivable values passed the cap of {cap} before a fixpoint")
 
 
-def _all_derivable(values: tuple, pool: set) -> bool:
-    return all(isinstance(v, tuple) and len(v) == 2 and v in pool for v in values)
+def _best(groups: dict, max_bits: int | None = None) -> int:
+    """Sum over observation groups of the heaviest answer's weight.
+
+    ``groups`` maps an observation key to {answer: weight}.  Given
+    ``max_bits``, only answers computable from the key's values count
+    (see ``_derivable_values``), and a group with none scores zero.
+    """
+    if max_bits is None:
+        return sum(max(slot.values()) for slot in groups.values())
+    best = 0
+    for key, slot in groups.items():
+        pool = _derivable_values(key, max_bits)
+        best += max((c for w, c in slot.items() if pool.issuperset(w)), default=0)
+    return best
 
 
 def guess_chance(
@@ -201,61 +213,38 @@ def guess_chance(
     optimal answer is itself computable.  In particular a guesser that
     observed nothing can output nothing, where the unrestricted guesser
     would still name the most likely value cold.
+
+    Outcomes are counted in integer weights over the common denominator
+    2**(B + H), where H sums the output widths of the distinct hash
+    nodes: a leaf that tabled ``extra`` entry bits weighs 2**(H - extra).
+    A leaf reads at most one entry per node, so extra <= H.  Without hash
+    nodes H = 0 and each environment weighs 1.
     """
-    decls = scenario.declared
-    fv = _free_vars_of(scenario.knowns + scenario.targets)
+    knowns, targets = scenario.knowns, scenario.targets
+    fv = _free_vars_of(knowns + targets)
     var_order = [(n, b) for n, b in scenario.variables if n in fv]
     total_bits = sum(b for _, b in var_order)
     if total_bits > budget:
         raise BudgetExceededError(total_bits, budget)
-    max_bits = 2 * max(
-        (width(e, decls) for e in scenario.knowns + scenario.targets), default=0
-    )
+    nodes = list({id(n): n for e in knowns + targets for n in hash_nodes(e)}.values())
+    hash_bits = sum(n.out_bits for n in nodes)
 
-    nodes: list = []
-    seen: set[int] = set()
-    for e in scenario.knowns + scenario.targets:
-        for n in hash_nodes(e):
-            if id(n) not in seen:
-                seen.add(id(n))
-                nodes.append(n)
-
-    n_env = 1 << total_bits
+    groups: dict = {}
     if not nodes:
-        # Pure-variable fast path: integer counts over a uniform grid.
-        counts: dict = {}
-        for env in _env_iter(var_order, 0, n_env):
-            v = tuple(evaluate(e, env, {}) for e in scenario.knowns)
-            w = tuple(evaluate(e, env, {}) for e in scenario.targets)
-            slot = counts.setdefault(v, {})
+        for env in _env_iter(var_order):
+            v = tuple(evaluate(e, env, {}) for e in knowns)
+            w = tuple(evaluate(e, env, {}) for e in targets)
+            slot = groups.setdefault(v, {})
             slot[w] = slot.get(w, 0) + 1
-        if derivable_only:
-            best = 0
-            for v, slot in counts.items():
-                pool = _derivable_values(v, max_bits)
-                usable = [c for w, c in slot.items() if _all_derivable(w, pool)]
-                best += max(usable, default=0)
-            return Fraction(best, n_env)
-        best = sum(max(slot.values()) for slot in counts.values())
-        return Fraction(best, n_env)
-
-    all_leaves = []
-    for env in _env_iter(var_order, 0, n_env):
-        all_leaves.extend(_leaves(scenario.knowns, scenario.targets, env))
-    keys = _pin_hash_entries(all_leaves, nodes)
-    weighted: dict = {}
-    for key, (v, w, _argrec, _htable, extra) in zip(keys, all_leaves):
-        slot = weighted.setdefault(key, {})
-        slot[w] = slot.get(w, Fraction(0)) + Fraction(1, n_env << extra)
+    else:
+        leaves = [leaf for env in _env_iter(var_order) for leaf in _leaves(knowns, targets, env)]
+        for key, (_v, w, _argrec, _htable, extra) in zip(_pin_hash_entries(leaves, nodes), leaves):
+            slot = groups.setdefault(key, {})
+            slot[w] = slot.get(w, 0) + (1 << (hash_bits - extra))
+    max_bits = None
     if derivable_only:
-        total = Fraction(0)
-        for key, slot in weighted.items():
-            pool = _derivable_values(key, max_bits)
-            usable = [mass for w, mass in slot.items() if _all_derivable(w, pool)]
-            if usable:
-                total += max(usable)
-        return total
-    return sum((max(slot.values()) for slot in weighted.values()), Fraction(0))
+        max_bits = 2 * max((width(e, scenario.declared) for e in knowns + targets), default=0)
+    return Fraction(_best(groups, max_bits), 1 << (total_bits + hash_bits))
 
 
 def chance(
@@ -376,15 +365,17 @@ class GuardSpec:
     def from_json(cls, doc: str | dict) -> "GuardSpec":
         if isinstance(doc, str):
             doc = json.loads(doc)
-        try:
-            return cls(
-                variables=tuple((v["name"], v["bits"]) for v in doc["vars"]),
-                context=tuple(exprs.from_json(d) for d in doc["context"]),
-                target=exprs.from_json(doc["target"]),
-                guards=tuple(tuple(exprs.from_json(d) for d in g) for g in doc["guards"]),
-            )
-        except KeyError as missing:
-            raise ValueError(f"guard spec is missing the field {missing}") from None
+        field = exprs.json_field
+        guards = field(doc, "guards", list)
+        if any(type(g) is not list for g in guards):
+            raise ValueError(f"field 'guards' must hold JSON lists, got {guards!r}")
+        return cls(
+            variables=tuple((field(v, "name", str), field(v, "bits", int))
+                            for v in field(doc, "vars", list)),
+            context=tuple(exprs.from_json(d) for d in field(doc, "context", list)),
+            target=exprs.from_json(field(doc, "target", dict)),
+            guards=tuple(tuple(exprs.from_json(d) for d in g) for g in guards),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -478,8 +469,8 @@ def output_distribution(f: PartitionedFunction, x: BitString) -> dict[BitString,
 def guess_fx_from_fz(f: PartitionedFunction, x: BitString, z: BitString) -> Fraction:
     """Best chance of f(x) for a guesser who saw x, z and f(z).
 
-    The seed is the only randomness, so this enumerates seeds and runs
-    the same argmax bookkeeping as the expression oracle.
+    The seed is the only randomness, so this counts seeds and takes the
+    same argmax as the expression oracle.
     """
     counts: dict = {}
     for sv in range(1 << f.seed_bits):
@@ -488,8 +479,7 @@ def guess_fx_from_fz(f: PartitionedFunction, x: BitString, z: BitString) -> Frac
         w = eval_partitioned(f, seed, x)
         slot = counts.setdefault(v, {})
         slot[w] = slot.get(w, 0) + 1
-    best = sum(max(slot.values()) for slot in counts.values())
-    return Fraction(best, 1 << f.seed_bits)
+    return Fraction(_best(counts), 1 << f.seed_bits)
 
 
 def per_bit_independent(f: PartitionedFunction) -> bool:

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .exprs import json_field
 from .oracle import GuardRow, context_subsets, cover
 
 
@@ -58,6 +59,8 @@ def parse(text: str) -> Term:
     A dot chain abbreviates right-nested pairing, so ``s.a.b`` reads as
     ``pair(s,pair(a,b))``.
     """
+    if type(text) is not str:
+        raise ValueError(f"a term must be a JSON string, got {text!r}")
     pos = 0
 
     def peek() -> str | None:
@@ -359,19 +362,19 @@ class AlgGuardSpec:
     def from_json(cls, doc: str | dict) -> "AlgGuardSpec":
         if isinstance(doc, str):
             doc = json.loads(doc)
-        name = doc.get("theory", "pairing")
+        name = json_field(doc, "theory", str, "pairing")
         if name not in THEORIES:
             raise ValueError(f"unknown theory {name!r} in field 'theory'; choose from {sorted(THEORIES)}")
-        try:
-            return cls(
-                theory=THEORIES[name],
-                context=tuple(parse(t) for t in doc["context"]),
-                target=parse(doc["target"]),
-                guards=tuple(tuple(parse(t) for t in g) for g in doc["guards"]),
-                depth=doc.get("depth", DEFAULT_DEPTH),
-            )
-        except KeyError as missing:
-            raise ValueError(f"algebraic guard spec is missing the field {missing}") from None
+        guards = json_field(doc, "guards", list)
+        if any(type(g) is not list for g in guards):
+            raise ValueError(f"field 'guards' must hold JSON lists, got {guards!r}")
+        return cls(
+            theory=THEORIES[name],
+            context=tuple(parse(t) for t in json_field(doc, "context", list)),
+            target=parse(json_field(doc, "target", str)),
+            guards=tuple(tuple(parse(t) for t in g) for g in guards),
+            depth=json_field(doc, "depth", int, DEFAULT_DEPTH),
+        )
 
 
 def check_alg_guard(spec: AlgGuardSpec) -> AlgGuardReport:

@@ -1,15 +1,17 @@
 """The attack catalog against its exact acceptance chances.
 
-Each bundled strategy has either a closed form or a cheap policy-level
-enumeration; the simulator must land on those values, and the stick
-policy must be provably optimal among single-round deterministic rules.
+Each bundled strategy has an exact value in ``analytic_acceptance``; the
+closed forms agree with the exact oracle at small ell, the simulator
+must land on those values, and the stick policy must be optimal among
+single-round deterministic rules.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from hkbound.exprs import BoxPlus, Var
+from hkbound.exprs import BoxPlus, Lit, Var
+from hkbound.hkfun import select
 from hkbound.oracle import chance
 from hkbound.protocol import ProtocolConfig, CounterStore
 from hkbound.adversary import (
@@ -20,9 +22,7 @@ from hkbound.adversary import (
     SecretGuesser,
     StrategyInfeasibleError,
     attack_session,
-    exact_acceptance,
     make_strategy,
-    stick_policy_search,
 )
 from hkbound.harness import analytic_acceptance, monte_carlo
 
@@ -32,11 +32,11 @@ def cfg_at(ell: int, **kw) -> ProtocolConfig:
 
 
 def test_exact_acceptances_match_closed_forms():
-    assert exact_acceptance("naive-guess", cfg_at(2)) == Fraction(1, 4)
-    assert exact_acceptance("prequery-stick", cfg_at(2)) == Fraction(9, 16)
-    assert exact_acceptance("early-full", cfg_at(2)) == Fraction(9, 16)
-    assert exact_acceptance("early-kernel", cfg_at(2)) == 1
-    assert exact_acceptance(
+    assert analytic_acceptance("naive-guess", cfg_at(2)) == Fraction(1, 4)
+    assert analytic_acceptance("prequery-stick", cfg_at(2)) == Fraction(9, 16)
+    assert analytic_acceptance("early-full", cfg_at(2)) == Fraction(9, 16)
+    assert analytic_acceptance("early-kernel", cfg_at(2)) == 1
+    assert analytic_acceptance(
         "secret-guess", cfg_at(3, secret_bits=2)
     ) == Fraction(1, 4) + Fraction(3, 4) * Fraction(1, 8)
 
@@ -53,16 +53,25 @@ def test_per_bit_success_closed_forms():
             assert analytic_acceptance(name, cfg_at(ell)) == per_bit**ell
     assert analytic_acceptance("naive-guess", cfg_at(5)) == Fraction(1, 32)
     assert analytic_acceptance("prequery-stick", cfg_at(2)) == Fraction(9, 16)
-    # no closed form, so the policy-level enumeration answers
     assert analytic_acceptance("early-kernel", cfg_at(4)) == 1
     with pytest.raises(ValueError):
         cfg_at(0)
 
 
 def test_enumeration_equals_closed_form_up_to_ell_3():
+    # each strategy's best answer from what it holds, by the exact oracle
+    x, z, h = Var("x"), Var("z"), Var("h")
+    target = [BoxPlus(x, h)]
     for ell in (1, 2, 3):
+        decls = {"x": ell, "z": ell, "h": 2 * ell}
+        enumerated = {
+            "naive-guess": chance(decls, [], target),
+            "prequery-stick": chance(decls, [x, z, BoxPlus(z, h)], target),
+            "early-full": chance(decls, [h], target),
+        }
         for name, per_bit in PER_BIT.items():
-            assert exact_acceptance(name, cfg_at(ell)) == per_bit**ell
+            assert enumerated[name] == per_bit**ell
+            assert analytic_acceptance(name, cfg_at(ell)) == per_bit**ell
 
 
 def test_simulated_rates_sit_on_the_exact_values():
@@ -74,11 +83,15 @@ def test_simulated_rates_sit_on_the_exact_values():
 
 
 def test_stick_policy_is_optimal():
+    # one round: the best of all policies mapping (w, x) to an answer bit,
+    # against the stick policy that answers w, over the 8 (x, h0, h1) worlds
+    x, h = Var("x"), Var("h")
     for z in (0, 1):
-        best, stick, worlds = stick_policy_search(z)
-        assert (best, stick, worlds) == (6, 6, 8)
-    # 6 wins out of 8 worlds is the (3/4) per-round value
-    assert Fraction(6, 8) == Fraction(3, 4)
+        zl = Lit(str(z))
+        best = chance({"x": 1, "h": 2}, [zl, x, BoxPlus(zl, h)], [BoxPlus(x, h)])
+        stick = sum(select(z, h0, h1, 1) == select(xv, h0, h1, 1)
+                    for xv in (0, 1) for h0 in (0, 1) for h1 in (0, 1))
+        assert best == Fraction(stick, 8) == Fraction(3, 4)
 
 
 def test_extra_prequeries_do_not_help():
@@ -109,10 +122,10 @@ def test_counter_reuse_requires_freshness_off():
     with pytest.raises(StrategyInfeasibleError):
         attack_session(cfg_at(4), CounterReuseExtract(), 0)
     with pytest.raises(StrategyInfeasibleError):
-        exact_acceptance("counter-reuse", cfg_at(4))
+        analytic_acceptance("counter-reuse", cfg_at(4))
 
     relaxed = cfg_at(4, enforce_counter_freshness=False)
-    assert exact_acceptance("counter-reuse", relaxed) == 1
+    assert analytic_acceptance("counter-reuse", relaxed) == 1
     for seed in range(20):
         _, verdict = attack_session(relaxed, CounterReuseExtract(), seed)
         assert verdict.accepted
@@ -150,7 +163,7 @@ def test_early_responder_mode_validation():
 
 def test_secret_guesser_with_tiny_secret():
     cfg = cfg_at(2, secret_bits=1)
-    expected = exact_acceptance("secret-guess", cfg)
+    expected = analytic_acceptance("secret-guess", cfg)
     assert expected == Fraction(1, 2) + Fraction(1, 2) * Fraction(1, 4)
     est = monte_carlo(cfg, SecretGuesser(), 2000, "sg")
     assert est.analytic == expected

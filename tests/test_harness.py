@@ -319,6 +319,26 @@ def test_cli_malformed_guard_specs_are_usage_errors(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert "'vars'" in _usage_error(["guard-check", "--spec", str(path)], capsys)
 
+    # fields of the wrong JSON type, in the spec and inside expressions
+    good = builtin_guard_spec("early-run").to_json()
+    proj = {"op": "proj", "arg": {"op": "var", "name": "s"}, "lo": "1", "hi": 1}
+    for change, field in (
+        ({"vars": 5}, "'vars'"),
+        ({"vars": [{"name": "s", "bits": "1"}]}, "'bits'"),
+        ({"target": 5}, "'target'"),
+        ({"context": [proj]}, "'lo'"),
+        ({"context": [{"op": "lit", "bits": 5}]}, "'bits'"),
+    ):
+        path.write_text(json.dumps({**good, **change}))
+        assert field in _usage_error(["guard-check", "--spec", str(path)], capsys)
+    alg = {"context": ["a"], "target": "a", "guards": [["a"]]}
+    for change, field in (({"target": 5}, "'target'"), ({"depth": "3"}, "'depth'")):
+        path.write_text(json.dumps({**alg, **change}))
+        assert field in _usage_error(["guard-check", "--spec", str(path), "--algebraic"], capsys)
+    path.write_text(json.dumps([alg]))
+    for mode in ([], ["--algebraic"]):
+        assert "JSON object" in _usage_error(["guard-check", "--spec", str(path), *mode], capsys)
+
 
 @pytest.mark.parametrize("ell", ["0", "-1"])
 @pytest.mark.parametrize("argv", [

@@ -243,6 +243,13 @@ def test_distinct_arguments_are_independent_entries():
     assert chance({"a": 1}, [Hash(a, 1)], [Hash(Negate(a), 1)]) == Fraction(1, 2)
 
 
+def test_colliding_arguments_share_one_entry():
+    # a = b reads one table entry, a != b two: leaves of unequal depth,
+    # weighed over one denominator
+    a, b = Var("a"), Var("b")
+    assert chance({"a": 1, "b": 1}, [], [Hash(a, 1), Hash(b, 1)]) == Fraction(3, 8)
+
+
 def test_pinning_chains_through_nested_hashes():
     a = Var("a")
     inner = Hash(a, 2)
@@ -303,6 +310,38 @@ def test_restricted_guesser_uses_pinned_table_entries():
         free = chance(decls, xi + gamma, theta)
         restricted = chance(decls, xi + gamma, theta, derivable_only=True)
         assert restricted <= free
+
+
+def test_restricted_guesser_reports_the_derivable_cap():
+    # slicing and concatenating u builds the target, but the pool of
+    # derivable values passes its cap first; no truncated answer comes out
+    u = Var("u")
+    target = Concat(tuple(Proj(u, 2, 2) for _ in range(6)))
+    assert chance({"u": 5}, [u], [target]) == 1
+    with pytest.raises(ValueError, match="cap of 512"):
+        chance({"u": 5}, [u], [target], derivable_only=True)
+
+
+def reference_chance(decls, knowns, targets) -> Fraction:
+    """Brute force over every declared variable, with its own argmax."""
+    joint: dict = {}
+    for values in itertools.product(*(range(1 << b) for _, b in decls)):
+        env = {n: (b, v) for (n, b), v in zip(decls, values)}
+        seen = tuple(exprs.evaluate(e, env, {}) for e in knowns)
+        answer = tuple(exprs.evaluate(e, env, {}) for e in targets)
+        joint[seen, answer] = joint.get((seen, answer), 0) + 1
+    best: dict = {}
+    for (seen, _), count in joint.items():
+        best[seen] = max(best.get(seen, 0), count)
+    return Fraction(sum(best.values()), 2 ** sum(b for _, b in decls))
+
+
+def test_engine_matches_a_reference_enumerator():
+    rng = random.Random(7)
+    for _ in range(200):
+        decls, xi, gamma, theta = oracle.random_subbayes_case(rng)
+        assert chance(decls, xi, gamma) == reference_chance(decls, xi, gamma)
+        assert chance(decls, xi + gamma, theta) == reference_chance(decls, xi + gamma, theta)
 
 
 # --- product inequality ------------------------------------------------------
