@@ -265,21 +265,33 @@ def to_json(e: Expr) -> dict[str, Any]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def json_field(doc, key: str, kind: type, default=None):
+def json_field(doc, key: str, kind, default=None, item=None):
     """``doc[key]`` of a parsed JSON object, which must be of type ``kind``.
 
-    A bool is not an int here.  A missing key gives ``default`` when one
-    is passed; every other mismatch is a ValueError naming the field.
+    ``kind`` and ``item`` are a type or a tuple of types, and a bool is
+    not an int here.  With ``item``, each entry of the list, or each value
+    of the object, must be of that type.  A missing key gives ``default``
+    when one is passed; every other mismatch is a ValueError naming the
+    field.
     """
+    def names(kinds) -> str:
+        return " or ".join(k.__name__ for k in kinds)
+
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    items = item if isinstance(item, tuple) else (item,)
     if type(doc) is not dict:
         raise ValueError(f"expected a JSON object, got {doc!r}")
     if key not in doc and default is not None:
         return default
     if key not in doc:
         raise ValueError(f"missing the field {key!r}")
-    if type(doc[key]) is not kind:
-        raise ValueError(f"field {key!r} must be of type {kind.__name__}, got {doc[key]!r}")
-    return doc[key]
+    value = doc[key]
+    if type(value) not in kinds:
+        raise ValueError(f"field {key!r} must be of type {names(kinds)}, got {value!r}")
+    entries = value.values() if type(value) is dict else value
+    if item is not None and any(type(v) not in items for v in entries):
+        raise ValueError(f"field {key!r} must hold values of type {names(items)}, got {value!r}")
+    return value
 
 
 def from_json(doc: dict[str, Any]) -> Expr:

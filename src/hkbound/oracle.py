@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Sequence
 from . import exprs
 from .bits import BitString
 from .exprs import Expr, NeedHash, evaluate, free_vars, hash_nodes, width
-from .hkfun import PartitionedFunction, eval_partitioned, select
+from .hkfun import PartitionedFunction, eval_partitioned
 
 DEFAULT_BUDGET = 24
 
@@ -149,52 +149,31 @@ def _pin_hash_entries(leaves: list, nodes: list) -> list:
     return keys
 
 
-def _derivable_values(seed: Iterable, max_bits: int, cap: int = 512) -> set:
-    """Close observed (length, value) pairs under the public bit ops.
-
-    Grows by negation, contiguous slices, concatenation, and challenge
-    selection, keeping results at most max_bits wide, to a fixpoint.
-    Masked values and absent entries in the seed are skipped: they are
-    observations a guesser cannot feed back into the bit operations
-    whole.  A pool that passes the cap before its fixpoint is a
-    ValueError, not a silently truncated answer.
-    """
-    pool = {v for v in seed if isinstance(v, tuple) and len(v) == 2}
-    while True:
-        fresh = set()
-        for n, v in pool:
-            if n:
-                fresh.add((n, v ^ ((1 << n) - 1)))
-            for hi in range(1, n + 1):
-                for lo in range(1, hi + 1):
-                    w = hi - lo + 1
-                    fresh.add((w, (v >> (n - hi)) & ((1 << w) - 1)))
-        for n1, v1 in pool:
-            for n2, v2 in pool:
-                if 0 < n1 + n2 <= max_bits:
-                    fresh.add((n1 + n2, (v1 << n2) | v2))
-                if n1 and n2 == 2 * n1:
-                    fresh.add((n1, select(v1, v2 >> n1, v2, n1)))
-        if fresh <= pool:
-            return pool
-        pool |= fresh
-        if len(pool) > cap:
-            raise ValueError(f"derivable values passed the cap of {cap} before a fixpoint")
-
-
 def _best(groups: dict, max_bits: int | None = None) -> int:
     """Sum over observation groups of the heaviest answer's weight.
 
     ``groups`` maps an observation key to {answer: weight}.  Given
-    ``max_bits``, only answers computable from the key's values count
-    (see ``_derivable_values``), and a group with none scores zero.
+    ``max_bits``, only answers computable from the key's values count,
+    and a group with none scores zero.  The guesser computes with
+    negation, contiguous slices, concatenation up to max_bits wide, and
+    challenge selection; masked values and absent table entries are not
+    fed back in.  From any plain observed value of non-zero width, a
+    1-bit slice and its negation give both bits, and concatenation then
+    builds every value 1 to max_bits wide.  So an answer is computable
+    when each of its values is observed, or is plain and 1 to max_bits
+    wide while some plain observed value has non-zero width.
     """
     if max_bits is None:
         return sum(max(slot.values()) for slot in groups.values())
     best = 0
     for key, slot in groups.items():
-        pool = _derivable_values(key, max_bits)
-        best += max((c for w, c in slot.items() if pool.issuperset(w)), default=0)
+        seen = {v for v in key if isinstance(v, tuple) and len(v) == 2}
+        wide = max_bits if any(n for n, _ in seen) else 0
+        best += max(
+            (c for w, c in slot.items()
+             if all(v in seen or (len(v) == 2 and 0 < v[0] <= wide) for v in w)),
+            default=0,
+        )
     return best
 
 
@@ -366,9 +345,7 @@ class GuardSpec:
         if isinstance(doc, str):
             doc = json.loads(doc)
         field = exprs.json_field
-        guards = field(doc, "guards", list)
-        if any(type(g) is not list for g in guards):
-            raise ValueError(f"field 'guards' must hold JSON lists, got {guards!r}")
+        guards = field(doc, "guards", list, item=list)
         return cls(
             variables=tuple((field(v, "name", str), field(v, "bits", int))
                             for v in field(doc, "vars", list)),

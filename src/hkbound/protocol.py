@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .bits import BitString, concat, sample_uniform
+from .exprs import json_field
 from .hkfun import ResponseToken, boxplus, select
 
 VERIFIER = "verifier"
@@ -121,12 +122,9 @@ class ProtocolConfig:
         extra = set(data) - set(_JSON_FIELDS)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
-        for key, value in data.items():
-            if type(value) not in _JSON_FIELDS[key]:
-                raise ValueError(f"config field {key!r} has the wrong type: {value!r}")
-        for who, where in data.get("positions", {}).items():
-            if type(where) not in _NUMBER:
-                raise ValueError(f"config field 'positions' places {who!r} at {where!r}, not a number")
+        for key in data:
+            json_field(data, key, _JSON_FIELDS[key])
+        json_field(data, "positions", dict, {}, item=_NUMBER)
         return cls(**data)
 
 

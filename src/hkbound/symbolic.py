@@ -365,9 +365,7 @@ class AlgGuardSpec:
         name = json_field(doc, "theory", str, "pairing")
         if name not in THEORIES:
             raise ValueError(f"unknown theory {name!r} in field 'theory'; choose from {sorted(THEORIES)}")
-        guards = json_field(doc, "guards", list)
-        if any(type(g) is not list for g in guards):
-            raise ValueError(f"field 'guards' must hold JSON lists, got {guards!r}")
+        guards = json_field(doc, "guards", list, item=list)
         return cls(
             theory=THEORIES[name],
             context=tuple(parse(t) for t in json_field(doc, "context", list)),

@@ -69,8 +69,18 @@ def test_enumeration_equals_closed_form_up_to_ell_3():
             "prequery-stick": chance(decls, [x, z, BoxPlus(z, h)], target),
             "early-full": chance(decls, [h], target),
         }
+        # each strategy's own policy over every (x, h0, h1) world: a fixed
+        # answer, the response to a prequeried z = 0, the first half blind
+        n = 1 << ell
+        policies = {
+            "naive-guess": lambda h0, h1: 0,
+            "prequery-stick": lambda h0, h1: select(0, h0, h1, ell),
+            "early-full": lambda h0, h1: h0,
+        }
         for name, per_bit in PER_BIT.items():
-            assert enumerated[name] == per_bit**ell
+            wins = sum(policies[name](h0, h1) == select(xv, h0, h1, ell)
+                       for xv in range(n) for h0 in range(n) for h1 in range(n))
+            assert enumerated[name] == Fraction(wins, n**3) == per_bit**ell
             assert analytic_acceptance(name, cfg_at(ell)) == per_bit**ell
 
 

@@ -282,6 +282,8 @@ def test_restricted_guesser_needs_a_computable_answer():
     # echoing an observation back is computable, so the modes agree
     echo = GuessScenario((("x", 2),), (Var("x"),), (Var("x"),))
     assert guess_chance(echo, derivable_only=True) == 1
+    u = Var("u")
+    assert chance({"u": 5}, [u], [u], derivable_only=True) == 1
 
 
 def test_restricted_guesser_agrees_when_the_optimum_is_computable():
@@ -291,9 +293,16 @@ def test_restricted_guesser_agrees_when_the_optimum_is_computable():
 
     # response from the bare token: the best answer is whichever half is
     # likelier, and halves are slices, hence computable
-    sc = GuessScenario((("x", 1), ("h", 2)), (h,), (BoxPlus(Var("x"), h),))
-    assert guess_chance(sc) == Fraction(3, 4)
-    assert guess_chance(sc, derivable_only=True) == Fraction(3, 4)
+    for ell in (1, 3):
+        sc = GuessScenario((("x", ell), ("h", 2 * ell)), (h,), (BoxPlus(Var("x"), h),))
+        assert guess_chance(sc) == Fraction(3, 4) ** ell
+        assert guess_chance(sc, derivable_only=True) == Fraction(3, 4) ** ell
+
+    # slicing and concatenating u builds the target, however many values
+    # of the target's width there are
+    u = Var("u")
+    target = Concat(tuple(Proj(u, 2, 2) for _ in range(6)))
+    assert chance({"u": 5}, [u], [target], derivable_only=True) == 1
 
 
 def test_restricted_guesser_uses_pinned_table_entries():
@@ -310,16 +319,6 @@ def test_restricted_guesser_uses_pinned_table_entries():
         free = chance(decls, xi + gamma, theta)
         restricted = chance(decls, xi + gamma, theta, derivable_only=True)
         assert restricted <= free
-
-
-def test_restricted_guesser_reports_the_derivable_cap():
-    # slicing and concatenating u builds the target, but the pool of
-    # derivable values passes its cap first; no truncated answer comes out
-    u = Var("u")
-    target = Concat(tuple(Proj(u, 2, 2) for _ in range(6)))
-    assert chance({"u": 5}, [u], [target]) == 1
-    with pytest.raises(ValueError, match="cap of 512"):
-        chance({"u": 5}, [u], [target], derivable_only=True)
 
 
 def reference_chance(decls, knowns, targets) -> Fraction:
