@@ -4,7 +4,7 @@ The package models a distance-bounding run in which a verifier streams
 single-bit challenges and times the replies.  ``bits``/``hkfun`` hold
 the bit-level carriers and the response-token algebra, ``exprs`` and
 ``oracle`` give exact guessing-chance enumeration over expression
-scenarios, ``symbolic`` derives message closures under an equational
+scenarios, ``symbolic`` decides message derivability under an equational
 theory, ``protocol`` simulates timed sessions, ``adversary`` bundles
 the attack catalog, and ``harness`` wraps Monte Carlo estimation.
 """

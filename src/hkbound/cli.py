@@ -358,14 +358,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_guard_check(args) -> int:
-    if args.builtin:
-        if args.builtin in ("dh", "cr"):
-            spec = symbolic.builtin_alg_guard_spec(args.builtin)
-            algebraic = True
-        else:
-            spec = oracle.builtin_guard_spec(args.builtin, ell=_ell(args, 1),
-                                             secret_bits=args.secret_bits)
-            algebraic = args.algebraic
+    if args.builtin in ("dh", "cr"):
+        spec = symbolic.builtin_alg_guard_spec(args.builtin)
+        algebraic = True
+    elif args.builtin:
+        if args.algebraic:
+            raise ValueError(f"--algebraic takes builtin dh or cr, not {args.builtin!r}")
+        spec = oracle.builtin_guard_spec(args.builtin, ell=_ell(args, 1),
+                                         secret_bits=args.secret_bits)
+        algebraic = False
     else:
         with open(args.spec) as fh:
             doc = json.load(fh)

@@ -294,6 +294,15 @@ def json_field(doc, key: str, kind, default=None, item=None):
     return value
 
 
+def json_fields(doc, allowed) -> None:
+    """Check that ``doc`` is a parsed JSON object with no field outside ``allowed``."""
+    if type(doc) is not dict:
+        raise ValueError(f"expected a JSON object, got {doc!r}")
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown fields {sorted(unknown)}; expected only {sorted(allowed)}")
+
+
 def from_json(doc: dict[str, Any]) -> Expr:
     def sub(key: str) -> Expr:
         return from_json(json_field(doc, key, dict))

@@ -52,13 +52,13 @@ DEFAULT_BUDGET = 24
 
 
 class BudgetExceededError(ValueError):
-    """Enumeration would need more environment bits than allowed."""
+    """Enumeration would need more environment and hash-table bits than allowed."""
 
     def __init__(self, required_bits: int, budget: int):
         self.required_bits = required_bits
         self.budget = budget
         super().__init__(
-            f"scenario needs {required_bits} environment bits, over the {budget}-bit budget"
+            f"scenario needs {required_bits} environment and hash-table bits, over the {budget}-bit budget"
         )
 
 
@@ -203,10 +203,10 @@ def guess_chance(
     fv = _free_vars_of(knowns + targets)
     var_order = [(n, b) for n, b in scenario.variables if n in fv]
     total_bits = sum(b for _, b in var_order)
-    if total_bits > budget:
-        raise BudgetExceededError(total_bits, budget)
     nodes = list({id(n): n for e in knowns + targets for n in hash_nodes(e)}.values())
     hash_bits = sum(n.out_bits for n in nodes)
+    if total_bits + hash_bits > budget:
+        raise BudgetExceededError(total_bits + hash_bits, budget)
 
     groups: dict = {}
     if not nodes:
@@ -344,6 +344,7 @@ class GuardSpec:
     def from_json(cls, doc: str | dict) -> "GuardSpec":
         if isinstance(doc, str):
             doc = json.loads(doc)
+        exprs.json_fields(doc, ("vars", "context", "target", "guards"))
         field = exprs.json_field
         guards = field(doc, "guards", list, item=list)
         return cls(

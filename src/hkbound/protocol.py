@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .bits import BitString, concat, sample_uniform
-from .exprs import json_field
+from .exprs import json_field, json_fields
 from .hkfun import ResponseToken, boxplus, select
 
 VERIFIER = "verifier"
@@ -116,12 +116,8 @@ class ProtocolConfig:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ProtocolConfig":
-        """Build from a JSON object; a field of the wrong type is a ValueError."""
-        if not isinstance(data, Mapping):
-            raise ValueError("config must be a JSON object")
-        extra = set(data) - set(_JSON_FIELDS)
-        if extra:
-            raise ValueError(f"unknown config fields: {sorted(extra)}")
+        """Build from a JSON object; an unknown field or one of the wrong type is a ValueError."""
+        json_fields(data, _JSON_FIELDS)
         for key in data:
             json_field(data, key, _JSON_FIELDS[key])
         json_field(data, "positions", dict, {}, item=_NUMBER)

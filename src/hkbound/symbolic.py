@@ -1,4 +1,4 @@
-"""Term algebras, deduction closure, and algebraic guard checking.
+"""Term algebras, derivability, and algebraic guard checking.
 
 Terms are free applications of theory operators over named atoms.  A
 theory contributes a normalizer (a confluent rewrite applied bottom-up
@@ -6,22 +6,21 @@ to a fixpoint) and optionally multi-premise inference rules, e.g. the
 token-extraction step: responses to a challenge and to its negation
 together surrender the whole token.
 
-Derivation closure is the usual saturate-under-operators construction,
-kept finite by a depth bound, a term-size cap, and a cap on the number
-of distinct terms retained.  ``derivable`` therefore means "derivable
-within the configured budget"; a False answer is a budget-relative
-verdict, which is all a desk-scale checker can offer.
+Derivability is decided, not searched for: analysis takes the known
+terms apart to a fixpoint, which only ever yields their subterms, and
+synthesis then asks whether the goal is known or built from derivable
+arguments by an appliable operator.  The answer is exact for these
+local theories (McAllester, JACM 1993); no budget bounds it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .exprs import json_field
+from .exprs import json_field, json_fields
 from .oracle import GuardRow, context_subsets, cover
 
 
@@ -115,11 +114,17 @@ def parse(text: str) -> Term:
 
 @dataclass(frozen=True)
 class Theory:
-    """An operator signature with a normalizer and extra inference rules."""
+    """Appliable operators with their arities, a normalizer, and the steps
+    beyond applying an operator: ``destruct`` gives the destructor
+    applications that take a known term apart, ``compose`` the other
+    applications that normalize to a goal, and ``rules`` multi-premise
+    inferences over a set of known terms."""
 
     name: str
     ops: tuple[tuple[str, int], ...]
     step: Callable[[Term], Term | None]  # single root rewrite, None if stuck
+    destruct: Callable[[Term], Iterable[Term]]
+    compose: Callable[[Term], Iterable[Term]] = lambda goal: ()
     rules: tuple[Callable[[frozenset], Iterable[Term]], ...] = ()
 
     def normalize(self, t: Term) -> Term:
@@ -134,11 +139,15 @@ class Theory:
 
 
 def _pairing_step(t: Term) -> Term | None:
-    if t.op == "p1" and len(t.args) == 1 and t.args[0].op == "pair":
-        return t.args[0].args[0]
-    if t.op == "p2" and len(t.args) == 1 and t.args[0].op == "pair":
-        return t.args[0].args[1]
+    if t.op in ("p1", "p2") and len(t.args) == 1 and t.args[0].op == "pair" and len(t.args[0].args) == 2:
+        return t.args[0].args[t.op == "p2"]
     return None
+
+
+def _pairing_destruct(t: Term) -> Iterable[Term]:
+    if t.op == "pair" and len(t.args) == 2:
+        yield app("p1", t)
+        yield app("p2", t)
 
 
 def _dy_step(t: Term) -> Term | None:
@@ -156,6 +165,12 @@ def _dy_step(t: Term) -> Term | None:
     return None
 
 
+def _dy_destruct(t: Term) -> Iterable[Term]:
+    yield from _pairing_destruct(t)
+    if t.op == "senc" and len(t.args) == 2:
+        yield app("sdec", t, t.args[1])
+
+
 def _dh_step(t: Term) -> Term | None:
     got = _pairing_step(t)
     if got is not None:
@@ -171,13 +186,26 @@ def _dh_step(t: Term) -> Term | None:
     return None
 
 
+def _dh_compose(goal: Term) -> Iterable[Term]:
+    """exp(b, E) with two or more exponents is exp(exp(b, E minus e), e)."""
+    if goal.op == "exp" and len(goal.args) > 2:
+        for i in range(1, len(goal.args)):
+            yield app("exp", Term("exp", goal.args[:i] + goal.args[i + 1:]), goal.args[i])
+
+
 def _neg_step(t: Term) -> Term | None:
     got = _pairing_step(t)
     if got is not None:
         return got
-    if t.op == "neg" and len(t.args) == 1 and t.args[0].op == "neg":
+    if t.op == "neg" and len(t.args) == 1 and t.args[0].op == "neg" and len(t.args[0].args) == 1:
         return t.args[0].args[0]
     return None
+
+
+def _neg_destruct(t: Term) -> Iterable[Term]:
+    yield from _pairing_destruct(t)
+    if t.op == "neg" and len(t.args) == 1:
+        yield app("neg", t)
 
 
 def _hk_extract(terms: frozenset) -> Iterable[Term]:
@@ -209,127 +237,92 @@ def _cr_step(t: Term) -> Term | None:
     return None
 
 
-PAIRING = Theory("pairing", (("pair", 2), ("p1", 1), ("p2", 1)), _pairing_step)
+def _cr_compose(goal: Term) -> Iterable[Term]:
+    if goal.op == "rVP" and len(goal.args) == 1:
+        yield app("respond", app("cVP", goal.args[0]), atom("sVP"))
+
+
+PAIRING = Theory("pairing", (("pair", 2), ("p1", 1), ("p2", 1)), _pairing_step, _pairing_destruct)
 
 DOLEV_YAO = Theory(
     "dolev-yao",
     (("pair", 2), ("p1", 1), ("p2", 1), ("senc", 2), ("sdec", 2)),
     _dy_step,
+    _dy_destruct,
 )
 
-DH = Theory("dh", (("pair", 2), ("p1", 1), ("p2", 1), ("exp", 2)), _dh_step)
+DH = Theory("dh", (("pair", 2), ("p1", 1), ("p2", 1), ("exp", 2)), _dh_step, _pairing_destruct, _dh_compose)
 
 HK = Theory(
     "hk",
     (("pair", 2), ("p1", 1), ("p2", 1), ("H", 1), ("boxplus", 2), ("neg", 1)),
     _neg_step,
-    (_hk_extract,),
+    _neg_destruct,
+    rules=(_hk_extract,),
 )
 
 # One verifier-prover pair's challenge-response alphabet: cVP tags a
 # nonce as that pair's challenge and respond runs the (public) response
 # computation, so both are appliable; rVP and sVP stay outside the
-# appliable signature because a closure that could mint them would be
+# appliable signature because a deduction that could mint them would be
 # forging responses, or the pair secret, out of thin air.
 CR = Theory(
     "cr",
     (("pair", 2), ("p1", 1), ("p2", 1), ("cVP", 1), ("respond", 2)),
     _cr_step,
+    _pairing_destruct,
+    _cr_compose,
 )
 
 THEORIES: dict[str, Theory] = {t.name: t for t in (PAIRING, DOLEV_YAO, DH, HK, CR)}
 
-DEFAULT_DEPTH = 6
-DEFAULT_SIZE_CAP = 64
-DEFAULT_MAX_TERMS = 2400
-
 
 @dataclass(frozen=True)
 class Closure:
+    """The terms analysis keeps.  ``saturated`` is always True: analysis
+    runs to its fixpoint, so no budget cuts it short."""
+
     terms: frozenset
-    saturated: bool  # False when a budget stopped the construction
+    saturated: bool
 
 
-def _interleave(streams: list) -> Iterable[Term]:
-    """Round-robin over candidate streams so no operator starves another."""
-    live = [iter(s) for s in streams]
-    while live:
-        nxt = []
-        for it in live:
-            try:
-                yield next(it)
-            except StopIteration:
-                continue
-            nxt.append(it)
-        live = nxt
+def _synthesizer(known: frozenset, theory: Theory) -> Callable[[Term], bool]:
+    """Whether a normal-form goal is known or an application over derivable arguments."""
+    memo: dict[Term, bool] = {}
+
+    def can(goal: Term) -> bool:
+        if goal in known:
+            return True
+        if goal not in memo:
+            direct = (goal,) if (goal.op, len(goal.args)) in theory.ops else ()
+            memo[goal] = any(all(can(a) for a in application.args)
+                             for application in (*direct, *theory.compose(goal)))
+        return memo[goal]
+
+    return can
 
 
-def derive_closure(
-    start: Iterable[Term],
-    theory: Theory,
-    depth: int = DEFAULT_DEPTH,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    goal: Term | None = None,
-) -> Closure:
-    """Saturate under the theory's operators and rules, within budget.
+def derive_closure(start: Iterable[Term], theory: Theory) -> Closure:
+    """Analysis: the start terms taken apart to a fixpoint.
 
-    Candidates are drawn smallest-first and the operators take turns, so
-    short natural derivations are found long before the budget bites and
-    the outcome never depends on hash ordering.  With a goal given,
-    stops as soon as the goal appears; the returned closure is then
-    partial but contains the goal.
+    Destructor applications and the theory's rules only yield subterms
+    of known terms, so the fixpoint is finite and ``saturated`` is always
+    True.  Every derivable term is synthesized from this set.
     """
-    current: set = {theory.normalize(t) for t in start}
-    if goal is not None and goal in current:
-        return Closure(frozenset(current), False)
-    saturated = True
-    for _ in range(depth):
-        ordered = sorted(current, key=lambda t: (t.nodes(), t.render()))
-
-        def op_stream(op: str, arity: int) -> Iterable[Term]:
-            return (Term(op, combo) for combo in itertools.product(ordered, repeat=arity))
-
-        streams = [op_stream(op, arity) for op, arity in theory.ops]
-        for rule in theory.rules:
-            streams.append(iter(sorted(rule(frozenset(current)), key=lambda t: (t.nodes(), t.render()))))
-        fresh: set = set()
-        found = False
-        stopped = False
-        for cand in _interleave(streams):
-            t = theory.normalize(cand)
-            if t.nodes() > size_cap or t in current or t in fresh:
-                continue
-            fresh.add(t)
-            if goal is not None and t == goal:
-                found = True
-                break
-            if len(current) + len(fresh) >= max_terms:
-                stopped = True
-                break
-        current |= fresh
-        if found:
-            return Closure(frozenset(current), False)
-        if stopped:
-            saturated = False
-            break
-        if not fresh:
-            break
-    return Closure(frozenset(current), saturated)
+    known = frozenset(theory.normalize(t) for t in start)
+    while True:
+        can = _synthesizer(known, theory)
+        fresh = {theory.normalize(a) for t in known for a in theory.destruct(t)
+                 if all(can(arg) for arg in a.args)}
+        fresh.update(*(rule(known) for rule in theory.rules))
+        if fresh <= known:
+            return Closure(known, True)
+        known |= fresh
 
 
-def derivable(
-    start: Iterable[Term],
-    goal: Term,
-    theory: Theory,
-    depth: int = DEFAULT_DEPTH,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> bool:
-    """Goal reachable from the start set within the closure budget."""
-    goal = theory.normalize(goal)
-    closure = derive_closure(start, theory, depth, size_cap, max_terms, goal=goal)
-    return goal in closure.terms
+def derivable(start: Iterable[Term], goal: Term, theory: Theory) -> bool:
+    """Synthesis: whether the goal is built from the analysed start set."""
+    return _synthesizer(derive_closure(start, theory).terms, theory)(theory.normalize(goal))
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +349,12 @@ class AlgGuardSpec:
     context: tuple[Term, ...]
     target: Term
     guards: tuple[tuple[Term, ...], ...]
-    depth: int = DEFAULT_DEPTH
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "AlgGuardSpec":
         if isinstance(doc, str):
             doc = json.loads(doc)
+        json_fields(doc, ("theory", "context", "target", "guards"))
         name = json_field(doc, "theory", str, "pairing")
         if name not in THEORIES:
             raise ValueError(f"unknown theory {name!r} in field 'theory'; choose from {sorted(THEORIES)}")
@@ -371,7 +364,6 @@ class AlgGuardSpec:
             context=tuple(parse(t) for t in json_field(doc, "context", list)),
             target=parse(json_field(doc, "target", str)),
             guards=tuple(tuple(parse(t) for t in g) for g in guards),
-            depth=json_field(doc, "depth", int, DEFAULT_DEPTH),
         )
 
 
@@ -380,12 +372,12 @@ def check_alg_guard(spec: AlgGuardSpec) -> AlgGuardReport:
     rows = []
     for picks in context_subsets(len(spec.context)):
         subset = tuple(spec.context[i] for i in picks)
-        if not derivable(subset, spec.target, spec.theory, spec.depth):
+        if not derivable(subset, spec.target, spec.theory):
             rows.append(AlgGuardRow(picks, False, None, True))
             continue
         witness = None
         for gi, guard in enumerate(spec.guards):
-            if all(derivable(subset, g, spec.theory, spec.depth) for g in guard):
+            if all(derivable(subset, g, spec.theory) for g in guard):
                 witness = gi
                 break
         rows.append(AlgGuardRow(picks, True, witness, witness is not None))
@@ -414,7 +406,7 @@ def check_guard_deterministic(spec: AlgGuardSpec) -> CollapsedReport:
     """
 
     def c01(known: tuple[Term, ...], want: Sequence[Term]) -> int:
-        return int(all(derivable(known, w, spec.theory, spec.depth) for w in want))
+        return int(all(derivable(known, w, spec.theory) for w in want))
 
     report = cover(spec.context, spec.target, spec.guards, c01)
     algebraic = check_alg_guard(spec)

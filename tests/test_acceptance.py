@@ -259,7 +259,7 @@ def test_criterion_10_kernel_early_runs_shrink_the_distance():
 
 
 def test_criterion_11_symbolic_engine_guard_example():
-    """{x, g^y} derives g^(xy); {g^x, g^y} does not within budget; the
+    """{x, g^y} derives g^(xy); {g^x, g^y} does not; the
     guard set covers every deriving subset; pairing projections hold;
     the zero-bit collapse agrees; < 5 s."""
     with budget(5.0):

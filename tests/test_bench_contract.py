@@ -1,7 +1,8 @@
 """The traced benchmark wraps package names from outside (bench/layers.py).
 
-Renaming or deleting one of them in src/ breaks the benchmark; this
-catches it in the unit suite, without running the benchmark.
+Renaming or deleting one of them in src/, or a field its wrappers read,
+breaks the benchmark; this catches it in the unit suite, without running
+the benchmark.
 """
 
 import sys
@@ -12,15 +13,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import layers  # noqa: E402
 import spans  # noqa: E402
 
-from hkbound import adversary, exprs, harness, oracle  # noqa: E402
+from hkbound import adversary, exprs, harness, oracle, symbolic  # noqa: E402
 
 
 def test_every_traced_name_exists_and_is_restored():
     tracer = spans.Tracer()
     try:
         layers.instrument(tracer)
+        # the wrapper reads Closure.terms and Closure.saturated
+        symbolic.derive_closure([symbolic.atom("a")], symbolic.PAIRING)
     finally:
         assert tracer.restore()
+    assert tracer.extra["terms"] == tracer.extra["saturated"] == 1
     assert {"exprs.evaluate", "harness.analytic_acceptance", "hkfun.extract_token",
             "oracle.guess_chance", "symbolic.derive_closure"} <= set(tracer.names)
     assert oracle.evaluate is exprs.evaluate

@@ -319,7 +319,7 @@ def test_cli_malformed_guard_specs_are_usage_errors(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert "'vars'" in _usage_error(["guard-check", "--spec", str(path)], capsys)
 
-    # fields of the wrong JSON type, in the spec and inside expressions
+    # unknown fields and fields of the wrong JSON type, in the spec and inside expressions
     good = builtin_guard_spec("early-run").to_json()
     proj = {"op": "proj", "arg": {"op": "var", "name": "s"}, "lo": "1", "hi": 1}
     for change, field in (
@@ -328,16 +328,22 @@ def test_cli_malformed_guard_specs_are_usage_errors(tmp_path, capsys):
         ({"target": 5}, "'target'"),
         ({"context": [proj]}, "'lo'"),
         ({"context": [{"op": "lit", "bits": 5}]}, "'bits'"),
+        ({"varz": []}, "'varz'"),
     ):
         path.write_text(json.dumps({**good, **change}))
         assert field in _usage_error(["guard-check", "--spec", str(path)], capsys)
     alg = {"context": ["a"], "target": "a", "guards": [["a"]]}
-    for change, field in (({"target": 5}, "'target'"), ({"depth": "3"}, "'depth'")):
+    for change, field in (({"target": 5}, "'target'"), ({"depth": "3"}, "'depth'"),
+                          ({"thoery": "dh"}, "'thoery'")):
         path.write_text(json.dumps({**alg, **change}))
         assert field in _usage_error(["guard-check", "--spec", str(path), "--algebraic"], capsys)
     path.write_text(json.dumps([alg]))
     for mode in ([], ["--algebraic"]):
         assert "JSON object" in _usage_error(["guard-check", "--spec", str(path), *mode], capsys)
+    # the probabilistic builtins have no algebraic reading
+    for name in ("attack-run", "early-run"):
+        err = _usage_error(["guard-check", "--builtin", name, "--algebraic"], capsys)
+        assert repr(name) in err
 
 
 @pytest.mark.parametrize("ell", ["0", "-1"])

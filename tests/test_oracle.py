@@ -80,6 +80,11 @@ def test_budget_is_enforced():
     with pytest.raises(BudgetExceededError) as err:
         chance({"u": 30}, [], [Var("u")], budget=24)
     assert err.value.required_bits == 30
+    # hash-table entries are enumerated too, so their bits count
+    with pytest.raises(BudgetExceededError) as err:
+        chance({"a": 1}, [], [Hash(Var("a"), 12)], budget=1)
+    assert err.value.required_bits == 13
+    assert chance({"a": 1}, [], [Hash(Var("a"), 12)], budget=13) == Fraction(1, 4096)
     # unused variables cost nothing
     assert chance({"u": 2, "w": 100}, [], [Var("u")], budget=24) == Fraction(1, 4)
 

@@ -1,6 +1,10 @@
 """Deduction closures, algebraic guards, and knowledge contexts over runs."""
 
+import itertools
+from typing import Iterable
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkbound.adversary import CounterReuseExtract, PreQueryStick, attack_session
 from hkbound.protocol import ProtocolConfig, run_session
@@ -10,7 +14,11 @@ from hkbound.symbolic import (
     DOLEV_YAO,
     HK,
     PAIRING,
+    THEORIES,
     AlgGuardSpec,
+    Closure,
+    Term,
+    Theory,
     app,
     atom,
     builtin_alg_guard_spec,
@@ -38,7 +46,7 @@ def test_pairing_projections():
     assert PAIRING.normalize(app("p1", pab)) == a
     assert PAIRING.normalize(app("p2", pab)) == b
     # and inside the closure: both components fall out of a pair
-    closure = derive_closure([pab], PAIRING, depth=2)
+    closure = derive_closure([pab], PAIRING)
     assert a in closure.terms and b in closure.terms
     assert derivable([a, b], pab, PAIRING)
 
@@ -48,7 +56,7 @@ def test_dolev_yao_decryption():
     enc = app("senc", m, k)
     assert DOLEV_YAO.normalize(app("sdec", enc, k)) == m
     assert derivable([enc, k], m, DOLEV_YAO)
-    assert not derivable([enc], m, DOLEV_YAO, depth=3)
+    assert not derivable([enc], m, DOLEV_YAO)
 
 
 def test_dh_exponent_normalization():
@@ -64,21 +72,22 @@ def test_dh_derivations():
     shared = app("exp", gx, y)
     assert derivable([x, gy], shared, DH)
     assert derivable([y, gx], shared, DH)
-    # without a private exponent the budgeted closure never reaches it
-    closure = derive_closure([gx, gy], DH, goal=DH.normalize(shared))
+    # without a private exponent the closure never reaches it
+    closure = derive_closure([gx, gy], DH)
     assert DH.normalize(shared) not in closure.terms
     assert not derivable([gx, gy], shared, DH)
 
 
-def test_budget_relative_nonderivability_is_reported():
+def test_dh_shared_key_is_decided_underivable():
     g, x, y = atom("g"), atom("x"), atom("y")
     closure = derive_closure([app("exp", g, x), app("exp", g, y)], DH)
-    # the search stopped on budget, so absence is only budget-relative
-    assert not closure.saturated
+    # the closure is complete, so the shared key's absence is a fact
+    assert closure.saturated
+    assert not derivable(closure.terms, app("exp", app("exp", g, x), y), DH)
 
 
 def test_small_closures_saturate():
-    closure = derive_closure([atom("a")], PAIRING, depth=3, max_terms=10_000, size_cap=5)
+    closure = derive_closure([atom("a")], PAIRING)
     assert closure.saturated
 
 
@@ -87,16 +96,144 @@ def test_hk_token_extraction_rule():
     r0 = app("boxplus", z, h)
     r1 = app("boxplus", app("neg", z), h)
     assert derivable([r0, r1], h, HK)
-    assert not derivable([r0], h, HK, depth=3)
+    assert not derivable([r0], h, HK)
     # double negation folds, so the flipped-first order works too
-    assert derivable([r1, app("boxplus", app("neg", app("neg", z)), h)], h, HK, depth=3)
+    assert derivable([r1, app("boxplus", app("neg", app("neg", z)), h)], h, HK)
 
 
-def test_goal_short_circuit_contains_goal():
-    a, b = atom("a"), atom("b")
-    goal = app("pair", a, b)
-    closure = derive_closure([a, b], PAIRING, goal=goal)
-    assert goal in closure.terms
+# --- the reference: budgeted saturation ----------------------------------------
+
+
+def _interleave(streams: list) -> Iterable[Term]:
+    """Round-robin over candidate streams so no operator starves another."""
+    live = [iter(s) for s in streams]
+    while live:
+        nxt = []
+        for it in live:
+            try:
+                yield next(it)
+            except StopIteration:
+                continue
+            nxt.append(it)
+        live = nxt
+
+
+def saturate(
+    start: Iterable[Term],
+    theory: Theory,
+    depth: int = 6,
+    size_cap: int = 64,
+    max_terms: int = 2400,
+    goal: Term | None = None,
+) -> Closure:
+    """Saturate under the theory's operators and rules, within budget.
+
+    Candidates are drawn smallest-first and the operators take turns, so
+    short natural derivations are found long before the budget bites and
+    the outcome never depends on hash ordering.  With a goal given,
+    stops as soon as the goal appears; the returned closure is then
+    partial but contains the goal.  Every term it returns is derivable,
+    so the decision procedure must say so of each.
+    """
+    current: set = {theory.normalize(t) for t in start}
+    if goal is not None and goal in current:
+        return Closure(frozenset(current), False)
+    saturated = True
+    for _ in range(depth):
+        ordered = sorted(current, key=lambda t: (t.nodes(), t.render()))
+
+        def op_stream(op: str, arity: int) -> Iterable[Term]:
+            return (Term(op, combo) for combo in itertools.product(ordered, repeat=arity))
+
+        streams = [op_stream(op, arity) for op, arity in theory.ops]
+        for rule in theory.rules:
+            streams.append(iter(sorted(rule(frozenset(current)), key=lambda t: (t.nodes(), t.render()))))
+        fresh: set = set()
+        found = False
+        stopped = False
+        for cand in _interleave(streams):
+            t = theory.normalize(cand)
+            if t.nodes() > size_cap or t in current or t in fresh:
+                continue
+            fresh.add(t)
+            if goal is not None and t == goal:
+                found = True
+                break
+            if len(current) + len(fresh) >= max_terms:
+                stopped = True
+                break
+        current |= fresh
+        if found:
+            return Closure(frozenset(current), False)
+        if stopped:
+            saturated = False
+            break
+        if not fresh:
+            break
+    return Closure(frozenset(current), saturated)
+
+
+def terms_of(theory: Theory):
+    """Normal-form terms over a few atoms: the theory's operators, an
+    opaque ``f``, the non-appliable ``rVP`` and three-argument ``exp``,
+    and the malformed ``pair`` of one argument and atom ``neg``."""
+    ops = theory.ops + (("f", 1), ("rVP", 1), ("exp", 3), ("pair", 1))
+
+    def extend(children):
+        return st.sampled_from(ops).flatmap(
+            lambda op: st.tuples(*[children] * op[1]).map(lambda args, name=op[0]: Term(name, args)))
+
+    leaves = st.sampled_from(("a", "b", "k", "sVP", "neg")).map(atom)
+    return st.recursive(leaves, extend, max_leaves=6).map(theory.normalize)
+
+
+def subterms(t: Term) -> set:
+    return {t}.union(*(subterms(a) for a in t.args))
+
+
+ALL_THEORIES = pytest.mark.parametrize("theory", list(THEORIES.values()), ids=list(THEORIES))
+
+
+@ALL_THEORIES
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_decision_reaches_every_term_the_saturation_reaches(theory, data):
+    start = data.draw(st.lists(terms_of(theory), min_size=1, max_size=3))
+    goal = data.draw(terms_of(theory))
+    reached = set(saturate(start, theory, depth=2, max_terms=300).terms)
+    if goal in saturate(start, theory, depth=2, max_terms=300, goal=goal).terms:
+        reached.add(goal)
+    assert [t for t in reached if not derivable(start, t, theory)] == []
+
+
+@ALL_THEORIES
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_destruct_and_compose_are_operator_applications(theory, data):
+    for t in subterms(data.draw(terms_of(theory))):
+        for application in theory.destruct(t):
+            # analysis only takes terms apart, so its fixpoint is finite
+            assert (application.op, len(application.args)) in theory.ops
+            assert t in application.args
+            assert theory.normalize(application) in subterms(t) - {t}
+        for application in theory.compose(t):
+            assert (application.op, len(application.args)) in theory.ops
+            assert theory.normalize(application) == t
+
+
+def test_derivations_past_the_old_search_budget():
+    # the budgeted saturation misses both at its default caps
+    start = [parse("p2(b)"), parse("pair(pair(b,k),pair(g,b))"), atom("g")]
+    assert derivable(start, parse("p2(p2(k))"), PAIRING)
+    start = [atom("b"), parse("sdec(p2(k),a)"), parse("pair(pair(a,k),b)")]
+    assert derivable(start, parse("sdec(a,pair(k,b))"), DOLEV_YAO)
+
+
+def test_operators_of_the_wrong_arity_stay_stuck():
+    a = atom("a")
+    assert PAIRING.normalize(app("p2", app("pair", a))) == app("p2", app("pair", a))
+    assert not derivable([app("pair", a)], a, PAIRING)
+    assert not derivable([app("neg", atom("neg"))], a, HK)
 
 
 # --- algebraic guards --------------------------------------------------------
