@@ -87,13 +87,11 @@ def _claim_early(ell: int):
     # the first half blind is one of its best guesses
     x, h = exprs.Var("x"), exprs.Var("h")
     by_policy = oracle.chance({"x": ell, "h": 2 * ell}, [h], [exprs.BoxPlus(x, h)])
-    # the same average, through the kernel-size distribution
+    # the same average, through the kernel-size distribution: 2**(kappa - l)
+    # over the n*n tokens, summed as ints over one denominator
     n = 1 << ell
-    by_kernel = Fraction(0)
-    for h0 in range(n):
-        for h1 in range(n):
-            kappa = kernel_mask(h0, h1, ell).bit_count()
-            by_kernel += Fraction(1, n * n) * Fraction(2**kappa, n)
+    by_kernel = Fraction(sum(1 << kernel_mask(h0, h1, ell).bit_count()
+                             for h0 in range(n) for h1 in range(n)), n ** 3)
     expect = oracle.analytic("early", ell=ell)
     ok = by_policy == expect and by_kernel == expect
     payload = {"ell": ell, "policy_average": _frac(by_policy),

@@ -12,6 +12,11 @@ the best success probability of any guesser that maps observations to a
 single answer; randomized guessers cannot beat it because their success
 probability is a convex combination of deterministic ones.
 
+Without hashes every operator is bit-local, so the bits split into
+independent components and the chance is the product of theirs: the
+paper's per-bit argument behind (3/4)**l.  The budget then caps the
+widest component rather than B; see ``guess_chance``.
+
 Hash applications extend the environment: each distinct argument value
 indexes an independent uniform table entry, enumerated lazily, and
 collisions between entries are counted rather than assumed away.  The
@@ -52,7 +57,8 @@ DEFAULT_BUDGET = 24
 
 
 class BudgetExceededError(ValueError):
-    """Enumeration would need more environment and hash-table bits than allowed."""
+    """One enumeration would walk more environment and hash-table bits than
+    allowed: a factorised query's widest component, or else B + H."""
 
     def __init__(self, required_bits: int, budget: int):
         self.required_bits = required_bits
@@ -86,16 +92,14 @@ class GuessScenario:
         return dict(self.variables)
 
 
-def _env_iter(var_order: list[tuple[str, int]]):
-    """Every environment, each variable uniform over its width."""
-    widths = [b for _, b in var_order]
-    names = [n for n, _ in var_order]
-    for idx in range(1 << sum(widths)):
-        env = {}
-        rest = idx
-        for name, b in zip(reversed(names), reversed(widths)):
-            env[name] = (b, rest & ((1 << b) - 1))
-            rest >>= b
+def _envs(var_order: list[tuple[str, int]], bits: list):
+    """Every assignment of ``bits``, (name, k) pairs, with every other bit at 0."""
+    base = {n: (b, 0) for n, b in var_order}
+    for idx in range(1 << len(bits)):
+        env = dict(base)
+        for i, (name, k) in enumerate(bits):
+            if idx >> i & 1:
+                env[name] = (env[name][0], env[name][1] | 1 << k)
         yield env
 
 
@@ -149,6 +153,51 @@ def _pin_hash_entries(leaves: list, nodes: list) -> list:
     return keys
 
 
+def _reads(e: Expr, declared: dict[str, int]) -> list[frozenset]:
+    """For each value bit of hash-free ``e``, least significant first, the
+    variable bits (name, k) it reads, k counting from the least significant
+    bit.  Supersets are sound: bit i of a selection reads x_i, h_i and
+    h_{l+i}, only two of which decide it; a KernelMask star bit reads less."""
+    if isinstance(e, exprs.Var):
+        return [frozenset({(e.name, k)}) for k in range(declared[e.name])]
+    if isinstance(e, exprs.Lit):
+        return [frozenset()] * len(e.text)
+    if isinstance(e, exprs.Concat):
+        return [c for p in reversed(e.parts) for c in _reads(p, declared)]
+    if isinstance(e, exprs.Negate):
+        return _reads(e.arg, declared)
+    if isinstance(e, exprs.Proj):
+        arg = _reads(e.arg, declared)
+        return arg[len(arg) - e.hi:len(arg) - e.lo + 1]
+    if isinstance(e, (exprs.BoxPlus, exprs.KernelMask)):
+        x, h = _reads(e.x, declared), _reads(e.h, declared)
+        return [x[i] | h[i] | h[len(x) + i] for i in range(len(x))]
+    raise TypeError(f"not a hash-free expression: {e!r}")
+
+
+def _components(es: Sequence[Expr], declared: dict[str, int]) -> list[list]:
+    """The variable bits that hash-free ``es`` read, split into independent
+    components by union-find over the bits each output bit reads.  Bits
+    that nothing reads belong to no component."""
+    parent: dict = {}
+
+    def find(b):
+        parent.setdefault(b, b)
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        return b
+
+    for e in es:
+        for coord in _reads(e, declared):
+            roots = [find(b) for b in coord]
+            for r in roots[1:]:
+                parent[r] = roots[0]
+    comps: dict = {}
+    for b in parent:
+        comps.setdefault(find(b), []).append(b)
+    return list(comps.values())
+
+
 def _best(groups: dict, max_bits: int | None = None) -> int:
     """Sum over observation groups of the heaviest answer's weight.
 
@@ -193,33 +242,55 @@ def guess_chance(
     observed nothing can output nothing, where the unrestricted guesser
     would still name the most likely value cold.
 
-    Outcomes are counted in integer weights over the common denominator
-    2**(B + H), where H sums the output widths of the distinct hash
-    nodes: a leaf that tabled ``extra`` entry bits weighs 2**(H - extra).
-    A leaf reads at most one entry per node, so extra <= H.  Without hash
-    nodes H = 0 and each environment weighs 1.
+    A hash-free query without ``derivable_only`` is factorised: each
+    component of its bits is enumerated with every other bit at 0, and
+    the chance is the product of the components' chances.  This is exact:
+    each value bit is a function of one component, or constant, so the
+    components' parts of (knowns, targets) are independent, a part is
+    read off whole values with the other bits fixed, and the sum over
+    observations of the best answer's weight splits into a product
+    (Smith, FoSSaCS 2009, for independent channels).  One component
+    holding every bit is the plain 2**B enumeration.  The budget caps
+    the widest component.
+
+    Otherwise outcomes are counted in integer weights over the common
+    denominator 2**(B + H), where H sums the output widths of the
+    distinct hash nodes: a leaf that tabled ``extra`` entry bits weighs
+    2**(H - extra).  A leaf reads at most one entry per node, so
+    extra <= H.  Without hash nodes H = 0 and each environment weighs 1.
+    The budget caps B + H.
     """
     knowns, targets = scenario.knowns, scenario.targets
     fv = _free_vars_of(knowns + targets)
     var_order = [(n, b) for n, b in scenario.variables if n in fv]
-    total_bits = sum(b for _, b in var_order)
     nodes = list({id(n): n for e in knowns + targets for n in hash_nodes(e)}.values())
+
+    if not nodes and not derivable_only:
+        components = _components(knowns + targets, scenario.declared)
+        widest = max(map(len, components), default=0)
+        if widest > budget:
+            raise BudgetExceededError(widest, budget)
+        best = 1
+        for bits in components:
+            groups: dict = {}
+            for env in _envs(var_order, bits):
+                v = tuple(evaluate(e, env, {}) for e in knowns)
+                w = tuple(evaluate(e, env, {}) for e in targets)
+                slot = groups.setdefault(v, {})
+                slot[w] = slot.get(w, 0) + 1
+            best *= _best(groups)
+        return Fraction(best, 1 << sum(map(len, components)))
+
+    total_bits = sum(b for _, b in var_order)
     hash_bits = sum(n.out_bits for n in nodes)
     if total_bits + hash_bits > budget:
         raise BudgetExceededError(total_bits + hash_bits, budget)
-
-    groups: dict = {}
-    if not nodes:
-        for env in _env_iter(var_order):
-            v = tuple(evaluate(e, env, {}) for e in knowns)
-            w = tuple(evaluate(e, env, {}) for e in targets)
-            slot = groups.setdefault(v, {})
-            slot[w] = slot.get(w, 0) + 1
-    else:
-        leaves = [leaf for env in _env_iter(var_order) for leaf in _leaves(knowns, targets, env)]
-        for key, (_v, w, _argrec, _htable, extra) in zip(_pin_hash_entries(leaves, nodes), leaves):
-            slot = groups.setdefault(key, {})
-            slot[w] = slot.get(w, 0) + (1 << (hash_bits - extra))
+    every_bit = [(n, k) for n, b in var_order for k in range(b)]
+    leaves = [leaf for env in _envs(var_order, every_bit) for leaf in _leaves(knowns, targets, env)]
+    groups = {}
+    for key, (_v, w, _argrec, _htable, extra) in zip(_pin_hash_entries(leaves, nodes), leaves):
+        slot = groups.setdefault(key, {})
+        slot[w] = slot.get(w, 0) + (1 << (hash_bits - extra))
     max_bits = None
     if derivable_only:
         max_bits = 2 * max((width(e, scenario.declared) for e in knowns + targets), default=0)

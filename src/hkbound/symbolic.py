@@ -359,11 +359,22 @@ class AlgGuardSpec:
         if name not in THEORIES:
             raise ValueError(f"unknown theory {name!r} in field 'theory'; choose from {sorted(THEORIES)}")
         guards = json_field(doc, "guards", list, item=list)
+        arity = dict(THEORIES[name].ops)
+
+        def checked(t: Term) -> Term:
+            """``t``, once each theory operator in it has its arity (a DH exp two or more)."""
+            n = arity.get(t.op, len(t.args))
+            if t.args and not (len(t.args) == n or t.op == "exp" and len(t.args) > n):
+                raise ValueError(f"term {t.render()!r} gives {t.op!r} {len(t.args)} arguments; theory {name!r} takes {n}")
+            for a in t.args:
+                checked(a)
+            return t
+
         return cls(
             theory=THEORIES[name],
-            context=tuple(parse(t) for t in json_field(doc, "context", list)),
-            target=parse(json_field(doc, "target", str)),
-            guards=tuple(tuple(parse(t) for t in g) for g in guards),
+            context=tuple(checked(parse(t)) for t in json_field(doc, "context", list)),
+            target=checked(parse(json_field(doc, "target", str))),
+            guards=tuple(tuple(checked(parse(t)) for t in g) for g in guards),
         )
 
 

@@ -60,7 +60,7 @@ class budget:
 
 
 def test_criterion_01_stick_value_exact_for_ell_1_to_4():
-    """(3/4)^N by brute force over all (x, h0, h1); exact; < 1 s."""
+    """(3/4)^N over all (x, h0, h1); exact; < 1 s."""
     with budget(1.0):
         x, z, h = exprs.Var("x"), exprs.Var("z"), exprs.Var("h")
         expected = [Fraction(3, 4), Fraction(9, 16), Fraction(27, 64), Fraction(81, 256)]

@@ -22,9 +22,13 @@ def test_every_traced_name_exists_and_is_restored():
         layers.instrument(tracer)
         # the wrapper reads Closure.terms and Closure.saturated
         symbolic.derive_closure([symbolic.atom("a")], symbolic.PAIRING)
+        # a hash-free query evaluates through the name the tracer wraps
+        x, h = exprs.Var("x"), exprs.Var("h")
+        oracle.chance({"x": 2, "h": 4}, [h], [exprs.BoxPlus(x, h)])
     finally:
         assert tracer.restore()
     assert tracer.extra["terms"] == tracer.extra["saturated"] == 1
+    assert tracer.calls[tracer.names.index("exprs.evaluate")] > 0
     assert {"exprs.evaluate", "harness.analytic_acceptance", "hkfun.extract_token",
             "oracle.guess_chance", "symbolic.derive_closure"} <= set(tracer.names)
     assert oracle.evaluate is exprs.evaluate

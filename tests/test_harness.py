@@ -334,9 +334,17 @@ def test_cli_malformed_guard_specs_are_usage_errors(tmp_path, capsys):
         assert field in _usage_error(["guard-check", "--spec", str(path)], capsys)
     alg = {"context": ["a"], "target": "a", "guards": [["a"]]}
     for change, field in (({"target": 5}, "'target'"), ({"depth": "3"}, "'depth'"),
-                          ({"thoery": "dh"}, "'thoery'")):
+                          ({"thoery": "dh"}, "'thoery'"),
+                          # a theory operator at the wrong arity
+                          ({"context": ["pair(a)"]}, "'pair(a)'"),
+                          ({"theory": "dolev-yao", "guards": [["senc(m)"]]}, "'senc(m)'")):
         path.write_text(json.dumps({**alg, **change}))
         assert field in _usage_error(["guard-check", "--spec", str(path), "--algebraic"], capsys)
+    # a DH exp in normal form takes two or more arguments
+    path.write_text(json.dumps({"theory": "dh", "context": ["exp(g,x,y)"],
+                                "target": "exp(g,x,y)", "guards": [["exp(g,x,y)"]]}))
+    assert cli.main(["guard-check", "--spec", str(path), "--algebraic"]) == 0
+    capsys.readouterr()
     path.write_text(json.dumps([alg]))
     for mode in ([], ["--algebraic"]):
         assert "JSON object" in _usage_error(["guard-check", "--spec", str(path), *mode], capsys)

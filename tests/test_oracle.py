@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkbound import exprs, oracle
 from hkbound.bits import BitString
@@ -77,9 +78,16 @@ def test_more_knowledge_never_hurts():
 
 
 def test_budget_is_enforced():
-    with pytest.raises(BudgetExceededError) as err:
-        chance({"u": 30}, [], [Var("u")], budget=24)
-    assert err.value.required_bits == 30
+    # a hash-free query's budget caps its widest component, and u's
+    # thirty bits are thirty one-bit components
+    u = Var("u")
+    assert chance({"u": 30}, [], [u], budget=24) == Fraction(1, 2**30)
+    rotated = Concat((Proj(u, 2, 30), Proj(u, 1, 1)))
+    chained = BoxPlus(u, Concat((u, rotated)))  # bit i reads u_i and u_(i-1)
+    for target, derivable_only in ((chained, False), (u, True)):
+        with pytest.raises(BudgetExceededError) as err:
+            chance({"u": 30}, [], [target], budget=24, derivable_only=derivable_only)
+        assert err.value.required_bits == 30
     # hash-table entries are enumerated too, so their bits count
     with pytest.raises(BudgetExceededError) as err:
         chance({"a": 1}, [], [Hash(Var("a"), 12)], budget=1)
@@ -216,6 +224,21 @@ def test_stick_value_per_fixed_z():
         assert p == Fraction(9, 16)
 
 
+def test_closed_forms_at_simulation_lengths():
+    # per-bit components make these exact far beyond brute force
+    x, z, h = Var("x"), Var("z"), Var("h")
+    for ell in (8, 32):
+        decls = {"x": ell, "z": ell, "h": 2 * ell}
+        assert chance(decls, [x, z, BoxPlus(z, h)], [BoxPlus(x, h)]) == analytic("monty", ell=ell)
+        assert chance(decls, [h], [BoxPlus(x, h)]) == analytic("early", ell=ell)
+    rng = random.Random(32)
+    for _ in range(5):
+        raw = rng.getrandbits(64)
+        kappa = ResponseToken.from_bits(BitString(64, raw)).kernel().bit_count()
+        got = chance({"x": 32}, [lit(raw, 64)], [BoxPlus(x, lit(raw, 64))])
+        assert got == analytic("kernel", kappa=kappa, ell=32)
+
+
 def test_challenge_alone_is_useless():
     x, h = Var("x"), Var("h")
     assert chance({"x": 2, "h": 4}, [x], [BoxPlus(x, h)]) == Fraction(1, 4)
@@ -340,12 +363,78 @@ def reference_chance(decls, knowns, targets) -> Fraction:
     return Fraction(sum(best.values()), 2 ** sum(b for _, b in decls))
 
 
+def bit_exprs(decls, want: int, depth: int):
+    """Hash-free expressions of width ``want`` over ``decls``."""
+    options = [st.text("01", min_size=want, max_size=want).map(Lit)]
+    options += [st.just(Var(n)) for n, b in decls if b == want]
+    if depth:
+        def sub(w):
+            return bit_exprs(decls, w, depth - 1)
+
+        options.append(sub(want).map(Negate))
+        options.append(st.builds(BoxPlus, sub(want), sub(2 * want)))
+        options.append(st.tuples(st.integers(0, 2), st.integers(0, 2)).flatmap(
+            lambda pad: sub(pad[0] + want + pad[1]).map(
+                lambda e: Proj(e, pad[0] + 1, pad[0] + want))))
+        if want >= 2:
+            options.append(st.integers(1, want - 1).flatmap(
+                lambda cut: st.tuples(sub(cut), sub(want - cut)).map(Concat)))
+    return st.one_of(options)
+
+
+@st.composite
+def hash_free_scenarios(draw):
+    """Declarations, knowns (masked ones included) and targets."""
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    decls = tuple((f"v{i}", b) for i, b in enumerate(widths))
+    plain = st.sampled_from(widths).flatmap(lambda w: bit_exprs(decls, w, 2))
+    masked = st.sampled_from(widths).flatmap(
+        lambda w: st.builds(KernelMask, bit_exprs(decls, w, 1), bit_exprs(decls, 2 * w, 1)))
+    knowns = draw(st.lists(st.one_of(plain, masked), max_size=3))
+    targets = draw(st.lists(st.one_of(plain, masked), min_size=1, max_size=2))
+    return decls, knowns, targets
+
+
 def test_engine_matches_a_reference_enumerator():
+    # the three query shapes of check_subbayes on the corpus
     rng = random.Random(7)
     for _ in range(200):
         decls, xi, gamma, theta = oracle.random_subbayes_case(rng)
-        assert chance(decls, xi, gamma) == reference_chance(decls, xi, gamma)
-        assert chance(decls, xi + gamma, theta) == reference_chance(decls, xi + gamma, theta)
+        for knowns, targets in ((xi, gamma), (xi + gamma, theta), (xi, gamma + theta)):
+            assert chance(decls, knowns, targets) == reference_chance(decls, knowns, targets)
+    # masked knowns and targets, and the enumerate claims' scenarios
+    x, z, h = Var("x"), Var("z"), Var("h")
+    for ell in (1, 2, 3, 4):
+        decls = (("x", ell), ("z", ell), ("h", 2 * ell))
+        queries = [
+            ([x, z, BoxPlus(z, h)], [BoxPlus(x, h)]),  # monty
+            ([h], [BoxPlus(x, h)]),  # early
+        ]
+        if ell <= 3:
+            queries += [
+                ([KernelMask(x, h)], [BoxPlus(x, h)]),
+                ([KernelMask(x, h), z, BoxPlus(z, h)], [BoxPlus(x, h)]),
+                ([KernelMask(z, h)], [BoxPlus(x, h), KernelMask(x, h)]),
+            ]
+        for knowns, targets in queries:
+            used = [d for d in decls if any(d[0] in exprs.free_vars(e) for e in knowns + targets)]
+            assert chance(decls, knowns, targets) == reference_chance(used, knowns, targets)
+        for zv in range(1 << ell):  # prop34: every z, per x and over x
+            zl = lit(zv, ell)
+            seen = [zl, BoxPlus(zl, h)]
+            for xv in range(1 << ell):
+                xl = lit(xv, ell)
+                query = ([xl, *seen], [BoxPlus(xl, h)])
+                assert chance({"h": 2 * ell}, *query) == reference_chance(decls[2:], *query)
+            query = ([x, *seen], [BoxPlus(x, h)])
+            assert chance(decls, *query) == reference_chance((decls[0], decls[2]), *query)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hash_free_scenarios())
+def test_engine_matches_the_reference_on_generated_scenarios(scenario):
+    decls, knowns, targets = scenario
+    assert chance(decls, knowns, targets) == reference_chance(decls, knowns, targets)
 
 
 # --- product inequality ------------------------------------------------------
