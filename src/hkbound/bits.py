@@ -84,10 +84,11 @@ def hamming_distance(a: BitString, b: BitString) -> int:
 
 
 def concat(*parts: BitString) -> BitString:
-    out = BitString(0, 0)
+    length = value = 0
     for p in parts:
-        out = out.concat(p)
-    return out
+        value = (value << p.length) | p.value
+        length += p.length
+    return BitString(length, value)
 
 
 def sample_uniform(rng: random.Random, length: int) -> BitString:

@@ -306,6 +306,13 @@ def _lint_config(cfg: ProtocolConfig) -> None:
         )
 
 
+def _infeasible(args, exc: adv.StrategyInfeasibleError) -> int:
+    """An infeasible strategy is a finding, not a violated claim."""
+    print(json.dumps({"strategy": args.strategy, "infeasible": True,
+                      "reason": str(exc)}, indent=2))
+    return 0
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     _lint_config(cfg)
@@ -315,9 +322,7 @@ def _cmd_simulate(args) -> int:
     try:
         est = harness.monte_carlo(cfg, strategy, args.trials, args.seed)
     except adv.StrategyInfeasibleError as exc:
-        print(json.dumps({"strategy": args.strategy, "infeasible": True,
-                          "reason": str(exc)}, indent=2))
-        return 0
+        return _infeasible(args, exc)
     print(json.dumps({"strategy": args.strategy, "ell": cfg.ell,
                       "seed": args.seed, **est.to_json()}, indent=2))
     return 0
@@ -328,6 +333,14 @@ def _positive_ell(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("ell must be at least 1")
     return value
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        msg = f"{text!r} is not a fraction or decimal with a nonzero denominator"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
 def _parse_ell_range(text: str) -> list[int]:
@@ -342,8 +355,11 @@ def _parse_ell_range(text: str) -> list[int]:
 
 def _cmd_sweep(args) -> int:
     strategy = args.strategy if args.strategy != "honest" else None
-    rows = harness.sweep(strategy, args.ell, args.trials, args.seed,
-                         csv_path=args.out)
+    try:
+        rows = harness.sweep(strategy, args.ell, args.trials, args.seed,
+                             csv_path=args.out)
+    except adv.StrategyInfeasibleError as exc:
+        return _infeasible(args, exc)
     summary = [
         {"ell": r.ell, "p_hat": r.p_hat,
          "analytic": None if r.analytic is None else _frac(r.analytic),
@@ -456,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="acceptance-confidence lower bound")
     for flag in ("pA", "pE", "C", "D"):
-        p_bound.add_argument(f"--{flag}", type=Fraction, required=True,
+        p_bound.add_argument(f"--{flag}", type=_fraction, required=True,
                              help="probability as a fraction or decimal")
     p_bound.set_defaults(func=_cmd_bound)
     return parser

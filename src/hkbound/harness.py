@@ -110,8 +110,7 @@ def analytic_acceptance(strategy, cfg: ProtocolConfig) -> Fraction | None:
     tick-rounded distance fits the bound.
     """
     if strategy is None or strategy == "honest":
-        reach = cfg.distance_bound + cfg.acceptance_slack
-        within = cfg.delay_ticks(VERIFIER, PROVER) * cfg.velocity <= reach
+        within = cfg.delay_ticks(VERIFIER, PROVER) * cfg.velocity <= cfg.reach
         return Fraction(1) if within else Fraction(0)
     key = adv._strategy_key(strategy)
     if key in _CLOSED_FORMS:

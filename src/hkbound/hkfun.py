@@ -54,7 +54,8 @@ class ResponseToken:
         if h.length % 2:
             raise ValueError(f"token length must be even, got {h.length}")
         half = h.length // 2
-        return cls(h.slice(1, half), h.slice(half + 1, h.length)) if half else cls(h, h)
+        low = BitString(half, h.value & ((1 << half) - 1))
+        return cls(BitString(half, h.value >> half), low) if half else cls(h, h)
 
     @property
     def ell(self) -> int:

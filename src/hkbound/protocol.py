@@ -20,6 +20,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .bits import BitString, concat, sample_uniform
@@ -42,7 +43,9 @@ class ProtocolConfig:
 
     ``positions`` maps principal names to coordinates on a line; the
     adversary's entry is optional and defaults to the verifier's own
-    coordinate (the attacker walks right up to the reader).
+    coordinate (the attacker walks right up to the reader).  A config is
+    immutable, ``positions`` included: the tick delays, the reach and the
+    timeout are computed once per config and then reused by every session.
     """
 
     ell: int
@@ -94,11 +97,32 @@ class ProtocolConfig:
     def delay_ticks(self, p: str, q: str) -> int:
         return math.ceil(self.distance(p, q) / self.velocity)
 
+    @cached_property
+    def _session_ticks(self) -> dict[tuple[bool, str], tuple[int, int, int]]:
+        """(delay, rtt_wait, hop) keyed by (adversary in the middle?, responder):
+        the one-way trip to the responder, its honest round trip, and the
+        stage-1 trip of a counter."""
+        d = self.delay_ticks
+        hops = {False: d(VERIFIER, PROVER),
+                True: d(VERIFIER, ADVERSARY) + d(ADVERSARY, PROVER)}
+        return {(relayed, who): (d(VERIFIER, who),
+                                 2 * d(VERIFIER, who) + self.processing_ticks, hop)
+                for relayed, hop in hops.items() for who in {*self.positions, ADVERSARY}}
+
+    @cached_property
+    def reach(self) -> float:
+        """The greatest distance estimate the verifier accepts."""
+        return self.distance_bound + self.acceptance_slack
+
     @property
     def timeout_rtt(self) -> float:
         """Ticks the verifier waits for a round before giving up."""
-        reach = self.distance_bound + self.acceptance_slack
-        return 2.0 * reach / self.velocity + self.processing_ticks
+        return 2.0 * self.reach / self.velocity + self.processing_ticks
+
+    @cached_property
+    def timeout_ticks(self) -> int:
+        """The round trip logged for a round whose answer never arrived."""
+        return math.ceil(self.timeout_rtt)
 
     def to_json(self) -> dict:
         return {
@@ -225,16 +249,17 @@ class Event:
 class Transcript:
     """Everything the verifier observed, plus the event log when recorded.
 
-    The summary arrays are always filled; ``events`` is empty when the
-    session ran with ``record=False`` (bulk Monte Carlo).
+    A session run with ``record=False`` (bulk Monte Carlo) returns a
+    transcript with no events and empty per-round arrays; it carries only
+    ``counter_reused``, and its verdict comes from the session itself.
     """
 
-    events: list[Event]
-    challenge_send_ticks: list[int]
-    response_recv_ticks: list[int | None]
-    challenges: list[int]
-    responses: list[int | None]
-    expected: list[int]
+    events: list[Event] = field(default_factory=list)
+    challenge_send_ticks: list[int] = field(default_factory=list)
+    response_recv_ticks: list[int | None] = field(default_factory=list)
+    challenges: list[int] = field(default_factory=list)
+    responses: list[int | None] = field(default_factory=list)
+    expected: list[int] = field(default_factory=list)
     counter_reused: bool = False
 
     def to_jsonl(self) -> str:
@@ -250,8 +275,27 @@ class Verdict:
     reason: str
 
 
+_REUSED = Verdict(False, 0, (), 0.0, REASON_COUNTER_REUSED)
+
+
+def _judge(cfg: ProtocolConfig, bits_correct: int, rtts: tuple[int, ...]) -> Verdict:
+    """The verdict on fresh counters, from the bits right and the round trips.
+
+    wrong_bits takes precedence over too_far.
+    """
+    agg = max(rtts) if cfg.rtt_mode == "max" else sum(rtts) / cfg.ell
+    estimated = max(0.0, (agg - cfg.processing_ticks) * cfg.velocity / 2.0)
+    if bits_correct != cfg.ell:
+        reason = REASON_WRONG_BITS
+    elif estimated > cfg.reach:
+        reason = REASON_TOO_FAR
+    else:
+        reason = REASON_OK
+    return Verdict(reason == REASON_OK, bits_correct, rtts, estimated, reason)
+
+
 def verifier_decide(t: Transcript, cfg: ProtocolConfig) -> Verdict:
-    """Recompute the verdict from the transcript alone.
+    """Recompute the verdict from a recorded transcript alone.
 
     Reason precedence: counter_reused, then wrong_bits, then too_far.
     A round whose response never arrived counts as a wrong bit and
@@ -260,7 +304,7 @@ def verifier_decide(t: Transcript, cfg: ProtocolConfig) -> Verdict:
     out-of-range prover is rejected as too_far rather than wrong_bits.
     """
     if t.counter_reused:
-        return Verdict(False, 0, (), 0.0, REASON_COUNTER_REUSED)
+        return _REUSED
     ell = cfg.ell
     lists = (
         t.challenge_send_ticks,
@@ -271,29 +315,20 @@ def verifier_decide(t: Transcript, cfg: ProtocolConfig) -> Verdict:
     )
     if any(len(xs) != ell for xs in lists):
         raise ValueError(f"transcript does not cover all {ell} rounds")
-    cutoff = cfg.timeout_rtt
     rtts: list[int] = []
     bits_correct = 0
     for sent, got, answer, want in zip(
         t.challenge_send_ticks, t.response_recv_ticks, t.responses, t.expected
     ):
         if got is None or answer is None:
-            rtts.append(math.ceil(cutoff))
+            rtts.append(cfg.timeout_ticks)
             continue
         if got < sent:
             raise ValueError("response received before its challenge was sent")
         rtts.append(got - sent)
         if answer == want:
             bits_correct += 1
-    agg = max(rtts) if cfg.rtt_mode == "max" else sum(rtts) / ell
-    estimated = max(0.0, (agg - cfg.processing_ticks) * cfg.velocity / 2.0)
-    if bits_correct != ell:
-        reason = REASON_WRONG_BITS
-    elif estimated > cfg.distance_bound + cfg.acceptance_slack:
-        reason = REASON_TOO_FAR
-    else:
-        reason = REASON_OK
-    return Verdict(reason == REASON_OK, bits_correct, tuple(rtts), estimated, reason)
+    return _judge(cfg, bits_correct, tuple(rtts))
 
 
 class CounterReuseRefused(Exception):
@@ -447,6 +482,13 @@ def run_session(
     own position (stage-1 counters are relayed unchanged), optionally
     interrogating the prover first through the view's handle.
 
+    The verdict is decided from the session's bit masks: the wrong bits
+    are the set bits of response xor expected, and a round trip is 0 in
+    a round answered early and the honest round trip otherwise.  With
+    ``record=True`` the transcript holds the event log and the per-round
+    arrays, from which ``verifier_decide`` reaches the same verdict; with
+    ``record=False`` it holds neither (see ``Transcript``).
+
     Identical (cfg, seed, adversary kind) replays identically.  Passing
     the same stores across calls models parties with memory: replaying a
     seed against the same verifier store trips the freshness check.
@@ -466,36 +508,29 @@ def run_session(
     sess.secret = secret
 
     responder_pos = adversary.position_key if adversary is not None else PROVER
-    delay = cfg.delay_ticks(VERIFIER, responder_pos)
-    rtt_wait = 2 * delay + cfg.processing_ticks
+    delay, rtt_wait, hop = cfg._session_ticks[adversary is not None, responder_pos]
 
     # Stage 1: counter exchange, relayed unchanged when an adversary sits
     # in the middle (it gains nothing by tampering: the token would not
     # match the verifier's).
-    hop = (
-        cfg.delay_ticks(VERIFIER, ADVERSARY) + cfg.delay_ticks(ADVERSARY, PROVER)
-        if adversary is not None
-        else cfg.delay_ticks(VERIFIER, PROVER)
-    )
-    sess.emit(0, VERIFIER, "fresh", "a", a, term="a")
-    sess.emit(0, VERIFIER, "send", "a", a, (VERIFIER, PROVER), term="a")
-    sess.emit(hop, PROVER, "receive", "a", a, (VERIFIER, PROVER), term="a")
-    sess.emit(hop, PROVER, "fresh", "b", b, term="b")
-    sess.emit(hop, PROVER, "send", "b", b, (PROVER, VERIFIER), term="b")
-    sess.emit(2 * hop, VERIFIER, "receive", "b", b, (PROVER, VERIFIER), term="b")
+    if record:
+        sess.emit(0, VERIFIER, "fresh", "a", a, term="a")
+        sess.emit(0, VERIFIER, "send", "a", a, (VERIFIER, PROVER), term="a")
+        sess.emit(hop, PROVER, "receive", "a", a, (VERIFIER, PROVER), term="a")
+        sess.emit(hop, PROVER, "fresh", "b", b, term="b")
+        sess.emit(hop, PROVER, "send", "b", b, (PROVER, VERIFIER), term="b")
+        sess.emit(2 * hop, VERIFIER, "receive", "b", b, (PROVER, VERIFIER), term="b")
     sess.clock = 2 * hop
 
     fresh = verifier_store.check_and_mark(a, b)
     if cfg.enforce_counter_freshness and not fresh:
         sess.emit(sess.clock, VERIFIER, "fresh", "counter_reused", None)
-        transcript = Transcript(
-            sess.events or [], [], [], [], [], [], counter_reused=True
-        )
-        return transcript, verifier_decide(transcript, cfg)
+        return Transcript(sess.events or [], counter_reused=True), _REUSED
 
     token = ResponseToken.from_bits(oracle.query(concat(secret, a, b)))
     sess.a, sess.b, sess.token = a, b, token
-    mask = (1 << cfg.ell) - 1
+    ell = cfg.ell
+    mask = (1 << ell) - 1
 
     silent = False
     if adversary is not None:
@@ -507,8 +542,8 @@ def run_session(
         fresh_for_prover = prover_store.check_and_mark(a, b)
         silent = cfg.enforce_counter_freshness and not fresh_for_prover
 
-    challenges = sample_uniform(rng, cfg.ell)
-    expected_value = select(challenges.value, token.h0.value, token.h1.value, cfg.ell)
+    challenges = sample_uniform(rng, ell)
+    expected_value = select(challenges.value, token.h0.value, token.h1.value, ell)
     if adversary is not None:
         response_value, early_mask = adversary.play(view, challenges)
         response_value &= mask
@@ -517,16 +552,22 @@ def run_session(
         response_value = expected_value
         early_mask = 0
 
+    if silent:
+        verdict = _judge(cfg, 0, (cfg.timeout_ticks,) * ell)
+    else:
+        rtts = ((rtt_wait,) * ell if not early_mask else
+                tuple(0 if c == "1" else rtt_wait for c in f"{early_mask:0{ell}b}"))
+        verdict = _judge(cfg, ell - (response_value ^ expected_value).bit_count(), rtts)
+    if not record:
+        return Transcript(), verdict
+
     # Stage 2: sequential timed rounds.
     who = PROVER if responder_pos == PROVER else ADVERSARY
-    send_ticks: list[int] = []
-    recv_ticks: list[int | None] = []
-    xs: list[int] = []
-    rs: list[int | None] = []
-    es: list[int] = []
+    cpath, rpath = (VERIFIER, who), (who, VERIFIER)
+    send_ticks, recv_ticks, xs, rs, es = [], [], [], [], []
     t = sess.clock
-    for i in range(1, cfg.ell + 1):
-        shift = cfg.ell - i
+    for i in range(1, ell + 1):
+        shift = ell - i
         x_i = (challenges.value >> shift) & 1
         r_i = (response_value >> shift) & 1
         e_i = (expected_value >> shift) & 1
@@ -539,34 +580,22 @@ def run_session(
         xs.append(x_i)
         rs.append(None if silent else r_i)
         es.append(e_i)
-        if sess.events is not None:
-            xb = BitString(1, x_i)
-            rb = BitString(1, r_i)
-            cpath = (VERIFIER, who)
-            rpath = (who, VERIFIER)
-            sess.emit(t, VERIFIER, "send", f"x{i}", xb, cpath, term=f"x{i}")
-            if not silent:
-                if early:
-                    # Sent blind, timed so it lands as the challenge departs.
-                    sess.emit(max(0, t - delay), who, "send", f"r{i}", rb, rpath,
-                              term=f"boxplus(x{i},h)")
-                else:
-                    sess.emit(t + delay, who, "receive", f"x{i}", xb, cpath,
-                              term=f"x{i}")
-                    sess.emit(t + delay + cfg.processing_ticks, who, "send", f"r{i}",
-                              rb, rpath, term=f"boxplus(x{i},h)")
-                sess.emit(recv, VERIFIER, "receive", f"r{i}", rb, rpath,
+        xb = BitString(1, x_i)
+        rb = BitString(1, r_i)
+        sess.emit(t, VERIFIER, "send", f"x{i}", xb, cpath, term=f"x{i}")
+        if not silent:
+            if early:
+                # Sent blind, timed so it lands as the challenge departs.
+                sess.emit(max(0, t - delay), who, "send", f"r{i}", rb, rpath,
                           term=f"boxplus(x{i},h)")
+            else:
+                sess.emit(t + delay, who, "receive", f"x{i}", xb, cpath,
+                          term=f"x{i}")
+                sess.emit(t + delay + cfg.processing_ticks, who, "send", f"r{i}",
+                          rb, rpath, term=f"boxplus(x{i},h)")
+            sess.emit(recv, VERIFIER, "receive", f"r{i}", rb, rpath,
+                      term=f"boxplus(x{i},h)")
         t = (t + rtt_wait if recv is None else recv) + 1
 
-    if sess.events:
-        sess.events.sort(key=lambda e: e.tick)
-    transcript = Transcript(
-        sess.events if sess.events is not None else [],
-        send_ticks,
-        recv_ticks,
-        xs,
-        rs,
-        es,
-    )
-    return transcript, verifier_decide(transcript, cfg)
+    sess.events.sort(key=lambda e: e.tick)
+    return Transcript(sess.events, send_ticks, recv_ticks, xs, rs, es), verdict

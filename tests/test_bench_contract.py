@@ -14,6 +14,7 @@ import layers  # noqa: E402
 import spans  # noqa: E402
 
 from hkbound import adversary, exprs, harness, oracle, symbolic  # noqa: E402
+from hkbound.protocol import ProtocolConfig  # noqa: E402
 
 
 def test_every_traced_name_exists_and_is_restored():
@@ -25,10 +26,14 @@ def test_every_traced_name_exists_and_is_restored():
         # a hash-free query evaluates through the name the tracer wraps
         x, h = exprs.Var("x"), exprs.Var("h")
         oracle.chance({"x": 2, "h": 4}, [h], [exprs.BoxPlus(x, h)])
+        # Monte Carlo sessions run through the names the tracer wraps
+        harness.monte_carlo_range(ProtocolConfig(ell=3), "naive-guess", "m", 0, 2)
     finally:
         assert tracer.restore()
     assert tracer.extra["terms"] == tracer.extra["saturated"] == 1
     assert tracer.calls[tracer.names.index("exprs.evaluate")] > 0
+    assert tracer.calls[tracer.names.index("protocol.run_session")] == 2
+    assert sum(n for key, n in tracer.extra.items() if key.startswith("verdict.")) == 2
     assert {"exprs.evaluate", "harness.analytic_acceptance", "hkfun.extract_token",
             "oracle.guess_chance", "symbolic.derive_closure"} <= set(tracer.names)
     assert oracle.evaluate is exprs.evaluate

@@ -217,6 +217,16 @@ def test_cli_simulate_infeasible_is_reported_not_crashed(capsys):
     assert doc["infeasible"] is True
 
 
+def test_cli_sweep_infeasible_is_reported_not_crashed(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["sweep", "--strategy", "counter-reuse", "--ell", "2",
+                   "--trials", "5", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["infeasible"] is True and "counter reuse" in doc["reason"]
+    assert not out.exists()
+
+
 def test_cli_simulate_config_file(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(ProtocolConfig(ell=2, rtt_mode="mean").to_json()))
@@ -274,6 +284,11 @@ def test_cli_usage_errors(capsys):
         cli.main(["sweep", "--strategy", "naive-guess", "--ell", "3..1",
                   "--trials", "5", "--seed", "0", "--out", "x.csv"])
     assert out.value.code == 2
+    for bad in ("1/0", "half"):
+        with pytest.raises(SystemExit) as out:
+            cli.main(["bound", "--pA", bad, "--pE", "0", "--C", "0", "--D", "1"])
+        assert out.value.code == 2
+        assert "nonzero denominator" in capsys.readouterr().err
     capsys.readouterr()
 
 

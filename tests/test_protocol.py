@@ -8,7 +8,9 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hkbound.adversary import PreQueryStick, StrategyInfeasibleError, make_strategy
 from hkbound.bits import BitString
 from hkbound.protocol import (
     CounterReuseRefused,
@@ -162,13 +164,104 @@ def test_jsonl_round_trips_fields():
     assert set(first) == {"tick", "principal", "kind", "name", "value", "channel", "term"}
 
 
-def test_record_false_skips_events_only():
+def test_record_false_keeps_only_the_verdict():
+    # an unrecorded transcript has no events and no per-round arrays; it
+    # carries counter_reused, and the session's verdict stands for it
     cfg = ProtocolConfig(ell=4)
     t_rec, v_rec = run_session(cfg, 31, record=True)
     t_bare, v_bare = run_session(cfg, 31, record=False)
-    assert t_bare.events == []
     assert v_rec == v_bare
-    assert t_rec.responses == t_bare.responses
+    assert t_bare == Transcript()
+    assert len(t_rec.responses) == 4 and t_rec.events
+    store = CounterStore()
+    run_session(cfg, 31, verifier_store=store, record=False)
+    t_again, v_again = run_session(cfg, 31, verifier_store=store, record=False)
+    assert t_again == Transcript(counter_reused=True)
+    assert v_again.reason == "counter_reused"
+    with pytest.raises(ValueError):
+        verifier_decide(t_bare, cfg)
+
+
+# --- the unrecorded fast path against the recorded reference -------------------
+
+# None is the honest prover
+SESSION_KINDS = (None, *map(make_strategy, ("naive-guess", "prequery-stick", "counter-reuse",
+                                           "early-kernel", "early-full", "secret-guess")),
+                 PreQueryStick(2))
+
+
+def _paths_agree(cfg, plays) -> set[str]:
+    """Play each session kind with and without recording, in lockstep.
+
+    plays lists (seed, share_verifier_store) pairs.  The prover store is
+    shared by every session of a kind, and the verifier store by those
+    that ask for it, so replayed seeds and colliding counters reach the
+    silent prover and the counter_reused verdict.  Returns the outcomes
+    seen: verdict reasons, "silent", or the name of an exception raised.
+    """
+    seen = set()
+    for actor in SESSION_KINDS:
+        stores = {record: (CounterStore(), CounterStore()) for record in (False, True)}
+        for seed, share in plays:
+            out = {}
+            for record, (verifier_store, prover_store) in stores.items():
+                try:
+                    out[record] = run_session(
+                        cfg, seed, adversary=actor, prover_store=prover_store,
+                        verifier_store=verifier_store if share else None, record=record)
+                except (StrategyInfeasibleError, CounterReuseRefused) as exc:
+                    out[record] = type(exc).__name__
+            if isinstance(out[True], str):
+                assert out[False] == out[True]
+                seen.add(out[True])
+                continue
+            (bare, fast), (transcript, slow) = out[False], out[True]
+            assert fast == slow == verifier_decide(transcript, cfg)
+            assert bare == Transcript(counter_reused=transcript.counter_reused)
+            seen.add(fast.reason)
+            if transcript.responses and transcript.responses[0] is None:
+                seen.add("silent")
+    return seen
+
+
+@st.composite
+def session_configs(draw):
+    tenths = st.integers(-60, 60).map(lambda v: v / 10)
+    positions = {"verifier": draw(tenths), "prover": draw(tenths)}
+    if draw(st.booleans()):
+        positions["adversary"] = draw(tenths)
+    return ProtocolConfig(
+        ell=draw(st.integers(1, 40)),
+        secret_bits=draw(st.integers(1, 6)),
+        counter_bits=draw(st.sampled_from((None, 1, 2))),
+        velocity=draw(st.sampled_from((0.4, 1.0, 1.3))),
+        distance_bound=draw(st.integers(0, 60).map(lambda v: v / 10)),
+        acceptance_slack=draw(st.sampled_from((0.0, 0.5, 2.0))),
+        processing_ticks=draw(st.integers(0, 3)),
+        positions=positions,
+        rtt_mode=draw(st.sampled_from(("max", "mean"))),
+        enforce_counter_freshness=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(session_configs(),
+       st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=5))
+def test_unrecorded_verdicts_match_the_recorded_reference(cfg, plays):
+    _paths_agree(cfg, plays)
+
+
+def test_the_reference_grid_reaches_every_outcome():
+    plays = [(seed % 3, seed % 2 == 0) for seed in range(8)]
+    seen = set()
+    for cfg in (ProtocolConfig(ell=3, counter_bits=1),
+                ProtocolConfig(ell=5, counter_bits=1, enforce_counter_freshness=False,
+                               rtt_mode="mean", processing_ticks=1),
+                ProtocolConfig(ell=4, secret_bits=1, positions={
+                    "verifier": 0.0, "prover": 7.5, "adversary": 0.4})):
+        seen |= _paths_agree(cfg, plays)
+    assert seen >= {"ok", "wrong_bits", "too_far", "counter_reused", "silent",
+                    "StrategyInfeasibleError", "CounterReuseRefused"}
 
 
 # --- config -----------------------------------------------------------------
