@@ -8,9 +8,12 @@ bitstring variables, the guessing chance is
                  max over target values w of #{env : knowns=v, targets=w}
 
 where B counts the bits of the variables that actually occur.  This is
-the best success probability of any guesser that maps observations to a
-single answer; randomized guessers cannot beat it because their success
-probability is a convex combination of deterministic ones.
+the best success probability of any guesser that makes no hash queries
+and maps observations to a single answer; randomized guessers cannot
+beat it because their success probability is a convex combination of
+deterministic ones.  The query regime is part of the question: a
+guesser that evaluates the hash at a point of its choosing, such as
+H(guess.a.b), is modelled by adding that query as a known hash node.
 
 Without hashes every operator is bit-local, so the bits split into
 independent components and the chance is the product of theirs: the
@@ -20,13 +23,16 @@ widest component rather than B; see ``guess_chance``.
 Hash applications extend the environment: each distinct argument value
 indexes an independent uniform table entry, enumerated lazily, and
 collisions between entries are counted rather than assumed away.  The
-hash itself is public, so a guesser whose observations pin down an
-argument value is credited with knowing that table entry as well.  The
-entry augments the grouping key exactly when the observed values
-determine the argument (computed as a fixpoint, since one entry may pin
-down the argument of the next).  Without this rule a guesser knowing
-the secret and both counters would not be able to "compute" the session
-token, and every full-knowledge chance would come out wrong.
+table is filled node by node, arguments' nodes first, and that is exact:
+no operator short-circuits, so every node is read on every evaluation,
+and a node whose key is tabled reuses that entry.  The hash itself is
+public, so a guesser whose observations pin down an argument value is
+credited with knowing that table entry as well.  The entry augments the
+grouping key exactly when the observed values determine the argument
+(computed as a fixpoint, since one entry may pin down the argument of
+the next).  Without this rule a guesser knowing the secret and both
+counters would not be able to "compute" the session token, and every
+full-knowledge chance would come out wrong.
 
 A second, stricter regime is available on request: the guesser may only
 answer with values it can actually compute from its observations by the
@@ -50,7 +56,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import exprs
 from .bits import BitString
-from .exprs import Expr, NeedHash, evaluate, free_vars, hash_nodes, width
+from .exprs import Expr, evaluate, free_vars, hash_nodes, width
 from .hkfun import PartitionedFunction, eval_partitioned
 
 DEFAULT_BUDGET = 24
@@ -103,50 +109,57 @@ def _envs(var_order: list[tuple[str, int]], bits: list):
         yield env
 
 
-def _leaves(knowns: Sequence[Expr], targets: Sequence[Expr], env: dict):
-    """All hash-table completions of one environment.
+def _leaves(shown: Sequence[Expr], nodes: list, envs: Iterable[dict]):
+    """Every hash-table completion of each environment, tabled node by node.
 
-    Yields (known_values, target_values, argrec, htable, extra_bits)
-    where extra_bits counts the lazily enumerated table bits.
+    A node's argument is evaluated once per branch with the earlier nodes
+    resolved; a tabled key (a collision) reuses its entry, a new one
+    branches.  Yields (values of ``shown``, per-node argument keys,
+    per-node entries as values, extra_bits counting the tabled bits).
     """
-    stack = [({}, 0)]
-    while stack:
-        htable, extra = stack.pop()
-        argrec: dict[int, tuple] = {}
-        try:
-            v = tuple(evaluate(e, env, htable, argrec) for e in knowns)
-            w = tuple(evaluate(e, env, htable, argrec) for e in targets)
-        except NeedHash as miss:
-            for out in range(1 << miss.out_bits):
-                ext = dict(htable)
-                ext[miss.key] = out
-                stack.append((ext, extra + miss.out_bits))
-            continue
-        yield v, w, argrec, htable, extra
+    hashed = [bool(hash_nodes(e)) for e in shown]
+    resolved: dict[int, tuple] = {}
+    htable: dict = {}
+
+    def fill(i: int, extra: int):
+        if i == len(nodes):
+            keys = tuple(resolved[id(n)] for n in nodes)
+            yield (tuple(evaluate(e, env, htable, resolved) if h else p
+                         for e, h, p in zip(shown, hashed, plain)),
+                   keys, tuple((k[2], htable[k]) for k in keys), extra)
+            return
+        node = nodes[i]  # its argument reads only nodes[:i], already resolved
+        al, av = evaluate(node.arg, env, htable, resolved)[:2]
+        key = resolved[id(node)] = (al, av, node.out_bits)
+        if key in htable:
+            yield from fill(i + 1, extra)
+            return
+        for out in range(1 << node.out_bits):
+            htable[key] = out
+            yield from fill(i + 1, extra + node.out_bits)
+        del htable[key]
+
+    for env in envs:  # fill reads env and plain
+        plain = [None if h else evaluate(e, env, {}) for e, h in zip(shown, hashed)]
+        yield from fill(0, 0)
 
 
-def _pin_hash_entries(leaves: list, nodes: list) -> list:
+def _pin_hash_entries(leaves: list, known_count: int) -> list:
     """Augment observation keys with table entries the guesser can query.
 
     A node's entry joins the key once the current key determines the
     node's argument value in every group; iterate to a fixpoint so that
     chains of hashes resolve in order.
     """
-    keys = [leaf[0] for leaf in leaves]  # start from the known values
-    remaining = [id(n) for n in nodes]
+    keys = [leaf[0][:known_count] for leaf in leaves]  # start from the known values
+    remaining = list(range(len(leaves[0][1])))  # every leaf keys every node
     while remaining:
         progressed = False
-        for nid in list(remaining):
-            groups: dict = {}
-            for key, leaf in zip(keys, leaves):
-                groups.setdefault(key, set()).add(leaf[2].get(nid))
-            if all(len(args) == 1 for args in groups.values()):
-                keys = [
-                    key + (((leaf[2][nid][2], leaf[3][leaf[2][nid]]),)
-                           if leaf[2].get(nid) is not None else (None,))
-                    for key, leaf in zip(keys, leaves)
-                ]
-                remaining.remove(nid)
+        for i in list(remaining):
+            args: dict = {}
+            if all(args.setdefault(key, leaf[1][i]) == leaf[1][i] for key, leaf in zip(keys, leaves)):
+                keys = [key + (leaf[2][i],) for key, leaf in zip(keys, leaves)]
+                remaining.remove(i)
                 progressed = True
         if not progressed:
             break
@@ -258,7 +271,10 @@ def guess_chance(
     distinct hash nodes: a leaf that tabled ``extra`` entry bits weighs
     2**(H - extra).  A leaf reads at most one entry per node, so
     extra <= H.  Without hash nodes H = 0 and each environment weighs 1.
-    The budget caps B + H.
+    The budget caps B + H.  The table is filled in ``nodes`` order, which
+    lists a node after those in its argument (``hash_nodes`` is post-order
+    and the dedup keeps first occurrences); the module docstring says why
+    that is exact.
     """
     knowns, targets = scenario.knowns, scenario.targets
     fv = _free_vars_of(knowns + targets)
@@ -286,9 +302,10 @@ def guess_chance(
     if total_bits + hash_bits > budget:
         raise BudgetExceededError(total_bits + hash_bits, budget)
     every_bit = [(n, k) for n, b in var_order for k in range(b)]
-    leaves = [leaf for env in _envs(var_order, every_bit) for leaf in _leaves(knowns, targets, env)]
+    leaves = list(_leaves(knowns + targets, nodes, _envs(var_order, every_bit)))
     groups = {}
-    for key, (_v, w, _argrec, _htable, extra) in zip(_pin_hash_entries(leaves, nodes), leaves):
+    for key, (values, _keys, _entries, extra) in zip(_pin_hash_entries(leaves, len(knowns)), leaves):
+        w = values[len(knowns):]
         slot = groups.setdefault(key, {})
         slot[w] = slot.get(w, 0) + (1 << (hash_bits - extra))
     max_bits = None
@@ -472,12 +489,23 @@ def cover(context: Sequence, target, guards: Sequence[Sequence], chance_of) -> G
     must cover it: chance(subset -> guard) * chance(subset,guard ->
     target) at least as large.  Subsets without advantage are listed
     but exempt.  The witness is the first guard reaching the best cover.
+
+    A chance must depend on the set of known terms only, not on their
+    order or repeats; each distinct (set, want) is asked once per call.
     """
-    baseline = chance_of((), (target,))
+    memo: dict = {}
+
+    def ask(known, want):
+        key = (frozenset(known), tuple(want))
+        if key not in memo:
+            memo[key] = chance_of(known, want)
+        return memo[key]
+
+    baseline = ask((), (target,))
     rows = []
     for picks in context_subsets(len(context)):
         subset = tuple(context[i] for i in picks)
-        lhs = chance_of(subset, (target,))
+        lhs = ask(subset, (target,))
         adv = lhs - baseline
         if adv <= 0:
             rows.append(GuardRow(picks, lhs, adv, None, None, True, True))
@@ -485,8 +513,8 @@ def cover(context: Sequence, target, guards: Sequence[Sequence], chance_of) -> G
         best = 0
         witness = None
         for gi, guard in enumerate(guards):
-            reach = chance_of(subset, guard)
-            then = chance_of(subset + tuple(guard), (target,))
+            reach = ask(subset, guard)
+            then = ask(subset + tuple(guard), (target,))
             if reach * then > best:
                 best = reach * then
                 witness = gi

@@ -26,6 +26,10 @@ def test_every_traced_name_exists_and_is_restored():
         # a hash-free query evaluates through the name the tracer wraps
         x, h = exprs.Var("x"), exprs.Var("h")
         oracle.chance({"x": 2, "h": 4}, [h], [exprs.BoxPlus(x, h)])
+        # so does a hash query: its table fill calls the same name
+        evaluations = tracer.calls[tracer.names.index("exprs.evaluate")]
+        oracle.chance({"a": 1}, [], [exprs.Hash(exprs.Var("a"), 1)])
+        assert tracer.calls[tracer.names.index("exprs.evaluate")] > evaluations
         # Monte Carlo sessions run through the names the tracer wraps
         harness.monte_carlo_range(ProtocolConfig(ell=3), "naive-guess", "m", 0, 2)
     finally:

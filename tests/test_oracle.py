@@ -1,8 +1,10 @@
 """Exact guessing-chance enumeration: worked values and the laws behind them.
 
 The distance law and its iff, the kernel chance, the stick value, the
-hash-pinning rule, and the product inequality are each pinned here on
-small instances where complete enumeration is undeniable.
+hash-pinning rule, the one-query values, and the product inequality are
+each pinned here on small instances where complete enumeration is
+undeniable; the node-order hash fill is held to the restart-on-miss
+enumeration it replaced.
 """
 
 import itertools
@@ -12,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkbound import exprs, oracle
+from hkbound import exprs, harness, oracle
 from hkbound.bits import BitString
 from hkbound.exprs import BoxPlus, Concat, Hash, KernelMask, Lit, Negate, Proj, Var
 from hkbound.hkfun import Block, PartitionedFunction, ResponseToken
@@ -33,6 +35,7 @@ from hkbound.oracle import (
     per_bit_independent,
     uniform_halves,
 )
+from hkbound.protocol import ProtocolConfig
 
 
 def lit(value: int, bits: int) -> Lit:
@@ -435,6 +438,218 @@ def test_engine_matches_a_reference_enumerator():
 def test_engine_matches_the_reference_on_generated_scenarios(scenario):
     decls, knowns, targets = scenario
     assert chance(decls, knowns, targets) == reference_chance(decls, knowns, targets)
+
+
+# --- the hash path against its restart reference ------------------------------
+
+
+def restart_leaves(knowns, targets, env):
+    """Every table completion of one environment, found by evaluating all
+    expressions and, on each missing entry, branching over its values and
+    starting the environment over.  Yields (known_values, target_values,
+    argument key per node id, table, extra_bits)."""
+    stack = [({}, 0)]
+    while stack:
+        htable, extra = stack.pop()
+        try:
+            v = tuple(exprs.evaluate(e, env, htable) for e in knowns)
+            w = tuple(exprs.evaluate(e, env, htable) for e in targets)
+        except exprs.NeedHash as miss:
+            for out in range(1 << miss.out_bits):
+                stack.append(({**htable, miss.key: out}, extra + miss.out_bits))
+            continue
+        argrec = {}
+        for e in knowns + targets:
+            for n in exprs.hash_nodes(e):
+                al, av = exprs.evaluate(n.arg, env, htable)[:2]
+                argrec[id(n)] = (al, av, n.out_bits)
+        yield v, w, argrec, htable, extra
+
+
+def restart_pin(leaves, nodes):
+    """Observation keys with each node's entry appended, to a fixpoint, once
+    the key determines the node's argument in every group."""
+    keys = [leaf[0] for leaf in leaves]
+    remaining = [id(n) for n in nodes]
+    while remaining:
+        progressed = False
+        for nid in list(remaining):
+            groups: dict = {}
+            for key, leaf in zip(keys, leaves):
+                groups.setdefault(key, set()).add(leaf[2].get(nid))
+            if all(len(args) == 1 for args in groups.values()):
+                keys = [key + ((leaf[2][nid][2], leaf[3][leaf[2][nid]]),)
+                        for key, leaf in zip(keys, leaves)]
+                remaining.remove(nid)
+                progressed = True
+        if not progressed:
+            break
+    return keys
+
+
+def restart_chance(decls, knowns, targets, budget=oracle.DEFAULT_BUDGET, derivable_only=False):
+    """The hash path by restarting evaluation on every missing table entry:
+    leaves weighed over 2**(B + H), pinned entries, the shared argmax."""
+    knowns, targets = tuple(knowns), tuple(targets)
+    used = set().union(*(exprs.free_vars(e) for e in knowns + targets))
+    var_order = [(n, b) for n, b in decls if n in used]
+    nodes = list({id(n): n for e in knowns + targets for n in exprs.hash_nodes(e)}.values())
+    total_bits = sum(b for _, b in var_order)
+    hash_bits = sum(n.out_bits for n in nodes)
+    if total_bits + hash_bits > budget:
+        raise BudgetExceededError(total_bits + hash_bits, budget)
+    every_bit = [(n, k) for n, b in var_order for k in range(b)]
+    leaves = [leaf for env in oracle._envs(var_order, every_bit)
+              for leaf in restart_leaves(knowns, targets, env)]
+    groups: dict = {}
+    for key, (_v, w, _argrec, _htable, extra) in zip(restart_pin(leaves, nodes), leaves):
+        slot = groups.setdefault(key, {})
+        slot[w] = slot.get(w, 0) + (1 << (hash_bits - extra))
+    max_bits = None
+    if derivable_only:
+        max_bits = 2 * max(exprs.width(e, dict(decls)) for e in knowns + targets)
+    return Fraction(oracle._best(groups, max_bits), 1 << (total_bits + hash_bits))
+
+
+@st.composite
+def hash_scenarios(draw):
+    """Declarations, knowns and targets over 1 to 4 hash nodes.  A node may
+    hash an earlier node (nested), nodes are drawn with replacement into
+    several expressions (shared), small arguments of one width often
+    coincide (colliding), and 2n-bit nodes feed BoxPlus and KernelMask.
+    The first target reads a hash node."""
+    widths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    decls = tuple((f"v{i}", b) for i, b in enumerate(widths))
+    nodes: list = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.sampled_from(widths))
+        arg = draw(bit_exprs(decls, w, 1))
+        if nodes and draw(st.booleans()):
+            inner = draw(st.sampled_from(nodes))
+            arg = draw(st.sampled_from([inner, Concat((arg, inner)), Negate(inner)]))
+        nodes.append(Hash(arg, draw(st.sampled_from([w, 2 * w]))))
+
+    def reading(node):
+        options = [st.just(node), st.just(Negate(node))]
+        if node.out_bits % 2 == 0:
+            x = bit_exprs(decls, node.out_bits // 2, 1)
+            options += [x.map(lambda e: BoxPlus(e, node)), x.map(lambda e: KernelMask(e, node))]
+        return st.one_of(options)
+
+    hashed = st.sampled_from(nodes).flatmap(reading)
+    any_expr = st.one_of(hashed, st.sampled_from(widths).flatmap(lambda w: bit_exprs(decls, w, 1)))
+    knowns = draw(st.lists(any_expr, max_size=3))
+    targets = [draw(hashed)] + draw(st.lists(any_expr, max_size=1))
+    return decls, knowns, targets
+
+
+def test_hash_path_matches_the_restart_reference_on_fixed_shapes():
+    a, b = Var("a"), Var("b")
+    inner = Hash(a, 2)
+    outer = Hash(Concat((b, inner)), 2)
+    twin = Hash(b, 2)  # collides with inner when a = b
+    decls = (("a", 1), ("b", 1))
+    cases = [
+        ([a, inner], [outer]),
+        ([KernelMask(a, inner)], [BoxPlus(b, inner), outer]),
+        ([twin], [inner]),
+        ([], [inner, twin, outer]),
+        ([Negate(inner), b], [BoxPlus(a, outer), BoxPlus(b, twin)]),
+    ]
+    for knowns, targets in cases:
+        for derivable_only in (False, True):
+            assert chance(decls, knowns, targets, derivable_only=derivable_only) == \
+                restart_chance(decls, knowns, targets, derivable_only=derivable_only)
+
+
+@settings(max_examples=120, deadline=None)
+@given(hash_scenarios(), st.booleans(), st.integers(4, 16))
+def test_hash_path_matches_the_restart_reference(scenario, derivable_only, budget):
+    decls, knowns, targets = scenario
+
+    def outcome(engine):
+        try:
+            return engine(decls, knowns, targets, budget=budget, derivable_only=derivable_only)
+        except BudgetExceededError as err:
+            return "over budget", err.required_bits
+
+    assert outcome(chance) == outcome(restart_chance)
+
+
+# --- what cover's memo rests on -------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(hash_scenarios(), hash_free_scenarios()), st.randoms(use_true_random=False))
+def test_chance_depends_on_the_set_of_knowns(scenario, rng):
+    decls, knowns, targets = scenario
+    shuffled = list(knowns)
+    rng.shuffle(shuffled)
+    if knowns:
+        shuffled.insert(rng.randrange(len(shuffled) + 1), rng.choice(knowns))
+    assert chance(decls, shuffled, targets) == chance(decls, knowns, targets)
+
+
+def test_prob_guard_asks_each_distinct_chance_once(monkeypatch):
+    spec = oracle.builtin_guard_spec("attack-run", ell=1)
+    asked = []
+    real = oracle.chance
+
+    def spy(variables, known, want, budget=oracle.DEFAULT_BUDGET):
+        asked.append((frozenset(known), tuple(want)))
+        return real(variables, known, want, budget)
+
+    monkeypatch.setattr(oracle, "chance", spy)
+    report = check_prob_guard(spec)
+    monkeypatch.undo()
+    assert len(asked) == len(set(asked)) == 136
+
+    # every row as the unmemoised quantifier would compute it
+    def c(known, want):
+        return chance(spec.variables, known, want)
+
+    assert report.baseline == c((), (spec.target,))
+    assert [r.subset for r in report.rows] == list(oracle.context_subsets(len(spec.context)))
+    for row in report.rows:
+        subset = tuple(spec.context[i] for i in row.subset)
+        assert row.lhs == c(subset, (spec.target,))
+        assert row.advantage == row.lhs - report.baseline
+        assert row.exempt == (row.advantage <= 0)
+        if row.exempt:
+            assert (row.rhs, row.witness, row.ok) == (None, None, True)
+            continue
+        covers = [c(subset, g) * c(subset + tuple(g), (spec.target,)) for g in spec.guards]
+        assert row.rhs == max(covers) and row.witness == covers.index(max(covers))
+        assert row.ok == (row.lhs <= row.rhs)
+    assert report.ok and report.ok == all(r.ok for r in report.rows)
+
+
+# --- the query regime -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ell, s, value", [(1, 1, Fraction(3, 4)), (1, 2, Fraction(5, 8)),
+                                           (2, 1, Fraction(5, 8))])
+def test_one_hash_query_gives_the_secret_guess_value(ell, s, value):
+    # the chance is the best of a guesser that makes no hash queries of its
+    # own; a query is a known hash node whose argument the guesser fixed
+    sv, a, b, x = Var("s"), Var("a"), Var("b"), Var("x")
+    token = Hash(Concat((sv, a, b)), 2 * ell)
+    query = Hash(Concat((Lit("0" * s), a, b)), 2 * ell)
+    decls = {"s": s, "a": ell, "b": ell, "x": ell}
+    hit = Fraction(1, 2**s)
+    assert chance(decls, [x, a, b], [BoxPlus(x, token)]) == Fraction(1, 2**ell)
+    assert chance(decls, [x, a, b, query], [BoxPlus(x, token)]) == \
+        hit + (1 - hit) * Fraction(1, 2**ell) == value == \
+        harness.analytic_acceptance("secret-guess", ProtocolConfig(ell=ell, secret_bits=s))
+
+
+def test_every_candidate_query_beats_one():
+    # a plurality vote over all four candidate tokens at l = 1, s = 2
+    sv, a, b, x = Var("s"), Var("a"), Var("b"), Var("x")
+    token = Hash(Concat((sv, a, b)), 2)
+    queries = [Hash(Concat((lit(q, 2), a, b)), 2) for q in range(4)]
+    decls = {"s": 2, "a": 1, "b": 1, "x": 1}
+    assert chance(decls, [x, a, b, *queries], [BoxPlus(x, token)]) == Fraction(11, 16)
 
 
 # --- product inequality ------------------------------------------------------
