@@ -248,6 +248,11 @@ def _claim_lemma3(ell: int = 1, secret_bits: int = 2):
     for upsilon, name in (((), "a,b,s,x"), ((z,), "a,b,s,x,z"),
                           ((zh,), "a,b,s,x,zh"), ((z, zh), "a,b,s,x,z,zh")):
         results.append(check(name, [a, b, s, x, *upsilon], Fraction(1)))
+    # one hash query at a guessed secret: right with 2**-s, else blind
+    zeros = "0" * secret_bits
+    query = exprs.Hash(exprs.Concat((exprs.Lit(zeros), a, b)), 2 * ell)
+    hit = Fraction(1, 1 << secret_bits)
+    results.append(check(f"a,b,x,H({zeros}.a.b)", [a, b, x, query], hit + (1 - hit) * blind))
     payload = {"ell": ell, "secret_bits": secret_bits, "checks": results, "ok": ok}
     return payload, ok, rows
 

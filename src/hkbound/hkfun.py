@@ -14,7 +14,6 @@ consuming private random seed bits, and the outputs are concatenated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .bits import BitString, concat
@@ -142,32 +141,6 @@ class PartitionedFunction:
 
     def is_bitwise(self) -> bool:
         return all(b.in_bits == 1 and b.out_bits == 1 for b in self.blocks)
-
-    @classmethod
-    def from_json(cls, doc: str | dict) -> "PartitionedFunction":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        blocks = []
-        for spec in doc["blocks"]:
-            blocks.append(
-                Block(
-                    in_bits=spec["in"],
-                    out_bits=spec["out"],
-                    seed_bits=spec.get("seed", 0),
-                    table=tuple(tuple(row) for row in spec["table"]),
-                )
-            )
-        return cls(tuple(blocks))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "blocks": [
-                    {"in": b.in_bits, "out": b.out_bits, "seed": b.seed_bits, "table": [list(r) for r in b.table]}
-                    for b in self.blocks
-                ]
-            }
-        )
 
 
 def eval_partitioned(f: PartitionedFunction, seed: BitString, x: BitString) -> BitString:

@@ -49,10 +49,13 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from operator import add, itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import exprs
 from .bits import BitString
@@ -144,26 +147,84 @@ def _leaves(shown: Sequence[Expr], nodes: list, envs: Iterable[dict]):
         yield from fill(0, 0)
 
 
-def _pin_hash_entries(leaves: list, known_count: int) -> list:
-    """Augment observation keys with table entries the guesser can query.
+class _Table(NamedTuple):
+    """One enumeration of variables and hash table, for ``_project`` to read.
 
-    A node's entry joins the key once the current key determines the
-    node's argument value in every group; iterate to a fixpoint so that
-    chains of hashes resolve in order.
+    Values, argument keys and entries are stored as small int codes,
+    which hash far faster than value tuples.
     """
-    keys = [leaf[0][:known_count] for leaf in leaves]  # start from the known values
-    remaining = list(range(len(leaves[0][1])))  # every leaf keys every node
+
+    column: dict  # expression -> its position in each row of ``values``
+    nodes: list  # distinct hash nodes, in fill order
+    bits: int  # B + H
+    values: list  # per leaf, the codes of the tabled expressions' values
+    args: list  # per node, the code of its argument key in each leaf
+    entries: list  # per node, the code of its table entry in each leaf
+    weights: list  # per leaf, 2**(H - extra)
+    decode: list  # code -> value
+
+
+def _table(variables, shown: Sequence[Expr], budget: int) -> _Table:
+    """Enumerate ``_leaves`` once over ``shown``, every leaf over 2**(B + H)."""
+    shown = list(dict.fromkeys(shown))
+    fv = _free_vars_of(shown)
+    var_order = [(n, b) for n, b in variables if n in fv]
+    nodes = list({id(n): n for e in shown for n in hash_nodes(e)}.values())
+    total_bits = sum(b for _, b in var_order)
+    hash_bits = sum(n.out_bits for n in nodes)
+    if total_bits + hash_bits > budget:
+        raise BudgetExceededError(total_bits + hash_bits, budget)
+    every_bit = [(n, k) for n, b in var_order for k in range(b)]
+    codes: dict = {}
+    values, keys, entries, extras = zip(*(
+        (tuple(codes.setdefault(v, len(codes)) for v in vs),
+         tuple(codes.setdefault(k, len(codes)) for k in ks),
+         tuple(codes.setdefault(v, len(codes)) for v in es), extra)
+        for vs, ks, es, extra in _leaves(shown, nodes, _envs(var_order, every_bit))))
+    return _Table({e: i for i, e in enumerate(shown)}, nodes, total_bits + hash_bits, values,
+                  list(zip(*keys)), list(zip(*entries)), [1 << (hash_bits - x) for x in extras],
+                  list(codes))
+
+
+def _rows(table: _Table, es: Sequence[Expr]) -> list:
+    """Each leaf's tuple of the codes of ``es``'s values."""
+    cols = [table.column[e] for e in es]
+    if len(cols) == 1:
+        return list(zip(map(itemgetter(cols[0]), table.values)))
+    return list(map(itemgetter(*cols), table.values)) if cols else [()] * len(table.values)
+
+
+def _project(table: _Table, knowns: Sequence[Expr], targets: Sequence[Expr],
+             max_bits: int | None = None) -> Fraction:
+    """The chance of ``targets`` given ``knowns``, read off ``table``.
+
+    Leaves are grouped by the known values, augmented with the table
+    entries the guesser can query: a node's entry joins the key once the
+    key determines the node's argument in every group, iterated to a
+    fixpoint so that chains of hashes resolve in order.  Only the query's
+    own nodes are pinned; ``check_prob_guard`` says why the rest of the
+    table changes nothing.  The chance is ``_best`` over 2**(B + H).
+    """
+    keys = _rows(table, knowns)
+    own = {id(n) for e in (*knowns, *targets) for n in hash_nodes(e)}
+    remaining = [i for i, n in enumerate(table.nodes) if id(n) in own]
     while remaining:
         progressed = False
         for i in list(remaining):
-            args: dict = {}
-            if all(args.setdefault(key, leaf[1][i]) == leaf[1][i] for key, leaf in zip(keys, leaves)):
-                keys = [key + (leaf[2][i],) for key, leaf in zip(keys, leaves)]
+            if len(set(zip(keys, table.args[i]))) == len(set(keys)):
+                keys = list(map(add, keys, zip(table.entries[i])))
                 remaining.remove(i)
                 progressed = True
         if not progressed:
             break
-    return keys
+    decode = table.decode.__getitem__
+    groups: dict = {}
+    for (key, w, weight), n in Counter(zip(keys, _rows(table, targets), table.weights)).items():
+        if max_bits is not None:  # the computable-answer rule reads values
+            key, w = tuple(map(decode, key)), tuple(map(decode, w))
+        slot = groups.setdefault(key, {})
+        slot[w] = slot.get(w, 0) + n * weight
+    return Fraction(_best(groups, max_bits), 1 << table.bits)
 
 
 def _reads(e: Expr, declared: dict[str, int]) -> list[frozenset]:
@@ -271,10 +332,11 @@ def guess_chance(
     distinct hash nodes: a leaf that tabled ``extra`` entry bits weighs
     2**(H - extra).  A leaf reads at most one entry per node, so
     extra <= H.  Without hash nodes H = 0 and each environment weighs 1.
-    The budget caps B + H.  The table is filled in ``nodes`` order, which
-    lists a node after those in its argument (``hash_nodes`` is post-order
-    and the dedup keeps first occurrences); the module docstring says why
-    that is exact.
+    The budget caps B + H.  ``_table`` enumerates the leaves and
+    ``_project`` reads the chance off them.  The table is filled in node
+    order, which lists a node after those in its argument (``hash_nodes``
+    is post-order and the dedup keeps first occurrences); the module
+    docstring says why that is exact.
     """
     knowns, targets = scenario.knowns, scenario.targets
     fv = _free_vars_of(knowns + targets)
@@ -297,21 +359,10 @@ def guess_chance(
             best *= _best(groups)
         return Fraction(best, 1 << sum(map(len, components)))
 
-    total_bits = sum(b for _, b in var_order)
-    hash_bits = sum(n.out_bits for n in nodes)
-    if total_bits + hash_bits > budget:
-        raise BudgetExceededError(total_bits + hash_bits, budget)
-    every_bit = [(n, k) for n, b in var_order for k in range(b)]
-    leaves = list(_leaves(knowns + targets, nodes, _envs(var_order, every_bit)))
-    groups = {}
-    for key, (values, _keys, _entries, extra) in zip(_pin_hash_entries(leaves, len(knowns)), leaves):
-        w = values[len(knowns):]
-        slot = groups.setdefault(key, {})
-        slot[w] = slot.get(w, 0) + (1 << (hash_bits - extra))
     max_bits = None
     if derivable_only:
         max_bits = 2 * max((width(e, scenario.declared) for e in knowns + targets), default=0)
-    return Fraction(_best(groups, max_bits), 1 << (total_bits + hash_bits))
+    return _project(_table(scenario.variables, knowns + targets, budget), knowns, targets, max_bits)
 
 
 def chance(
@@ -492,6 +543,10 @@ def cover(context: Sequence, target, guards: Sequence[Sequence], chance_of) -> G
 
     A chance must depend on the set of known terms only, not on their
     order or repeats; each distinct (set, want) is asked once per call.
+    ``check_prob_guard`` answers every ask from one enumeration of all the
+    spec's terms, since a query's chance depends only on the joint law of
+    its own terms and nodes, which the other terms leave unchanged; a
+    union over the budget, or one without hash nodes, is asked per query.
     """
     memo: dict = {}
 
@@ -523,10 +578,33 @@ def cover(context: Sequence, target, guards: Sequence[Sequence], chance_of) -> G
 
 
 def check_prob_guard(spec: GuardSpec, budget: int = DEFAULT_BUDGET) -> GuardReport:
-    """``cover`` with exact guessing chances over the spec's variables."""
+    """``cover`` with exact guessing chances over the spec's variables.
+
+    The spec's terms are enumerated once, in one ``_table`` over the union
+    of context, target and guard terms, and every chance ``cover`` asks is
+    projected from it.  That equals the query's own enumeration: the
+    query's knowns, targets and own nodes' arguments and entries have the
+    same joint law in both.  A variable the query does not read multiplies
+    every group's weight by the same 2**k.  A node the query does not read
+    tables a new key with a uniform entry, and a query node that collides
+    with it reads that entry: uniform, as its own fill would have drawn
+    it.  Only the query's own nodes are pinned, so the guesser stays in
+    the zero-query regime; pinning a guard-only node would hand it a free
+    hash query.
+
+    A hash-free union, or one over the budget, falls back to asking
+    ``chance`` per query: hash-free queries factorise there, and a query
+    over the budget raises as before.
+    """
     variables = tuple(spec.variables)
-    return cover(spec.context, spec.target, spec.guards,
-                 lambda known, want: chance(variables, known, want, budget))
+    shown = (*spec.context, spec.target, *(e for g in spec.guards for e in g))
+    chance_of = partial(chance, variables, budget=budget)
+    if any(hash_nodes(e) for e in shown):
+        try:
+            chance_of = partial(_project, _table(variables, shown, budget))
+        except BudgetExceededError:
+            pass  # each query may still fit alone
+    return cover(spec.context, spec.target, spec.guards, chance_of)
 
 
 # ---------------------------------------------------------------------------

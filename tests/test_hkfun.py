@@ -242,8 +242,3 @@ def test_canonical_form_needs_bitwise():
     wide = Block(2, 1, 0, ((0, 1, 1, 0),))
     with pytest.raises(ValueError):
         canonical_form(PartitionedFunction((wide,)))
-
-
-def test_partitioned_json_roundtrip():
-    f = PartitionedFunction((seeded_hk_block(),))
-    assert PartitionedFunction.from_json(f.to_json()) == f

@@ -4,7 +4,8 @@ The distance law and its iff, the kernel chance, the stick value, the
 hash-pinning rule, the one-query values, and the product inequality are
 each pinned here on small instances where complete enumeration is
 undeniable; the node-order hash fill is held to the restart-on-miss
-enumeration it replaced.
+enumeration it replaced, and the guard checker's one shared table to
+chances enumerated query by query.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hkbound import exprs, harness, oracle
 from hkbound.bits import BitString
@@ -593,13 +594,15 @@ def test_chance_depends_on_the_set_of_knowns(scenario, rng):
 def test_prob_guard_asks_each_distinct_chance_once(monkeypatch):
     spec = oracle.builtin_guard_spec("attack-run", ell=1)
     asked = []
-    real = oracle.chance
+    real_cover = oracle.cover
 
-    def spy(variables, known, want, budget=oracle.DEFAULT_BUDGET):
-        asked.append((frozenset(known), tuple(want)))
-        return real(variables, known, want, budget)
+    def spying_cover(context, target, guards, chance_of):
+        def spy(known, want):
+            asked.append((frozenset(known), tuple(want)))
+            return chance_of(known, want)
+        return real_cover(context, target, guards, spy)
 
-    monkeypatch.setattr(oracle, "chance", spy)
+    monkeypatch.setattr(oracle, "cover", spying_cover)
     report = check_prob_guard(spec)
     monkeypatch.undo()
     assert len(asked) == len(set(asked)) == 136
@@ -622,6 +625,83 @@ def test_prob_guard_asks_each_distinct_chance_once(monkeypatch):
         assert row.rhs == max(covers) and row.witness == covers.index(max(covers))
         assert row.ok == (row.lhs <= row.rhs)
     assert report.ok and report.ok == all(r.ok for r in report.rows)
+
+
+# --- one shared table against per-query chances --------------------------------
+
+
+def per_query_cover(spec, budget=oracle.DEFAULT_BUDGET):
+    """``cover`` asking ``chance`` for every query, each enumerated alone."""
+    return oracle.cover(spec.context, spec.target, spec.guards,
+                        lambda known, want: chance(spec.variables, known, want, budget))
+
+
+def query_spec(ell=1, s=2):
+    """The attack-run spec with one hash query H('0...0'.a.b) in the context."""
+    spec = oracle.builtin_guard_spec("attack-run", ell=ell, secret_bits=s)
+    query = Hash(Concat((Lit("0" * s), Var("a"), Var("b"))), 2 * ell)
+    return GuardSpec(spec.variables, spec.context + (query,), spec.target, spec.guards)
+
+
+@st.composite
+def guard_specs(draw):
+    """Guard specs over 1 to 3 variables of 1 to 2 bits and 1 to 4 hash
+    nodes, nested, shared and colliding as in ``hash_scenarios``, at most
+    12 bits in all.  Guards may hold a guard-only node whose argument is a
+    context term, which the context pins."""
+    decls, knowns, targets = draw(hash_scenarios())
+    context = (knowns + targets[1:])[:3] or [Var(decls[0][0])]
+    plain = [e for e in context if not isinstance(e, KernelMask)]
+    terms = st.one_of(st.sampled_from(context), st.just(targets[0]),
+                      st.sampled_from([w for _, w in decls]).flatmap(lambda w: bit_exprs(decls, w, 1)))
+    if plain:
+        pinned = draw(st.sampled_from(plain))
+        width_of = exprs.width(pinned, dict(decls))
+        guard_only = Hash(pinned, draw(st.sampled_from([max(width_of, 1), 2])))
+        terms = st.one_of(terms, st.just(guard_only), st.just(Negate(guard_only)))
+    guards = draw(st.lists(st.lists(terms, min_size=1, max_size=2).map(tuple), min_size=1, max_size=2))
+    spec = GuardSpec(decls, tuple(context), targets[0], tuple(guards))
+    shown = (*spec.context, spec.target, *(e for g in spec.guards for e in g))
+    used = set().union(*(exprs.free_vars(e) for e in shown))
+    nodes = {id(n): n for e in shown for n in exprs.hash_nodes(e)}.values()
+    assume(sum(b for n, b in decls if n in used) + sum(n.out_bits for n in nodes) <= 12)
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(guard_specs())
+def test_shared_table_matches_per_query_cover(spec):
+    assert check_prob_guard(spec) == per_query_cover(spec)
+
+
+def test_shared_table_matches_per_query_cover_on_fixed_specs():
+    a, b = Var("a"), Var("b")
+    first, second = Hash(a, 1), Hash(b, 1)  # collide when a = b
+    colliding = GuardSpec((("a", 1), ("b", 1)), (first, a, b), second, ((first,), (a, Hash(a, 2))))
+    for spec in (oracle.builtin_guard_spec("attack-run"), oracle.builtin_guard_spec("early-run"),
+                 query_spec(), colliding):
+        assert check_prob_guard(spec) == per_query_cover(spec)
+
+
+def test_shared_table_falls_back_per_query():
+    # a 30-bit hash-free spec factorises query by query
+    u, w = Var("u"), Var("w")
+    wide = GuardSpec((("u", 30), ("w", 1)), (u, Negate(w)), u, ((u,), (w,)))
+    report = check_prob_guard(wide)
+    assert report == per_query_cover(wide) and report.ok
+    assert report.baseline == Fraction(1, 2**30)
+    # a hash spec over the budget as a whole, whose asked queries fit it:
+    # v's guard is never asked, since no subset has an advantage
+    v, c = Var("v"), Var("c")
+    split = GuardSpec((("u", 10), ("v", 14), ("c", 1)), (u,), Hash(c, 2), ((v,),))
+    report = check_prob_guard(split)
+    assert report == per_query_cover(split) and report.ok
+    assert all(r.exempt for r in report.rows)
+    # a query over the budget raises as before
+    over = GuardSpec((("u", 24), ("c", 1)), (c,), Hash(u, 4), ((u,),))
+    with pytest.raises(BudgetExceededError) as err:
+        check_prob_guard(over)
+    assert err.value.required_bits == 28
 
 
 # --- the query regime -------------------------------------------------------------
@@ -650,6 +730,23 @@ def test_every_candidate_query_beats_one():
     queries = [Hash(Concat((lit(q, 2), a, b)), 2) for q in range(4)]
     decls = {"s": 2, "a": 1, "b": 1, "x": 1}
     assert chance(decls, [x, a, b, *queries], [BoxPlus(x, token)]) == Fraction(11, 16)
+
+
+def test_one_query_breaks_attack_run_coverage_by_the_query_slack():
+    # criterion 07 is a zero-query statement: the bundled attack-run spec
+    # is covered, and one hash query in the context breaks coverage on
+    # exactly the 16 subsets that hold the query but neither s nor z boxplus h
+    assert check_prob_guard(oracle.builtin_guard_spec("attack-run")).ok
+    spec = query_spec()
+    report = check_prob_guard(spec)
+    assert not report.ok
+    s_at, zh_at, query_at = 0, 5, len(spec.context) - 1
+    failing = {r.subset for r in report.rows if not r.ok}
+    assert failing == {r.subset for r in report.rows
+                       if query_at in r.subset and s_at not in r.subset and zh_at not in r.subset}
+    assert len(failing) == 16
+    row = next(r for r in report.rows if r.subset == (1, 2, 3, query_at))  # a, b, x, query
+    assert (row.lhs, row.rhs) == (Fraction(5, 8), Fraction(27, 64))
 
 
 # --- product inequality ------------------------------------------------------
