@@ -10,7 +10,7 @@ the attack catalog, and ``harness`` wraps Monte Carlo estimation.
 """
 
 from .bits import BitString, hamming_distance
-from .hkfun import Block, PartitionedFunction, ResponseToken, boxplus
+from .hkfun import ResponseToken, boxplus
 from .oracle import GuardSpec, advantage, chance, check_prob_guard, guess_chance
 from .protocol import ProtocolConfig, Transcript, Verdict, run_session, verifier_decide
 from .adversary import STRATEGIES, StrategyInfeasibleError, attack_session, make_strategy
@@ -20,10 +20,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitString",
-    "Block",
     "Estimate",
     "GuardSpec",
-    "PartitionedFunction",
     "ProtocolConfig",
     "ResponseToken",
     "STRATEGIES",

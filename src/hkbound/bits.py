@@ -62,14 +62,6 @@ class BitString:
     def negate(self) -> "BitString":
         return BitString(self.length, self.value ^ ((1 << self.length) - 1))
 
-    def slice(self, lo: int, hi: int) -> "BitString":
-        """Bits at positions lo..hi inclusive, 1-based."""
-        if not (1 <= lo and lo <= hi + 1 and hi <= self.length):
-            raise IndexError(f"slice {lo}..{hi} out of range 1..{self.length}")
-        width = hi - lo + 1
-        shift = self.length - hi
-        return BitString(width, (self.value >> shift) & ((1 << width) - 1))
-
     def __len__(self) -> int:
         return self.length
 

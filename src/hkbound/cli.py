@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import adversary as adv
 from . import exprs, harness, oracle, symbolic
 from .bits import BitString, hamming_distance
-from .hkfun import Block, PartitionedFunction, ResponseToken, kernel_mask
+from .hkfun import ResponseToken, kernel_mask
 from .protocol import ProtocolConfig
 
 
@@ -124,12 +124,6 @@ def _claim_kernel(ell: int, samples: int = 20, seed: int = 0):
     return payload, ok, rows
 
 
-def _pinned_function() -> PartitionedFunction:
-    """Bitwise table whose halves agree everywhere: leaks the whole response."""
-    block = Block(in_bits=1, out_bits=1, seed_bits=1, table=((0, 0), (1, 1)))
-    return PartitionedFunction(blocks=(block, block))
-
-
 def _claim_hamming(ell: int):
     h = exprs.Var("h")
     rows = []
@@ -147,19 +141,20 @@ def _claim_hamming(ell: int):
             ok = ok and good
             rows.append({"instance": f"x={x:0{ell}b},z={z:0{ell}b}",
                          "value": str(value), "expected": str(expect), "ok": good})
-    # a dependent-halves table must break the distance law somewhere
-    f = _pinned_function()
-    dep_ok = not oracle.per_bit_independent(f)
-    broke = False
+    # a token whose halves agree, h = s::s, must break the distance law
+    # somewhere; seeing one half beating a blind guess of the other
+    # witnesses the dependence
     fl = 2
-    for x in range(1 << fl):
-        for z in range(1 << fl):
-            if x == z:
-                continue
-            xb, zb = BitString(fl, x), BitString(fl, z)
-            p = oracle.guess_fx_from_fz(f, xb, zb)
-            if p != oracle.analytic("hamming", delta=hamming_distance(xb, zb)):
-                broke = True
+    s = exprs.Var("s")
+    hs = exprs.Concat((s, s))
+    dep_ok = oracle.chance({"s": fl}, [exprs.Proj(hs, 1, fl)],
+                           [exprs.Proj(hs, fl + 1, 2 * fl)]) > Fraction(1, 1 << fl)
+    broke = any(
+        oracle.chance({"s": fl}, [_lit(x, fl), _lit(z, fl), exprs.BoxPlus(_lit(z, fl), hs)],
+                      [exprs.BoxPlus(_lit(x, fl), hs)])
+        != oracle.analytic("hamming", delta=(x ^ z).bit_count())
+        for x in range(1 << fl) for z in range(1 << fl) if x != z
+    )
     ok = ok and dep_ok and broke
     rows.append({"instance": "dependent-halves table", "value": str(broke),
                  "expected": "law fails somewhere", "ok": dep_ok and broke})

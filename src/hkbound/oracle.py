@@ -58,9 +58,7 @@ from operator import add, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import exprs
-from .bits import BitString
 from .exprs import Expr, evaluate, free_vars, hash_nodes, width
-from .hkfun import PartitionedFunction, eval_partitioned
 
 DEFAULT_BUDGET = 24
 
@@ -86,12 +84,13 @@ class GuessScenario:
     targets: tuple[Expr, ...]
 
     def __post_init__(self) -> None:
-        names = [n for n, _ in self.variables]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable declaration")
-        for _, bits in self.variables:
+        seen = set()
+        for name, bits in self.variables:
+            if name in seen:
+                raise ValueError(f"duplicate variable declaration {name!r}")
             if bits < 0:
-                raise ValueError("variable width must be >= 0")
+                raise ValueError(f"variable {name!r} width must be >= 0, got {bits}")
+            seen.add(name)
         decls = dict(self.variables)
         for e in self.knowns + self.targets:
             width(e, decls)
@@ -479,6 +478,11 @@ class GuardSpec:
     target: Expr
     guards: tuple[tuple[Expr, ...], ...]
 
+    def __post_init__(self) -> None:
+        # the declaration and width checks every query would make
+        GuessScenario(tuple(self.variables), tuple(self.context),
+                      (self.target, *(e for g in self.guards for e in g)))
+
     @classmethod
     def from_json(cls, doc: str | dict) -> "GuardSpec":
         if isinstance(doc, str):
@@ -605,71 +609,6 @@ def check_prob_guard(spec: GuardSpec, budget: int = DEFAULT_BUDGET) -> GuardRepo
         except BudgetExceededError:
             pass  # each query may still fit alone
     return cover(spec.context, spec.target, spec.guards, chance_of)
-
-
-# ---------------------------------------------------------------------------
-# Table-defined partitioned functions, treated distributionally.
-
-
-def output_distribution(f: PartitionedFunction, x: BitString) -> dict[BitString, Fraction]:
-    """Distribution of f(x) over a uniform seed."""
-    counts: dict[BitString, int] = {}
-    n = 1 << f.seed_bits
-    for sv in range(n):
-        out = eval_partitioned(f, BitString(f.seed_bits, sv), x)
-        counts[out] = counts.get(out, 0) + 1
-    return {k: Fraction(c, n) for k, c in counts.items()}
-
-
-def guess_fx_from_fz(f: PartitionedFunction, x: BitString, z: BitString) -> Fraction:
-    """Best chance of f(x) for a guesser who saw x, z and f(z).
-
-    The seed is the only randomness, so this counts seeds and takes the
-    same argmax as the expression oracle.
-    """
-    counts: dict = {}
-    for sv in range(1 << f.seed_bits):
-        seed = BitString(f.seed_bits, sv)
-        v = eval_partitioned(f, seed, z)
-        w = eval_partitioned(f, seed, x)
-        slot = counts.setdefault(v, {})
-        slot[w] = slot.get(w, 0) + 1
-    return Fraction(_best(counts), 1 << f.seed_bits)
-
-
-def per_bit_independent(f: PartitionedFunction) -> bool:
-    """Whether each block's answers to 0 and to 1 are independent."""
-    if not f.is_bitwise():
-        raise ValueError("per-bit independence is defined for bitwise functions")
-    for b in f.blocks:
-        n = 1 << b.seed_bits
-        joint: dict = {}
-        m0: dict = {}
-        m1: dict = {}
-        for sv in range(n):
-            a0 = b.table[sv][0]
-            a1 = b.table[sv][1]
-            joint[(a0, a1)] = joint.get((a0, a1), 0) + 1
-            m0[a0] = m0.get(a0, 0) + 1
-            m1[a1] = m1.get(a1, 0) + 1
-        for a0 in m0:
-            for a1 in m1:
-                if Fraction(joint.get((a0, a1), 0), n) != Fraction(m0[a0], n) * Fraction(m1[a1], n):
-                    return False
-    return True
-
-
-def uniform_halves(f: PartitionedFunction) -> bool:
-    """Whether every block answers each challenge bit uniformly."""
-    if not f.is_bitwise():
-        raise ValueError("uniform halves is defined for bitwise functions")
-    for b in f.blocks:
-        n = 1 << b.seed_bits
-        for xin in (0, 1):
-            ones = sum(b.table[sv][xin] for sv in range(n))
-            if Fraction(ones, n) != Fraction(1, 2):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

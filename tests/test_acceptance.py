@@ -119,9 +119,11 @@ def test_criterion_05_hamming_distance_law_and_its_iff(capsys):
         assert ok, payload
         assert payload["pairs"] == 64
         assert payload["dependent_table_breaks_law"]
-        assert not oracle.per_bit_independent(cli._pinned_function())
         assert cli.main(["enumerate", "--claim", "hamming", "--ell", "3"]) == 0
         capsys.readouterr()
+        assert cli.main(["enumerate", "--claim", "hamming", "--ell", "3", "--out", "csv"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "hamming,dependent-halves table,True,law fails somewhere,True"
 
 
 def test_criterion_06a_product_inequality_on_the_corpus():

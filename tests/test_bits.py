@@ -67,25 +67,6 @@ def test_negate_involution(x):
     assert hamming_distance(x, x.negate()) == len(x)
 
 
-@given(bitstrings)
-def test_slice_rebuilds_the_whole(x):
-    if len(x) == 0:
-        return
-    for cut in range(1, len(x) + 1):
-        left = x.slice(1, cut)
-        rest = x.slice(cut + 1, len(x)) if cut < len(x) else BitString(0, 0)
-        assert left.concat(rest) == x
-
-
-def test_slice_bounds():
-    x = BitString.from_text("0110")
-    assert x.slice(2, 3).text() == "11"
-    with pytest.raises(IndexError):
-        x.slice(0, 2)
-    with pytest.raises(IndexError):
-        x.slice(2, 5)
-
-
 @given(bitstrings, bitstrings)
 def test_hamming_symmetry(x, y):
     if len(x) != len(y):

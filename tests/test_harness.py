@@ -276,6 +276,25 @@ def test_cli_guard_check_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_guard_check_malformed_declarations_exit_2(tmp_path, capsys):
+    u = {"op": "var", "name": "u"}
+    spec = {"vars": [{"name": "u", "bits": 1}], "context": [u],
+            "target": {"op": "hash", "arg": u, "bits": 1}, "guards": [[u]]}
+    cases = [
+        ({"vars": [{"name": "u", "bits": 1}, {"name": "u", "bits": 1}]},
+         "duplicate variable declaration 'u'"),
+        ({"vars": [{"name": "u", "bits": -1}]}, "variable 'u' width must be >= 0"),
+        ({"context": [u, {"op": "var", "name": "q"}]}, "undeclared variable 'q'"),
+    ]
+    for change, message in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**spec, **change}))
+        assert cli.main(["guard-check", "--spec", str(path)]) == 2
+        assert message in capsys.readouterr().err
+    assert cli.main(["guard-check", "--builtin", "attack-run", "--secret-bits", "-1"]) == 2
+    assert "variable 's' width must be >= 0" in capsys.readouterr().err
+
+
 def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as out:
         cli.main(["simulate", "--strategy", "nonsense", "--trials", "5"])

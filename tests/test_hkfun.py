@@ -1,4 +1,4 @@
-"""The response function, token extraction, and table-defined relatives.
+"""The response function and token extraction.
 
 The int primitives ``select`` and ``kernel_mask`` are checked against
 their per-bit definitions, and every caller that evaluates them on
@@ -13,14 +13,9 @@ from hypothesis import given, strategies as st
 from hkbound.bits import BitString, sample_uniform
 from hkbound.exprs import BoxPlus, KernelMask, Var, evaluate
 from hkbound.hkfun import (
-    Block,
-    PartitionedFunction,
     ResponseToken,
     boxplus,
-    canonical_form,
-    eval_partitioned,
     extract_token,
-    hk_function,
     kernel_mask,
     select,
 )
@@ -170,75 +165,3 @@ def test_kernel_mask_equality_ignores_hidden_bits():
             for xv in (0b01, 0b00, 0b11)]
     assert seen[0] == seen[1] == (2, 0b00, 0b01)
     assert seen[2] == (2, 0b10, 0b01) != seen[0]
-
-
-# --- partitioned functions --------------------------------------------------
-
-
-def seeded_hk_block() -> Block:
-    # one response bit driven by two seed bits acting as (h0_i, h1_i)
-    return Block(in_bits=1, out_bits=1, seed_bits=2, table=((0, 0), (0, 1), (1, 0), (1, 1)))
-
-
-def test_block_validation():
-    with pytest.raises(ValueError):
-        Block(1, 1, 1, ((0, 0),))  # one row, two expected
-    with pytest.raises(ValueError):
-        Block(1, 1, 0, ((0, 2),))  # value needs two bits
-    with pytest.raises(ValueError):
-        Block(1, 1, 0, ((0,),))  # row too short
-
-
-def test_eval_partitioned_consumes_left_to_right():
-    f = PartitionedFunction((seeded_hk_block(), seeded_hk_block()))
-    assert f.in_bits == 2 and f.out_bits == 2 and f.seed_bits == 4
-    assert f.is_bitwise()
-    seed = BitString.from_text("0110")  # block 1 gets 01, block 2 gets 10
-    assert eval_partitioned(f, seed, BitString.from_text("00")).text() == "01"
-    assert eval_partitioned(f, seed, BitString.from_text("11")).text() == "10"
-    with pytest.raises(ValueError):
-        eval_partitioned(f, seed, BitString.from_text("0"))
-    with pytest.raises(ValueError):
-        eval_partitioned(f, BitString.from_text("0"), BitString.from_text("00"))
-
-
-def test_hk_function_reproduces_boxplus():
-    for hv in range(64):
-        t = ResponseToken.from_bits(BitString(6, hv))
-        f = hk_function(t)
-        empty = BitString(0, 0)
-        for xv in range(8):
-            x = BitString(3, xv)
-            assert eval_partitioned(f, empty, x) == boxplus(x, t)
-
-
-def test_canonical_form_tabulates_tokens():
-    f = PartitionedFunction((seeded_hk_block(), seeded_hk_block()))
-    table = canonical_form(f)
-    assert len(table) == 16
-    # every seed's behaviour is challenge-selection from its token
-    for seed, token in table.items():
-        for xv in range(4):
-            x = BitString(2, xv)
-            assert eval_partitioned(f, seed, x) == boxplus(x, token)
-
-
-def test_canonical_form_exhaustive_on_single_blocks():
-    # all 1-bit tables with up to two seed bits collapse to their token
-    for seed_bits in (0, 1, 2):
-        rows = 1 << seed_bits
-        for spec in range(1 << (2 * rows)):
-            table = tuple(
-                ((spec >> (2 * r)) & 1, (spec >> (2 * r + 1)) & 1) for r in range(rows)
-            )
-            f = PartitionedFunction((Block(1, 1, seed_bits, table),))
-            for seed, token in canonical_form(f).items():
-                for xv in (0, 1):
-                    x = BitString(1, xv)
-                    assert eval_partitioned(f, seed, x) == boxplus(x, token)
-
-
-def test_canonical_form_needs_bitwise():
-    wide = Block(2, 1, 0, ((0, 1, 1, 0),))
-    with pytest.raises(ValueError):
-        canonical_form(PartitionedFunction((wide,)))

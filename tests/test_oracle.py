@@ -10,6 +10,7 @@ chances enumerated query by query.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hkbound import exprs, harness, oracle
 from hkbound.bits import BitString
 from hkbound.exprs import BoxPlus, Concat, Hash, KernelMask, Lit, Negate, Proj, Var
-from hkbound.hkfun import Block, PartitionedFunction, ResponseToken
+from hkbound.hkfun import ResponseToken
 from hkbound.oracle import (
     BudgetExceededError,
     GuardSpec,
@@ -31,10 +32,6 @@ from hkbound.oracle import (
     check_subbayes,
     flow_independent,
     guess_chance,
-    guess_fx_from_fz,
-    output_distribution,
-    per_bit_independent,
-    uniform_halves,
 )
 from hkbound.protocol import ProtocolConfig
 
@@ -111,70 +108,101 @@ def test_budget_does_not_change_small_answers():
 
 
 def uniform_single_blocks():
-    """All 1-bit blocks on two seed bits whose both columns are balanced."""
-    out = []
-    for col0 in itertools.combinations(range(4), 2):
-        for col1 in itertools.combinations(range(4), 2):
-            table = tuple(
-                (int(r in col0), int(r in col1)) for r in range(4)
-            )
-            out.append(Block(1, 1, 2, table))
-    return out
+    """All 1-bit blocks on two seed bits whose both columns are balanced.
+
+    A block is its table: row r holds the answers (to 0, to 1) under seed r.
+    """
+    return [
+        tuple((int(r in col0), int(r in col1)) for r in range(4))
+        for col0 in itertools.combinations(range(4), 2)
+        for col1 in itertools.combinations(range(4), 2)
+    ]
 
 
-def distance_law_holds(f: PartitionedFunction) -> bool:
-    ell = f.in_bits
+def seeded_half(s: Var, column) -> exprs.Expr:
+    """column[seed] for the 2-bit seed s, as a mux of challenge selections."""
+    t = "".join(map(str, column))
+    low = Proj(s, 2, 2)
+    return BoxPlus(Proj(s, 1, 1), Concat((BoxPlus(low, Lit(t[:2])), BoxPlus(low, Lit(t[2:])))))
+
+
+def seeded_token(blocks):
+    """Declarations and token h0::h1 of the bitwise function whose i-th
+    bit follows ``blocks[i]`` under its own 2-bit seed ``s<i>``."""
+    seeds = [Var(f"s{i}") for i in range(len(blocks))]
+    halves = [seeded_half(s, [row[a] for row in b])
+              for a in (0, 1) for s, b in zip(seeds, blocks)]
+    return {s.name: 2 for s in seeds}, Concat(tuple(halves))
+
+
+def per_bit_independent(blocks) -> bool:
+    """Whether each block's answers to 0 and to 1 are independent over a
+    uniform seed: every joint row count times 4 is the product of the
+    marginal counts."""
+    for b in blocks:
+        joint = Counter(b)
+        m0 = Counter(a0 for a0, _ in b)
+        m1 = Counter(a1 for _, a1 in b)
+        if any(joint[a0, a1] * len(b) != m0[a0] * m1[a1] for a0 in m0 for a1 in m1):
+            return False
+    return True
+
+
+def distance_law_holds(blocks) -> bool:
+    decls, h = seeded_token(blocks)
+    ell = len(blocks)
     for xv in range(1 << ell):
         for zv in range(1 << ell):
-            x, z = BitString(ell, xv), BitString(ell, zv)
+            x, z = lit(xv, ell), lit(zv, ell)
             delta = (xv ^ zv).bit_count()
-            if guess_fx_from_fz(f, x, z) != Fraction(1, 2**delta):
+            if chance(decls, [x, z, BoxPlus(z, h)], [BoxPlus(x, h)]) != Fraction(1, 2**delta):
                 return False
     return True
+
+
+def test_seeded_token_reproduces_every_single_block_table():
+    # a bitwise table over a seed is challenge selection from a seeded token
+    for spec in range(1 << 8):
+        block = tuple(((spec >> 2 * r) & 1, (spec >> 2 * r + 1) & 1) for r in range(4))
+        _, h = seeded_token([block])
+        for sv in range(4):
+            for xv in (0, 1):
+                got = exprs.evaluate(BoxPlus(lit(xv, 1), h), {"s0": (2, sv)}, {})
+                assert got == (1, block[sv][xv])
 
 
 def test_distance_law_iff_per_bit_independence_single_blocks():
     blocks = uniform_single_blocks()
     assert len(blocks) == 36
-    seen_both = set()
-    for b in blocks:
-        f = PartitionedFunction((b,))
-        assert uniform_halves(f)
-        independent = per_bit_independent(f)
-        assert distance_law_holds(f) == independent
-        seen_both.add(independent)
-    assert seen_both == {True, False}  # the corpus exercises both sides
+    independent = [per_bit_independent([b]) for b in blocks]
+    assert sum(independent) == 24  # the corpus exercises both sides
+    for b, ind in zip(blocks, independent):
+        assert distance_law_holds([b]) == ind
 
 
 def test_distance_law_iff_on_two_block_composites():
     rng = random.Random(2)
     blocks = uniform_single_blocks()
     for _ in range(60):
-        f = PartitionedFunction((rng.choice(blocks), rng.choice(blocks)))
+        f = [rng.choice(blocks), rng.choice(blocks)]
         assert distance_law_holds(f) == per_bit_independent(f)
 
 
 def test_distribution_tools():
-    seeded = Block(1, 1, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
-    f = PartitionedFunction((seeded,))
-    dist = output_distribution(f, BitString(1, 0))
-    assert sum(dist.values()) == 1
-    assert dist[BitString(1, 0)] == Fraction(1, 2)
-    assert uniform_halves(f) and per_bit_independent(f)
+    # a seed-driven block answers each challenge bit uniformly
+    seeded = ((0, 0), (0, 1), (1, 0), (1, 1))
+    decls, h = seeded_token([seeded])
+    assert chance(decls, [], [BoxPlus(Lit("0"), h)]) == Fraction(1, 2)
+    assert per_bit_independent([seeded])
+    decls, h = seeded_token([((0, 0),) * 4])
+    assert chance(decls, [], [BoxPlus(Lit("0"), h)]) == 1
 
-    constant = PartitionedFunction((Block(1, 1, 1, ((0, 0), (0, 0))),))
-    assert not uniform_halves(constant)
-
-    pinned = PartitionedFunction((Block(1, 1, 1, ((0, 0), (1, 1))),))
-    assert uniform_halves(pinned) and not per_bit_independent(pinned)
     # halves always equal: seeing f(z) hands over f(x) for any x
-    assert guess_fx_from_fz(pinned, BitString(1, 1), BitString(1, 0)) == 1
-
-    wide = PartitionedFunction((Block(2, 1, 0, ((0, 1, 1, 0),)),))
-    with pytest.raises(ValueError):
-        per_bit_independent(wide)
-    with pytest.raises(ValueError):
-        uniform_halves(wide)
+    assert not per_bit_independent([((0, 0), (1, 1), (0, 0), (1, 1))])
+    s = Var("s")
+    pinned = Concat((s, s))
+    assert chance({"s": 1}, [Lit("1"), Lit("0"), BoxPlus(Lit("0"), pinned)],
+                  [BoxPlus(Lit("1"), pinned)]) == 1
 
 
 def test_hamming_chance_expression_form():
@@ -790,6 +818,22 @@ def test_shared_hash_table_does_not_force_equality():
     assert rep.disjoint and not rep.independent
     assert (rep.lhs_first, rep.lhs_second) == (Fraction(3, 8), Fraction(3, 4))
     assert rep.lhs == Fraction(9, 32) < rep.rhs == Fraction(5, 16)
+
+
+def test_product_inequality_counterexample():
+    # min-entropy has no chain rule: the joint guess beats the product
+    v0, v1 = Var("v0"), Var("v1")
+    case = ((("v0", 2), ("v1", 2)), (),
+            (BoxPlus(Negate(v0), Concat((v1, Lit("10")))), Lit("01")), (v0,))
+    rep = check_subbayes(*case)
+    assert rep.holds is False
+    assert (rep.lhs_first, rep.lhs_second) == (Fraction(9, 16), Fraction(9, 16))
+    assert rep.lhs == Fraction(81, 256) > rep.rhs == Fraction(1, 4)
+    # the draw README cites
+    rng = random.Random(21)
+    for _ in range(636):
+        oracle.random_subbayes_case(rng)
+    assert oracle.random_subbayes_case(rng) == case
 
 
 def test_product_inequality_overlapping_case():
