@@ -5,16 +5,19 @@ without knowing the secret (naive guessing, pre-query sticking, counter
 reuse, secret guessing), and the dishonest prover who knows the secret
 but answers early to appear closer than she is.
 
-Every strategy keeps its scratch state inside the session view lifetime,
-so one instance can be reused across any number of independent trials.
-The strategies only play; their exact acceptance chances live in
-``harness.analytic_acceptance``.
+Strategies work on plain ints at the config's widths: ``play`` receives
+the challenges as an ell-bit int, round 1 in the most significant bit,
+and answers through ``hkfun.select``.  Every strategy keeps its scratch
+state inside the session view lifetime, so one instance can be reused
+across any number of independent trials.  The strategies only play;
+their exact acceptance chances live in ``harness.analytic_acceptance``.
 """
 
 from __future__ import annotations
 
-from .bits import BitString, concat, sample_uniform
-from .hkfun import ResponseToken, extract_token, kernel_mask, select
+from .bits import concat, sample_uniform  # noqa: F401 (bench/layers.py patches both)
+from .hkfun import extract_token  # noqa: F401 (bench/layers.py patches adversary.extract_token)
+from .hkfun import kernel_mask, select
 from .protocol import (
     ADVERSARY,
     PROVER,
@@ -26,6 +29,7 @@ from .protocol import (
     Transcript,
     Verdict,
     run_session,
+    session_token,
 )
 
 
@@ -39,7 +43,7 @@ class NaiveGuess(Responder):
     kind = "naive-guess"
     position_key = ADVERSARY
 
-    def play(self, view: SessionView, challenges: BitString) -> tuple[int, int]:
+    def play(self, view: SessionView, challenges: int) -> tuple[int, int]:
         return view.rng.getrandbits(view.cfg.ell), 0
 
 
@@ -51,6 +55,7 @@ class PreQueryStick(Responder):
     w_i whether or not the verifier's bit matches z_i.  Extra queries
     beyond the first go out under fresh counter pairs, whose tokens are
     unrelated; they are allowed so tests can show they add nothing.
+    Too many queries for the counter space fail before any query.
     """
 
     kind = "prequery-stick"
@@ -62,27 +67,23 @@ class PreQueryStick(Responder):
         self.pre_queries = pre_queries
 
     def setup(self, view: SessionView) -> None:
-        cfg = view.cfg
-        z = sample_uniform(view.rng, cfg.ell)
-        self._w = view.prover.respond_to(view.a, view.b, z)
-        used = {(view.a, view.b)}
-        if self.pre_queries - 1 >= 4**cfg.counter_width:
+        ell, width, rng = view.cfg.ell, view.cfg.counter_width, view.rng
+        if self.pre_queries - 1 >= 4**width:
             raise StrategyInfeasibleError(
                 "not enough counter pairs for the requested pre-queries"
             )
+        self._w = view.prover.respond_to(view.a, view.b, rng.getrandbits(ell))
+        used = {(view.a, view.b)}
         for _ in range(self.pre_queries - 1):
             while True:
-                pair = (
-                    sample_uniform(view.rng, cfg.counter_width),
-                    sample_uniform(view.rng, cfg.counter_width),
-                )
+                pair = (rng.getrandbits(width), rng.getrandbits(width))
                 if pair not in used:
                     used.add(pair)
                     break
-            view.prover.respond_to(*pair, sample_uniform(view.rng, cfg.ell))
+            view.prover.respond_to(*pair, rng.getrandbits(ell))
 
-    def play(self, view: SessionView, challenges: BitString) -> tuple[int, int]:
-        return self._w.value, 0
+    def play(self, view: SessionView, challenges: int) -> tuple[int, int]:
+        return self._w, 0
 
 
 class CounterReuseExtract(Responder):
@@ -101,17 +102,19 @@ class CounterReuseExtract(Responder):
             raise StrategyInfeasibleError(
                 "counter reuse needs enforce_counter_freshness disabled"
             )
-        z = sample_uniform(view.rng, view.cfg.ell)
+        ell = view.cfg.ell
+        z = view.rng.getrandbits(ell)
         try:
             r_z = view.prover.respond_to(view.a, view.b, z)
-            r_nz = view.prover.respond_to(view.a, view.b, z.negate())
+            r_nz = view.prover.respond_to(view.a, view.b, z ^ ((1 << ell) - 1))
         except CounterReuseRefused as exc:  # pragma: no cover - guarded above
             raise StrategyInfeasibleError(str(exc)) from exc
-        self._token = extract_token(z, r_z, r_nz)
+        # Where z_i = 0, r_z carries h0_i and r_nz carries h1_i; flipped elsewhere.
+        self._h0 = select(z, r_z, r_nz, ell)
+        self._h1 = select(z, r_nz, r_z, ell)
 
-    def play(self, view: SessionView, challenges: BitString) -> tuple[int, int]:
-        t = self._token
-        return select(challenges.value, t.h0.value, t.h1.value, t.ell), 0
+    def play(self, view: SessionView, challenges: int) -> tuple[int, int]:
+        return select(challenges, self._h0, self._h1, view.cfg.ell), 0
 
 
 class EarlyResponder(Responder):
@@ -132,11 +135,13 @@ class EarlyResponder(Responder):
             raise ValueError("mode must be 'kernel' or 'full'")
         self.mode = mode
 
-    def play(self, view: SessionView, challenges: BitString) -> tuple[int, int]:
-        h0, h1, ell = view.token.h0.value, view.token.h1.value, view.token.ell
+    def play(self, view: SessionView, challenges: int) -> tuple[int, int]:
+        # the token is h0::h1; select and kernel_mask read only its low ell bits, h1
+        ell, h1 = view.cfg.ell, view.token
+        h0 = h1 >> ell
         if self.mode == "full":
             return h0, (1 << ell) - 1
-        return select(challenges.value, h0, h1, ell), kernel_mask(h0, h1, ell)
+        return select(challenges, h0, h1, ell), kernel_mask(h0, h1, ell)
 
 
 class SecretGuesser(Responder):
@@ -146,13 +151,12 @@ class SecretGuesser(Responder):
     position_key = ADVERSARY
 
     def setup(self, view: SessionView) -> None:
-        guess = sample_uniform(view.rng, view.cfg.secret_bits)
-        raw = view.oracle.query(concat(guess, view.a, view.b))
-        self._token = ResponseToken.from_bits(raw)
+        guess = view.rng.getrandbits(view.cfg.secret_bits)
+        self._token = session_token(view.oracle, view.cfg, guess, view.a, view.b)
 
-    def play(self, view: SessionView, challenges: BitString) -> tuple[int, int]:
-        t = self._token
-        return select(challenges.value, t.h0.value, t.h1.value, t.ell), 0
+    def play(self, view: SessionView, challenges: int) -> tuple[int, int]:
+        ell = view.cfg.ell
+        return select(challenges, self._token >> ell, self._token, ell), 0
 
 
 STRATEGIES = {

@@ -87,12 +87,6 @@ class Estimate:
         }
 
 
-def _resolve_strategy(strategy):
-    if strategy is None or strategy == "honest":
-        return None
-    return adv._as_strategy(strategy)
-
-
 # strategy key -> its claim in oracle.analytic
 _CLOSED_FORMS = {"naive-guess": "naive", "prequery-stick": "prequery", "early-full": "early"}
 
@@ -128,18 +122,11 @@ def analytic_acceptance(strategy, cfg: ProtocolConfig) -> Fraction | None:
 def monte_carlo_range(cfg: ProtocolConfig, strategy, master_seed,
                       lo: int, hi: int) -> int:
     """Success count over trial indices [lo, hi); chunks sum exactly."""
-    actor = _resolve_strategy(strategy)
+    actor = None if strategy in (None, "honest") else adv._as_strategy(strategy)
     wins = 0
-    if actor is None:
-        for i in range(lo, hi):
-            _, verdict = run_session(cfg, trial_seed(master_seed, i), record=False)
-            wins += verdict.accepted
-    else:
-        for i in range(lo, hi):
-            _, verdict = adv.attack_session(
-                cfg, actor, trial_seed(master_seed, i), record=False
-            )
-            wins += verdict.accepted
+    for i in range(lo, hi):
+        _, verdict = run_session(cfg, trial_seed(master_seed, i), adversary=actor, record=False)
+        wins += verdict.accepted
     return wins
 
 

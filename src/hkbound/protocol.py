@@ -6,7 +6,10 @@ response token h = H(s::a::b) from the shared secret.  Stage 2 performs
 ell sequential timed rounds: the verifier sends one challenge bit, the
 responder answers with the matching token bit, and the verifier logs the
 round-trip time.  The verdict combines bit correctness, the distance
-estimate recovered from the round trips, and counter freshness.
+estimate recovered from the round trips, and counter freshness.  Every
+value in a session is a plain int at its config width, round 1 (or bit
+1) in the most significant position; ``BitString``s appear only in
+recorded events, for their JSON.
 
 Distances resolve to whole ticks: propagation delay is ceil(dist /
 velocity), so estimates are exact only on configs whose distances sit on
@@ -23,9 +26,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .bits import BitString, concat, sample_uniform
+from .bits import BitString, concat, sample_uniform  # noqa: F401 (bench/layers.py patches the last two)
 from .exprs import json_field, json_fields
-from .hkfun import ResponseToken, boxplus, select
+from .hkfun import select
 
 VERIFIER = "verifier"
 PROVER = "prover"
@@ -167,9 +170,10 @@ _JSON_FIELDS = {
 class RandomOracle:
     """Idealized hash: independent uniform outputs, memoized per input.
 
-    Entries are derived from a dedicated master seed, not a real hash,
-    so replaying a seed replays the whole table.  Concurrent insert is
-    first-writer-wins; every writer would store the same value anyway.
+    An input is a ``length``-bit int and an output an ``out_bits``-bit
+    int.  Entries are derived from a dedicated master seed, not a real
+    hash, so replaying a seed replays the whole table.  Concurrent insert
+    is first-writer-wins; every writer would store the same value anyway.
     """
 
     def __init__(self, master_seed, out_bits: int):
@@ -177,44 +181,39 @@ class RandomOracle:
             raise ValueError("out_bits must be at least 1")
         self.master_seed = master_seed
         self.out_bits = out_bits
-        self._table: dict[tuple[int, int], BitString] = {}
+        self._table: dict[tuple[int, int], int] = {}
 
-    def query(self, key: BitString) -> BitString:
-        k = (key.length, key.value)
+    def query(self, length: int, value: int) -> int:
+        k = (length, value)
         hit = self._table.get(k)
         if hit is not None:
             return hit
-        material = f"{self.master_seed}|{key.length}|{key.value:x}".encode()
-        value = 0
-        need = self.out_bits
-        block = 0
-        while need > 0:
-            digest = hashlib.sha256(material + b"#%d" % block).digest()
-            take = min(need, 256)
-            value = (value << take) | (int.from_bytes(digest, "big") >> (256 - take))
-            need -= take
-            block += 1
-        out = BitString(self.out_bits, value)
-        self._table[k] = out
+        material = f"{self.master_seed}|{length}|{value:x}".encode()
+        # the leading out_bits bits of the digests of material#0, material#1, ...
+        blocks = -(-self.out_bits // 256)
+        raw = b"".join([hashlib.sha256(material + b"#%d" % i).digest() for i in range(blocks)])
+        out = self._table[k] = int.from_bytes(raw, "big") >> (256 * blocks - self.out_bits)
         return out
 
     def __len__(self) -> int:
         return len(self._table)
 
 
+def session_token(oracle: RandomOracle, cfg: ProtocolConfig, secret: int, a: int, b: int) -> int:
+    """The 2l-bit token h0::h1 = H(s::a::b), with s and the counters at their config widths."""
+    w = cfg.counter_width
+    return oracle.query(cfg.secret_bits + 2 * w, (secret << w | a) << w | b)
+
+
 class CounterStore:
     """Insertion-only record of counter pairs a principal has used."""
 
     def __init__(self) -> None:
-        self._seen: set[tuple[int, int, int, int]] = set()
+        self._seen: set[tuple[int, int, int]] = set()
 
-    @staticmethod
-    def _key(a: BitString, b: BitString) -> tuple[int, int, int, int]:
-        return (a.length, a.value, b.length, b.value)
-
-    def check_and_mark(self, a: BitString, b: BitString) -> bool:
-        """True iff the pair was fresh; the pair is recorded either way."""
-        key = self._key(a, b)
+    def check_and_mark(self, a: int, b: int, width: int) -> bool:
+        """True iff the pair of width-bit counters was fresh; it is recorded either way."""
+        key = (width, a, b)  # pairs of different widths stay distinct
         fresh = key not in self._seen
         self._seen.add(key)
         return fresh
@@ -347,19 +346,19 @@ class ProverHandle:
     def __init__(self, session: "_Session"):
         self._s = session
 
-    def respond_to(self, a: BitString, b: BitString, challenges: BitString) -> BitString:
+    def respond_to(self, a: int, b: int, challenges: int) -> int:
+        """The prover's ell-bit answer to ell-bit challenges under counters a, b."""
         s = self._s
-        if challenges.length != s.cfg.ell:
-            raise ValueError("challenge string must cover all rounds")
-        if not s.prover_store.check_and_mark(a, b) and s.cfg.enforce_counter_freshness:
+        cfg, ell, w = s.cfg, s.cfg.ell, s.cfg.counter_width
+        if challenges >> ell or (a | b) >> w:
+            raise ValueError(f"challenges must fit in {ell} bits and counters in {w}, "
+                             f"got {challenges}, {a} and {b}")
+        if not s.prover_store.check_and_mark(a, b, w) and cfg.enforce_counter_freshness:
             raise CounterReuseRefused(
-                f"prover already answered under counters {a.text()},{b.text()}"
+                f"prover already answered under counters {a:0{w}b},{b:0{w}b}"
             )
-        if (a, b) == (s.a, s.b):
-            token = s.token
-        else:
-            token = ResponseToken.from_bits(s.oracle.query(concat(s.secret, a, b)))
-        reply = boxplus(challenges, token)
+        token = s.token if (a, b) == (s.a, s.b) else session_token(s.oracle, cfg, s.secret, a, b)
+        reply = select(challenges, token >> ell, token, ell)
         s.note_interrogation(a, b, challenges, reply)
         return reply
 
@@ -368,11 +367,12 @@ class Responder:
     """Hook for whoever answers the verifier's timed challenges.
 
     Subclasses (the attack strategies) override ``setup`` to run their
-    pre-phase and ``play`` to commit responses.  ``play`` returns the
-    response bits and an early mask, both as ell-bit integers with round
-    1 in the most significant position: rounds in the mask are answered
-    at the instant the challenge leaves the verifier (round trip 0), and
-    their bits must not depend on the challenge string.
+    pre-phase and ``play`` to commit responses.  ``play`` receives the
+    challenges as an ell-bit int with round 1 in the most significant
+    bit, and returns the response bits and an early mask in the same
+    layout: rounds in the mask are answered at the instant the challenge
+    leaves the verifier (round trip 0), and their bits must not depend
+    on the challenge string.
     """
 
     position_key: str = ADVERSARY
@@ -380,22 +380,27 @@ class Responder:
     def setup(self, view: "SessionView") -> None:
         pass
 
-    def play(self, view: "SessionView", challenges: BitString) -> tuple[int, int]:
+    def play(self, view: "SessionView", challenges: int) -> tuple[int, int]:
         raise NotImplementedError
 
 
 @dataclass
 class SessionView:
-    """What the responder may consult while playing one session."""
+    """What the responder may consult while playing one session.
+
+    Counters, secret and token are ints at their config widths.  The
+    token is h0::h1, so ``select(x, token >> ell, token, ell)`` answers
+    challenges x: ``select`` reads only the low ell bits, which are h1.
+    """
 
     cfg: ProtocolConfig
     rng: random.Random
     oracle: RandomOracle
-    a: BitString
-    b: BitString
+    a: int
+    b: int
     prover: ProverHandle
-    secret: BitString  # only dishonest-prover strategies may read these
-    token: ResponseToken
+    secret: int  # only dishonest-prover strategies may read these
+    token: int
 
 
 class _Session:
@@ -409,10 +414,8 @@ class _Session:
         self.prover_store = prover_store
         self.events: list[Event] | None = [] if record else None
         self.clock = 0
-        self.secret: BitString = None  # type: ignore[assignment]
-        self.a: BitString = None  # type: ignore[assignment]
-        self.b: BitString = None  # type: ignore[assignment]
-        self.token: ResponseToken = None  # type: ignore[assignment]
+        # ints, set by run_session before any responder sees the session
+        self.secret = self.a = self.b = self.token = None
         # labels for pre-phase queries: value -> symbolic name, per pair
         self._query_labels: dict[tuple, dict[int, str]] = {}
         self._query_count = 0
@@ -431,8 +434,8 @@ class _Session:
         knowledge-context analysis can see the two responses pin the
         token down.  Tokens of non-session pairs get their own names.
         """
-        pair = (a.length, a.value, b.length, b.value)
-        if (a, b) == (self.a, self.b):
+        pair = (a, b)
+        if pair == (self.a, self.b):
             token_label = "h"
         else:
             token_label = self._token_labels.get(pair)
@@ -440,29 +443,30 @@ class _Session:
                 self._pair_count += 1
                 token_label = self._token_labels[pair] = f"h{self._pair_count}"
         known = self._query_labels.setdefault(pair, {})
-        label = known.get(challenges.value)
+        label = known.get(challenges)
         if label is None:
-            flipped = known.get(challenges.value ^ ((1 << challenges.length) - 1))
+            flipped = known.get(challenges ^ ((1 << self.cfg.ell) - 1))
             if flipped is not None:
                 label = f"neg({flipped})"
             else:
                 self._query_count += 1
                 label = f"z{self._query_count}"
-            known[challenges.value] = label
+            known[challenges] = label
         return label, f"boxplus({label},{token_label})"
 
     def note_interrogation(self, a, b, challenges, reply) -> None:
         if self.events is None:
             return
         z_term, r_term = self._pre_labels(a, b, challenges)
+        z, r = BitString(self.cfg.ell, challenges), BitString(self.cfg.ell, reply)
         t = self.clock = self.clock + 1
         pair = (ADVERSARY, PROVER)
-        self.events.append(Event(t, ADVERSARY, "fresh", "pre_challenge", challenges, term=z_term))
-        self.events.append(Event(t, ADVERSARY, "send", "pre_challenge", challenges, pair, term=z_term))
-        self.events.append(Event(t + 1, PROVER, "receive", "pre_challenge", challenges, pair, term=z_term))
+        self.events.append(Event(t, ADVERSARY, "fresh", "pre_challenge", z, term=z_term))
+        self.events.append(Event(t, ADVERSARY, "send", "pre_challenge", z, pair, term=z_term))
+        self.events.append(Event(t + 1, PROVER, "receive", "pre_challenge", z, pair, term=z_term))
         back = (PROVER, ADVERSARY)
-        self.events.append(Event(t + 2, PROVER, "send", "pre_response", reply, back, term=r_term))
-        self.events.append(Event(t + 3, ADVERSARY, "receive", "pre_response", reply, back, term=r_term))
+        self.events.append(Event(t + 2, PROVER, "send", "pre_response", r, back, term=r_term))
+        self.events.append(Event(t + 3, ADVERSARY, "receive", "pre_response", r, back, term=r_term))
         self.clock = t + 3
 
 
@@ -482,12 +486,14 @@ def run_session(
     own position (stage-1 counters are relayed unchanged), optionally
     interrogating the prover first through the view's handle.
 
-    The verdict is decided from the session's bit masks: the wrong bits
-    are the set bits of response xor expected, and a round trip is 0 in
-    a round answered early and the honest round trip otherwise.  With
-    ``record=True`` the transcript holds the event log and the per-round
-    arrays, from which ``verifier_decide`` reaches the same verdict; with
-    ``record=False`` it holds neither (see ``Transcript``).
+    Values travel as ints at their config widths; a ``BitString`` is
+    built only for a recorded event.  The verdict is decided from the
+    session's bit masks: the wrong bits are the set bits of response xor
+    expected, and a round trip is 0 in a round answered early and the
+    honest round trip otherwise.  With ``record=True`` the transcript
+    holds the event log and the per-round arrays, from which
+    ``verifier_decide`` reaches the same verdict; with ``record=False``
+    it holds neither (see ``Transcript``).
 
     Identical (cfg, seed, adversary kind) replays identically.  Passing
     the same stores across calls models parties with memory: replaying a
@@ -502,10 +508,10 @@ def run_session(
         prover_store = CounterStore()
     sess = _Session(cfg, rng, oracle, verifier_store, prover_store, record)
 
-    secret = sample_uniform(rng, cfg.secret_bits)
-    a = sample_uniform(rng, cfg.counter_width)
-    b = sample_uniform(rng, cfg.counter_width)
-    sess.secret = secret
+    w = cfg.counter_width
+    secret = sess.secret = rng.getrandbits(cfg.secret_bits)
+    a = rng.getrandbits(w)
+    b = rng.getrandbits(w)
 
     responder_pos = adversary.position_key if adversary is not None else PROVER
     delay, rtt_wait, hop = cfg._session_ticks[adversary is not None, responder_pos]
@@ -514,20 +520,21 @@ def run_session(
     # in the middle (it gains nothing by tampering: the token would not
     # match the verifier's).
     if record:
-        sess.emit(0, VERIFIER, "fresh", "a", a, term="a")
-        sess.emit(0, VERIFIER, "send", "a", a, (VERIFIER, PROVER), term="a")
-        sess.emit(hop, PROVER, "receive", "a", a, (VERIFIER, PROVER), term="a")
-        sess.emit(hop, PROVER, "fresh", "b", b, term="b")
-        sess.emit(hop, PROVER, "send", "b", b, (PROVER, VERIFIER), term="b")
-        sess.emit(2 * hop, VERIFIER, "receive", "b", b, (PROVER, VERIFIER), term="b")
+        ab, bb = BitString(w, a), BitString(w, b)
+        sess.emit(0, VERIFIER, "fresh", "a", ab, term="a")
+        sess.emit(0, VERIFIER, "send", "a", ab, (VERIFIER, PROVER), term="a")
+        sess.emit(hop, PROVER, "receive", "a", ab, (VERIFIER, PROVER), term="a")
+        sess.emit(hop, PROVER, "fresh", "b", bb, term="b")
+        sess.emit(hop, PROVER, "send", "b", bb, (PROVER, VERIFIER), term="b")
+        sess.emit(2 * hop, VERIFIER, "receive", "b", bb, (PROVER, VERIFIER), term="b")
     sess.clock = 2 * hop
 
-    fresh = verifier_store.check_and_mark(a, b)
+    fresh = verifier_store.check_and_mark(a, b, w)
     if cfg.enforce_counter_freshness and not fresh:
         sess.emit(sess.clock, VERIFIER, "fresh", "counter_reused", None)
         return Transcript(sess.events or [], counter_reused=True), _REUSED
 
-    token = ResponseToken.from_bits(oracle.query(concat(secret, a, b)))
+    token = session_token(oracle, cfg, secret, a, b)
     sess.a, sess.b, sess.token = a, b, token
     ell = cfg.ell
     mask = (1 << ell) - 1
@@ -539,11 +546,11 @@ def run_session(
     else:
         # The honest prover answers under these counters exactly once; on
         # a replayed pair she stays silent and the rounds time out.
-        fresh_for_prover = prover_store.check_and_mark(a, b)
+        fresh_for_prover = prover_store.check_and_mark(a, b, w)
         silent = cfg.enforce_counter_freshness and not fresh_for_prover
 
-    challenges = sample_uniform(rng, ell)
-    expected_value = select(challenges.value, token.h0.value, token.h1.value, ell)
+    challenges = rng.getrandbits(ell)
+    expected_value = select(challenges, token >> ell, token, ell)
     if adversary is not None:
         response_value, early_mask = adversary.play(view, challenges)
         response_value &= mask
@@ -568,7 +575,7 @@ def run_session(
     t = sess.clock
     for i in range(1, ell + 1):
         shift = ell - i
-        x_i = (challenges.value >> shift) & 1
+        x_i = (challenges >> shift) & 1
         r_i = (response_value >> shift) & 1
         e_i = (expected_value >> shift) & 1
         early = (early_mask >> shift) & 1

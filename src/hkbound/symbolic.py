@@ -209,15 +209,17 @@ def _neg_destruct(t: Term) -> Iterable[Term]:
 
 
 def _hk_extract(terms: frozenset) -> Iterable[Term]:
-    """From boxplus(t,u) and boxplus(neg t,u), recover u."""
+    """From boxplus(t,u), boxplus(neg t,u) and a derivable t, recover u.
+    Without t the exact chance of u from the two answers is (3/4)^l, not 1."""
     seen = {}
     for t in terms:
         if t.op == "boxplus" and len(t.args) == 2:
             seen.setdefault(t.args[1], set()).add(t.args[0])
+    can = _synthesizer(terms, HK)
     for token, challenges in seen.items():
         for c in challenges:
             flipped = HK.normalize(app("neg", c))
-            if flipped in challenges:
+            if flipped in challenges and can(c):
                 yield token
                 break
 

@@ -126,6 +126,11 @@ def test_prequery_validation():
     cfg = cfg_at(1, counter_bits=1, enforce_counter_freshness=False)
     with pytest.raises(StrategyInfeasibleError):
         attack_session(cfg, PreQueryStick(pre_queries=5), 0)
+    # it fails before it asks the prover anything
+    store = CounterStore()
+    with pytest.raises(StrategyInfeasibleError):
+        attack_session(cfg_at(2, counter_bits=1), PreQueryStick(5), 1, prover_store=store)
+    assert len(store) == 0
 
 
 def test_counter_reuse_requires_freshness_off():

@@ -6,18 +6,21 @@ an honest round trip is 6 ticks and the estimate lands exactly on 3.
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkbound.adversary import PreQueryStick, StrategyInfeasibleError, make_strategy
-from hkbound.bits import BitString
+from hkbound import bits, harness, hkfun
 from hkbound.protocol import (
     CounterReuseRefused,
     CounterStore,
     ProtocolConfig,
+    ProverHandle,
     RandomOracle,
     Transcript,
+    _Session,
     run_session,
     verifier_decide,
 )
@@ -251,6 +254,24 @@ def test_unrecorded_verdicts_match_the_recorded_reference(cfg, plays):
     _paths_agree(cfg, plays)
 
 
+def test_unrecorded_chunks_build_no_bitstrings(monkeypatch):
+    # sessions carry ints; BitString and ResponseToken appear only in events
+    built = []
+    for cls in (bits.BitString, hkfun.ResponseToken):
+        def counted(self, _check=cls.__post_init__):
+            built.append(type(self).__name__)
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    cfg = ProtocolConfig(ell=4, counter_bits=2, secret_bits=3, enforce_counter_freshness=False)
+    for actor in SESSION_KINDS:
+        assert 0 <= harness.monte_carlo_range(cfg, actor, "no-bits", 0, 50) <= 50
+    assert built == []
+    # the counters see a recorded session's event values
+    run_session(cfg, "no-bits", adversary=SESSION_KINDS[2], record=True)
+    hkfun.ResponseToken.from_bits(bits.BitString(2, 1))
+    assert "BitString" in built and "ResponseToken" in built
+
+
 def test_the_reference_grid_reaches_every_outcome():
     plays = [(seed % 3, seed % 2 == 0) for seed in range(8)]
     seen = set()
@@ -307,11 +328,14 @@ def test_counter_width_override():
 def test_oracle_memoizes_and_replays():
     o1 = RandomOracle("seed", 16)
     o2 = RandomOracle("seed", 16)
-    key = BitString.from_text("0110")
-    assert o1.query(key) == o2.query(key)
-    assert o1.query(key) is o1.query(key)
+    key = (4, 0b0110)
+    assert o1.query(*key) == o2.query(*key)
+    assert o1.query(*key) is o1.query(*key)
     assert len(o1) == 1
-    assert RandomOracle("other", 16).query(key) != o1.query(key)
+    assert 0 <= o1.query(*key) < 1 << 16
+    assert RandomOracle("other", 16).query(*key) != o1.query(*key)
+    # the width is part of the input: 0110 and 110 are different strings
+    assert o1.query(3, 0b110) != o1.query(*key) and len(o1) == 2
     with pytest.raises(ValueError):
         RandomOracle("seed", 0)
 
@@ -322,44 +346,61 @@ def test_oracle_outputs_are_unbiased():
     n = 10_000
     ones = [0] * 16
     for v in range(n):
-        out = oracle.query(BitString(16, v))
-        for i in range(1, 17):
-            ones[i - 1] += out.bit(i)
+        out = oracle.query(16, v)
+        for i in range(16):
+            ones[i] += (out >> i) & 1
     sigma = 0.5 / math.sqrt(n)
     for count in ones:
         assert abs(count / n - 0.5) < 5 * sigma
 
 
 def test_oracle_long_outputs():
-    out = RandomOracle(1, 600).query(BitString(4, 5))
-    assert out.length == 600
+    out = RandomOracle(1, 600).query(4, 5)
+    assert 0 <= out < 1 << 600
 
 
 def test_counter_store_semantics():
     store = CounterStore()
-    a, b = BitString.from_text("01"), BitString.from_text("10")
+    a, b = 0b01, 0b10
     assert len(store) == 0
-    assert store.check_and_mark(a, b)
-    assert not store.check_and_mark(a, b)
+    assert store.check_and_mark(a, b, 2)
+    assert not store.check_and_mark(a, b, 2)
     assert len(store) == 1
     # order matters: (b, a) is a different pair
-    assert store.check_and_mark(b, a)
+    assert store.check_and_mark(b, a, 2)
     assert len(store) == 2
+    # so does the width: 001,010 are not 01,10
+    assert store.check_and_mark(a, b, 3)
+    assert len(store) == 3
+
+
+def _handle(cfg):
+    """A prover handle on a session whose counters, secret and token are set by hand."""
+    sess = _Session(cfg, random.Random(0), RandomOracle(0, 2 * cfg.ell), CounterStore(),
+                    CounterStore(), False)
+    sess.secret = (1 << cfg.secret_bits) - 1
+    sess.a, sess.b = 0b00, 0b01
+    sess.token = 0b0110
+    return sess, ProverHandle(sess)
 
 
 def test_prover_handle_refuses_replayed_counters():
-    from hkbound.protocol import ProverHandle, _Session
-    import random as _random
-
-    cfg = ProtocolConfig(ell=2)
-    sess = _Session(cfg, _random.Random(0), RandomOracle(0, 4), CounterStore(), CounterStore(), False)
-    sess.secret = BitString.from_text("1" * cfg.secret_bits)
-    sess.a = BitString.from_text("00")
-    sess.b = BitString.from_text("01")
-    from hkbound.hkfun import ResponseToken
-    sess.token = ResponseToken.from_bits(BitString.from_text("0110"))
-    handle = ProverHandle(sess)
-    z = BitString.from_text("10")
-    handle.respond_to(sess.a, sess.b, z)
+    sess, handle = _handle(ProtocolConfig(ell=2))
+    z = 0b10
+    # h0 = 01, h1 = 10: bit 1 comes from h1, bit 2 from h0
+    assert handle.respond_to(sess.a, sess.b, z) == 0b11
     with pytest.raises(CounterReuseRefused):
-        handle.respond_to(sess.a, sess.b, z.negate())
+        handle.respond_to(sess.a, sess.b, z ^ 0b11)
+
+
+def test_prover_handle_checks_widths():
+    sess, handle = _handle(ProtocolConfig(ell=2, enforce_counter_freshness=False))
+    for z in (4, 7, 1 << 40, -1):
+        with pytest.raises(ValueError):
+            handle.respond_to(sess.a, sess.b, z)
+    for a, b in ((4, 0), (0, 4), (-1, 0)):
+        with pytest.raises(ValueError):
+            handle.respond_to(a, b, 0)
+    # nothing was marked or answered on the way
+    assert len(sess.prover_store) == 0
+    assert handle.respond_to(sess.a, sess.b, 0b11) == 0b10

@@ -95,10 +95,15 @@ def test_hk_token_extraction_rule():
     z, h = atom("z"), atom("h")
     r0 = app("boxplus", z, h)
     r1 = app("boxplus", app("neg", z), h)
-    assert derivable([r0, r1], h, HK)
-    assert not derivable([r0], h, HK)
+    # the answers to z and neg(z) pin h only for whoever knows z: from
+    # the answers alone the exact chance of h is (3/4)^l
+    assert derivable([z, r0, r1], h, HK)
+    assert not derivable([r0, r1], h, HK)
+    assert not derivable([z, r0], h, HK)
     # double negation folds, so the flipped-first order works too
-    assert derivable([r1, app("boxplus", app("neg", app("neg", z)), h)], h, HK)
+    assert derivable([z, r1, app("boxplus", app("neg", app("neg", z)), h)], h, HK)
+    # a derivable challenge need not be held as such
+    assert derivable([app("pair", z, z), r0, r1], h, HK)
 
 
 # --- the reference: budgeted saturation ----------------------------------------
