@@ -20,8 +20,7 @@ from fractions import Fraction
 
 from . import adversary as adv
 from . import exprs, harness, oracle, symbolic
-from .bits import BitString, hamming_distance
-from .hkfun import ResponseToken, kernel_mask
+from .hkfun import kernel_mask
 from .protocol import ProtocolConfig
 
 
@@ -109,8 +108,7 @@ def _claim_kernel(ell: int, samples: int = 20, seed: int = 0):
     sampled = []
     for _ in range(samples):
         raw = rng.getrandbits(2 * ell)
-        token = ResponseToken.from_bits(BitString(2 * ell, raw))
-        kappa = token.kernel().bit_count()
+        kappa = kernel_mask(raw >> ell, raw, ell).bit_count()
         value = oracle.chance({"x": ell}, [_lit(raw, 2 * ell)],
                               [exprs.BoxPlus(x, _lit(raw, 2 * ell))])
         expect = oracle.analytic("kernel", kappa=kappa, ell=ell)
@@ -130,7 +128,7 @@ def _claim_hamming(ell: int):
     ok = True
     for x in range(1 << ell):
         for z in range(1 << ell):
-            delta = hamming_distance(BitString(ell, x), BitString(ell, z))
+            delta = (x ^ z).bit_count()
             value = oracle.chance(
                 {"h": 2 * ell},
                 [_lit(x, ell), _lit(z, ell), exprs.BoxPlus(_lit(z, ell), h)],

@@ -34,13 +34,6 @@ the next).  Without this rule a guesser knowing the secret and both
 counters would not be able to "compute" the session token, and every
 full-knowledge chance would come out wrong.
 
-A second, stricter regime is available on request: the guesser may only
-answer with values it can actually compute from its observations by the
-public bit operations.  That restricted chance is never above the
-unrestricted one, and the two agree exactly when some optimal answer is
-itself computable, which is what separates "the data determines the
-value" from "the guesser can produce the value".
-
 Everything returns exact fractions; nothing here samples.
 """
 
@@ -160,7 +153,6 @@ class _Table(NamedTuple):
     args: list  # per node, the code of its argument key in each leaf
     entries: list  # per node, the code of its table entry in each leaf
     weights: list  # per leaf, 2**(H - extra)
-    decode: list  # code -> value
 
 
 def _table(variables, shown: Sequence[Expr], budget: int) -> _Table:
@@ -181,8 +173,7 @@ def _table(variables, shown: Sequence[Expr], budget: int) -> _Table:
          tuple(codes.setdefault(v, len(codes)) for v in es), extra)
         for vs, ks, es, extra in _leaves(shown, nodes, _envs(var_order, every_bit))))
     return _Table({e: i for i, e in enumerate(shown)}, nodes, total_bits + hash_bits, values,
-                  list(zip(*keys)), list(zip(*entries)), [1 << (hash_bits - x) for x in extras],
-                  list(codes))
+                  list(zip(*keys)), list(zip(*entries)), [1 << (hash_bits - x) for x in extras])
 
 
 def _rows(table: _Table, es: Sequence[Expr]) -> list:
@@ -193,8 +184,7 @@ def _rows(table: _Table, es: Sequence[Expr]) -> list:
     return list(map(itemgetter(*cols), table.values)) if cols else [()] * len(table.values)
 
 
-def _project(table: _Table, knowns: Sequence[Expr], targets: Sequence[Expr],
-             max_bits: int | None = None) -> Fraction:
+def _project(table: _Table, knowns: Sequence[Expr], targets: Sequence[Expr]) -> Fraction:
     """The chance of ``targets`` given ``knowns``, read off ``table``.
 
     Leaves are grouped by the known values, augmented with the table
@@ -216,14 +206,11 @@ def _project(table: _Table, knowns: Sequence[Expr], targets: Sequence[Expr],
                 progressed = True
         if not progressed:
             break
-    decode = table.decode.__getitem__
     groups: dict = {}
     for (key, w, weight), n in Counter(zip(keys, _rows(table, targets), table.weights)).items():
-        if max_bits is not None:  # the computable-answer rule reads values
-            key, w = tuple(map(decode, key)), tuple(map(decode, w))
         slot = groups.setdefault(key, {})
         slot[w] = slot.get(w, 0) + n * weight
-    return Fraction(_best(groups, max_bits), 1 << table.bits)
+    return Fraction(_best(groups), 1 << table.bits)
 
 
 def _reads(e: Expr, declared: dict[str, int]) -> list[frozenset]:
@@ -271,97 +258,54 @@ def _components(es: Sequence[Expr], declared: dict[str, int]) -> list[list]:
     return list(comps.values())
 
 
-def _best(groups: dict, max_bits: int | None = None) -> int:
-    """Sum over observation groups of the heaviest answer's weight.
-
-    ``groups`` maps an observation key to {answer: weight}.  Given
-    ``max_bits``, only answers computable from the key's values count,
-    and a group with none scores zero.  The guesser computes with
-    negation, contiguous slices, concatenation up to max_bits wide, and
-    challenge selection; masked values and absent table entries are not
-    fed back in.  From any plain observed value of non-zero width, a
-    1-bit slice and its negation give both bits, and concatenation then
-    builds every value 1 to max_bits wide.  So an answer is computable
-    when each of its values is observed, or is plain and 1 to max_bits
-    wide while some plain observed value has non-zero width.
-    """
-    if max_bits is None:
-        return sum(max(slot.values()) for slot in groups.values())
-    best = 0
-    for key, slot in groups.items():
-        seen = {v for v in key if isinstance(v, tuple) and len(v) == 2}
-        wide = max_bits if any(n for n, _ in seen) else 0
-        best += max(
-            (c for w, c in slot.items()
-             if all(v in seen or (len(v) == 2 and 0 < v[0] <= wide) for v in w)),
-            default=0,
-        )
-    return best
+def _best(groups: dict) -> int:
+    """Sum over observation groups, each {answer: weight}, of the heaviest answer's weight."""
+    return sum(max(slot.values()) for slot in groups.values())
 
 
-def guess_chance(
-    scenario: GuessScenario,
-    budget: int = DEFAULT_BUDGET,
-    derivable_only: bool = False,
-) -> Fraction:
+def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact best guessing chance of the targets given the knowns.
 
-    With ``derivable_only`` the guesser must compute its answer from the
-    observed values (pinned table entries included) using negation,
-    slicing, concatenation, and challenge selection; observation groups
-    with no computable candidate score zero.  The restricted value is a
-    lower bound on the unrestricted one, with equality exactly when some
-    optimal answer is itself computable.  In particular a guesser that
-    observed nothing can output nothing, where the unrestricted guesser
-    would still name the most likely value cold.
+    A hash-free query is factorised: each component of its bits is
+    enumerated with every other bit at 0, and the chance is the product
+    of the components' chances.  This is exact: each value bit is a
+    function of one component, or constant, so the components' parts of
+    (knowns, targets) are independent, a part is read off whole values
+    with the other bits fixed, and the sum over observations of the best
+    answer's weight splits into a product (Smith, FoSSaCS 2009, for
+    independent channels).  One component holding every bit is the plain
+    2**B enumeration.  The budget caps the widest component.
 
-    A hash-free query without ``derivable_only`` is factorised: each
-    component of its bits is enumerated with every other bit at 0, and
-    the chance is the product of the components' chances.  This is exact:
-    each value bit is a function of one component, or constant, so the
-    components' parts of (knowns, targets) are independent, a part is
-    read off whole values with the other bits fixed, and the sum over
-    observations of the best answer's weight splits into a product
-    (Smith, FoSSaCS 2009, for independent channels).  One component
-    holding every bit is the plain 2**B enumeration.  The budget caps
-    the widest component.
-
-    Otherwise outcomes are counted in integer weights over the common
-    denominator 2**(B + H), where H sums the output widths of the
+    A query with a hash node counts outcomes in integer weights over the
+    common denominator 2**(B + H), where H sums the output widths of the
     distinct hash nodes: a leaf that tabled ``extra`` entry bits weighs
     2**(H - extra).  A leaf reads at most one entry per node, so
-    extra <= H.  Without hash nodes H = 0 and each environment weighs 1.
-    The budget caps B + H.  ``_table`` enumerates the leaves and
-    ``_project`` reads the chance off them.  The table is filled in node
-    order, which lists a node after those in its argument (``hash_nodes``
-    is post-order and the dedup keeps first occurrences); the module
-    docstring says why that is exact.
+    extra <= H.  The budget caps B + H.  ``_table`` enumerates the
+    leaves and ``_project`` reads the chance off them.  The table is
+    filled in node order, which lists a node after those in its argument
+    (``hash_nodes`` is post-order and the dedup keeps first occurrences);
+    the module docstring says why that is exact.
     """
     knowns, targets = scenario.knowns, scenario.targets
+    if any(hash_nodes(e) for e in knowns + targets):
+        return _project(_table(scenario.variables, knowns + targets, budget), knowns, targets)
+
     fv = _free_vars_of(knowns + targets)
     var_order = [(n, b) for n, b in scenario.variables if n in fv]
-    nodes = list({id(n): n for e in knowns + targets for n in hash_nodes(e)}.values())
-
-    if not nodes and not derivable_only:
-        components = _components(knowns + targets, scenario.declared)
-        widest = max(map(len, components), default=0)
-        if widest > budget:
-            raise BudgetExceededError(widest, budget)
-        best = 1
-        for bits in components:
-            groups: dict = {}
-            for env in _envs(var_order, bits):
-                v = tuple(evaluate(e, env, {}) for e in knowns)
-                w = tuple(evaluate(e, env, {}) for e in targets)
-                slot = groups.setdefault(v, {})
-                slot[w] = slot.get(w, 0) + 1
-            best *= _best(groups)
-        return Fraction(best, 1 << sum(map(len, components)))
-
-    max_bits = None
-    if derivable_only:
-        max_bits = 2 * max((width(e, scenario.declared) for e in knowns + targets), default=0)
-    return _project(_table(scenario.variables, knowns + targets, budget), knowns, targets, max_bits)
+    components = _components(knowns + targets, scenario.declared)
+    widest = max(map(len, components), default=0)
+    if widest > budget:
+        raise BudgetExceededError(widest, budget)
+    best = 1
+    for bits in components:
+        groups: dict = {}
+        for env in _envs(var_order, bits):
+            v = tuple(evaluate(e, env, {}) for e in knowns)
+            w = tuple(evaluate(e, env, {}) for e in targets)
+            slot = groups.setdefault(v, {})
+            slot[w] = slot.get(w, 0) + 1
+        best *= _best(groups)
+    return Fraction(best, 1 << sum(map(len, components)))
 
 
 def chance(
@@ -369,7 +313,6 @@ def chance(
     knowns: Iterable[Expr],
     targets: Iterable[Expr],
     budget: int = DEFAULT_BUDGET,
-    derivable_only: bool = False,
 ) -> Fraction:
     """Convenience wrapper building the scenario in place.
 
@@ -377,11 +320,7 @@ def chance(
     """
     if isinstance(variables, Mapping):
         variables = tuple(variables.items())
-    return guess_chance(
-        GuessScenario(tuple(variables), tuple(knowns), tuple(targets)),
-        budget,
-        derivable_only,
-    )
+    return guess_chance(GuessScenario(tuple(variables), tuple(knowns), tuple(targets)), budget)
 
 
 def advantage(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:

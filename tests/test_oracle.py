@@ -53,6 +53,9 @@ def test_known_target_is_certain():
     assert chance({"u": 3}, [u], [u]) == 1
     assert chance({"u": 3}, [u], [Negate(u)]) == 1
     assert chance({"u": 4}, [Proj(u, 1, 2), Proj(u, 3, 4)], [u]) == 1
+    assert chance({"u": 5}, [u], [Concat(tuple(Proj(u, 2, 2) for _ in range(6)))]) == 1
+    z, h = Var("z"), Var("h")
+    assert chance({"z": 1, "h": 2}, [z, h], [BoxPlus(z, h)]) == 1
 
 
 def test_mapping_and_pair_declarations_agree():
@@ -85,10 +88,9 @@ def test_budget_is_enforced():
     assert chance({"u": 30}, [], [u], budget=24) == Fraction(1, 2**30)
     rotated = Concat((Proj(u, 2, 30), Proj(u, 1, 1)))
     chained = BoxPlus(u, Concat((u, rotated)))  # bit i reads u_i and u_(i-1)
-    for target, derivable_only in ((chained, False), (u, True)):
-        with pytest.raises(BudgetExceededError) as err:
-            chance({"u": 30}, [], [target], budget=24, derivable_only=derivable_only)
-        assert err.value.required_bits == 30
+    with pytest.raises(BudgetExceededError) as err:
+        chance({"u": 30}, [], [chained], budget=24)
+    assert err.value.required_bits == 30
     # hash-table entries are enumerated too, so their bits count
     with pytest.raises(BudgetExceededError) as err:
         chance({"a": 1}, [], [Hash(Var("a"), 12)], budget=1)
@@ -288,6 +290,7 @@ def test_full_knowledge_pins_the_hash():
     (s, a, b), h = session_token()
     decls = {"s": 2, "a": 1, "b": 1}
     assert chance(decls, [s, a, b], [h]) == 1
+    assert chance({"s": 2}, [s], [Hash(s, 2)]) == 1
     # without the secret the argument stays open: no entry gets pinned,
     # and naming any fixed output wins with the blind 1/4
     assert chance(decls, [a, b], [h]) == Fraction(1, 4)
@@ -330,55 +333,6 @@ def test_response_chances_around_the_session_token():
     zh = BoxPlus(z, h)
     for extras in ((), (z,), (zh,), (z, zh)):
         assert chance(decls, [a, b, s, x, *extras], target) == 1
-
-
-def test_restricted_guesser_needs_a_computable_answer():
-    # cold guessing: the free guesser names a constant, the computing
-    # guesser has nothing to emit
-    sc = GuessScenario((("x", 1),), (), (Var("x"),))
-    assert guess_chance(sc) == Fraction(1, 2)
-    assert guess_chance(sc, derivable_only=True) == 0
-
-    # echoing an observation back is computable, so the modes agree
-    echo = GuessScenario((("x", 2),), (Var("x"),), (Var("x"),))
-    assert guess_chance(echo, derivable_only=True) == 1
-    u = Var("u")
-    assert chance({"u": 5}, [u], [u], derivable_only=True) == 1
-
-
-def test_restricted_guesser_agrees_when_the_optimum_is_computable():
-    z, h = Var("z"), Var("h")
-    built = chance({"z": 1, "h": 2}, [z, h], [BoxPlus(z, h)], derivable_only=True)
-    assert built == 1
-
-    # response from the bare token: the best answer is whichever half is
-    # likelier, and halves are slices, hence computable
-    for ell in (1, 3):
-        sc = GuessScenario((("x", ell), ("h", 2 * ell)), (h,), (BoxPlus(Var("x"), h),))
-        assert guess_chance(sc) == Fraction(3, 4) ** ell
-        assert guess_chance(sc, derivable_only=True) == Fraction(3, 4) ** ell
-
-    # slicing and concatenating u builds the target, however many values
-    # of the target's width there are
-    u = Var("u")
-    target = Concat(tuple(Proj(u, 2, 2) for _ in range(6)))
-    assert chance({"u": 5}, [u], [target], derivable_only=True) == 1
-
-
-def test_restricted_guesser_uses_pinned_table_entries():
-    s = Var("s")
-    h = Hash(s, 2)
-    sc = GuessScenario((("s", 2),), (s,), (h,))
-    assert guess_chance(sc) == 1
-    assert guess_chance(sc, derivable_only=True) == 1
-
-    # never above the free guesser on assorted scenarios
-    rng = random.Random(7)
-    for _ in range(8):
-        decls, xi, gamma, theta = oracle.random_subbayes_case(rng, max_total_bits=6)
-        free = chance(decls, xi + gamma, theta)
-        restricted = chance(decls, xi + gamma, theta, derivable_only=True)
-        assert restricted <= free
 
 
 def reference_chance(decls, knowns, targets) -> Fraction:
@@ -516,7 +470,7 @@ def restart_pin(leaves, nodes):
     return keys
 
 
-def restart_chance(decls, knowns, targets, budget=oracle.DEFAULT_BUDGET, derivable_only=False):
+def restart_chance(decls, knowns, targets, budget=oracle.DEFAULT_BUDGET):
     """The hash path by restarting evaluation on every missing table entry:
     leaves weighed over 2**(B + H), pinned entries, the shared argmax."""
     knowns, targets = tuple(knowns), tuple(targets)
@@ -534,10 +488,7 @@ def restart_chance(decls, knowns, targets, budget=oracle.DEFAULT_BUDGET, derivab
     for key, (_v, w, _argrec, _htable, extra) in zip(restart_pin(leaves, nodes), leaves):
         slot = groups.setdefault(key, {})
         slot[w] = slot.get(w, 0) + (1 << (hash_bits - extra))
-    max_bits = None
-    if derivable_only:
-        max_bits = 2 * max(exprs.width(e, dict(decls)) for e in knowns + targets)
-    return Fraction(oracle._best(groups, max_bits), 1 << (total_bits + hash_bits))
+    return Fraction(oracle._best(groups), 1 << (total_bits + hash_bits))
 
 
 @st.composite
@@ -586,19 +537,17 @@ def test_hash_path_matches_the_restart_reference_on_fixed_shapes():
         ([Negate(inner), b], [BoxPlus(a, outer), BoxPlus(b, twin)]),
     ]
     for knowns, targets in cases:
-        for derivable_only in (False, True):
-            assert chance(decls, knowns, targets, derivable_only=derivable_only) == \
-                restart_chance(decls, knowns, targets, derivable_only=derivable_only)
+        assert chance(decls, knowns, targets) == restart_chance(decls, knowns, targets)
 
 
 @settings(max_examples=120, deadline=None)
-@given(hash_scenarios(), st.booleans(), st.integers(4, 16))
-def test_hash_path_matches_the_restart_reference(scenario, derivable_only, budget):
+@given(hash_scenarios(), st.integers(4, 16))
+def test_hash_path_matches_the_restart_reference(scenario, budget):
     decls, knowns, targets = scenario
 
     def outcome(engine):
         try:
-            return engine(decls, knowns, targets, budget=budget, derivable_only=derivable_only)
+            return engine(decls, knowns, targets, budget=budget)
         except BudgetExceededError as err:
             return "over budget", err.required_bits
 

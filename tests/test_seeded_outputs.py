@@ -1,10 +1,11 @@
-"""Seeded outputs pinned to exact values.
+"""Seeded and exact outputs pinned to exact values.
 
 The session path may change how it computes, never what it computes:
 `simulate` success counts, a `sweep` CSV and the event logs of recorded
 sessions are functions of their seeds.  The values below were taken
 from the session path that carried `BitString` objects through every
-round, before sessions moved to plain ints.
+round, before sessions moved to plain ints.  The exact engine's
+`enumerate` and `guard-check` stdout is pinned the same way, by digest.
 """
 
 import hashlib
@@ -89,3 +90,42 @@ def test_recorded_transcripts_are_pinned():
         jsonl = transcript.to_jsonl()
         assert (verdict.reason, len(transcript.events)) == (reason, n_events), strategy
         assert hashlib.sha256(jsonl.encode()).hexdigest() == digest, strategy
+
+
+# argv -> SHA-256 of stdout; every run exits 0
+EXACT_OUTPUTS = {
+    ("enumerate", "--claim", "binomial"):
+        "10faff0e429df19fa2abab323ec8b42e2dda6183feb136beb1076a29135ce5ef",
+    ("enumerate", "--claim", "early"):
+        "d0a79f630a0e156df7790f8feae8e7c6c780cad69b855cd89b44723ca39023a8",
+    ("enumerate", "--claim", "hamming"):
+        "79177de9d0f32ecba3ba8cd3344709b9c4925f443b0cdb05c1ad2663fa079f1f",
+    ("enumerate", "--claim", "kernel"):
+        "b0cdc284922b9c13f81268fd14bf8e1f893af835abc7d9cd3182477e95d709e8",
+    ("enumerate", "--claim", "lemma3"):
+        "ea79e7450a2a94b41ef4e568fe5dd15c6a00448b329d80d04d6cdc05ad814a13",
+    ("enumerate", "--claim", "monty"):
+        "9f96c2c0706dd0141c5bb8db637ebc3283077d576543a0cc48da8250a7030c66",
+    ("enumerate", "--claim", "prop34"):
+        "aeb250688b232bfaec12c660ff669c784eb40407ebdf3b2e8ebfd22ebf59e5a2",
+    ("enumerate", "--claim", "subbayes"):
+        "67958f40342334981a173c6c4463bb5c8a6c5ba2162e8f6a20c56972d2dc1c45",
+    ("enumerate", "--claim", "hamming", "--out", "csv"):
+        "9254ffac2150406d722b870ffd1e452378bb1aefc7f5328fb2447cb9d8ea4f5e",
+    ("guard-check", "--builtin", "attack-run"):
+        "32839fbe0cec4cdbd3acbce263f34103abd6382ad76d1f4661983c1e84e79701",
+    ("guard-check", "--builtin", "early-run"):
+        "b7a40e55e647cfc988dd6b01649ce97f04052482f0041d13f4798038c24be4f6",
+    ("guard-check", "--builtin", "dh"):
+        "f45bf6869a59dbf3db3db5db2eb2caee256e1e3551a03540402ff3d47ace76b7",
+    ("guard-check", "--builtin", "cr"):
+        "85622bc823cccb6bbae221f1c6426126d8e666cc8b3ad4c44574c3aaac481dad",
+}
+
+
+def test_exact_outputs_are_pinned(capsys):
+    assert {argv[2] for argv in EXACT_OUTPUTS if argv[0] == "enumerate"} == set(cli._CLAIMS)
+    for argv, digest in EXACT_OUTPUTS.items():
+        assert cli.main(list(argv)) == 0, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
