@@ -1,9 +1,11 @@
 """Command line front end.
 
-Subcommands: ``enumerate`` replays the exact finite checks, ``simulate``
-runs Monte Carlo sessions, ``sweep`` tabulates estimates over challenge
-lengths, ``guard-check`` evaluates guard specifications, and ``bound``
-evaluates the acceptance-confidence lower bound.
+Subcommands: ``enumerate`` replays the exact finite checks, each a list
+of rows (mostly an oracle value beside its closed form in ``oracle.analytic``)
+that holds iff every row does; ``simulate`` runs Monte Carlo sessions,
+``sweep`` tabulates estimates over challenge lengths, ``guard-check``
+evaluates guard specifications, and ``bound`` evaluates the
+acceptance-confidence lower bound.
 
 Exit codes: 0 when every requested check passes, 1 when some invariant
 is violated, 2 on usage errors.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import random
 import sys
@@ -32,7 +35,24 @@ def _lit(value: int, bits: int) -> exprs.Lit:
 
 
 # --------------------------------------------------------------------------
-# enumerate: each claim returns (payload, ok, rows-for-csv)
+# enumerate: each claim builds rows (instance, value, expected, ok), one per
+# CSV line, and returns (payload, ok, rows) from _verdict: ok iff every row is.
+
+
+def _row(instance: str, value, expected, ok: bool | None = None) -> tuple:
+    """One checked instance; ok defaults to value == expected."""
+    return instance, value, expected, value == expected if ok is None else ok
+
+
+def _verdict(payload: dict, rows: list) -> tuple[dict, bool, list]:
+    ok = all(r[3] for r in rows)
+    return {**payload, "ok": ok}, ok, rows
+
+
+def _binomial_rows(max_ell: int, label: str) -> list:
+    """sum_i C(n,i) 2**-i against (3/2)**n for n = 0..max_ell."""
+    return [_row(f"{label}ell={n}", *oracle.binomial_identity_check(n))
+            for n in range(max_ell + 1)]
 
 
 def _claim_monty(ell: int):
@@ -40,45 +60,28 @@ def _claim_monty(ell: int):
     decls = {"x": ell, "z": ell, "h": 2 * ell}
     value = oracle.chance(decls, [x, z, exprs.BoxPlus(z, h)], [exprs.BoxPlus(x, h)])
     expect = oracle.analytic("monty", ell=ell)
-    ok = value == expect
-    payload = {"ell": ell, "value": _frac(value), "expected": _frac(expect), "ok": ok}
-    return payload, ok, [{"instance": f"ell={ell}", "value": str(value),
-                          "expected": str(expect), "ok": ok}]
+    return _verdict({"ell": ell, "value": _frac(value), "expected": _frac(expect)},
+                    [_row(f"ell={ell}", value, expect)])
 
 
 def _claim_prop34(ell: int):
-    h = exprs.Var("h")
+    x, h = exprs.Var("x"), exprs.Var("h")
     expect = oracle.analytic("prequery", ell=ell)
+    lits = [_lit(v, ell) for v in range(1 << ell)]
     rows = []
-    ok = True
-    per_z = []
-    for z in range(1 << ell):
-        zl = _lit(z, ell)
-        known_zh = exprs.BoxPlus(zl, h)
-        total = Fraction(0)
-        for x in range(1 << ell):
-            xl = _lit(x, ell)
-            p = oracle.chance({"h": 2 * ell}, [xl, zl, known_zh],
-                              [exprs.BoxPlus(xl, h)])
-            total += Fraction(1, 1 << ell) * p
-        agg = oracle.chance({"x": ell, "h": 2 * ell},
-                            [exprs.Var("x"), zl, known_zh],
-                            [exprs.BoxPlus(exprs.Var("x"), h)])
-        good = total == expect and agg == total
-        ok = ok and good
-        per_z.append({"z": format(z, f"0{ell}b"), "sum": _frac(total), "ok": good})
-        rows.append({"instance": f"z={z:0{ell}b}", "value": str(total),
-                     "expected": str(expect), "ok": good})
-    binom = []
-    for n in range(21):
-        lhs, rhs, eq = oracle.binomial_identity_check(n)
-        ok = ok and eq
-        binom.append({"ell": n, "ok": eq})
-        rows.append({"instance": f"binomial ell={n}", "value": str(lhs),
-                     "expected": str(rhs), "ok": eq})
-    payload = {"ell": ell, "expected": _frac(expect), "per_z": per_z,
-               "binomial": binom, "ok": ok}
-    return payload, ok, rows
+    for zl in lits:
+        # averaging the fixed-x chances over x gives the chance with x unknown
+        seen = [zl, exprs.BoxPlus(zl, h)]
+        total = sum(oracle.chance({"h": 2 * ell}, [xl, *seen], [exprs.BoxPlus(xl, h)])
+                    for xl in lits) / len(lits)
+        agg = oracle.chance({"x": ell, "h": 2 * ell}, [x, *seen], [exprs.BoxPlus(x, h)])
+        rows.append(_row(f"z={zl.text}", total, expect, total == expect == agg))
+    binom = _binomial_rows(20, "binomial ")
+    return _verdict({"ell": ell, "expected": _frac(expect),
+                     "per_z": [{"z": zl.text, "sum": _frac(r[1]), "ok": r[3]}
+                               for zl, r in zip(lits, rows)],
+                     "binomial": [{"ell": n, "ok": r[3]} for n, r in enumerate(binom)]},
+                    rows + binom)
 
 
 def _claim_early(ell: int):
@@ -92,53 +95,35 @@ def _claim_early(ell: int):
     by_kernel = Fraction(sum(1 << kernel_mask(h0, h1, ell).bit_count()
                              for h0 in range(n) for h1 in range(n)), n ** 3)
     expect = oracle.analytic("early", ell=ell)
-    ok = by_policy == expect and by_kernel == expect
-    payload = {"ell": ell, "policy_average": _frac(by_policy),
-               "kernel_average": _frac(by_kernel), "expected": _frac(expect),
-               "ok": ok}
-    return payload, ok, [{"instance": f"ell={ell}", "value": str(by_policy),
-                          "expected": str(expect), "ok": ok}]
+    return _verdict({"ell": ell, "policy_average": _frac(by_policy),
+                     "kernel_average": _frac(by_kernel), "expected": _frac(expect)},
+                    [_row(f"ell={ell}", by_policy, expect, by_policy == expect == by_kernel)])
 
 
 def _claim_kernel(ell: int, samples: int = 20, seed: int = 0):
     rng = random.Random(seed)
     x = exprs.Var("x")
-    rows = []
-    ok = True
-    sampled = []
+    rows, sampled = [], []
     for _ in range(samples):
         raw = rng.getrandbits(2 * ell)
+        token = _lit(raw, 2 * ell)
         kappa = kernel_mask(raw >> ell, raw, ell).bit_count()
-        value = oracle.chance({"x": ell}, [_lit(raw, 2 * ell)],
-                              [exprs.BoxPlus(x, _lit(raw, 2 * ell))])
-        expect = oracle.analytic("kernel", kappa=kappa, ell=ell)
-        good = value == expect
-        ok = ok and good
-        sampled.append({"token": format(raw, f"0{2 * ell}b"), "kappa": kappa,
-                        "value": _frac(value), "ok": good})
-        rows.append({"instance": f"token={raw:0{2 * ell}b}", "value": str(value),
-                     "expected": str(expect), "ok": good})
-    payload = {"ell": ell, "samples": sampled, "ok": ok}
-    return payload, ok, rows
+        value = oracle.chance({"x": ell}, [token], [exprs.BoxPlus(x, token)])
+        rows.append(_row(f"token={token.text}", value,
+                         oracle.analytic("kernel", kappa=kappa, ell=ell)))
+        sampled.append({"token": token.text, "kappa": kappa, "value": _frac(value),
+                        "ok": rows[-1][3]})
+    return _verdict({"ell": ell, "samples": sampled}, rows)
 
 
 def _claim_hamming(ell: int):
     h = exprs.Var("h")
-    rows = []
-    ok = True
-    for x in range(1 << ell):
-        for z in range(1 << ell):
-            delta = (x ^ z).bit_count()
-            value = oracle.chance(
-                {"h": 2 * ell},
-                [_lit(x, ell), _lit(z, ell), exprs.BoxPlus(_lit(z, ell), h)],
-                [exprs.BoxPlus(_lit(x, ell), h)],
-            )
-            expect = oracle.analytic("hamming", delta=delta)
-            good = value == expect
-            ok = ok and good
-            rows.append({"instance": f"x={x:0{ell}b},z={z:0{ell}b}",
-                         "value": str(value), "expected": str(expect), "ok": good})
+    lits = [_lit(v, ell) for v in range(1 << ell)]
+    rows = [_row(f"x={xl.text},z={zl.text}",
+                 oracle.chance({"h": 2 * ell}, [xl, zl, exprs.BoxPlus(zl, h)],
+                               [exprs.BoxPlus(xl, h)]),
+                 oracle.analytic("hamming", delta=(x ^ z).bit_count()))
+            for x, xl in enumerate(lits) for z, zl in enumerate(lits)]
     # a token whose halves agree, h = s::s, must break the distance law
     # somewhere; seeing one half beating a blind guess of the other
     # witnesses the dependence
@@ -153,12 +138,10 @@ def _claim_hamming(ell: int):
         != oracle.analytic("hamming", delta=(x ^ z).bit_count())
         for x in range(1 << fl) for z in range(1 << fl) if x != z
     )
-    ok = ok and dep_ok and broke
-    rows.append({"instance": "dependent-halves table", "value": str(broke),
-                 "expected": "law fails somewhere", "ok": dep_ok and broke})
-    payload = {"ell": ell, "pairs": (1 << ell) ** 2,
-               "dependent_table_breaks_law": broke, "ok": ok}
-    return payload, ok, rows
+    rows.append(_row("dependent-halves table", broke, "law fails somewhere",
+                     dep_ok and broke))
+    return _verdict({"ell": ell, "pairs": (1 << ell) ** 2,
+                     "dependent_table_breaks_law": broke}, rows)
 
 
 def subbayes_corpus(cases: int = 50, seed: int = 0):
@@ -176,78 +159,47 @@ def _claim_subbayes(cases: int = 50):
     the weaker condition does not force equality, and do not fail the
     claim.
     """
-    rows = []
-    hold_failures = []
-    independent = 0
-    equality_failures = []
-    disjoint_failures = []
-    for i, (decls, xi, gamma, theta) in enumerate(subbayes_corpus(cases)):
-        rep = oracle.check_subbayes(decls, xi, gamma, theta)
-        if not rep.holds:
-            hold_failures.append(i)
-        if rep.independent:
-            independent += 1
-            if not rep.equality:
-                equality_failures.append(i)
-        if rep.disjoint and not rep.equality:
-            disjoint_failures.append(i)
-        rows.append({"instance": f"case {i}", "value": str(rep.lhs),
-                     "expected": f"<= {rep.rhs}" + (" (=)" if rep.independent else ""),
-                     "ok": rep.holds and (not rep.independent or rep.equality)})
-    ok = not hold_failures and not equality_failures
-    payload = {"cases": cases, "inequality_failures": hold_failures,
-               "independent_cases": independent,
-               "independent_equality_failures": equality_failures,
-               "disjoint_equality_failures": disjoint_failures, "ok": ok}
-    return payload, ok, rows
+    reports = [oracle.check_subbayes(*case) for case in subbayes_corpus(cases)]
+    rows = [_row(f"case {i}", rep.lhs, f"<= {rep.rhs}" + (" (=)" if rep.independent else ""),
+                 rep.holds and (not rep.independent or rep.equality))
+            for i, rep in enumerate(reports)]
+    return _verdict({
+        "cases": cases,
+        "inequality_failures": [i for i, rep in enumerate(reports) if not rep.holds],
+        "independent_cases": sum(rep.independent for rep in reports),
+        "independent_equality_failures": [i for i, rep in enumerate(reports)
+                                          if rep.independent and not rep.equality],
+        "disjoint_equality_failures": [i for i, rep in enumerate(reports)
+                                       if rep.disjoint and not rep.equality],
+    }, rows)
 
 
 def _claim_binomial(ell: int = 20):
-    rows = []
-    ok = True
-    for n in range(ell + 1):
-        lhs, rhs, eq = oracle.binomial_identity_check(n)
-        ok = ok and eq
-        rows.append({"instance": f"ell={n}", "value": str(lhs),
-                     "expected": str(rhs), "ok": eq})
-    payload = {"max_ell": ell, "ok": ok}
-    return payload, ok, rows
+    return _verdict({"max_ell": ell}, _binomial_rows(ell, ""))
 
 
 def _claim_lemma3(ell: int = 1, secret_bits: int = 2):
-    s, a, b, x, z = (exprs.Var(n) for n in ("s", "a", "b", "x", "z"))
-    h = exprs.Hash(exprs.Concat((s, a, b)), 2 * ell)
-    target = [exprs.BoxPlus(x, h)]
-    decls = {"s": secret_bits, "a": ell, "b": ell, "x": ell, "z": ell}
-    rows = []
-    ok = True
-
-    def check(name, knowns, expect):
-        nonlocal ok
-        value = oracle.chance(decls, knowns, target)
-        good = value == expect
-        ok = ok and good
-        rows.append({"instance": name, "value": str(value),
-                     "expected": str(expect), "ok": good})
-        return {"knowns": name, "value": _frac(value), "ok": good}
-
-    blind = Fraction(1, 1 << ell)
-    results = [
-        check("blind", [], blind),
-        check("x,z", [x, z], blind),
-        check("a,b,s,masked-x", [a, b, s, exprs.KernelMask(x, h)], Fraction(1)),
-    ]
-    zh = exprs.BoxPlus(z, h)
-    for upsilon, name in (((), "a,b,s,x"), ((z,), "a,b,s,x,z"),
-                          ((zh,), "a,b,s,x,zh"), ((z, zh), "a,b,s,x,z,zh")):
-        results.append(check(name, [a, b, s, x, *upsilon], Fraction(1)))
+    spec = oracle.builtin_guard_spec("attack-run", ell, secret_bits)
+    s, a, b, x, z, zh = spec.context
+    blind = oracle.analytic("naive", ell=ell)
     # one hash query at a guessed secret: right with 2**-s, else blind
     zeros = "0" * secret_bits
     query = exprs.Hash(exprs.Concat((exprs.Lit(zeros), a, b)), 2 * ell)
-    hit = Fraction(1, 1 << secret_bits)
-    results.append(check(f"a,b,x,H({zeros}.a.b)", [a, b, x, query], hit + (1 - hit) * blind))
-    payload = {"ell": ell, "secret_bits": secret_bits, "checks": results, "ok": ok}
-    return payload, ok, rows
+    cases = [
+        ("blind", [], blind),
+        ("x,z", [x, z], blind),
+        ("a,b,s,masked-x", [a, b, s, exprs.KernelMask(x, spec.target.h)], 1),
+        *((name, [a, b, s, x, *upsilon], 1)
+          for upsilon, name in (((), "a,b,s,x"), ((z,), "a,b,s,x,z"),
+                                ((zh,), "a,b,s,x,zh"), ((z, zh), "a,b,s,x,z,zh"))),
+        (f"a,b,x,H({zeros}.a.b)", [a, b, x, query],
+         oracle.analytic("secret-guess", ell=ell, secret_bits=secret_bits)),
+    ]
+    rows = [_row(name, oracle.chance(spec.variables, knowns, [spec.target]), expect)
+            for name, knowns, expect in cases]
+    return _verdict({"ell": ell, "secret_bits": secret_bits,
+                     "checks": [{"knowns": name, "value": _frac(value), "ok": good}
+                                for name, value, _, good in rows]}, rows)
 
 
 def _ell(args, default: int) -> int:
@@ -268,14 +220,12 @@ _CLAIMS = {
 
 def _cmd_enumerate(args) -> int:
     payload, ok, rows = _CLAIMS[args.claim](args)
-    payload = {"claim": args.claim, **payload}
     if args.out == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["claim", "instance", "value", "expected", "ok"])
-        for r in rows:
-            writer.writerow([args.claim, r["instance"], r["value"], r["expected"], r["ok"]])
+        writer.writerows([args.claim, *r] for r in rows)
     else:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"claim": args.claim, **payload}, indent=2))
     return 0 if ok else 1
 
 
@@ -286,11 +236,7 @@ def _load_config(args) -> ProtocolConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = ProtocolConfig.from_json(json.load(fh))
-        if args.ell is not None:
-            data = cfg.to_json()
-            data["ell"] = args.ell
-            cfg = ProtocolConfig.from_json(data)
-        return cfg
+        return cfg if args.ell is None else dataclasses.replace(cfg, ell=args.ell)
     return ProtocolConfig(ell=args.ell if args.ell is not None else 8)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -88,19 +88,19 @@ class Estimate:
 
 
 # strategy key -> its claim in oracle.analytic
-_CLOSED_FORMS = {"naive-guess": "naive", "prequery-stick": "prequery", "early-full": "early"}
+_CLOSED_FORMS = {"naive-guess": "naive", "prequery-stick": "prequery", "early-full": "early",
+                 "secret-guess": "secret-guess"}
 
 
 def analytic_acceptance(strategy, cfg: ProtocolConfig) -> Fraction | None:
     """Exact acceptance probability when one is known, else None.
 
     The one table of exact acceptance values.  Naive guessing, pre-query
-    sticking and blind early answers take their closed forms from
-    ``oracle.analytic``, which the ``enumerate`` claims check against
-    the oracle.  Kernel-only early answers and counter reuse are always
-    right, and counter reuse is infeasible under counter freshness.  A
-    secret guesser hits the secret with chance 2**-s, else guesses the
-    response.  The honest prover accepts with certainty iff its
+    sticking, blind early answers and secret guessing take their closed
+    forms from ``oracle.analytic``, which the ``enumerate`` claims check
+    against the oracle.  Kernel-only early answers and counter reuse are
+    always right, and counter reuse is infeasible under counter
+    freshness.  The honest prover accepts with certainty iff its
     tick-rounded distance fits the bound.
     """
     if strategy is None or strategy == "honest":
@@ -108,14 +108,11 @@ def analytic_acceptance(strategy, cfg: ProtocolConfig) -> Fraction | None:
         return Fraction(1) if within else Fraction(0)
     key = adv._strategy_key(strategy)
     if key in _CLOSED_FORMS:
-        return oracle.analytic(_CLOSED_FORMS[key], ell=cfg.ell)
+        return oracle.analytic(_CLOSED_FORMS[key], ell=cfg.ell, secret_bits=cfg.secret_bits)
     if key == "counter-reuse" and cfg.enforce_counter_freshness:
         raise adv.StrategyInfeasibleError("counter reuse needs enforce_counter_freshness disabled")
     if key in ("counter-reuse", "early-kernel"):
         return Fraction(1)
-    if key == "secret-guess":
-        hit = Fraction(1, 2**cfg.secret_bits)
-        return hit + (1 - hit) * Fraction(1, 2**cfg.ell)
     return None
 
 
@@ -195,12 +192,7 @@ def sweep(
     rows: list[SweepRow] = []
     prev: float | None = None
     for ell in ells:
-        if base_cfg is None:
-            cfg = ProtocolConfig(ell=ell)
-        else:
-            data = base_cfg.to_json()
-            data["ell"] = ell
-            cfg = ProtocolConfig.from_json(data)
+        cfg = ProtocolConfig(ell=ell) if base_cfg is None else replace(base_cfg, ell=ell)
         est = monte_carlo(cfg, strategy, trials, f"{master_seed}|ell={ell}")
         ratio = None if prev in (None, 0.0) else est.p_hat / prev
         rows.append(

@@ -559,6 +559,8 @@ def analytic(claim: str, **params) -> Fraction:
 
     hamming(delta): 2**-delta        kernel(kappa, ell): 2**(kappa-ell)
     monty/prequery/early(ell): (3/4)**ell      naive(ell): 2**-ell
+    secret-guess(ell, secret_bits): hit + (1 - hit) * 2**-ell, hit = 2**-secret_bits
+    Parameters a claim does not use are ignored.
     """
     try:
         if claim == "hamming":
@@ -573,6 +575,9 @@ def analytic(claim: str, **params) -> Fraction:
             return Fraction(3, 4) ** params.pop("ell")
         if claim == "naive":
             return Fraction(1, 2) ** params.pop("ell")
+        if claim == "secret-guess":
+            hit = Fraction(1, 2 ** params.pop("secret_bits"))
+            return hit + (1 - hit) * Fraction(1, 2 ** params.pop("ell"))
     except KeyError as missing:
         raise ValueError(f"claim {claim!r} needs parameter {missing}") from None
     raise ValueError(f"unknown claim {claim!r}")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hkbound import cli
+from hkbound import cli, oracle
 from hkbound.protocol import ProtocolConfig, Responder
 from hkbound.harness import (
     CSV_COLUMNS,
@@ -196,6 +196,32 @@ def test_cli_enumerate_csv(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "claim,instance,value,expected,ok"
     assert len(lines) == 22
+
+
+@pytest.mark.parametrize("claim", sorted(cli._CLAIMS))
+def test_cli_enumerate_exits_1_when_a_claim_fails(claim, monkeypatch, capsys):
+    # the oracle function the claim checks against answers wrong once per run
+    if claim == "binomial":
+        name, real = "binomial_identity_check", oracle.binomial_identity_check
+
+        def wrong(ell):
+            lhs, rhs, _ = real(ell)
+            return lhs + 1, rhs, False
+    else:
+        name, real = "chance", oracle.chance
+
+        def wrong(*args, **kwargs):
+            return real(*args, **kwargs) + 1
+
+    for out in ("json", "csv"):
+        calls = iter([wrong])
+        monkeypatch.setattr(oracle, name, lambda *a, **k: next(calls, real)(*a, **k))
+        assert cli.main(["enumerate", "--claim", claim, "--out", out]) == 1
+        text = capsys.readouterr().out
+        if out == "json":
+            assert json.loads(text)["ok"] is False
+        else:
+            assert "False" in [row["ok"] for row in csv.DictReader(text.splitlines())]
 
 
 def test_cli_simulate_reports_estimates(capsys):

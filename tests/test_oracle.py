@@ -697,6 +697,7 @@ def test_one_hash_query_gives_the_secret_guess_value(ell, s, value):
     assert chance(decls, [x, a, b], [BoxPlus(x, token)]) == Fraction(1, 2**ell)
     assert chance(decls, [x, a, b, query], [BoxPlus(x, token)]) == \
         hit + (1 - hit) * Fraction(1, 2**ell) == value == \
+        oracle.analytic("secret-guess", ell=ell, secret_bits=s) == \
         harness.analytic_acceptance("secret-guess", ProtocolConfig(ell=ell, secret_bits=s))
 
 

@@ -110,8 +110,24 @@ EXACT_OUTPUTS = {
         "aeb250688b232bfaec12c660ff669c784eb40407ebdf3b2e8ebfd22ebf59e5a2",
     ("enumerate", "--claim", "subbayes"):
         "67958f40342334981a173c6c4463bb5c8a6c5ba2162e8f6a20c56972d2dc1c45",
+    ("enumerate", "--claim", "binomial", "--out", "csv"):
+        "3e1dd3213ce4e9ed99dd0d924c4f94591be1eae10b436f755280e2b74b382044",
+    ("enumerate", "--claim", "early", "--out", "csv"):
+        "d66ea364e1c437abd3ec50555646e3df6f1c7aa6184a56da254e2854a6197b0c",
     ("enumerate", "--claim", "hamming", "--out", "csv"):
         "9254ffac2150406d722b870ffd1e452378bb1aefc7f5328fb2447cb9d8ea4f5e",
+    ("enumerate", "--claim", "kernel", "--out", "csv"):
+        "8d446bd243c623bac3f58b7222e71ede51bcbeb2c2b85d2c7b9e86bfadedd7b1",
+    ("enumerate", "--claim", "lemma3", "--out", "csv"):
+        "cce5a2d54b0eec877627412d09b7808e916e6285bf2794e7770ba4a8e0529616",
+    ("enumerate", "--claim", "monty", "--out", "csv"):
+        "c7df9173b782eddc39e762a7d4ede2c4be1cb993a7ba63846a5a9c0a7f336e0d",
+    ("enumerate", "--claim", "prop34", "--out", "csv"):
+        "7514a5e2839b41617c87977d7f6ad0ab0ca088f08619f2c04fb448235ede0609",
+    ("enumerate", "--claim", "subbayes", "--out", "csv"):
+        "cabe5e99825236597a6b877ca13593e50ec7ecc2c2c7484e9ed1aea947b328f3",
+    ("enumerate", "--claim", "lemma3", "--ell", "2"):
+        "2ee6ac54e97bfc8df277a2ee61381504466b26cd980e3437483a518f9697654d",
     ("guard-check", "--builtin", "attack-run"):
         "32839fbe0cec4cdbd3acbce263f34103abd6382ad76d1f4661983c1e84e79701",
     ("guard-check", "--builtin", "early-run"):
