@@ -15,24 +15,33 @@ deterministic ones.  The query regime is part of the question: a
 guesser that evaluates the hash at a point of its choosing, such as
 H(guess.a.b), is modelled by adding that query as a known hash node.
 
-Without hashes every operator is bit-local, so the bits split into
-independent components and the chance is the product of theirs: the
-paper's per-bit argument behind (3/4)**l.  The budget then caps the
-widest component rather than B; see ``guess_chance``.
-
 Hash applications extend the environment: each distinct argument value
-indexes an independent uniform table entry, enumerated lazily, and
-collisions between entries are counted rather than assumed away.  The
-table is filled node by node, arguments' nodes first, and that is exact:
-no operator short-circuits, so every node is read on every evaluation,
-and a node whose key is tabled reuses that entry.  The hash itself is
-public, so a guesser whose observations pin down an argument value is
-credited with knowing that table entry as well.  The entry augments the
-grouping key exactly when the observed values determine the argument
-(computed as a fixpoint, since one entry may pin down the argument of
-the next).  Without this rule a guesser knowing the secret and both
-counters would not be able to "compute" the session token, and every
-full-knowledge chance would come out wrong.
+indexes an independent uniform table entry.  Nodes with equal argument
+expressions and output widths always read one entry, and form one class.
+Two classes can collide only when their arguments and their outputs are
+of equal widths.  Without such a pair, each class's entry is a block of
+fresh uniform variable bits.  Every operator is bit-local, so all the
+bits split into independent components, and the chance is the product
+of the components' chances: the paper's per-bit argument behind
+(3/4)**l.  Each component's 2**k assignments are enumerated at once, as
+one truth table per value bit, and the budget caps the widest component.
+A query with a pair of classes that may collide takes the leaf table,
+which enumerates every variable and entry bit together and counts
+collisions rather than assuming them away; the budget then caps B + H.
+That table is filled node by node, arguments' nodes first, and that is
+exact: no operator short-circuits, so every node is read on every
+evaluation, and a node whose key is tabled reuses that entry.
+
+The hash itself is public, so a guesser whose observations pin down an
+argument value is credited with knowing that table entry as well.  The
+entry augments the grouping key exactly when the observed values
+determine the argument in every group of equal observations (computed as
+a fixpoint, since one entry may pin down the argument of the next); an
+argument fixed in some groups only leaves the entry unpinned.  With
+truth tables the rule factorises: the argument is determined exactly
+when each component's part of it is.  Without this rule a guesser
+knowing the secret and both counters would not be able to "compute" the
+session token, and every full-knowledge chance would come out wrong.
 
 Everything returns exact fractions; nothing here samples.
 """
@@ -58,7 +67,7 @@ DEFAULT_BUDGET = 24
 
 class BudgetExceededError(ValueError):
     """One enumeration would walk more environment and hash-table bits than
-    allowed: a factorised query's widest component, or else B + H."""
+    allowed: the widest component of truth tables, or B + H of a leaf table."""
 
     def __init__(self, required_bits: int, budget: int):
         self.required_bits = required_bits
@@ -88,20 +97,11 @@ class GuessScenario:
         for e in self.knowns + self.targets:
             width(e, decls)
 
-    @property
-    def declared(self) -> dict[str, int]:
-        return dict(self.variables)
 
-
-def _envs(var_order: list[tuple[str, int]], bits: list):
-    """Every assignment of ``bits``, (name, k) pairs, with every other bit at 0."""
-    base = {n: (b, 0) for n, b in var_order}
-    for idx in range(1 << len(bits)):
-        env = dict(base)
-        for i, (name, k) in enumerate(bits):
-            if idx >> i & 1:
-                env[name] = (env[name][0], env[name][1] | 1 << k)
-        yield env
+def _envs(var_order: list[tuple[str, int]]):
+    """Every assignment of the variables ``var_order``, (name, bits) pairs."""
+    for values in itertools.product(*(range(1 << b) for _, b in var_order)):
+        yield {n: (b, v) for (n, b), v in zip(var_order, values)}
 
 
 def _leaves(shown: Sequence[Expr], nodes: list, envs: Iterable[dict]):
@@ -165,13 +165,12 @@ def _table(variables, shown: Sequence[Expr], budget: int) -> _Table:
     hash_bits = sum(n.out_bits for n in nodes)
     if total_bits + hash_bits > budget:
         raise BudgetExceededError(total_bits + hash_bits, budget)
-    every_bit = [(n, k) for n, b in var_order for k in range(b)]
     codes: dict = {}
     values, keys, entries, extras = zip(*(
         (tuple(codes.setdefault(v, len(codes)) for v in vs),
          tuple(codes.setdefault(k, len(codes)) for k in ks),
          tuple(codes.setdefault(v, len(codes)) for v in es), extra)
-        for vs, ks, es, extra in _leaves(shown, nodes, _envs(var_order, every_bit))))
+        for vs, ks, es, extra in _leaves(shown, nodes, _envs(var_order))))
     return _Table({e: i for i, e in enumerate(shown)}, nodes, total_bits + hash_bits, values,
                   list(zip(*keys)), list(zip(*entries)), [1 << (hash_bits - x) for x in extras])
 
@@ -197,15 +196,10 @@ def _project(table: _Table, knowns: Sequence[Expr], targets: Sequence[Expr]) -> 
     keys = _rows(table, knowns)
     own = {id(n) for e in (*knowns, *targets) for n in hash_nodes(e)}
     remaining = [i for i, n in enumerate(table.nodes) if id(n) in own]
-    while remaining:
-        progressed = False
-        for i in list(remaining):
-            if len(set(zip(keys, table.args[i]))) == len(set(keys)):
-                keys = list(map(add, keys, zip(table.entries[i])))
-                remaining.remove(i)
-                progressed = True
-        if not progressed:
-            break
+    while pinned := [i for i in remaining if len(set(zip(keys, table.args[i]))) == len(set(keys))]:
+        for i in pinned:
+            keys = list(map(add, keys, zip(table.entries[i])))
+            remaining.remove(i)
     groups: dict = {}
     for (key, w, weight), n in Counter(zip(keys, _rows(table, targets), table.weights)).items():
         slot = groups.setdefault(key, {})
@@ -213,49 +207,85 @@ def _project(table: _Table, knowns: Sequence[Expr], targets: Sequence[Expr]) -> 
     return Fraction(_best(groups), 1 << table.bits)
 
 
-def _reads(e: Expr, declared: dict[str, int]) -> list[frozenset]:
-    """For each value bit of hash-free ``e``, least significant first, the
-    variable bits (name, k) it reads, k counting from the least significant
-    bit.  Supersets are sound: bit i of a selection reads x_i, h_i and
-    h_{l+i}, only two of which decide it; a KernelMask star bit reads less."""
-    if isinstance(e, exprs.Var):
-        return [frozenset({(e.name, k)}) for k in range(declared[e.name])]
+def _reads(e: Expr, cols: dict) -> list[int]:
+    """For each value bit of ``e``, least significant first, the mask of the
+    positions it reads; ``cols`` maps a variable's name, or a hash node's
+    id, to the masks of its bits.  Supersets are sound: bit i of a
+    selection reads x_i, h_i and h_{l+i}, only two of which decide it.  A
+    KernelMask gives its value bits, then its star bits."""
+    if isinstance(e, (exprs.Var, exprs.Hash)):
+        return cols[e.name if isinstance(e, exprs.Var) else id(e)]
     if isinstance(e, exprs.Lit):
-        return [frozenset()] * len(e.text)
+        return [0] * len(e.text)
     if isinstance(e, exprs.Concat):
-        return [c for p in reversed(e.parts) for c in _reads(p, declared)]
+        return [m for p in reversed(e.parts) for m in _reads(p, cols)]
     if isinstance(e, exprs.Negate):
-        return _reads(e.arg, declared)
+        return _reads(e.arg, cols)
     if isinstance(e, exprs.Proj):
-        arg = _reads(e.arg, declared)
+        arg = _reads(e.arg, cols)
         return arg[len(arg) - e.hi:len(arg) - e.lo + 1]
-    if isinstance(e, (exprs.BoxPlus, exprs.KernelMask)):
-        x, h = _reads(e.x, declared), _reads(e.h, declared)
-        return [x[i] | h[i] | h[len(x) + i] for i in range(len(x))]
-    raise TypeError(f"not a hash-free expression: {e!r}")
+    x, h = _reads(e.x, cols), _reads(e.h, cols)
+    n = len(x)
+    out = [x[i] | h[i] | h[n + i] for i in range(n)]
+    return out + out if isinstance(e, exprs.KernelMask) else out
 
 
-def _components(es: Sequence[Expr], declared: dict[str, int]) -> list[list]:
-    """The variable bits that hash-free ``es`` read, split into independent
-    components by union-find over the bits each output bit reads.  Bits
-    that nothing reads belong to no component."""
-    parent: dict = {}
+def _slices(e: Expr, cols: dict) -> list[int]:
+    """For each value bit of ``e``, in ``_reads`` order, its truth table
+    over the rows of its component: ``cols`` holds the tables of the
+    variables' and hash nodes' bits.  ``~`` is two's complement, so a table
+    is exact on its component's rows once masked to them."""
+    if isinstance(e, (exprs.Var, exprs.Hash)):
+        return cols[e.name if isinstance(e, exprs.Var) else id(e)]
+    if isinstance(e, exprs.Lit):
+        return [-int(c) for c in reversed(e.text)]
+    if isinstance(e, exprs.Concat):
+        return [t for p in reversed(e.parts) for t in _slices(p, cols)]
+    if isinstance(e, exprs.Negate):
+        return [~t for t in _slices(e.arg, cols)]
+    if isinstance(e, exprs.Proj):
+        arg = _slices(e.arg, cols)
+        return arg[len(arg) - e.hi:len(arg) - e.lo + 1]
+    x, h = _slices(e.x, cols), _slices(e.h, cols)
+    n = len(x)  # h[n:] is the first half h0, chosen where x is 0
+    if isinstance(e, exprs.BoxPlus):
+        return [h[n + i] & ~x[i] | h[i] & x[i] for i in range(n)]
+    stars = [~(h[n + i] ^ h[i]) for i in range(n)]
+    return [x[i] & ~stars[i] for i in range(n)] + stars
 
-    def find(b):
-        parent.setdefault(b, b)
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        return b
 
-    for e in es:
-        for coord in _reads(e, declared):
-            roots = [find(b) for b in coord]
-            for r in roots[1:]:
-                parent[r] = roots[0]
-    comps: dict = {}
-    for b in parent:
-        comps.setdefault(find(b), []).append(b)
-    return list(comps.values())
+def _pattern(j: int, k: int) -> int:
+    """The truth table of bit j of the row number over 2**k rows."""
+    table, span = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+    while span < 1 << k:
+        table |= table << span
+        span <<= 1
+    return table
+
+
+CHUNK_BITS = 16  # rows are counted 2**16 at a time
+
+
+def _each_row(tables: list, k: int):
+    """Each of the 2**k rows of a component as the tuple of ``tables``'
+    bits at it, built one chunk of rows at a time."""
+    n = 1 << min(k, CHUNK_BITS)
+    for lo in range(0, 1 << k, n):
+        yield from zip(*[format(t >> lo & (1 << n) - 1, f"0{n}b") for t in tables])
+
+
+def _best_rows(given: list, tables: list, k: int) -> int:
+    """Over a component's 2**k rows, the sum over each value of ``given``
+    of the count of its commonest value of ``tables``: 2**k exactly when
+    ``tables`` are a function of ``given``."""
+    if not given and len(tables) == 1:
+        return max(ones := tables[0].bit_count(), (1 << k) - ones)
+    best: dict = {}
+    cut = len(given)
+    for row, n in Counter(_each_row(given + tables, k)).items():
+        if n > best.get(row[:cut], 0):
+            best[row[:cut]] = n
+    return sum(best.values())
 
 
 def _best(groups: dict) -> int:
@@ -263,49 +293,140 @@ def _best(groups: dict) -> int:
     return sum(max(slot.values()) for slot in groups.values())
 
 
+class _TruthTables:
+    """Truth tables of the expressions ``shown``, for ``chance`` to read.
+
+    Each variable bit, and each bit of a hash class's entry, is a
+    position.  The positions split into independent components by the
+    masks that ``_reads`` gives every bit of ``shown`` and of the classes'
+    arguments, and each component's 2**k rows are its assignments.  Every
+    expression is evaluated once, by ``_slices``, into a truth table per
+    value bit.  Expressions are looked up by id, as ``shown`` holds them.
+    """
+
+    def __init__(self, variables, shown: Sequence[Expr], classes: dict, own: dict, budget: int):
+        self.own = own
+        masks: dict = {}
+        at = 0
+        for name, bits in variables:
+            masks[name] = [1 << at + k for k in range(bits)]
+            at += bits
+        blocks = {}
+        for key, nodes in classes.items():
+            blocks[key] = [1 << at + k for k in range(nodes[0].out_bits)]
+            at += nodes[0].out_bits
+            masks.update((id(n), blocks[key]) for n in nodes)
+        reads = [_reads(e, masks) for e in shown]
+        arg_reads = {key: _reads(nodes[0].arg, masks) for key, nodes in classes.items()}
+        comps: list[int] = []
+        for m in itertools.chain(*reads, *arg_reads.values()):
+            if not m:
+                continue  # a constant bit
+            hits = [c for c in comps if c & m]
+            if len(hits) == 1 and m | hits[0] == hits[0]:
+                continue
+            for c in hits:
+                comps.remove(c)
+                m |= c
+            comps.append(m)
+        self.widths = [c.bit_count() for c in comps]
+        if max(self.widths, default=0) > budget:
+            raise BudgetExceededError(max(self.widths), budget)
+        comp_of, tables = {}, {}
+        for i, c in enumerate(comps):
+            for j in range(self.widths[i]):
+                bit = c & -c
+                comp_of[bit], tables[bit] = i, _pattern(j, self.widths[i])
+                c ^= bit
+        cols = {key: [tables.get(m, 0) for m in ms] for key, ms in masks.items()}
+        fulls = [(1 << (1 << k)) - 1 for k in self.widths]
+
+        def columns(ms, ts):
+            return [(c := comp_of[m & -m], t & fulls[c]) for m, t in zip(ms, ts) if m]
+
+        self.columns = {id(e): columns(ms, _slices(e, cols)) for e, ms in zip(shown, reads)}
+        self.args = {}
+        for key, nodes in classes.items():
+            self.args[key] = by_comp = {}
+            for c, t in columns(arg_reads[key], _slices(nodes[0].arg, cols)):
+                by_comp.setdefault(c, []).append(t)
+        # an entry bit that nothing reads, as past a Proj, is in no
+        # component, and knowing it tells nothing
+        self.entries = {key: [(comp_of[m], tables[m]) for m in ms if m in comp_of]
+                        for key, ms in blocks.items()}
+
+    def chance(self, knowns: Sequence[Expr], targets: Sequence[Expr]) -> Fraction:
+        """The chance of ``targets`` given ``knowns``: a product over the
+        components that targets read, each a sum over known rows of the
+        commonest target row.  A class's entry joins the knowns once its
+        argument follows from the knowns in every component, to a
+        fixpoint, as in ``_project``."""
+        given: dict = {}
+        want: dict = {}
+        for es, into in ((knowns, given), (targets, want)):
+            for e in es:
+                for c, t in self.columns[id(e)]:
+                    into.setdefault(c, []).append(t)
+        remaining = list(dict.fromkeys(key for e in (*knowns, *targets) for key in self.own[id(e)]))
+        while pinned := [key for key in remaining if all(
+                _best_rows(given.get(c, []), ts, self.widths[c]) == 1 << self.widths[c]
+                for c, ts in self.args[key].items())]:
+            for key in pinned:
+                for c, t in self.entries[key]:
+                    given.setdefault(c, []).append(t)
+                remaining.remove(key)
+        best = 1
+        for c, ts in want.items():
+            best *= _best_rows(given.get(c, []), ts, self.widths[c])
+        return Fraction(best, 1 << sum(self.widths[c] for c in want))
+
+
+def _enumerate(variables, shown: Sequence[Expr], budget: int):
+    """``chance_of(knowns, targets)`` for queries over ``shown``, read off
+    one enumeration of it: ``_TruthTables``, or the leaf table ``_table``
+    when two node classes may collide."""
+    classes: dict = {}  # repr -> the nodes of one class
+    own: dict = {}  # id(e) -> the classes of e's nodes
+    for e in shown:
+        own[id(e)] = keys = []
+        for n in hash_nodes(e):
+            keys.append(repr(n))
+            classes.setdefault(keys[-1], []).append(n)
+    declared = dict(variables)
+    shapes = [(width(nodes[0].arg, declared), nodes[0].out_bits) for nodes in classes.values()]
+    if len(set(shapes)) < len(shapes):
+        return partial(_project, _table(variables, shown, budget))
+    return _TruthTables(variables, shown, classes, own, budget).chance
+
+
 def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact best guessing chance of the targets given the knowns.
 
-    A hash-free query is factorised: each component of its bits is
-    enumerated with every other bit at 0, and the chance is the product
-    of the components' chances.  This is exact: each value bit is a
-    function of one component, or constant, so the components' parts of
-    (knowns, targets) are independent, a part is read off whole values
-    with the other bits fixed, and the sum over observations of the best
-    answer's weight splits into a product (Smith, FoSSaCS 2009, for
-    independent channels).  One component holding every bit is the plain
-    2**B enumeration.  The budget caps the widest component.
+    Hash nodes are variables here unless two node classes may collide
+    (see the module docstring): each class's entry is a block of
+    ``out_bits`` variable bits, and a node's value is that block.  The
+    variable and entry bits split into independent components, and the
+    chance is the product of the components' chances (Smith, FoSSaCS
+    2009, for independent channels).  This is exact: each value bit, and
+    each bit of a class's argument, is a function of one component or
+    constant, so the components' parts are independent and the sum over
+    observations of the best answer's weight splits into a product.  A
+    class is pinned, its entry joining the knowns, when its argument is a
+    function of the knowns in every component, which is the every-group
+    rule of the leaf table.  The budget caps the widest component.
 
-    A query with a hash node counts outcomes in integer weights over the
-    common denominator 2**(B + H), where H sums the output widths of the
-    distinct hash nodes: a leaf that tabled ``extra`` entry bits weighs
-    2**(H - extra).  A leaf reads at most one entry per node, so
-    extra <= H.  The budget caps B + H.  ``_table`` enumerates the
-    leaves and ``_project`` reads the chance off them.  The table is
-    filled in node order, which lists a node after those in its argument
-    (``hash_nodes`` is post-order and the dedup keeps first occurrences);
-    the module docstring says why that is exact.
+    A query with two node classes that may collide counts outcomes in
+    integer weights over the common denominator 2**(B + H), where H sums
+    the output widths of the distinct hash nodes: a leaf that tabled
+    ``extra`` entry bits weighs 2**(H - extra).  A leaf reads at most one
+    entry per node, so extra <= H.  The budget caps B + H.  ``_table``
+    enumerates the leaves and ``_project`` reads the chance off them.
+    The table is filled in node order, which lists a node after those in
+    its argument (``hash_nodes`` is post-order and the dedup keeps first
+    occurrences); the module docstring says why that is exact.
     """
     knowns, targets = scenario.knowns, scenario.targets
-    if any(hash_nodes(e) for e in knowns + targets):
-        return _project(_table(scenario.variables, knowns + targets, budget), knowns, targets)
-
-    fv = _free_vars_of(knowns + targets)
-    var_order = [(n, b) for n, b in scenario.variables if n in fv]
-    components = _components(knowns + targets, scenario.declared)
-    widest = max(map(len, components), default=0)
-    if widest > budget:
-        raise BudgetExceededError(widest, budget)
-    best = 1
-    for bits in components:
-        groups: dict = {}
-        for env in _envs(var_order, bits):
-            v = tuple(evaluate(e, env, {}) for e in knowns)
-            w = tuple(evaluate(e, env, {}) for e in targets)
-            slot = groups.setdefault(v, {})
-            slot[w] = slot.get(w, 0) + 1
-        best *= _best(groups)
-    return Fraction(best, 1 << sum(map(len, components)))
+    return _enumerate(scenario.variables, knowns + targets, budget)(knowns, targets)
 
 
 def chance(
@@ -489,7 +610,7 @@ def cover(context: Sequence, target, guards: Sequence[Sequence], chance_of) -> G
     ``check_prob_guard`` answers every ask from one enumeration of all the
     spec's terms, since a query's chance depends only on the joint law of
     its own terms and nodes, which the other terms leave unchanged; a
-    union over the budget, or one without hash nodes, is asked per query.
+    union over the budget is asked per query.
     """
     memo: dict = {}
 
@@ -523,30 +644,30 @@ def cover(context: Sequence, target, guards: Sequence[Sequence], chance_of) -> G
 def check_prob_guard(spec: GuardSpec, budget: int = DEFAULT_BUDGET) -> GuardReport:
     """``cover`` with exact guessing chances over the spec's variables.
 
-    The spec's terms are enumerated once, in one ``_table`` over the union
-    of context, target and guard terms, and every chance ``cover`` asks is
-    projected from it.  That equals the query's own enumeration: the
-    query's knowns, targets and own nodes' arguments and entries have the
-    same joint law in both.  A variable the query does not read multiplies
-    every group's weight by the same 2**k.  A node the query does not read
-    tables a new key with a uniform entry, and a query node that collides
-    with it reads that entry: uniform, as its own fill would have drawn
-    it.  Only the query's own nodes are pinned, so the guesser stays in
-    the zero-query regime; pinning a guard-only node would hand it a free
-    hash query.
+    The spec's terms are enumerated once, over the union of context,
+    target and guard terms: as truth tables, with every hash class's
+    entry a block of variable bits, or as one ``_table`` when two classes
+    may collide.  Every chance ``cover`` asks is read off that one pass.
+    That equals the query's own enumeration: the query's knowns, targets
+    and own nodes' arguments and entries have the same joint law in both.
+    Bits the query does not read, in a component or in the table, multiply
+    every group's weight by the same factor.  In the table, a node the
+    query does not read tables a new key with a uniform entry, and a query
+    node that collides with it reads that entry: uniform, as its own fill
+    would have drawn it.  Only the query's own classes are pinned, so the
+    guesser stays in the zero-query regime; pinning a guard-only node
+    would hand it a free hash query.
 
-    A hash-free union, or one over the budget, falls back to asking
-    ``chance`` per query: hash-free queries factorise there, and a query
-    over the budget raises as before.
+    A union over the budget (its widest component, or B + H for a table)
+    falls back to asking ``chance`` per query, and a query over the budget
+    raises as before.
     """
     variables = tuple(spec.variables)
     shown = (*spec.context, spec.target, *(e for g in spec.guards for e in g))
-    chance_of = partial(chance, variables, budget=budget)
-    if any(hash_nodes(e) for e in shown):
-        try:
-            chance_of = partial(_project, _table(variables, shown, budget))
-        except BudgetExceededError:
-            pass  # each query may still fit alone
+    try:
+        chance_of = _enumerate(variables, shown, budget)
+    except BudgetExceededError:
+        chance_of = partial(chance, variables, budget=budget)  # each query may still fit alone
     return cover(spec.context, spec.target, spec.guards, chance_of)
 
 

@@ -24,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 from .bits import BitString, concat, sample_uniform  # noqa: F401 (bench/layers.py patches the last two)
@@ -47,8 +48,9 @@ class ProtocolConfig:
     ``positions`` maps principal names to coordinates on a line; the
     adversary's entry is optional and defaults to the verifier's own
     coordinate (the attacker walks right up to the reader).  A config is
-    immutable, ``positions`` included: the tick delays, the reach and the
-    timeout are computed once per config and then reused by every session.
+    immutable, ``positions`` included (it holds a read-only copy of the
+    mapping it was given): the tick delays, the reach and the timeout are
+    computed once per config and then reused by every session.
     """
 
     ell: int
@@ -65,6 +67,7 @@ class ProtocolConfig:
     enforce_counter_freshness: bool = True
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "positions", MappingProxyType(dict(self.positions)))
         if self.ell < 1:
             raise ValueError("ell must be at least 1")
         if self.secret_bits < 1:
@@ -84,6 +87,13 @@ class ProtocolConfig:
         for who in (VERIFIER, PROVER):
             if who not in self.positions:
                 raise ValueError(f"positions must place the {who}")
+
+    def __getstate__(self) -> dict:
+        # a read-only mapping does not pickle, so ``positions`` travels as a dict
+        return {**self.__dict__, "positions": dict(self.positions)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, positions=MappingProxyType(state["positions"]))
 
     @property
     def counter_width(self) -> int:

@@ -23,12 +23,14 @@ def test_every_traced_name_exists_and_is_restored():
         layers.instrument(tracer)
         # the wrapper reads Closure.terms and Closure.saturated
         symbolic.derive_closure([symbolic.atom("a")], symbolic.PAIRING)
-        # a hash-free query evaluates through the name the tracer wraps
+        # a hash-free query runs through the traced guess_chance
         x, h = exprs.Var("x"), exprs.Var("h")
         oracle.chance({"x": 2, "h": 4}, [h], [exprs.BoxPlus(x, h)])
-        # so does a hash query: its table fill calls the same name
+        # a query whose hash nodes may collide fills the leaf table, which
+        # evaluates through the name the tracer wraps
         evaluations = tracer.calls[tracer.names.index("exprs.evaluate")]
-        oracle.chance({"a": 1}, [], [exprs.Hash(exprs.Var("a"), 1)])
+        a, b = exprs.Var("a"), exprs.Var("b")
+        oracle.chance({"a": 1, "b": 1}, [], [exprs.Hash(a, 1), exprs.Hash(b, 1)])
         assert tracer.calls[tracer.names.index("exprs.evaluate")] > evaluations
         # Monte Carlo sessions run through the names the tracer wraps
         harness.monte_carlo_range(ProtocolConfig(ell=3), "naive-guess", "m", 0, 2)

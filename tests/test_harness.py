@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -300,6 +301,34 @@ def test_cli_guard_check_exit_codes(tmp_path, capsys):
     path.write_text(json.dumps(bad.to_json()))
     assert cli.main(["guard-check", "--spec", str(path)]) == 1
     capsys.readouterr()
+
+
+def test_cli_guard_check_attack_run_at_the_paper_secret_width(capsys):
+    # hash entries as variables keep s = 256 exact: one component per bit
+    start = time.perf_counter()
+    rc = cli.main(["guard-check", "--builtin", "attack-run", "--ell", "8", "--secret-bits", "256"])
+    elapsed = time.perf_counter() - start
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["ok"] is True
+    assert doc["baseline"] == oracle.prob_json(Fraction(1, 2**8))
+    assert elapsed < 10.0, f"ran {elapsed:.1f}s, over the 10s budget"
+
+
+def test_guard_spec_json_roundtrip_gives_the_builtin_report(tmp_path, capsys):
+    # parsing makes three H(s.a.b) nodes of one argument, one table entry
+    start = time.perf_counter()
+    for ell, s in ((1, 2), (2, 3), (8, 256)):
+        spec = oracle.builtin_guard_spec("attack-run", ell, s)
+        again = oracle.GuardSpec.from_json(json.dumps(spec.to_json()))
+        assert oracle.check_prob_guard(again) == oracle.check_prob_guard(spec)
+    path = tmp_path / "attack-run.json"
+    path.write_text(json.dumps(oracle.builtin_guard_spec("attack-run").to_json()))
+    assert cli.main(["guard-check", "--spec", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    assert cli.main(["guard-check", "--builtin", "attack-run"]) == 0
+    assert capsys.readouterr().out == from_file
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"ran {elapsed:.1f}s, over the 10s budget"
 
 
 def test_cli_guard_check_malformed_declarations_exit_2(tmp_path, capsys):

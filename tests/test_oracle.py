@@ -12,6 +12,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -91,11 +92,17 @@ def test_budget_is_enforced():
     with pytest.raises(BudgetExceededError) as err:
         chance({"u": 30}, [], [chained], budget=24)
     assert err.value.required_bits == 30
-    # hash-table entries are enumerated too, so their bits count
-    with pytest.raises(BudgetExceededError) as err:
-        chance({"a": 1}, [], [Hash(Var("a"), 12)], budget=1)
-    assert err.value.required_bits == 13
+    # a hash entry that nothing can collide with is a block of variable
+    # bits: here twelve one-bit components beside a's
+    assert chance({"a": 1}, [], [Hash(Var("a"), 12)], budget=1) == Fraction(1, 4096)
     assert chance({"a": 1}, [], [Hash(Var("a"), 12)], budget=13) == Fraction(1, 4096)
+    # nodes that may collide are counted in the leaf table, whose
+    # variable and entry bits B + H all count
+    pair = [Hash(Var("a"), 2), Hash(Var("b"), 2)]
+    with pytest.raises(BudgetExceededError) as err:
+        chance({"a": 1, "b": 1}, [], pair, budget=5)
+    assert err.value.required_bits == 6
+    assert chance({"a": 1, "b": 1}, [], pair, budget=6) == Fraction(5, 32)
     # unused variables cost nothing
     assert chance({"u": 2, "w": 100}, [], [Var("u")], budget=24) == Fraction(1, 4)
 
@@ -481,8 +488,7 @@ def restart_chance(decls, knowns, targets, budget=oracle.DEFAULT_BUDGET):
     hash_bits = sum(n.out_bits for n in nodes)
     if total_bits + hash_bits > budget:
         raise BudgetExceededError(total_bits + hash_bits, budget)
-    every_bit = [(n, k) for n, b in var_order for k in range(b)]
-    leaves = [leaf for env in oracle._envs(var_order, every_bit)
+    leaves = [leaf for env in oracle._envs(var_order)
               for leaf in restart_leaves(knowns, targets, env)]
     groups: dict = {}
     for key, (_v, w, _argrec, _htable, extra) in zip(restart_pin(leaves, nodes), leaves):
@@ -491,26 +497,44 @@ def restart_chance(decls, knowns, targets, budget=oracle.DEFAULT_BUDGET):
     return Fraction(oracle._best(groups), 1 << (total_bits + hash_bits))
 
 
+def may_collide(decls, es) -> bool:
+    """Whether two hash nodes of unequal arguments have arguments of equal
+    width and outputs of equal width, so that their entries may be one."""
+    shapes = {repr(n): (exprs.width(n.arg, dict(decls)), n.out_bits)
+              for e in es for n in exprs.hash_nodes(e)}
+    return len(set(shapes.values())) < len(shapes)
+
+
 @st.composite
 def hash_scenarios(draw):
     """Declarations, knowns and targets over 1 to 4 hash nodes.  A node may
     hash an earlier node (nested), nodes are drawn with replacement into
-    several expressions (shared), small arguments of one width often
-    coincide (colliding), and 2n-bit nodes feed BoxPlus and KernelMask.
-    The first target reads a hash node."""
+    several expressions (shared), a node may be a new node over an earlier
+    node's argument (a copy, as JSON parsing makes), small arguments of one
+    width often coincide (colliding), and 2n-bit nodes feed BoxPlus and
+    KernelMask.  A node, or a nested node's argument, may read a slice of
+    a node only.  The first target reads a hash node."""
     widths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
     decls = tuple((f"v{i}", b) for i, b in enumerate(widths))
     nodes: list = []
     for _ in range(draw(st.integers(1, 4))):
+        if nodes and draw(st.integers(0, 3)) == 0:
+            copied = draw(st.sampled_from(nodes))
+            nodes.append(Hash(copied.arg, copied.out_bits))
+            continue
         w = draw(st.sampled_from(widths))
         arg = draw(bit_exprs(decls, w, 1))
         if nodes and draw(st.booleans()):
             inner = draw(st.sampled_from(nodes))
-            arg = draw(st.sampled_from([inner, Concat((arg, inner)), Negate(inner)]))
+            arg = draw(st.sampled_from([inner, Concat((arg, inner)), Negate(inner)]
+                                       + [Proj(inner, lo, lo) for lo in range(1, inner.out_bits + 1)]))
         nodes.append(Hash(arg, draw(st.sampled_from([w, 2 * w]))))
 
     def reading(node):
-        options = [st.just(node), st.just(Negate(node))]
+        n = node.out_bits
+        options = [st.just(node), st.just(Negate(node)),
+                   st.tuples(st.integers(1, n), st.integers(1, n)).map(
+                       lambda ends: Proj(node, min(ends), max(ends)))]
         if node.out_bits % 2 == 0:
             x = bit_exprs(decls, node.out_bits // 2, 1)
             options += [x.map(lambda e: BoxPlus(e, node)), x.map(lambda e: KernelMask(e, node))]
@@ -545,13 +569,97 @@ def test_hash_path_matches_the_restart_reference_on_fixed_shapes():
 def test_hash_path_matches_the_restart_reference(scenario, budget):
     decls, knowns, targets = scenario
 
-    def outcome(engine):
+    def outcome(engine, budget):
         try:
             return engine(decls, knowns, targets, budget=budget)
         except BudgetExceededError as err:
             return "over budget", err.required_bits
 
-    assert outcome(chance) == outcome(restart_chance)
+    got, want = outcome(chance, budget), outcome(restart_chance, budget)
+    if got != want:
+        # without possible collisions the budget caps the widest component,
+        # which B + H bounds: the reference raises wherever the engine does
+        assert want[0] == "over budget" and not may_collide(decls, knowns + targets)
+        if isinstance(got, tuple):
+            assert got[1] < want[1]
+        else:
+            assert got == outcome(restart_chance, oracle.DEFAULT_BUDGET)
+
+
+# --- truth tables against the leaf table ----------------------------------------
+
+
+def table_chance(decls, knowns, targets):
+    """The chance read off the leaf table, which enumerates every variable
+    and table-entry bit at once and counts collisions."""
+    table = oracle._table(decls, tuple(knowns) + tuple(targets), oracle.DEFAULT_BUDGET)
+    return oracle._project(table, knowns, targets)
+
+
+def table_bits(decls, es) -> int:
+    """B + H of the leaf table over ``es``."""
+    used = set().union(*(exprs.free_vars(e) for e in es))
+    nodes = {id(n): n for e in es for n in exprs.hash_nodes(e)}.values()
+    return sum(b for n, b in decls if n in used) + sum(n.out_bits for n in nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hash_scenarios())
+def test_truth_tables_match_the_leaf_table(scenario):
+    decls, knowns, targets = scenario
+    assume(table_bits(decls, knowns + targets) <= 14)
+    assert chance(decls, knowns, targets) == table_chance(decls, knowns, targets)
+
+
+def test_truth_tables_match_the_leaf_table_on_fixed_shapes():
+    a, b, c = Var("a"), Var("b"), Var("c")
+    decls = (("a", 1), ("b", 1), ("c", 1))
+    # the argument is '0' where a = 0 and b where a = 1: fixed in some
+    # groups only, so the entry stays unpinned and a gives nothing
+    some = Hash(BoxPlus(a, Concat((Lit("0"), b))), 2)
+    # fixed in every group of one component but not of the other
+    half = Hash(Concat((a, c)), 2)
+    inner = Hash(a, 2)
+    outer = Hash(Concat((b, inner)), 2)
+    # new nodes over equal arguments, as JSON parsing makes: with outer,
+    # one class of one entry
+    copies = [Hash(Concat((b, Hash(a, 2))), 2) for _ in range(2)]
+    cases = [
+        ([a], [some], Fraction(1, 4)),
+        ([a, b], [some], 1),
+        ([a, c], [BoxPlus(c, some)], Fraction(1, 2)),
+        ([a], [half], Fraction(1, 4)),
+        ([a, c], [half, BoxPlus(b, half)], Fraction(3, 4)),
+        ([a, b], [inner, outer], 1),
+        ([a], [outer], Fraction(1, 4)),
+        ([KernelMask(b, inner), a], [BoxPlus(c, outer)], Fraction(1, 2)),
+        ([a, b], [copies[0], Negate(copies[1])], 1),
+        ([], [copies[0], copies[1]], Fraction(1, 4)),
+        ([copies[0]], [Negate(copies[1]), Proj(outer, 1, 1)], 1),
+        ([Proj(copies[0], 2, 2)], [Proj(outer, 1, 1), Negate(inner)], Fraction(1, 8)),
+        # entry bits that only a slice reads: the rest is read by nothing
+        ([], [Proj(inner, 1, 1)], Fraction(1, 2)),
+        ([a], [Proj(outer, 2, 2)], Fraction(1, 2)),
+        ([a], [Hash(Proj(inner, 1, 1), 1)], 1),
+        ([a, b], [Hash(Concat((b, Proj(inner, 2, 2))), 1)], 1),
+        ([b], [Hash(Concat((b, Proj(inner, 2, 2))), 2)], Fraction(1, 4)),
+    ]
+    for knowns, targets, value in cases:
+        assert not may_collide(decls, knowns + targets)
+        got = chance(decls, knowns, targets)
+        assert got == table_chance(decls, knowns, targets) == restart_chance(decls, knowns, targets)
+        assert got == value, (knowns, targets)
+
+
+def test_a_component_wider_than_one_chunk_matches_the_reference():
+    # u's bits chain into one component, counted over several chunks of rows
+    n = oracle.CHUNK_BITS + 1
+    u = Var("u")
+    rotated = Concat((Proj(u, 2, n), Proj(u, 1, 1)))
+    chained = BoxPlus(u, Concat((u, rotated)))  # bit i reads u_i and u_(i-1)
+    decls = (("u", n),)
+    knowns, targets = [Proj(u, 1, 4), KernelMask(Proj(u, 5, 5), Proj(chained, 1, 2))], [chained]
+    assert chance(decls, knowns, targets) == reference_chance(decls, knowns, targets)
 
 
 # --- what cover's memo rests on -------------------------------------------------
@@ -651,6 +759,15 @@ def test_shared_table_matches_per_query_cover(spec):
     assert check_prob_guard(spec) == per_query_cover(spec)
 
 
+@settings(max_examples=150, deadline=None)
+@given(guard_specs())
+def test_guard_truth_tables_match_the_leaf_table(spec):
+    shown = (*spec.context, spec.target, *(e for g in spec.guards for e in g))
+    table = oracle._table(spec.variables, shown, oracle.DEFAULT_BUDGET)
+    assert check_prob_guard(spec) == oracle.cover(spec.context, spec.target, spec.guards,
+                                                  partial(oracle._project, table))
+
+
 def test_shared_table_matches_per_query_cover_on_fixed_specs():
     a, b = Var("a"), Var("b")
     first, second = Hash(a, 1), Hash(b, 1)  # collide when a = b
@@ -674,11 +791,22 @@ def test_shared_table_falls_back_per_query():
     report = check_prob_guard(split)
     assert report == per_query_cover(split) and report.ok
     assert all(r.exempt for r in report.rows)
-    # a query over the budget raises as before
-    over = GuardSpec((("u", 24), ("c", 1)), (c,), Hash(u, 4), ((u,),))
+    # a hash entry is variable bits: Hash(u, 4) is four one-bit components
+    wide_hash = GuardSpec((("u", 24), ("c", 1)), (c,), Hash(u, 4), ((u,),))
+    report = check_prob_guard(wide_hash)
+    assert report == per_query_cover(wide_hash) and report.ok
+    assert report.baseline == Fraction(1, 16)
+    # a query over the budget raises as before: colliding nodes over B + H,
+    # and a chained 30-bit component
+    colliding = GuardSpec((("u", 12), ("v", 12)), (Hash(v, 2),), Hash(u, 2), ((v,),))
     with pytest.raises(BudgetExceededError) as err:
-        check_prob_guard(over)
+        check_prob_guard(colliding)
     assert err.value.required_bits == 28
+    rotated = Concat((Proj(u, 2, 30), Proj(u, 1, 1)))
+    chained = GuardSpec((("u", 30),), (u,), BoxPlus(u, Concat((u, rotated))), ((u,),))
+    with pytest.raises(BudgetExceededError) as err:
+        check_prob_guard(chained)
+    assert err.value.required_bits == 30
 
 
 # --- the query regime -------------------------------------------------------------

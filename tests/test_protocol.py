@@ -4,8 +4,11 @@ The default geometry puts the prover 3 ticks out with a 5-tick bound, so
 an honest round trip is 6 ticks and the estimate lands exactly on 3.
 """
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -71,6 +74,23 @@ def test_acceptance_slack_widens_the_bound():
     assert lax.timeout_rtt == 16.0
     with pytest.raises(ValueError):
         ProtocolConfig(ell=1, acceptance_slack=-0.5)
+
+
+def test_positions_are_frozen():
+    positions = {"verifier": 0.0, "prover": 3.0}
+    cfg = ProtocolConfig(ell=2, positions=positions)
+    ticks = cfg.delay_ticks("verifier", "prover")
+    with pytest.raises(TypeError):
+        cfg.positions["prover"] = 50.0
+    positions["prover"] = 50.0  # the caller's dict is not the config's
+    assert cfg.delay_ticks("verifier", "prover") == ticks == 3
+    assert cfg.to_json()["positions"] == {"verifier": 0.0, "prover": 3.0}
+    assert dataclasses.replace(cfg, ell=3).positions == cfg.positions
+    # a copy, as a process pool makes, is equal and as read-only
+    for again in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+        assert again == cfg and again.delay_ticks("verifier", "prover") == 3
+        with pytest.raises(TypeError):
+            again.positions["prover"] = 50.0
 
 
 def test_mean_mode_matches_max_mode_for_honest_runs():
