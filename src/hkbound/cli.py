@@ -68,13 +68,15 @@ def _claim_prop34(ell: int):
     x, h = exprs.Var("x"), exprs.Var("h")
     expect = oracle.analytic("prequery", ell=ell)
     lits = [_lit(v, ell) for v in range(1 << ell)]
+    xh, boxed = exprs.BoxPlus(x, h), [exprs.BoxPlus(xl, h) for xl in lits]
     rows = []
     for zl in lits:
-        # averaging the fixed-x chances over x gives the chance with x unknown
+        # averaging the fixed-x chances over x gives the chance with x unknown;
+        # x is declared beside h so that every chance reads off one pass
         seen = [zl, exprs.BoxPlus(zl, h)]
-        total = sum(oracle.chance({"h": 2 * ell}, [xl, *seen], [exprs.BoxPlus(xl, h)])
-                    for xl in lits) / len(lits)
-        agg = oracle.chance({"x": ell, "h": 2 * ell}, [x, *seen], [exprs.BoxPlus(x, h)])
+        chance_of = oracle.chances({"x": ell, "h": 2 * ell}, [x, xh, *lits, *boxed, *seen])
+        total = sum(chance_of([xl, *seen], [bl]) for xl, bl in zip(lits, boxed)) / len(lits)
+        agg = chance_of([x, *seen], [xh])
         rows.append(_row(f"z={zl.text}", total, expect, total == expect == agg))
     binom = _binomial_rows(20, "binomial ")
     return _verdict({"ell": ell, "expected": _frac(expect),
@@ -103,12 +105,14 @@ def _claim_early(ell: int):
 def _claim_kernel(ell: int, samples: int = 20, seed: int = 0):
     rng = random.Random(seed)
     x = exprs.Var("x")
+    raws = [rng.getrandbits(2 * ell) for _ in range(samples)]
+    tokens = [_lit(raw, 2 * ell) for raw in raws]
+    boxed = [exprs.BoxPlus(x, token) for token in tokens]
+    chance_of = oracle.chances({"x": ell}, [*tokens, *boxed])
     rows, sampled = [], []
-    for _ in range(samples):
-        raw = rng.getrandbits(2 * ell)
-        token = _lit(raw, 2 * ell)
+    for raw, token, xh in zip(raws, tokens, boxed):
         kappa = kernel_mask(raw >> ell, raw, ell).bit_count()
-        value = oracle.chance({"x": ell}, [token], [exprs.BoxPlus(x, token)])
+        value = chance_of([token], [xh])
         rows.append(_row(f"token={token.text}", value,
                          oracle.analytic("kernel", kappa=kappa, ell=ell)))
         sampled.append({"token": token.text, "kappa": kappa, "value": _frac(value),
@@ -117,24 +121,27 @@ def _claim_kernel(ell: int, samples: int = 20, seed: int = 0):
 
 
 def _claim_hamming(ell: int):
-    h = exprs.Var("h")
-    lits = [_lit(v, ell) for v in range(1 << ell)]
-    rows = [_row(f"x={xl.text},z={zl.text}",
-                 oracle.chance({"h": 2 * ell}, [xl, zl, exprs.BoxPlus(zl, h)],
-                               [exprs.BoxPlus(xl, h)]),
-                 oracle.analytic("hamming", delta=(x ^ z).bit_count()))
-            for x, xl in enumerate(lits) for z, zl in enumerate(lits)]
     # a token whose halves agree, h = s::s, must break the distance law
     # somewhere; seeing one half beating a blind guess of the other
-    # witnesses the dependence
+    # witnesses the dependence.  Its s is declared beside h, so that every
+    # chance of the claim reads off one pass.
     fl = 2
-    s = exprs.Var("s")
+    h, s = exprs.Var("h"), exprs.Var("s")
     hs = exprs.Concat((s, s))
-    dep_ok = oracle.chance({"s": fl}, [exprs.Proj(hs, 1, fl)],
-                           [exprs.Proj(hs, fl + 1, 2 * fl)]) > Fraction(1, 1 << fl)
+    lits = [_lit(v, ell) for v in range(1 << ell)]
+    boxed = [exprs.BoxPlus(xl, h) for xl in lits]
+    small = [_lit(v, fl) for v in range(1 << fl)]
+    small_boxed = [exprs.BoxPlus(xl, hs) for xl in small]
+    halves = [exprs.Proj(hs, 1, fl), exprs.Proj(hs, fl + 1, 2 * fl)]
+    chance_of = oracle.chances({"h": 2 * ell, "s": fl},
+                               [*lits, *boxed, *small, *small_boxed, *halves])
+    rows = [_row(f"x={xl.text},z={zl.text}", chance_of([xl, zl, zh], [xh]),
+                 oracle.analytic("hamming", delta=(x ^ z).bit_count()))
+            for x, (xl, xh) in enumerate(zip(lits, boxed))
+            for z, (zl, zh) in enumerate(zip(lits, boxed))]
+    dep_ok = chance_of(halves[:1], halves[1:]) > Fraction(1, 1 << fl)
     broke = any(
-        oracle.chance({"s": fl}, [_lit(x, fl), _lit(z, fl), exprs.BoxPlus(_lit(z, fl), hs)],
-                      [exprs.BoxPlus(_lit(x, fl), hs)])
+        chance_of([small[x], small[z], small_boxed[z]], [small_boxed[x]])
         != oracle.analytic("hamming", delta=(x ^ z).bit_count())
         for x in range(1 << fl) for z in range(1 << fl) if x != z
     )

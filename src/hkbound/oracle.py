@@ -43,6 +43,11 @@ when each component's part of it is.  Without this rule a guesser
 knowing the secret and both counters would not be able to "compute" the
 session token, and every full-knowledge chance would come out wrong.
 
+A check that asks several chances over one declaration reads them all
+off one enumeration of their terms (``chances``): ``check_subbayes``,
+``advantage``, ``check_prob_guard`` and the ``enumerate`` claims that
+ask many.
+
 Everything returns exact fractions; nothing here samples.
 """
 
@@ -190,8 +195,8 @@ def _project(table: _Table, knowns: Sequence[Expr], targets: Sequence[Expr]) -> 
     entries the guesser can query: a node's entry joins the key once the
     key determines the node's argument in every group, iterated to a
     fixpoint so that chains of hashes resolve in order.  Only the query's
-    own nodes are pinned; ``check_prob_guard`` says why the rest of the
-    table changes nothing.  The chance is ``_best`` over 2**(B + H).
+    own nodes are pinned; ``chances`` says why the rest of the table
+    changes nothing.  The chance is ``_best`` over 2**(B + H).
     """
     keys = _rows(table, knowns)
     own = {id(n) for e in (*knowns, *targets) for n in hash_nodes(e)}
@@ -444,10 +449,41 @@ def chance(
     return guess_chance(GuessScenario(tuple(variables), tuple(knowns), tuple(targets)), budget)
 
 
+def chances(variables, shown: Iterable[Expr], budget: int = DEFAULT_BUDGET):
+    """``chance_of(knowns, targets)`` for queries whose knowns and targets
+    are taken from ``shown`` (looked up by id), all read off one
+    enumeration of ``shown``; ``variables`` as for ``chance``.
+
+    That equals each query's own enumeration: the query's knowns, targets
+    and own nodes' arguments and entries have the same joint law in both.
+    Bits the query does not read, in a component or in the table, multiply
+    every group's weight by the same factor.  In the table, a node the
+    query does not read tables a new key with a uniform entry, and a query
+    node that collides with it reads that entry: uniform, as its own fill
+    would have drawn it.  Only the query's own classes are pinned, so the
+    guesser stays in the zero-query regime; pinning another query's node
+    would hand it a free hash query.
+
+    A union over the budget (its widest component, or B + H for a table)
+    falls back to asking ``chance`` per query, and a query over the budget
+    raises as it would alone.
+    """
+    if isinstance(variables, Mapping):
+        variables = tuple(variables.items())
+    variables, shown = tuple(variables), tuple(shown)
+    GuessScenario(variables, (), shown)  # the declaration and width checks, once
+    try:
+        return _enumerate(variables, shown, budget)
+    except BudgetExceededError:
+        return partial(chance, variables, budget=budget)  # each query may still fit alone
+
+
 def advantage(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """How much the knowns improve on guessing the targets cold."""
-    blind = GuessScenario(scenario.variables, (), scenario.targets)
-    return guess_chance(scenario, budget) - guess_chance(blind, budget)
+    """How much the knowns improve on guessing the targets cold, both
+    chances read off one pass."""
+    knowns, targets = scenario.knowns, scenario.targets
+    chance_of = chances(scenario.variables, knowns + targets, budget)
+    return chance_of(knowns, targets) - chance_of((), targets)
 
 
 def flow_independent(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> bool:
@@ -486,6 +522,11 @@ def check_subbayes(
 ) -> SubbayesReport:
     """Compare chance(xi -> gamma) * chance(xi,gamma -> theta) with chance(xi -> gamma,theta).
 
+    The three chances are read off one ``chances`` pass over xi, gamma and
+    theta, which are the last query's own terms: the pass is over the
+    budget exactly when that query is, and then the three are asked one
+    by one, as they would be alone.
+
     ``holds`` is the product inequality lhs <= rhs and ``equality`` is
     lhs == rhs.  Two conditions on the expressions are reported beside
     them:
@@ -511,11 +552,12 @@ def check_subbayes(
     theta = H(b1) give lhs = 3/8 * 3/4 = 9/32 but rhs = 5/16, since a
     collision b1 = a0 shares the table entry.
     """
-    variables = tuple(variables)
-    context = tuple(xi) + tuple(gamma)
-    a = chance(variables, xi, gamma, budget)
-    b = chance(variables, context, theta, budget)
-    rhs = chance(variables, xi, tuple(gamma) + tuple(theta), budget)
+    xi, gamma, theta = tuple(xi), tuple(gamma), tuple(theta)
+    context = xi + gamma
+    chance_of = chances(variables, context + theta, budget)
+    a = chance_of(xi, gamma)
+    b = chance_of(context, theta)
+    rhs = chance_of(xi, gamma + theta)
     fv_theta = _free_vars_of(theta)
     shared_table = any(hash_nodes(e) for e in theta) and any(hash_nodes(e) for e in context)
     return SubbayesReport(
@@ -607,10 +649,8 @@ def cover(context: Sequence, target, guards: Sequence[Sequence], chance_of) -> G
 
     A chance must depend on the set of known terms only, not on their
     order or repeats; each distinct (set, want) is asked once per call.
-    ``check_prob_guard`` answers every ask from one enumeration of all the
-    spec's terms, since a query's chance depends only on the joint law of
-    its own terms and nodes, which the other terms leave unchanged; a
-    union over the budget is asked per query.
+    ``check_prob_guard`` answers every ask from one ``chances`` pass over
+    all the spec's terms.
     """
     memo: dict = {}
 
@@ -644,31 +684,11 @@ def cover(context: Sequence, target, guards: Sequence[Sequence], chance_of) -> G
 def check_prob_guard(spec: GuardSpec, budget: int = DEFAULT_BUDGET) -> GuardReport:
     """``cover`` with exact guessing chances over the spec's variables.
 
-    The spec's terms are enumerated once, over the union of context,
-    target and guard terms: as truth tables, with every hash class's
-    entry a block of variable bits, or as one ``_table`` when two classes
-    may collide.  Every chance ``cover`` asks is read off that one pass.
-    That equals the query's own enumeration: the query's knowns, targets
-    and own nodes' arguments and entries have the same joint law in both.
-    Bits the query does not read, in a component or in the table, multiply
-    every group's weight by the same factor.  In the table, a node the
-    query does not read tables a new key with a uniform entry, and a query
-    node that collides with it reads that entry: uniform, as its own fill
-    would have drawn it.  Only the query's own classes are pinned, so the
-    guesser stays in the zero-query regime; pinning a guard-only node
-    would hand it a free hash query.
-
-    A union over the budget (its widest component, or B + H for a table)
-    falls back to asking ``chance`` per query, and a query over the budget
-    raises as before.
+    Every chance ``cover`` asks is read off one ``chances`` pass over the
+    union of context, target and guard terms.
     """
-    variables = tuple(spec.variables)
     shown = (*spec.context, spec.target, *(e for g in spec.guards for e in g))
-    try:
-        chance_of = _enumerate(variables, shown, budget)
-    except BudgetExceededError:
-        chance_of = partial(chance, variables, budget=budget)  # each query may still fit alone
-    return cover(spec.context, spec.target, spec.guards, chance_of)
+    return cover(spec.context, spec.target, spec.guards, chances(spec.variables, shown, budget))
 
 
 # ---------------------------------------------------------------------------

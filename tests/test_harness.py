@@ -201,22 +201,30 @@ def test_cli_enumerate_csv(capsys):
 
 @pytest.mark.parametrize("claim", sorted(cli._CLAIMS))
 def test_cli_enumerate_exits_1_when_a_claim_fails(claim, monkeypatch, capsys):
-    # the oracle function the claim checks against answers wrong once per run
-    if claim == "binomial":
-        name, real = "binomial_identity_check", oracle.binomial_identity_check
-
-        def wrong(ell):
-            lhs, rhs, _ = real(ell)
-            return lhs + 1, rhs, False
-    else:
-        name, real = "chance", oracle.chance
-
-        def wrong(*args, **kwargs):
-            return real(*args, **kwargs) + 1
-
+    # the oracle function the claim checks against answers wrong once per
+    # run: binomial_identity_check, chance, or a chance_of that chances
+    # returned
+    real_binomial, real_chance, real_chances = (
+        oracle.binomial_identity_check, oracle.chance, oracle.chances)
     for out in ("json", "csv"):
-        calls = iter([wrong])
-        monkeypatch.setattr(oracle, name, lambda *a, **k: next(calls, real)(*a, **k))
+        wrong = iter([True])
+
+        def once(value):
+            return value + 1 if next(wrong, False) else value
+
+        def binomial(ell):
+            lhs, rhs, holds = real_binomial(ell)
+            return (lhs + 1, rhs, False) if next(wrong, False) else (lhs, rhs, holds)
+
+        def chances(*args, **kwargs):
+            chance_of = real_chances(*args, **kwargs)
+            return lambda *query: once(chance_of(*query))
+
+        if claim == "binomial":
+            monkeypatch.setattr(oracle, "binomial_identity_check", binomial)
+        else:
+            monkeypatch.setattr(oracle, "chance", lambda *a, **k: once(real_chance(*a, **k)))
+            monkeypatch.setattr(oracle, "chances", chances)
         assert cli.main(["enumerate", "--claim", claim, "--out", out]) == 1
         text = capsys.readouterr().out
         if out == "json":

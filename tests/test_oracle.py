@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from hkbound import exprs, harness, oracle
+from hkbound import cli, exprs, harness, oracle
 from hkbound.bits import BitString
 from hkbound.exprs import BoxPlus, Concat, Hash, KernelMask, Lit, Negate, Proj, Var
 from hkbound.hkfun import ResponseToken
@@ -809,6 +809,135 @@ def test_shared_table_falls_back_per_query():
     assert err.value.required_bits == 30
 
 
+# --- one pass per check ------------------------------------------------------------
+
+
+def splits(terms):
+    """Every (knowns, targets) pair of disjoint subsets of ``terms``, with
+    targets not empty."""
+    for sides in itertools.product("-kt", repeat=len(terms)):
+        targets = [e for e, side in zip(terms, sides) if side == "t"]
+        if targets:
+            yield [e for e, side in zip(terms, sides) if side == "k"], targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(hash_scenarios(), hash_free_scenarios()))
+# a knows H(a), which H(b) reads when a = b: pinning another query's node
+# would hand the guesser of H(b) from a that free query (3/4, not 1/2)
+@example(((("a", 1), ("b", 1)), [Var("a"), Hash(Var("a"), 1)], [Hash(Var("b"), 1)]))
+def test_one_pass_answers_every_split_as_chance_does(scenario):
+    decls, knowns, targets = scenario
+    shown = [*knowns, *targets]
+    assume(table_bits(decls, shown) <= 12)
+    chance_of = oracle.chances(decls, shown)
+    for ks, ts in splits(shown):
+        assert chance_of(ks, ts) == chance(decls, ks, ts), (ks, ts)
+
+
+def chained(e, n):
+    """A selection whose bit i reads bits i and i - 1 of the n-bit ``e``:
+    the n bits are one component."""
+    rotated = Concat((Proj(e, 2, n), Proj(e, 1, 1)))
+    return BoxPlus(e, Concat((e, rotated)))
+
+
+def test_one_pass_raises_where_the_queries_asked_alone_raise():
+    u, v = Var("u"), Var("v")
+    wide, pair = (("u", 30),), (("u", 12), ("v", 12))
+    # (decls, xi, gamma, theta, required bits): a 30-bit component in the
+    # first query, in the second, and nodes that may collide in the second
+    # (B + H = 28); the union is the third query's terms
+    cases = [
+        (wide, (), (chained(u, 30),), (u,), 30),
+        (wide, (), (u,), (chained(u, 30),), 30),
+        (pair, (), (Hash(v, 2),), (Hash(u, 2),), 28),
+    ]
+    for decls, xi, gamma, theta, bits in cases:
+        with pytest.raises(BudgetExceededError) as err:
+            check_subbayes(decls, xi, gamma, theta)
+        assert err.value.required_bits == bits
+        for knowns, targets in ((xi, gamma), (xi + gamma, theta)):
+            try:
+                chance(decls, knowns, targets)
+            except BudgetExceededError as alone:
+                assert alone.required_bits == bits
+                break
+        else:
+            pytest.fail("no query raises alone")
+    for scenario, bits in ((GuessScenario(wide, (), (chained(u, 30),)), 30),
+                           (GuessScenario(pair, (Hash(v, 2),), (Hash(u, 2),)), 28)):
+        for check in (advantage, flow_independent, guess_chance):
+            with pytest.raises(BudgetExceededError) as err:
+                check(scenario)
+            assert err.value.required_bits == bits
+
+
+def test_a_union_over_the_budget_is_asked_query_by_query():
+    u, v, w = Var("u"), Var("v"), Var("w")
+    # nodes that may collide: the leaf table over both is 28 bits
+    pair = (("u", 12), ("v", 12))
+    hu, hv = Hash(u, 2), Hash(v, 2)
+    # two 13- and 14-bit chains that share w's bit 13: one 26-bit component
+    low, high = Proj(w, 1, 13), Proj(w, 13, 26)
+    halves = ((("w", 26),), chained(low, 13), chained(high, 14))
+    for decls, first, second in ((pair, hu, hv), halves):
+        shown = [first, second, *(Var(n) for n, _ in decls)]
+        with pytest.raises(BudgetExceededError):
+            oracle._enumerate(decls, shown, oracle.DEFAULT_BUDGET)
+        chance_of = oracle.chances(decls, shown)
+        for ks, ts in splits(shown):
+            try:
+                want = chance(decls, ks, ts)
+            except BudgetExceededError as alone:
+                with pytest.raises(BudgetExceededError) as err:
+                    chance_of(ks, ts)
+                assert err.value.required_bits == alone.required_bits
+                continue
+            assert chance_of(ks, ts) == want
+
+
+def test_one_pass_validates_as_the_queries_do():
+    u, v = Var("u"), Var("v")
+    twice = (("u", 1), ("u", 2))
+    mismatched = BoxPlus(u, v)  # v must be twice u's width
+    with pytest.raises(ValueError, match="duplicate"):
+        check_subbayes(twice, (), (u,), (u,))
+    with pytest.raises(ValueError, match="duplicate"):
+        oracle.chances(twice, [u])
+    with pytest.raises(ValueError, match="twice"):
+        check_subbayes((("u", 1), ("v", 1)), (), (u,), (mismatched,))
+    with pytest.raises(ValueError, match="twice"):
+        oracle.chances({"u": 1, "v": 1}, [u, mismatched])
+    with pytest.raises(ValueError, match="twice"):
+        advantage(GuessScenario((("u", 1), ("v", 1)), (mismatched,), (u,)))
+
+
+def test_each_check_enumerates_once(monkeypatch):
+    # a check that asks several chances over one declaration reads them
+    # off one pass: a regression to one pass per query shows here
+    passes = []
+    real = oracle._enumerate
+    monkeypatch.setattr(oracle, "_enumerate", lambda *args: passes.append(args) or real(*args))
+
+    def count(check, *args):
+        passes.clear()
+        check(*args)
+        return len(passes)
+
+    rng = random.Random(5)
+    for _ in range(20):
+        case = oracle.random_subbayes_case(rng)
+        assert count(check_subbayes, *case) == count(check_subbayes, *hashed_case(case)) == 1
+    decls, xi, gamma, theta = case
+    assert count(advantage, GuessScenario(decls, xi + gamma, theta)) == 1
+    assert count(check_prob_guard, oracle.builtin_guard_spec("attack-run")) == 1
+    for ell in (1, 2, 3):
+        assert count(cli._claim_prop34, ell) == 1 << ell  # one per z
+        assert count(cli._claim_hamming, ell) == 1
+        assert count(cli._claim_kernel, ell) == 1
+
+
 # --- the query regime -------------------------------------------------------------
 
 
@@ -865,6 +994,27 @@ def test_product_inequality_on_random_scenarios():
         rep = check_subbayes(decls, xi, gamma, theta)
         assert rep.holds, (decls, xi, gamma, theta)
         assert rep.lhs == rep.lhs_first * rep.lhs_second
+
+
+def hashed_case(case):
+    """A corpus case with gamma's and theta's first terms hashed; the two
+    nodes may collide when their arguments are of equal widths."""
+    decls, xi, gamma, theta = case
+    arg_bits = exprs.width(gamma[0], dict(decls))
+    return decls, xi, (Hash(gamma[0], arg_bits),) + gamma[1:], (Hash(theta[0], 2),) + theta[1:]
+
+
+def test_subbayes_reads_the_chances_the_queries_give_alone():
+    # 150 corpus cases from each of two seeds, each as drawn and hashed
+    for seed in (5, 7):
+        rng = random.Random(seed)
+        for _ in range(150):
+            case = oracle.random_subbayes_case(rng)
+            for decls, xi, gamma, theta in (case, hashed_case(case)):
+                rep = check_subbayes(decls, xi, gamma, theta)
+                assert (rep.lhs_first, rep.lhs_second, rep.rhs) == (
+                    chance(decls, xi, gamma), chance(decls, xi + gamma, theta),
+                    chance(decls, xi, gamma + theta))
 
 
 def test_product_equality_on_a_disjoint_case():
