@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -57,8 +58,8 @@ class Estimate:
     @classmethod
     def from_counts(cls, successes: int, trials: int,
                     analytic: Fraction | None = None) -> "Estimate":
+        ci = wilson_interval(successes, trials)  # validates the counts first
         p_hat = successes / trials
-        ci = wilson_interval(successes, trials)
         z = None
         if analytic is not None:
             p = float(analytic)
@@ -118,11 +119,19 @@ def analytic_acceptance(strategy, cfg: ProtocolConfig) -> Fraction | None:
 
 def monte_carlo_range(cfg: ProtocolConfig, strategy, master_seed,
                       lo: int, hi: int) -> int:
-    """Success count over trial indices [lo, hi); chunks sum exactly."""
+    """Success count over trial indices [lo, hi); chunks sum exactly.
+
+    One generator serves the chunk: reseeding it with ``Random.seed``
+    gives the state of a fresh ``random.Random`` (``gauss_next``
+    included), so each trial draws what it would draw alone.
+    """
     actor = None if strategy in (None, "honest") else adv._as_strategy(strategy)
+    rng = random.Random()
     wins = 0
     for i in range(lo, hi):
-        _, verdict = run_session(cfg, trial_seed(master_seed, i), adversary=actor, record=False)
+        seed = trial_seed(master_seed, i)
+        rng.seed(seed)
+        _, verdict = run_session(cfg, seed, adversary=actor, record=False, rng=rng)
         wins += verdict.accepted
     return wins
 

@@ -123,6 +123,12 @@ class ProtocolConfig:
                 for relayed, hop in hops.items() for who in {*self.positions, ADVERSARY}}
 
     @cached_property
+    def _uniform_verdicts(self) -> dict[tuple[int, int], "Verdict"]:
+        """Verdicts on rounds that all took one round trip, keyed by
+        (bits correct, round trip); filled by ``_judge_uniform``."""
+        return {}
+
+    @cached_property
     def reach(self) -> float:
         """The greatest distance estimate the verifier accepts."""
         return self.distance_bound + self.acceptance_slack
@@ -181,9 +187,12 @@ class RandomOracle:
     """Idealized hash: independent uniform outputs, memoized per input.
 
     An input is a ``length``-bit int and an output an ``out_bits``-bit
-    int.  Entries are derived from a dedicated master seed, not a real
-    hash, so replaying a seed replays the whole table.  Concurrent insert
-    is first-writer-wins; every writer would store the same value anyway.
+    int.  Entries are derived from a dedicated master seed (read once,
+    at construction), not a real hash, so replaying a seed replays the
+    whole table: the entry of (length, value) is the leading out_bits
+    bits of the SHA-256 digests of ``<seed>|<length>|<value in hex>#<i>``
+    for blocks i = 0, 1, ...  Concurrent insert is first-writer-wins;
+    every writer would store the same value anyway.
     """
 
     def __init__(self, master_seed, out_bits: int):
@@ -192,17 +201,17 @@ class RandomOracle:
         self.master_seed = master_seed
         self.out_bits = out_bits
         self._table: dict[tuple[int, int], int] = {}
+        self._prefix = f"{master_seed}|".encode()
 
     def query(self, length: int, value: int) -> int:
         k = (length, value)
         hit = self._table.get(k)
         if hit is not None:
             return hit
-        material = f"{self.master_seed}|{length}|{value:x}".encode()
-        # the leading out_bits bits of the digests of material#0, material#1, ...
-        blocks = -(-self.out_bits // 256)
-        raw = b"".join([hashlib.sha256(material + b"#%d" % i).digest() for i in range(blocks)])
-        out = self._table[k] = int.from_bytes(raw, "big") >> (256 * blocks - self.out_bits)
+        material = self._prefix + b"%d|%x#" % (length, value)
+        raw = b"".join([hashlib.sha256(material + b"%d" % i).digest()
+                        for i in range(-(-self.out_bits // 256))])
+        out = self._table[k] = int.from_bytes(raw, "big") >> (8 * len(raw) - self.out_bits)
         return out
 
     def __len__(self) -> int:
@@ -303,6 +312,16 @@ def _judge(cfg: ProtocolConfig, bits_correct: int, rtts: tuple[int, ...]) -> Ver
     return Verdict(reason == REASON_OK, bits_correct, rtts, estimated, reason)
 
 
+def _judge_uniform(cfg: ProtocolConfig, bits_correct: int, rtt: int) -> Verdict:
+    """``_judge`` on ell rounds of one round trip, memoised on the config
+    (at most ell + 1 entries per round-trip value)."""
+    memo = cfg._uniform_verdicts
+    verdict = memo.get((bits_correct, rtt))
+    if verdict is None:
+        verdict = memo[bits_correct, rtt] = _judge(cfg, bits_correct, (rtt,) * cfg.ell)
+    return verdict
+
+
 def verifier_decide(t: Transcript, cfg: ProtocolConfig) -> Verdict:
     """Recompute the verdict from a recorded transcript alone.
 
@@ -401,6 +420,8 @@ class SessionView:
     Counters, secret and token are ints at their config widths.  The
     token is h0::h1, so ``select(x, token >> ell, token, ell)`` answers
     challenges x: ``select`` reads only the low ell bits, which are h1.
+    ``rng`` is the session's generator; Monte Carlo reseeds it for the
+    next trial, so neither it nor the view outlives the session.
     """
 
     cfg: ProtocolConfig
@@ -416,11 +437,10 @@ class SessionView:
 class _Session:
     """Mutable state threaded through one run_session call."""
 
-    def __init__(self, cfg, rng, oracle, verifier_store, prover_store, record):
+    def __init__(self, cfg, rng, oracle, prover_store, record):
         self.cfg = cfg
         self.rng = rng
         self.oracle = oracle
-        self.verifier_store = verifier_store
         self.prover_store = prover_store
         self.events: list[Event] | None = [] if record else None
         self.clock = 0
@@ -488,6 +508,7 @@ def run_session(
     prover_store: CounterStore | None = None,
     oracle: RandomOracle | None = None,
     record: bool = True,
+    rng: random.Random | None = None,
 ) -> tuple[Transcript, Verdict]:
     """Run one complete session and decide it.
 
@@ -508,17 +529,23 @@ def run_session(
     Identical (cfg, seed, adversary kind) replays identically.  Passing
     the same stores across calls models parties with memory: replaying a
     seed against the same verifier store trips the freshness check.
+
+    ``rng`` is the session's draw source, already seeded; by default it
+    is ``random.Random(seed)``, and passing a generator in that state
+    replays the same session (``seed`` still names the default oracle).
+    The session and its responder draw from it while the session runs,
+    so a caller may reseed and reuse one generator across sessions, as
+    ``harness.monte_carlo_range`` does.
     """
-    rng = random.Random(seed)
+    if rng is None:
+        rng = random.Random(seed)
     if oracle is None:
         oracle = RandomOracle(seed, 2 * cfg.ell)
-    if verifier_store is None:
-        verifier_store = CounterStore()
-    if prover_store is None:
-        prover_store = CounterStore()
-    sess = _Session(cfg, rng, oracle, verifier_store, prover_store, record)
+    w, ell = cfg.counter_width, cfg.ell
+    if prover_store is None and adversary is not None:
+        prover_store = CounterStore()  # the adversary's handle queries it
+    sess = _Session(cfg, rng, oracle, prover_store, record)
 
-    w = cfg.counter_width
     secret = sess.secret = rng.getrandbits(cfg.secret_bits)
     a = rng.getrandbits(w)
     b = rng.getrandbits(w)
@@ -539,14 +566,14 @@ def run_session(
         sess.emit(2 * hop, VERIFIER, "receive", "b", bb, (PROVER, VERIFIER), term="b")
     sess.clock = 2 * hop
 
-    fresh = verifier_store.check_and_mark(a, b, w)
+    # a store made for this session alone would find the pair fresh
+    fresh = verifier_store is None or verifier_store.check_and_mark(a, b, w)
     if cfg.enforce_counter_freshness and not fresh:
         sess.emit(sess.clock, VERIFIER, "fresh", "counter_reused", None)
         return Transcript(sess.events or [], counter_reused=True), _REUSED
 
     token = session_token(oracle, cfg, secret, a, b)
     sess.a, sess.b, sess.token = a, b, token
-    ell = cfg.ell
     mask = (1 << ell) - 1
 
     silent = False
@@ -556,7 +583,7 @@ def run_session(
     else:
         # The honest prover answers under these counters exactly once; on
         # a replayed pair she stays silent and the rounds time out.
-        fresh_for_prover = prover_store.check_and_mark(a, b, w)
+        fresh_for_prover = prover_store is None or prover_store.check_and_mark(a, b, w)
         silent = cfg.enforce_counter_freshness and not fresh_for_prover
 
     challenges = rng.getrandbits(ell)
@@ -570,11 +597,14 @@ def run_session(
         early_mask = 0
 
     if silent:
-        verdict = _judge(cfg, 0, (cfg.timeout_ticks,) * ell)
+        verdict = _judge_uniform(cfg, 0, cfg.timeout_ticks)
     else:
-        rtts = ((rtt_wait,) * ell if not early_mask else
-                tuple(0 if c == "1" else rtt_wait for c in f"{early_mask:0{ell}b}"))
-        verdict = _judge(cfg, ell - (response_value ^ expected_value).bit_count(), rtts)
+        bits_correct = ell - (response_value ^ expected_value).bit_count()
+        if early_mask in (0, mask):
+            verdict = _judge_uniform(cfg, bits_correct, rtt_wait if not early_mask else 0)
+        else:
+            rtts = tuple(map({"0": rtt_wait, "1": 0}.__getitem__, f"{early_mask:0{ell}b}"))
+            verdict = _judge(cfg, bits_correct, rtts)
     if not record:
         return Transcript(), verdict
 

@@ -70,6 +70,13 @@ def test_estimate_from_counts():
         bare.calibrated()
 
 
+def test_an_estimate_of_no_trials_is_a_value_error():
+    # the counts are validated before anything divides by them
+    for successes, trials in ((0, 0), (1, 0), (0, -2)):
+        with pytest.raises(ValueError, match="trials"):
+            Estimate.from_counts(successes, trials)
+
+
 def test_monte_carlo_partition_invariance():
     cfg = ProtocolConfig(ell=3)
     total = monte_carlo_range(cfg, "naive-guess", "chunks", 0, 400)

@@ -4,8 +4,10 @@ The default geometry puts the prover 3 ticks out with a 5-tick bound, so
 an honest round trip is 6 ticks and the estimate lands exactly on 3.
 """
 
+import collections
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -16,13 +18,17 @@ from hypothesis import given, settings, strategies as st
 
 from hkbound.adversary import PreQueryStick, StrategyInfeasibleError, make_strategy
 from hkbound import bits, harness, hkfun
+from hkbound.hkfun import select
 from hkbound.protocol import (
+    PROVER,
     CounterReuseRefused,
     CounterStore,
     ProtocolConfig,
     ProverHandle,
     RandomOracle,
+    Responder,
     Transcript,
+    _judge,
     _Session,
     run_session,
     verifier_decide,
@@ -305,6 +311,119 @@ def test_the_reference_grid_reaches_every_outcome():
                     "StrategyInfeasibleError", "CounterReuseRefused"}
 
 
+# --- one generator per chunk, and the verdict memo ---------------------------
+
+
+class GaussGuess(Responder):
+    """A dishonest prover that answers right iff one normal draw is positive.
+
+    ``random.Random.gauss`` makes normals in pairs and keeps the second in
+    ``gauss_next``, so a generator reseeded without clearing it plays the
+    next session on the last session's draw.
+    """
+
+    kind = "gauss-guess"
+    position_key = PROVER
+
+    def play(self, view, challenges):
+        ell, token = view.cfg.ell, view.token
+        right = select(challenges, token >> ell, token, ell)
+        return (right if view.rng.gauss(0.0, 1.0) > 0 else ~right), 0
+
+
+REUSE_KINDS = (*SESSION_KINDS, GaussGuess())
+
+
+def _outcome(cfg, seed, actor, **kwargs):
+    try:
+        return run_session(cfg, seed, adversary=actor, **kwargs)
+    except StrategyInfeasibleError as exc:
+        return type(exc).__name__
+
+
+def test_a_seeded_generator_replays_the_session_it_seeds():
+    plain = ProtocolConfig(ell=5, counter_bits=2, secret_bits=3)
+    for cfg in (plain, dataclasses.replace(plain, enforce_counter_freshness=False)):
+        for actor in REUSE_KINDS:
+            for seed in range(6):
+                for record in (False, True):
+                    alone = _outcome(cfg, seed, actor, record=record)
+                    given = _outcome(cfg, seed, actor, record=record, rng=random.Random(seed))
+                    assert given == alone
+                    if not isinstance(alone, str):
+                        assert given[0].to_jsonl() == alone[0].to_jsonl()
+    # the check bites: a C-level reseed keeps gauss_next, and the session changes
+    stale = random.Random()
+    changed = 0
+    for seed in range(20):
+        stale.gauss(0.0, 1.0)
+        super(random.Random, stale).seed(seed)
+        changed += (run_session(plain, seed, adversary=GaussGuess(), rng=stale)
+                    != run_session(plain, seed, adversary=GaussGuess()))
+    assert changed
+
+
+def test_a_chunk_reuses_one_generator_as_fresh_ones_would(monkeypatch):
+    cfg = ProtocolConfig(ell=4, counter_bits=2, secret_bits=3, enforce_counter_freshness=False)
+    seen = []
+
+    def spy(*args, **kwargs):
+        out = run_session(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(harness, "run_session", spy)
+    for actor in REUSE_KINDS:
+        alone = [run_session(cfg, harness.trial_seed("reuse", i), adversary=actor, record=False)
+                 for i in range(40)]
+        seen.clear()
+        wins = sum(harness.monte_carlo_range(cfg, actor, "reuse", lo, hi)
+                   for lo, hi in ((0, 7), (7, 8), (8, 40)))
+        assert seen == alone
+        assert wins == sum(verdict.accepted for _, verdict in alone)
+
+
+def test_uniform_verdicts_are_memoised_on_the_config():
+    # honest round trip 7, relayed 3, early 0, and the timeout when silent
+    for mode in ("max", "mean"):
+        cfg = ProtocolConfig(ell=6, counter_bits=2, processing_ticks=1, rtt_mode=mode,
+                             positions={"verifier": 0.0, "prover": 3.0, "adversary": 1.0})
+        kinds = (None, *map(make_strategy, ("naive-guess", "early-full", "early-kernel",
+                                            "prequery-stick")))
+        prover_stores = {record: CounterStore() for record in (False, True)}
+        uniform = set()
+        for seed in range(60):
+            for actor in kinds:  # interleaved on one config object
+                share = actor is None and seed % 2 == 0
+                out = {record: run_session(cfg, seed % 23, adversary=actor, record=record,
+                                           prover_store=prover_stores[record] if share else None)
+                       for record in (False, True)}
+                (_, fast), (transcript, slow) = out[False], out[True]
+                assert fast == slow == verifier_decide(transcript, cfg)
+                if len(set(fast.per_bit_rtt)) == 1:
+                    uniform.add(fast.per_bit_rtt[0])
+        assert uniform == {7, 3, 0, cfg.timeout_ticks}
+        memo = cfg._uniform_verdicts
+        assert {rtt for _, rtt in memo} == uniform
+        for (bits_correct, rtt), verdict in memo.items():
+            assert verdict == _judge(cfg, bits_correct, (rtt,) * cfg.ell)
+        # a copy decides as the original, memo and all
+        for again in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+            for seed in range(30):
+                for actor in kinds:
+                    assert (run_session(again, seed, adversary=actor, record=False)
+                            == run_session(cfg, seed, adversary=actor, record=False))
+
+
+def test_the_verdict_memo_stays_small():
+    cfg = ProtocolConfig(ell=32)
+    assert harness.monte_carlo_range(cfg, "early-kernel", "memo", 0, 10_000) == 10_000
+    for strategy in ("naive-guess", "early-full", "honest"):
+        harness.monte_carlo_range(cfg, strategy, "memo", 0, 2_000)
+    per_rtt = collections.Counter(rtt for _, rtt in cfg._uniform_verdicts)
+    assert set(per_rtt) == {0, 6} and max(per_rtt.values()) <= cfg.ell + 1
+
+
 # --- config -----------------------------------------------------------------
 
 
@@ -379,6 +498,21 @@ def test_oracle_long_outputs():
     assert 0 <= out < 1 << 600
 
 
+def test_oracle_entries_follow_the_documented_derivation():
+    def entry(seed, out_bits, length, value):
+        material = f"{seed}|{length}|{value:x}#".encode()
+        blocks = -(-out_bits // 256)
+        raw = b"".join(hashlib.sha256(material + str(i).encode()).digest()
+                       for i in range(blocks))
+        return int.from_bytes(raw, "big") >> (256 * blocks - out_bits)
+
+    for seed in ("seed", 7, 2**64 - 1):
+        for out_bits in (1, 16, 64, 255, 256, 257, 600):
+            for length, value in ((4, 5), (320, (1 << 319) | 12345)):
+                oracle = RandomOracle(seed, out_bits)
+                assert oracle.query(length, value) == entry(seed, out_bits, length, value)
+
+
 def test_counter_store_semantics():
     store = CounterStore()
     a, b = 0b01, 0b10
@@ -396,8 +530,7 @@ def test_counter_store_semantics():
 
 def _handle(cfg):
     """A prover handle on a session whose counters, secret and token are set by hand."""
-    sess = _Session(cfg, random.Random(0), RandomOracle(0, 2 * cfg.ell), CounterStore(),
-                    CounterStore(), False)
+    sess = _Session(cfg, random.Random(0), RandomOracle(0, 2 * cfg.ell), CounterStore(), False)
     sess.secret = (1 << cfg.secret_bits) - 1
     sess.a, sess.b = 0b00, 0b01
     sess.token = 0b0110
