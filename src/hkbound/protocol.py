@@ -8,8 +8,9 @@ responder answers with the matching token bit, and the verifier logs the
 round-trip time.  The verdict combines bit correctness, the distance
 estimate recovered from the round trips, and counter freshness.  Every
 value in a session is a plain int at its config width, round 1 (or bit
-1) in the most significant position; ``BitString``s appear only in
-recorded events, for their JSON.
+1) in the most significant position.  A recorded session also keeps an
+event log: ``Event`` tuples, built only when recording, whose values are
+``BitString``s for their JSON.
 
 Distances resolve to whole ticks: propagation delay is ceil(dist /
 velocity), so estimates are exact only on configs whose distances sit on
@@ -19,13 +20,15 @@ the tick grid (the default ones do).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .bits import BitString, concat, sample_uniform  # noqa: F401 (bench/layers.py patches the last two)
 from .exprs import json_field, json_fields
@@ -241,8 +244,9 @@ class CounterStore:
         return len(self._seen)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One entry of a recorded event log: a tuple of its seven fields."""
+
     tick: int
     principal: str
     kind: str  # "fresh" | "send" | "receive"
@@ -434,6 +438,15 @@ class SessionView:
     token: int
 
 
+_BIT = (BitString(1, 0), BitString(1, 1))  # the values of one-bit events
+
+
+@lru_cache(maxsize=64)
+def _round_labels(ell: int) -> tuple[tuple[str, str, str], ...]:
+    """Per round: the challenge's name, the response's name and its term."""
+    return tuple((f"x{i}", f"r{i}", f"boxplus(x{i},h)") for i in range(1, ell + 1))
+
+
 class _Session:
     """Mutable state threaded through one run_session call."""
 
@@ -446,15 +459,13 @@ class _Session:
         self.clock = 0
         # ints, set by run_session before any responder sees the session
         self.secret = self.a = self.b = self.token = None
-        # labels for pre-phase queries: value -> symbolic name, per pair
-        self._query_labels: dict[tuple, dict[int, str]] = {}
-        self._query_count = 0
-        self._pair_count = 0
-        self._token_labels: dict[tuple, str] = {}
 
-    def emit(self, *args, **kwargs) -> None:
-        if self.events is not None:
-            self.events.append(Event(*args, **kwargs))
+    @cached_property
+    def _label_state(self) -> tuple[dict, dict, itertools.count]:
+        """Pre-phase labels, made on the first recorded query: challenge
+        value -> label per counter pair, token label per non-session pair,
+        and the numbering of fresh challenges."""
+        return {}, {}, itertools.count(1)
 
     def _pre_labels(self, a, b, challenges) -> tuple[str, str]:
         """Symbolic labels for a pre-phase query and its response.
@@ -464,23 +475,19 @@ class _Session:
         knowledge-context analysis can see the two responses pin the
         token down.  Tokens of non-session pairs get their own names.
         """
+        query_labels, token_labels, numbers = self._label_state
         pair = (a, b)
         if pair == (self.a, self.b):
             token_label = "h"
         else:
-            token_label = self._token_labels.get(pair)
+            token_label = token_labels.get(pair)
             if token_label is None:
-                self._pair_count += 1
-                token_label = self._token_labels[pair] = f"h{self._pair_count}"
-        known = self._query_labels.setdefault(pair, {})
+                token_label = token_labels[pair] = f"h{len(token_labels) + 1}"
+        known = query_labels.setdefault(pair, {})
         label = known.get(challenges)
         if label is None:
             flipped = known.get(challenges ^ ((1 << self.cfg.ell) - 1))
-            if flipped is not None:
-                label = f"neg({flipped})"
-            else:
-                self._query_count += 1
-                label = f"z{self._query_count}"
+            label = f"neg({flipped})" if flipped is not None else f"z{next(numbers)}"
             known[challenges] = label
         return label, f"boxplus({label},{token_label})"
 
@@ -517,11 +524,11 @@ def run_session(
     own position (stage-1 counters are relayed unchanged), optionally
     interrogating the prover first through the view's handle.
 
-    Values travel as ints at their config widths; a ``BitString`` is
-    built only for a recorded event.  The verdict is decided from the
-    session's bit masks: the wrong bits are the set bits of response xor
-    expected, and a round trip is 0 in a round answered early and the
-    honest round trip otherwise.  With ``record=True`` the transcript
+    Values travel as ints at their config widths; ``Event`` tuples, and
+    the ``BitString``s they carry, are built only when recording.  The
+    verdict is decided from the session's bit masks: the wrong bits are
+    the set bits of response xor expected, and a round trip is 0 in a
+    round answered early and the honest round trip otherwise.  With ``record=True`` the transcript
     holds the event log and the per-round arrays, from which
     ``verifier_decide`` reaches the same verdict; with ``record=False``
     it holds neither (see ``Transcript``).
@@ -556,21 +563,24 @@ def run_session(
     # Stage 1: counter exchange, relayed unchanged when an adversary sits
     # in the middle (it gains nothing by tampering: the token would not
     # match the verifier's).
+    events = sess.events
     if record:
         ab, bb = BitString(w, a), BitString(w, b)
-        sess.emit(0, VERIFIER, "fresh", "a", ab, term="a")
-        sess.emit(0, VERIFIER, "send", "a", ab, (VERIFIER, PROVER), term="a")
-        sess.emit(hop, PROVER, "receive", "a", ab, (VERIFIER, PROVER), term="a")
-        sess.emit(hop, PROVER, "fresh", "b", bb, term="b")
-        sess.emit(hop, PROVER, "send", "b", bb, (PROVER, VERIFIER), term="b")
-        sess.emit(2 * hop, VERIFIER, "receive", "b", bb, (PROVER, VERIFIER), term="b")
+        to_p, to_v = (VERIFIER, PROVER), (PROVER, VERIFIER)
+        events += (Event(0, VERIFIER, "fresh", "a", ab, None, "a"),
+                   Event(0, VERIFIER, "send", "a", ab, to_p, "a"),
+                   Event(hop, PROVER, "receive", "a", ab, to_p, "a"),
+                   Event(hop, PROVER, "fresh", "b", bb, None, "b"),
+                   Event(hop, PROVER, "send", "b", bb, to_v, "b"),
+                   Event(2 * hop, VERIFIER, "receive", "b", bb, to_v, "b"))
     sess.clock = 2 * hop
 
     # a store made for this session alone would find the pair fresh
     fresh = verifier_store is None or verifier_store.check_and_mark(a, b, w)
     if cfg.enforce_counter_freshness and not fresh:
-        sess.emit(sess.clock, VERIFIER, "fresh", "counter_reused", None)
-        return Transcript(sess.events or [], counter_reused=True), _REUSED
+        if record:
+            events.append(Event(sess.clock, VERIFIER, "fresh", "counter_reused"))
+        return Transcript(events or [], counter_reused=True), _REUSED
 
     token = session_token(oracle, cfg, secret, a, b)
     sess.a, sess.b, sess.token = a, b, token
@@ -613,8 +623,8 @@ def run_session(
     cpath, rpath = (VERIFIER, who), (who, VERIFIER)
     send_ticks, recv_ticks, xs, rs, es = [], [], [], [], []
     t = sess.clock
-    for i in range(1, ell + 1):
-        shift = ell - i
+    answer = delay + cfg.processing_ticks
+    for shift, (x_name, r_name, r_term) in zip(range(ell - 1, -1, -1), _round_labels(ell)):
         x_i = (challenges >> shift) & 1
         r_i = (response_value >> shift) & 1
         e_i = (expected_value >> shift) & 1
@@ -627,22 +637,17 @@ def run_session(
         xs.append(x_i)
         rs.append(None if silent else r_i)
         es.append(e_i)
-        xb = BitString(1, x_i)
-        rb = BitString(1, r_i)
-        sess.emit(t, VERIFIER, "send", f"x{i}", xb, cpath, term=f"x{i}")
+        xb, rb = _BIT[x_i], _BIT[r_i]
+        events.append(Event(t, VERIFIER, "send", x_name, xb, cpath, x_name))
         if not silent:
             if early:
                 # Sent blind, timed so it lands as the challenge departs.
-                sess.emit(max(0, t - delay), who, "send", f"r{i}", rb, rpath,
-                          term=f"boxplus(x{i},h)")
+                events.append(Event(max(0, t - delay), who, "send", r_name, rb, rpath, r_term))
             else:
-                sess.emit(t + delay, who, "receive", f"x{i}", xb, cpath,
-                          term=f"x{i}")
-                sess.emit(t + delay + cfg.processing_ticks, who, "send", f"r{i}",
-                          rb, rpath, term=f"boxplus(x{i},h)")
-            sess.emit(recv, VERIFIER, "receive", f"r{i}", rb, rpath,
-                      term=f"boxplus(x{i},h)")
+                events += (Event(t + delay, who, "receive", x_name, xb, cpath, x_name),
+                           Event(t + answer, who, "send", r_name, rb, rpath, r_term))
+            events.append(Event(recv, VERIFIER, "receive", r_name, rb, rpath, r_term))
         t = (t + rtt_wait if recv is None else recv) + 1
 
-    sess.events.sort(key=lambda e: e.tick)
-    return Transcript(sess.events, send_ticks, recv_ticks, xs, rs, es), verdict
+    events.sort(key=itemgetter(0))
+    return Transcript(events, send_ticks, recv_ticks, xs, rs, es), verdict

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .exprs import json_field, json_fields
@@ -478,6 +479,11 @@ def builtin_alg_guard_spec(name: str) -> AlgGuardSpec:
     raise ValueError(f"unknown builtin algebraic guard spec {name!r}")
 
 
+@lru_cache(maxsize=4096)
+def _label_term(theory: Theory, label: str) -> Term:
+    return theory.normalize(parse(label))
+
+
 def term_context(
     events: Sequence,
     before,
@@ -491,7 +497,9 @@ def term_context(
     predicate selecting the cut events or a collection of them; the cut
     tick is the earliest tick of any selected event.  A principal learns
     the labels of what it receives and freshly generates; initial
-    long-term knowledge comes in via ``initial``.
+    long-term knowledge comes in via ``initial``.  Runs repeat their
+    labels, so a string label's normal form is memoised per (theory,
+    label), in a bounded cache shared by all calls.
     """
     if callable(before):
         cut_events = [e for e in events if before(e)]
@@ -505,8 +513,8 @@ def term_context(
     def learn(principal: str, label) -> None:
         if label is None:
             return
-        t = parse(label) if isinstance(label, str) else label
-        held.setdefault(principal, set()).add(theory.normalize(t))
+        t = _label_term(theory, label) if isinstance(label, str) else theory.normalize(label)
+        held.setdefault(principal, set()).add(t)
 
     for principal, terms in (initial or {}).items():
         for t in terms:

@@ -21,6 +21,7 @@ from hkbound import bits, harness, hkfun
 from hkbound.hkfun import select
 from hkbound.protocol import (
     PROVER,
+    Event,
     CounterReuseRefused,
     CounterStore,
     ProtocolConfig,
@@ -30,6 +31,7 @@ from hkbound.protocol import (
     Transcript,
     _judge,
     _Session,
+    _round_labels,
     run_session,
     verifier_decide,
 )
@@ -191,6 +193,30 @@ def test_jsonl_round_trips_fields():
     assert len(lines) == len(transcript.events)
     first = json.loads(lines[0])
     assert set(first) == {"tick", "principal", "kind", "name", "value", "channel", "term"}
+
+
+def test_events_are_frozen_records_of_the_dataclass_era():
+    transcript, _ = run_session(ProtocolConfig(ell=2), "repr")
+    event = transcript.events[2]
+    with pytest.raises(AttributeError):
+        event.tick = 0
+    # the repr and JSON the frozen-dataclass events had
+    assert repr(event) == ("Event(tick=3, principal='prover', kind='receive', name='a', "
+                           "value=BitString(length=2, value=3), channel=('verifier', 'prover'), "
+                           "term='a')")
+    assert event.to_json() == {"tick": 3, "principal": "prover", "kind": "receive", "name": "a",
+                               "value": "11", "channel": ["verifier", "prover"], "term": "a"}
+    assert Event(0, "verifier", "fresh", "x") == Event(0, "verifier", "fresh", "x", None, None, None)
+    again, _ = run_session(ProtocolConfig(ell=2), "repr")
+    assert again.events == transcript.events
+    assert [hash(e) for e in again.events] == [hash(e) for e in transcript.events]
+    assert again.to_jsonl() == transcript.to_jsonl()
+
+
+def test_round_labels_are_the_formatted_names():
+    for ell in (1, 9, 32):
+        assert _round_labels(ell) == tuple(
+            (f"x{i}", f"r{i}", f"boxplus(x{i},h)") for i in range(1, ell + 1))
 
 
 def test_record_false_keeps_only_the_verdict():

@@ -4,8 +4,10 @@ The session path may change how it computes, never what it computes:
 `simulate` success counts, a `sweep` CSV and the event logs of recorded
 sessions are functions of their seeds.  The values below were taken
 from the session path that carried `BitString` objects through every
-round, before sessions moved to plain ints.  The exact engine's
-`enumerate` and `guard-check` stdout is pinned the same way, by digest.
+round, before sessions moved to plain ints; the ell = 32 transcripts
+come from the session path whose events were frozen dataclasses.  The
+exact engine's `enumerate` and `guard-check` stdout is pinned the same
+way, by digest.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import json
 
 from hkbound import cli
 from hkbound.adversary import PreQueryStick, attack_session, make_strategy
-from hkbound.protocol import ProtocolConfig, run_session
+from hkbound.protocol import ADVERSARY, PROVER, VERIFIER, ProtocolConfig, run_session
 
 SIMULATE_SUCCESSES = {
     "honest": 2000,
@@ -77,6 +79,15 @@ TRANSCRIPTS = [
      "wrong_bits", 14, "89507142c66fb0c46fb3ffa6282edcc3efd3f058ce613dbf6f1fe1333000a612"),
     ("secret-guess", ProtocolConfig(ell=2, secret_bits=1), "tx0",
      "ok", 14, "e7b63ca2bc0b540ed120f00b800cc447ad8d7980bb6c4880494af41d7abb24e7"),
+    # ell = 32: mixed early masks, whose blind answers sort before the verifier's send
+    ("early-kernel", ProtocolConfig(ell=32, rtt_mode="mean"), "tx",
+     "ok", 119, "292bfe8c1850bbba20e09e4f83f99b5436e1c245db206e2239ccdc2a5ef99e6a"),
+    ("honest", ProtocolConfig(ell=32, processing_ticks=2), "tx",
+     "ok", 134, "7318e716c9f23ebf23731cc80e57e4c4d600a07e8141016cf834817c172e6927"),
+    # relayed, with the adversary between the verifier and the prover
+    ("counter-reuse", ProtocolConfig(ell=32, enforce_counter_freshness=False,
+                                     positions={VERIFIER: 0.0, PROVER: 3.0, ADVERSARY: 1.0}),
+     "tx", "ok", 144, "78fbea96c2070420423e1f345b601ef5dcaa5c3b0adc5757b3769434636fd31d"),
 ]
 
 

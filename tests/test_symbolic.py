@@ -1,13 +1,15 @@
 """Deduction closures, algebraic guards, and knowledge contexts over runs."""
 
+import collections
 import itertools
 from typing import Iterable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hkbound import symbolic
 from hkbound.adversary import CounterReuseExtract, PreQueryStick, attack_session
-from hkbound.protocol import ProtocolConfig, run_session
+from hkbound.protocol import Event, ProtocolConfig, run_session
 from hkbound.symbolic import (
     CR,
     DH,
@@ -373,3 +375,42 @@ def test_context_cut_by_predicate_and_initial_knowledge():
     # the cut sits before any timed challenge reached her
     assert parse("x1") not in prover
     assert ctx.union(["prover", "verifier"]) >= prover
+
+
+def test_term_context_parses_each_label_once(monkeypatch):
+    cfg = ProtocolConfig(ell=4, enforce_counter_freshness=False)
+    runs = [attack_session(cfg, CounterReuseExtract(), f"memo:{i}")[0].events for i in range(10)]
+    parsed = collections.Counter()
+
+    def counted(text):
+        parsed[text] += 1
+        return parse(text)
+
+    monkeypatch.setattr(symbolic, "parse", counted)
+    symbolic._label_term.cache_clear()
+    for events in runs:
+        term_context(events, [])
+        term_context(events, [e for e in events if e.kind == "receive"][-1:])
+    assert parsed and max(parsed.values()) == 1
+    assert set(parsed) == {e.term for events in runs for e in events
+                           if e.term is not None and e.kind in ("receive", "fresh")}
+
+
+def test_label_memo_is_keyed_by_theory():
+    events = [Event(0, "adversary", "fresh", "z", None, None, "neg(neg(z1))")]
+    for first, second in ((HK, PAIRING), (PAIRING, HK)):
+        symbolic._label_term.cache_clear()
+        for theory in (first, second):
+            held = term_context(events, [], theory=theory).of("adversary")
+            assert held == {theory.normalize(parse("neg(neg(z1))"))}
+    assert term_context(events, [], theory=HK).of("adversary") == {atom("z1")}
+    assert term_context(events, [], theory=PAIRING).of("adversary") == {parse("neg(neg(z1))")}
+
+
+def test_term_labels_bypass_the_memo():
+    label = app("neg", app("neg", atom("z1")))
+    events = [Event(0, "adversary", "fresh", "z", None, None, label)]
+    ctx = term_context(events, [], initial={"prover": [label]})
+    assert ctx.of("adversary") == ctx.of("prover") == {atom("z1")}
+    with pytest.raises(ValueError):
+        parse(["a"])
