@@ -198,15 +198,10 @@ def hash_nodes(e: Expr) -> list[Hash]:
     return out
 
 
-def evaluate(e: Expr, env: dict[str, Value], htable: dict, resolved: dict[int, tuple] | None = None) -> Value:
-    """Evaluate under an environment and a (partial) hash table.
-
-    ``resolved`` maps id(node) to the argument key of hash nodes already
-    evaluated; such a node is looked up by that key, its argument not
-    evaluated again.  The oracle tables every key before evaluating the
-    expressions that read it, so NeedHash guards against an incomplete
-    table; it is not a protocol to branch and resume on.
-    """
+def evaluate(e: Expr, env: dict[str, Value], htable: dict) -> Value:
+    """Evaluate under an environment and a (partial) hash table, keyed by
+    (argument length, argument value, output width); a key not tabled
+    raises NeedHash."""
     if isinstance(e, Var):
         return env[e.name]
     if isinstance(e, Lit):
@@ -215,31 +210,29 @@ def evaluate(e: Expr, env: dict[str, Value], htable: dict, resolved: dict[int, t
         length = 0
         value = 0
         for p in e.parts:
-            pl, pv = evaluate(p, env, htable, resolved)[:2]
+            pl, pv = evaluate(p, env, htable)[:2]
             length += pl
             value = (value << pl) | pv
         return (length, value)
     if isinstance(e, Negate):
-        n, v = evaluate(e.arg, env, htable, resolved)[:2]
+        n, v = evaluate(e.arg, env, htable)[:2]
         return (n, v ^ ((1 << n) - 1))
     if isinstance(e, Proj):
-        n, v = evaluate(e.arg, env, htable, resolved)[:2]
+        n, v = evaluate(e.arg, env, htable)[:2]
         w = e.hi - e.lo + 1
         return (w, (v >> (n - e.hi)) & ((1 << w) - 1))
     if isinstance(e, BoxPlus):
-        xl, xv = evaluate(e.x, env, htable, resolved)[:2]
-        hl, hv = evaluate(e.h, env, htable, resolved)[:2]
+        xl, xv = evaluate(e.x, env, htable)[:2]
+        hl, hv = evaluate(e.h, env, htable)[:2]
         return (xl, select(xv, hv >> xl, hv, xl))
     if isinstance(e, KernelMask):
-        xl, xv = evaluate(e.x, env, htable, resolved)[:2]
-        hl, hv = evaluate(e.h, env, htable, resolved)[:2]
+        xl, xv = evaluate(e.x, env, htable)[:2]
+        hl, hv = evaluate(e.h, env, htable)[:2]
         stars = kernel_mask(hv >> xl, hv, xl)
         return (xl, xv & ~stars, stars)
     if isinstance(e, Hash):
-        key = resolved.get(id(e)) if resolved else None
-        if key is None:
-            al, av = evaluate(e.arg, env, htable, resolved)[:2]
-            key = (al, av, e.out_bits)
+        al, av = evaluate(e.arg, env, htable)[:2]
+        key = (al, av, e.out_bits)
         if key not in htable:
             raise NeedHash(key, e.out_bits)
         return (e.out_bits, htable[key])

@@ -18,19 +18,19 @@ H(guess.a.b), is modelled by adding that query as a known hash node.
 Hash applications extend the environment: each distinct argument value
 indexes an independent uniform table entry.  Nodes with equal argument
 expressions and output widths always read one entry, and form one class.
-Two classes can collide only when their arguments and their outputs are
-of equal widths.  Without such a pair, each class's entry is a block of
-fresh uniform variable bits.  Every operator is bit-local, so all the
-bits split into independent components, and the chance is the product
-of the components' chances: the paper's per-bit argument behind
-(3/4)**l.  Each component's 2**k assignments are enumerated at once, as
-one truth table per value bit, and the budget caps the widest component.
-A query with a pair of classes that may collide takes the leaf table,
-which enumerates every variable and entry bit together and counts
-collisions rather than assuming them away; the budget then caps B + H.
-That table is filled node by node, arguments' nodes first, and that is
-exact: no operator short-circuits, so every node is read on every
-evaluation, and a node whose key is tabled reuses that entry.
+Each class brings a block of fresh uniform variable bits.  Two classes
+can collide only when their arguments and their outputs are of equal
+widths, and then the later one, in fill order, reads the earlier one's
+entry wherever their arguments are equal: its entry is a mux over the
+earlier entries, its fresh bits where no argument matches.  That is the
+law of the lazily filled random oracle, whose tabled key reuses its
+entry.  Every operator, the mux included, is bit-local, so all the bits
+split into independent components, and the chance is the product of the
+components' chances: the paper's per-bit argument behind (3/4)**l.  Each
+component's 2**k assignments are enumerated at once, as one truth table
+per value bit, and the budget caps the widest component.  A muxed entry
+bit reads every bit of both arguments, so colliding classes share one
+component with their arguments.
 
 The hash itself is public, so a guesser whose observations pin down an
 argument value is credited with knowing that table entry as well.  The
@@ -59,20 +59,21 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from math import comb
-from operator import add, itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import and_, or_
+from typing import Iterable, Mapping, Sequence
 
 from . import exprs
-from .exprs import Expr, evaluate, free_vars, hash_nodes, width
+from .exprs import Expr, free_vars, hash_nodes, width
+from .exprs import evaluate  # noqa: F401 (bench/layers.py patches oracle.evaluate)
 
 DEFAULT_BUDGET = 24
 
 
 class BudgetExceededError(ValueError):
-    """One enumeration would walk more environment and hash-table bits than
-    allowed: the widest component of truth tables, or B + H of a leaf table."""
+    """One enumeration would walk a component of more variable and
+    hash-entry bits than allowed: the budget caps the widest component."""
 
     def __init__(self, required_bits: int, budget: int):
         self.required_bits = required_bits
@@ -101,115 +102,6 @@ class GuessScenario:
         decls = dict(self.variables)
         for e in self.knowns + self.targets:
             width(e, decls)
-
-
-def _envs(var_order: list[tuple[str, int]]):
-    """Every assignment of the variables ``var_order``, (name, bits) pairs."""
-    for values in itertools.product(*(range(1 << b) for _, b in var_order)):
-        yield {n: (b, v) for (n, b), v in zip(var_order, values)}
-
-
-def _leaves(shown: Sequence[Expr], nodes: list, envs: Iterable[dict]):
-    """Every hash-table completion of each environment, tabled node by node.
-
-    A node's argument is evaluated once per branch with the earlier nodes
-    resolved; a tabled key (a collision) reuses its entry, a new one
-    branches.  Yields (values of ``shown``, per-node argument keys,
-    per-node entries as values, extra_bits counting the tabled bits).
-    """
-    hashed = [bool(hash_nodes(e)) for e in shown]
-    resolved: dict[int, tuple] = {}
-    htable: dict = {}
-
-    def fill(i: int, extra: int):
-        if i == len(nodes):
-            keys = tuple(resolved[id(n)] for n in nodes)
-            yield (tuple(evaluate(e, env, htable, resolved) if h else p
-                         for e, h, p in zip(shown, hashed, plain)),
-                   keys, tuple((k[2], htable[k]) for k in keys), extra)
-            return
-        node = nodes[i]  # its argument reads only nodes[:i], already resolved
-        al, av = evaluate(node.arg, env, htable, resolved)[:2]
-        key = resolved[id(node)] = (al, av, node.out_bits)
-        if key in htable:
-            yield from fill(i + 1, extra)
-            return
-        for out in range(1 << node.out_bits):
-            htable[key] = out
-            yield from fill(i + 1, extra + node.out_bits)
-        del htable[key]
-
-    for env in envs:  # fill reads env and plain
-        plain = [None if h else evaluate(e, env, {}) for e, h in zip(shown, hashed)]
-        yield from fill(0, 0)
-
-
-class _Table(NamedTuple):
-    """One enumeration of variables and hash table, for ``_project`` to read.
-
-    Values, argument keys and entries are stored as small int codes,
-    which hash far faster than value tuples.
-    """
-
-    column: dict  # expression -> its position in each row of ``values``
-    nodes: list  # distinct hash nodes, in fill order
-    bits: int  # B + H
-    values: list  # per leaf, the codes of the tabled expressions' values
-    args: list  # per node, the code of its argument key in each leaf
-    entries: list  # per node, the code of its table entry in each leaf
-    weights: list  # per leaf, 2**(H - extra)
-
-
-def _table(variables, shown: Sequence[Expr], budget: int) -> _Table:
-    """Enumerate ``_leaves`` once over ``shown``, every leaf over 2**(B + H)."""
-    shown = list(dict.fromkeys(shown))
-    fv = _free_vars_of(shown)
-    var_order = [(n, b) for n, b in variables if n in fv]
-    nodes = list({id(n): n for e in shown for n in hash_nodes(e)}.values())
-    total_bits = sum(b for _, b in var_order)
-    hash_bits = sum(n.out_bits for n in nodes)
-    if total_bits + hash_bits > budget:
-        raise BudgetExceededError(total_bits + hash_bits, budget)
-    codes: dict = {}
-    values, keys, entries, extras = zip(*(
-        (tuple(codes.setdefault(v, len(codes)) for v in vs),
-         tuple(codes.setdefault(k, len(codes)) for k in ks),
-         tuple(codes.setdefault(v, len(codes)) for v in es), extra)
-        for vs, ks, es, extra in _leaves(shown, nodes, _envs(var_order))))
-    return _Table({e: i for i, e in enumerate(shown)}, nodes, total_bits + hash_bits, values,
-                  list(zip(*keys)), list(zip(*entries)), [1 << (hash_bits - x) for x in extras])
-
-
-def _rows(table: _Table, es: Sequence[Expr]) -> list:
-    """Each leaf's tuple of the codes of ``es``'s values."""
-    cols = [table.column[e] for e in es]
-    if len(cols) == 1:
-        return list(zip(map(itemgetter(cols[0]), table.values)))
-    return list(map(itemgetter(*cols), table.values)) if cols else [()] * len(table.values)
-
-
-def _project(table: _Table, knowns: Sequence[Expr], targets: Sequence[Expr]) -> Fraction:
-    """The chance of ``targets`` given ``knowns``, read off ``table``.
-
-    Leaves are grouped by the known values, augmented with the table
-    entries the guesser can query: a node's entry joins the key once the
-    key determines the node's argument in every group, iterated to a
-    fixpoint so that chains of hashes resolve in order.  Only the query's
-    own nodes are pinned; ``chances`` says why the rest of the table
-    changes nothing.  The chance is ``_best`` over 2**(B + H).
-    """
-    keys = _rows(table, knowns)
-    own = {id(n) for e in (*knowns, *targets) for n in hash_nodes(e)}
-    remaining = [i for i, n in enumerate(table.nodes) if id(n) in own]
-    while pinned := [i for i in remaining if len(set(zip(keys, table.args[i]))) == len(set(keys))]:
-        for i in pinned:
-            keys = list(map(add, keys, zip(table.entries[i])))
-            remaining.remove(i)
-    groups: dict = {}
-    for (key, w, weight), n in Counter(zip(keys, _rows(table, targets), table.weights)).items():
-        slot = groups.setdefault(key, {})
-        slot[w] = slot.get(w, 0) + n * weight
-    return Fraction(_best(groups), 1 << table.bits)
 
 
 def _reads(e: Expr, cols: dict) -> list[int]:
@@ -293,20 +185,21 @@ def _best_rows(given: list, tables: list, k: int) -> int:
     return sum(best.values())
 
 
-def _best(groups: dict) -> int:
-    """Sum over observation groups, each {answer: weight}, of the heaviest answer's weight."""
-    return sum(max(slot.values()) for slot in groups.values())
-
-
 class _TruthTables:
     """Truth tables of the expressions ``shown``, for ``chance`` to read.
 
-    Each variable bit, and each bit of a hash class's entry, is a
-    position.  The positions split into independent components by the
-    masks that ``_reads`` gives every bit of ``shown`` and of the classes'
-    arguments, and each component's 2**k rows are its assignments.  Every
-    expression is evaluated once, by ``_slices``, into a truth table per
-    value bit.  Expressions are looked up by id, as ``shown`` holds them.
+    Each variable bit, and each bit of a hash class's fresh entry, is a
+    position.  Classes are taken in fill order, an argument's nodes first.
+    A class's entry is its fresh bits unless an earlier class has the same
+    shape (argument width, output width); then it is the mux
+    ``eq(arg_1, arg_j) ? e_1 : eq(arg_2, arg_j) ? e_2 : ... : fresh_j`` over
+    those earlier classes, the first match winning, where ``eq`` is the
+    AND of the XNORs of the argument bits.  The positions split into
+    independent components by the masks that ``_reads`` gives every bit of
+    ``shown`` and of the classes' arguments and entries, and each
+    component's 2**k rows are its assignments.  Every expression is
+    evaluated once, by ``_slices``, into a truth table per value bit.
+    Expressions are looked up by id, as ``shown`` holds them.
     """
 
     def __init__(self, variables, shown: Sequence[Expr], classes: dict, own: dict, budget: int):
@@ -316,15 +209,24 @@ class _TruthTables:
         for name, bits in variables:
             masks[name] = [1 << at + k for k in range(bits)]
             at += bits
-        blocks = {}
+        fresh, arg_reads, entries, earlier = {}, {}, {}, {}
+        shapes: dict = {}  # (argument width, output width) -> its classes so far
         for key, nodes in classes.items():
-            blocks[key] = [1 << at + k for k in range(nodes[0].out_bits)]
-            at += nodes[0].out_bits
-            masks.update((id(n), blocks[key]) for n in nodes)
+            arg = arg_reads[key] = _reads(nodes[0].arg, masks)
+            entry = fresh[key] = [1 << at + k for k in range(nodes[0].out_bits)]
+            at += len(entry)
+            shape = len(arg), len(entry)
+            earlier[key] = same = shapes.get(shape, [])
+            shapes[shape] = same + [key]
+            if same:  # bit k reads every argument and bit k of each earlier entry
+                compared = reduce(or_, arg + [m for i in same for m in arg_reads[i]], 0)
+                entry = [reduce(or_, (entries[i][k] for i in same), m | compared)
+                         for k, m in enumerate(entry)]
+            entries[key] = entry
+            masks.update((id(n), entry) for n in nodes)
         reads = [_reads(e, masks) for e in shown]
-        arg_reads = {key: _reads(nodes[0].arg, masks) for key, nodes in classes.items()}
         comps: list[int] = []
-        for m in itertools.chain(*reads, *arg_reads.values()):
+        for m in itertools.chain(*reads, *arg_reads.values(), *entries.values()):
             if not m:
                 continue  # a constant bit
             hits = [c for c in comps if c & m]
@@ -343,7 +245,15 @@ class _TruthTables:
                 bit = c & -c
                 comp_of[bit], tables[bit] = i, _pattern(j, self.widths[i])
                 c ^= bit
-        cols = {key: [tables.get(m, 0) for m in ms] for key, ms in masks.items()}
+        cols = {name: [tables.get(m, 0) for m in masks[name]] for name, _ in variables}
+        args = {}
+        for key, nodes in classes.items():
+            arg = args[key] = _slices(nodes[0].arg, cols)
+            entry = [tables[m] for m in fresh[key]]
+            for i in reversed(earlier[key]):
+                eq = reduce(and_, (~(p ^ q) for p, q in zip(args[i], arg)), -1)
+                entry = [eq & e | ~eq & t for e, t in zip(cols[id(classes[i][0])], entry)]
+            cols.update((id(n), entry) for n in nodes)
         fulls = [(1 << (1 << k)) - 1 for k in self.widths]
 
         def columns(ms, ts):
@@ -351,21 +261,19 @@ class _TruthTables:
 
         self.columns = {id(e): columns(ms, _slices(e, cols)) for e, ms in zip(shown, reads)}
         self.args = {}
-        for key, nodes in classes.items():
+        for key in classes:
             self.args[key] = by_comp = {}
-            for c, t in columns(arg_reads[key], _slices(nodes[0].arg, cols)):
+            for c, t in columns(arg_reads[key], args[key]):
                 by_comp.setdefault(c, []).append(t)
-        # an entry bit that nothing reads, as past a Proj, is in no
-        # component, and knowing it tells nothing
-        self.entries = {key: [(comp_of[m], tables[m]) for m in ms if m in comp_of]
-                        for key, ms in blocks.items()}
+        self.entries = {key: columns(entries[key], cols[id(nodes[0])]) for key, nodes in classes.items()}
 
     def chance(self, knowns: Sequence[Expr], targets: Sequence[Expr]) -> Fraction:
         """The chance of ``targets`` given ``knowns``: a product over the
         components that targets read, each a sum over known rows of the
         commonest target row.  A class's entry joins the knowns once its
         argument follows from the knowns in every component, to a
-        fixpoint, as in ``_project``."""
+        fixpoint, so that chains of hashes resolve in order; only the
+        query's own classes are pinned (``chances`` says why)."""
         given: dict = {}
         want: dict = {}
         for es, into in ((knowns, given), (targets, want)):
@@ -388,28 +296,24 @@ class _TruthTables:
 
 def _enumerate(variables, shown: Sequence[Expr], budget: int):
     """``chance_of(knowns, targets)`` for queries over ``shown``, read off
-    one enumeration of it: ``_TruthTables``, or the leaf table ``_table``
-    when two node classes may collide."""
-    classes: dict = {}  # repr -> the nodes of one class
+    one ``_TruthTables`` enumeration of it."""
+    classes: dict = {}  # repr -> the nodes of one class, in fill order
     own: dict = {}  # id(e) -> the classes of e's nodes
     for e in shown:
         own[id(e)] = keys = []
         for n in hash_nodes(e):
             keys.append(repr(n))
             classes.setdefault(keys[-1], []).append(n)
-    declared = dict(variables)
-    shapes = [(width(nodes[0].arg, declared), nodes[0].out_bits) for nodes in classes.values()]
-    if len(set(shapes)) < len(shapes):
-        return partial(_project, _table(variables, shown, budget))
     return _TruthTables(variables, shown, classes, own, budget).chance
 
 
 def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact best guessing chance of the targets given the knowns.
 
-    Hash nodes are variables here unless two node classes may collide
-    (see the module docstring): each class's entry is a block of
-    ``out_bits`` variable bits, and a node's value is that block.  The
+    Hash nodes are variables here: each class brings a block of
+    ``out_bits`` fresh variable bits, its entry is that block muxed with
+    the entries of earlier classes that may collide with it (see the
+    module docstring), and a node's value is its class's entry.  The
     variable and entry bits split into independent components, and the
     chance is the product of the components' chances (Smith, FoSSaCS
     2009, for independent channels).  This is exact: each value bit, and
@@ -417,18 +321,13 @@ def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fract
     constant, so the components' parts are independent and the sum over
     observations of the best answer's weight splits into a product.  A
     class is pinned, its entry joining the knowns, when its argument is a
-    function of the knowns in every component, which is the every-group
-    rule of the leaf table.  The budget caps the widest component.
+    function of the knowns in every component, that is, when the knowns
+    determine it in every group of equal observations.  The budget caps
+    the widest component.
 
-    A query with two node classes that may collide counts outcomes in
-    integer weights over the common denominator 2**(B + H), where H sums
-    the output widths of the distinct hash nodes: a leaf that tabled
-    ``extra`` entry bits weighs 2**(H - extra).  A leaf reads at most one
-    entry per node, so extra <= H.  The budget caps B + H.  ``_table``
-    enumerates the leaves and ``_project`` reads the chance off them.
-    The table is filled in node order, which lists a node after those in
+    Classes are muxed in fill order, which lists a class after those in
     its argument (``hash_nodes`` is post-order and the dedup keeps first
-    occurrences); the module docstring says why that is exact.
+    occurrences), so a muxed entry reads only entries already built.
     """
     knowns, targets = scenario.knowns, scenario.targets
     return _enumerate(scenario.variables, knowns + targets, budget)(knowns, targets)
@@ -456,17 +355,17 @@ def chances(variables, shown: Iterable[Expr], budget: int = DEFAULT_BUDGET):
 
     That equals each query's own enumeration: the query's knowns, targets
     and own nodes' arguments and entries have the same joint law in both.
-    Bits the query does not read, in a component or in the table, multiply
-    every group's weight by the same factor.  In the table, a node the
-    query does not read tables a new key with a uniform entry, and a query
-    node that collides with it reads that entry: uniform, as its own fill
-    would have drawn it.  Only the query's own classes are pinned, so the
-    guesser stays in the zero-query regime; pinning another query's node
-    would hand it a free hash query.
+    Bits the query does not read multiply every group's weight by the
+    same factor.  A class the query does not read may come earlier in the
+    mux of a query class, which then reads that class's entry where their
+    arguments are equal: uniform and apart from the query's other bits, as
+    its own fresh bits would be.  Only the query's own classes are pinned,
+    so the guesser stays in the zero-query regime; pinning another query's
+    node would hand it a free hash query.
 
-    A union over the budget (its widest component, or B + H for a table)
-    falls back to asking ``chance`` per query, and a query over the budget
-    raises as it would alone.
+    A union over the budget (its widest component) falls back to asking
+    ``chance`` per query, and a query over the budget raises as it would
+    alone.
     """
     if isinstance(variables, Mapping):
         variables = tuple(variables.items())

@@ -26,18 +26,11 @@ def test_every_traced_name_exists_and_is_restored():
         # a hash-free query runs through the traced guess_chance
         x, h = exprs.Var("x"), exprs.Var("h")
         oracle.chance({"x": 2, "h": 4}, [h], [exprs.BoxPlus(x, h)])
-        # a query whose hash nodes may collide fills the leaf table, which
-        # evaluates through the name the tracer wraps
-        evaluations = tracer.calls[tracer.names.index("exprs.evaluate")]
-        a, b = exprs.Var("a"), exprs.Var("b")
-        oracle.chance({"a": 1, "b": 1}, [], [exprs.Hash(a, 1), exprs.Hash(b, 1)])
-        assert tracer.calls[tracer.names.index("exprs.evaluate")] > evaluations
         # Monte Carlo sessions run through the names the tracer wraps
         harness.monte_carlo_range(ProtocolConfig(ell=3), "naive-guess", "m", 0, 2)
     finally:
         assert tracer.restore()
     assert tracer.extra["terms"] == tracer.extra["saturated"] == 1
-    assert tracer.calls[tracer.names.index("exprs.evaluate")] > 0
     assert tracer.calls[tracer.names.index("protocol.run_session")] == 2
     assert sum(n for key, n in tracer.extra.items() if key.startswith("verdict.")) == 2
     assert {"exprs.evaluate", "harness.analytic_acceptance", "hkfun.extract_token",

@@ -3,9 +3,9 @@
 The distance law and its iff, the kernel chance, the stick value, the
 hash-pinning rule, the one-query values, and the product inequality are
 each pinned here on small instances where complete enumeration is
-undeniable; the node-order hash fill is held to the restart-on-miss
-enumeration it replaced, and the guard checker's one shared table to
-chances enumerated query by query.
+undeniable; the truth-table hash path, colliding classes muxed, is held
+to a restart-on-miss enumeration, and the guard checker's one shared
+table to chances enumerated query by query.
 """
 
 import itertools
@@ -96,8 +96,9 @@ def test_budget_is_enforced():
     # bits: here twelve one-bit components beside a's
     assert chance({"a": 1}, [], [Hash(Var("a"), 12)], budget=1) == Fraction(1, 4096)
     assert chance({"a": 1}, [], [Hash(Var("a"), 12)], budget=13) == Fraction(1, 4096)
-    # nodes that may collide are counted in the leaf table, whose
-    # variable and entry bits B + H all count
+    # nodes that may collide are muxed: each bit of the second entry reads
+    # both arguments and both entries' bits, so a, b and the four entry
+    # bits are one component
     pair = [Hash(Var("a"), 2), Hash(Var("b"), 2)]
     with pytest.raises(BudgetExceededError) as err:
         chance({"a": 1, "b": 1}, [], pair, budget=5)
@@ -488,21 +489,15 @@ def restart_chance(decls, knowns, targets, budget=oracle.DEFAULT_BUDGET):
     hash_bits = sum(n.out_bits for n in nodes)
     if total_bits + hash_bits > budget:
         raise BudgetExceededError(total_bits + hash_bits, budget)
-    leaves = [leaf for env in oracle._envs(var_order)
-              for leaf in restart_leaves(knowns, targets, env)]
+    envs = ({n: (b, v) for (n, b), v in zip(var_order, values)}
+            for values in itertools.product(*(range(1 << b) for _, b in var_order)))
+    leaves = [leaf for env in envs for leaf in restart_leaves(knowns, targets, env)]
     groups: dict = {}
     for key, (_v, w, _argrec, _htable, extra) in zip(restart_pin(leaves, nodes), leaves):
         slot = groups.setdefault(key, {})
         slot[w] = slot.get(w, 0) + (1 << (hash_bits - extra))
-    return Fraction(oracle._best(groups), 1 << (total_bits + hash_bits))
-
-
-def may_collide(decls, es) -> bool:
-    """Whether two hash nodes of unequal arguments have arguments of equal
-    width and outputs of equal width, so that their entries may be one."""
-    shapes = {repr(n): (exprs.width(n.arg, dict(decls)), n.out_bits)
-              for e in es for n in exprs.hash_nodes(e)}
-    return len(set(shapes.values())) < len(shapes)
+    best = sum(max(slot.values()) for slot in groups.values())
+    return Fraction(best, 1 << (total_bits + hash_bits))
 
 
 @st.composite
@@ -566,6 +561,9 @@ def test_hash_path_matches_the_restart_reference_on_fixed_shapes():
 
 @settings(max_examples=120, deadline=None)
 @given(hash_scenarios(), st.integers(4, 16))
+# B + H is 5, but the widest component, v0 with the muxed entry's fresh bit
+# and the bit of H('0', 1) it may equal, is 3
+@example(((("v0", 1),), [], [Hash(Hash(Lit("0"), 1), 2), Hash(Var("v0"), 1)]), 4)
 def test_hash_path_matches_the_restart_reference(scenario, budget):
     decls, knowns, targets = scenario
 
@@ -577,41 +575,25 @@ def test_hash_path_matches_the_restart_reference(scenario, budget):
 
     got, want = outcome(chance, budget), outcome(restart_chance, budget)
     if got != want:
-        # without possible collisions the budget caps the widest component,
-        # which B + H bounds: the reference raises wherever the engine does
-        assert want[0] == "over budget" and not may_collide(decls, knowns + targets)
+        # the budget caps the widest component, which B + H bounds: the
+        # reference raises wherever the engine does
+        assert want[0] == "over budget"
         if isinstance(got, tuple):
             assert got[1] < want[1]
         else:
             assert got == outcome(restart_chance, oracle.DEFAULT_BUDGET)
 
 
-# --- truth tables against the leaf table ----------------------------------------
-
-
-def table_chance(decls, knowns, targets):
-    """The chance read off the leaf table, which enumerates every variable
-    and table-entry bit at once and counts collisions."""
-    table = oracle._table(decls, tuple(knowns) + tuple(targets), oracle.DEFAULT_BUDGET)
-    return oracle._project(table, knowns, targets)
-
-
 def table_bits(decls, es) -> int:
-    """B + H of the leaf table over ``es``."""
+    """B + H over ``es``: the bits of the variables that occur and the
+    output bits of each distinct hash node, which bound the widest
+    component."""
     used = set().union(*(exprs.free_vars(e) for e in es))
     nodes = {id(n): n for e in es for n in exprs.hash_nodes(e)}.values()
     return sum(b for n, b in decls if n in used) + sum(n.out_bits for n in nodes)
 
 
-@settings(max_examples=150, deadline=None)
-@given(hash_scenarios())
-def test_truth_tables_match_the_leaf_table(scenario):
-    decls, knowns, targets = scenario
-    assume(table_bits(decls, knowns + targets) <= 14)
-    assert chance(decls, knowns, targets) == table_chance(decls, knowns, targets)
-
-
-def test_truth_tables_match_the_leaf_table_on_fixed_shapes():
+def test_truth_tables_match_the_restart_reference_on_fixed_shapes():
     a, b, c = Var("a"), Var("b"), Var("c")
     decls = (("a", 1), ("b", 1), ("c", 1))
     # the argument is '0' where a = 0 and b where a = 1: fixed in some
@@ -643,12 +625,30 @@ def test_truth_tables_match_the_leaf_table_on_fixed_shapes():
         ([a], [Hash(Proj(inner, 1, 1), 1)], 1),
         ([a, b], [Hash(Concat((b, Proj(inner, 2, 2))), 1)], 1),
         ([b], [Hash(Concat((b, Proj(inner, 2, 2))), 2)], Fraction(1, 4)),
+        # three classes of one shape: c's entry is a's or b's unless a = b != c
+        ([Hash(a, 1), Hash(b, 1)], [Hash(c, 1)], Fraction(3, 4)),
+        # b pins H(b, 2), whose low bit no shown term reads but which is
+        # H(c, 2)'s when b = c, as equal high bits make likely
+        ([Proj(Hash(c, 2), 1, 1), b, Proj(Hash(b, 2), 1, 1)], [Proj(Hash(c, 2), 2, 2)],
+         Fraction(3, 4)),
     ]
     for knowns, targets, value in cases:
-        assert not may_collide(decls, knowns + targets)
         got = chance(decls, knowns, targets)
-        assert got == table_chance(decls, knowns, targets) == restart_chance(decls, knowns, targets)
+        assert got == restart_chance(decls, knowns, targets)
         assert got == value, (knowns, targets)
+
+
+def test_secret_guess_row_matches_the_restart_reference():
+    # the query H(0...0.a.b) and the target's entry H(s.a.b) are one entry
+    # when s is all zeros: the muxed entries give the closed form
+    ell, s = 1, 10
+    spec = oracle.builtin_guard_spec("attack-run", ell, s)
+    _s, a, b, x, _z, _zh = spec.context
+    query = Hash(Concat((Lit("0" * s), a, b)), 2 * ell)
+    knowns, targets = [a, b, x, query], [spec.target]
+    got = chance(spec.variables, knowns, targets)
+    assert got == analytic("secret-guess", ell=ell, secret_bits=s)
+    assert got == restart_chance(spec.variables, knowns, targets)
 
 
 def test_a_component_wider_than_one_chunk_matches_the_reference():
@@ -761,11 +761,9 @@ def test_shared_table_matches_per_query_cover(spec):
 
 @settings(max_examples=150, deadline=None)
 @given(guard_specs())
-def test_guard_truth_tables_match_the_leaf_table(spec):
-    shown = (*spec.context, spec.target, *(e for g in spec.guards for e in g))
-    table = oracle._table(spec.variables, shown, oracle.DEFAULT_BUDGET)
+def test_guard_truth_tables_match_the_restart_reference(spec):
     assert check_prob_guard(spec) == oracle.cover(spec.context, spec.target, spec.guards,
-                                                  partial(oracle._project, table))
+                                                  partial(restart_chance, spec.variables))
 
 
 def test_shared_table_matches_per_query_cover_on_fixed_specs():
@@ -796,8 +794,9 @@ def test_shared_table_falls_back_per_query():
     report = check_prob_guard(wide_hash)
     assert report == per_query_cover(wide_hash) and report.ok
     assert report.baseline == Fraction(1, 16)
-    # a query over the budget raises as before: colliding nodes over B + H,
-    # and a chained 30-bit component
+    # a query over the budget raises as before: colliding nodes whose
+    # muxed entries and arguments make one 28-bit component, and a chained
+    # 30-bit component
     colliding = GuardSpec((("u", 12), ("v", 12)), (Hash(v, 2),), Hash(u, 2), ((v,),))
     with pytest.raises(BudgetExceededError) as err:
         check_prob_guard(colliding)
@@ -847,7 +846,8 @@ def test_one_pass_raises_where_the_queries_asked_alone_raise():
     wide, pair = (("u", 30),), (("u", 12), ("v", 12))
     # (decls, xi, gamma, theta, required bits): a 30-bit component in the
     # first query, in the second, and nodes that may collide in the second
-    # (B + H = 28); the union is the third query's terms
+    # (one 28-bit component of both arguments and the muxed entries); the
+    # union is the third query's terms
     cases = [
         (wide, (), (chained(u, 30),), (u,), 30),
         (wide, (), (u,), (chained(u, 30),), 30),
@@ -875,7 +875,8 @@ def test_one_pass_raises_where_the_queries_asked_alone_raise():
 
 def test_a_union_over_the_budget_is_asked_query_by_query():
     u, v, w = Var("u"), Var("v"), Var("w")
-    # nodes that may collide: the leaf table over both is 28 bits
+    # nodes that may collide: both arguments and the muxed entries make
+    # one 28-bit component
     pair = (("u", 12), ("v", 12))
     hu, hv = Hash(u, 2), Hash(v, 2)
     # two 13- and 14-bit chains that share w's bit 13: one 26-bit component
