@@ -342,7 +342,7 @@ def _cmd_guard_check(args) -> int:
         report = symbolic.check_alg_guard(spec)
         rows = [
             {"subset": [spec.context[i].render() for i in r.subset],
-             "derives_target": r.derives_target,
+             "derives_target": r.lhs == 1,
              "witness": r.witness, "ok": r.ok}
             for r in report.rows
         ]

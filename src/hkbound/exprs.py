@@ -7,9 +7,10 @@ idealised public hash.  Every expression has a static width computable
 from the variable declarations, which lets scenarios be validated before
 any enumeration starts.
 
-Runtime values are plain tuples so the enumeration loop stays cheap:
-``(length, value)`` for bitstrings and ``(length, value, stars)`` for
-masked strings.
+``evaluate`` gives an expression's value under one environment as a
+plain tuple: ``(length, value)`` for bitstrings and ``(length, value,
+stars)`` for masked strings.  The oracle enumerates truth tables and
+does not call it.
 """
 
 from __future__ import annotations

@@ -512,7 +512,9 @@ class GuardSpec:
 class GuardRow:
     """One context subset, by indices into the context.
 
-    Chances are exact Fractions, or 0/1 ints in the collapsed regime.
+    Chances are exact Fractions, or 0/1 ints in the algebraic regime of
+    ``symbolic.check_alg_guard``, where a row derives the target iff
+    ``lhs`` is 1.
     """
 
     subset: tuple[int, ...]

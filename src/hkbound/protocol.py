@@ -367,35 +367,6 @@ class CounterReuseRefused(Exception):
     """The prover declined to answer under an already-used counter pair."""
 
 
-class ProverHandle:
-    """Query access to the honest prover, for an attacker's pre-phase.
-
-    Each call is one full challenge-response interaction under the given
-    counters.  The prover enforces counter freshness when configured to,
-    refusing repeats; timing is irrelevant here because the attacker is
-    under no clock until the verifier's timed phase starts.
-    """
-
-    def __init__(self, session: "_Session"):
-        self._s = session
-
-    def respond_to(self, a: int, b: int, challenges: int) -> int:
-        """The prover's ell-bit answer to ell-bit challenges under counters a, b."""
-        s = self._s
-        cfg, ell, w = s.cfg, s.cfg.ell, s.cfg.counter_width
-        if challenges >> ell or (a | b) >> w:
-            raise ValueError(f"challenges must fit in {ell} bits and counters in {w}, "
-                             f"got {challenges}, {a} and {b}")
-        if not s.prover_store.check_and_mark(a, b, w) and cfg.enforce_counter_freshness:
-            raise CounterReuseRefused(
-                f"prover already answered under counters {a:0{w}b},{b:0{w}b}"
-            )
-        token = s.token if (a, b) == (s.a, s.b) else session_token(s.oracle, cfg, s.secret, a, b)
-        reply = select(challenges, token >> ell, token, ell)
-        s.note_interrogation(a, b, challenges, reply)
-        return reply
-
-
 class Responder:
     """Hook for whoever answers the verifier's timed challenges.
 
@@ -426,6 +397,11 @@ class SessionView:
     challenges x: ``select`` reads only the low ell bits, which are h1.
     ``rng`` is the session's generator; Monte Carlo reseeds it for the
     next trial, so neither it nor the view outlives the session.
+
+    The view also gives query access to the honest prover for an
+    attacker's pre-phase (``view.prover.respond_to``), and records those
+    queries in the session's event log (``events``, None when not
+    recording) from tick ``clock`` on.
     """
 
     cfg: ProtocolConfig
@@ -433,32 +409,42 @@ class SessionView:
     oracle: RandomOracle
     a: int
     b: int
-    prover: ProverHandle
     secret: int  # only dishonest-prover strategies may read these
     token: int
+    prover_store: CounterStore | None  # made on the first query when None
+    events: list[Event] | None
+    clock: int
 
+    @property
+    def prover(self) -> "SessionView":
+        """The honest prover's query access: ``respond_to``."""
+        return self
 
-_BIT = (BitString(1, 0), BitString(1, 1))  # the values of one-bit events
+    def respond_to(self, a: int, b: int, challenges: int) -> int:
+        """The prover's ell-bit answer to ell-bit challenges under counters a, b.
 
-
-@lru_cache(maxsize=64)
-def _round_labels(ell: int) -> tuple[tuple[str, str, str], ...]:
-    """Per round: the challenge's name, the response's name and its term."""
-    return tuple((f"x{i}", f"r{i}", f"boxplus(x{i},h)") for i in range(1, ell + 1))
-
-
-class _Session:
-    """Mutable state threaded through one run_session call."""
-
-    def __init__(self, cfg, rng, oracle, prover_store, record):
-        self.cfg = cfg
-        self.rng = rng
-        self.oracle = oracle
-        self.prover_store = prover_store
-        self.events: list[Event] | None = [] if record else None
-        self.clock = 0
-        # ints, set by run_session before any responder sees the session
-        self.secret = self.a = self.b = self.token = None
+        Each call is one full challenge-response interaction under the
+        given counters.  The prover enforces counter freshness when
+        configured to, refusing repeats; timing is irrelevant here
+        because the attacker is under no clock until the verifier's
+        timed phase starts.
+        """
+        cfg, ell, w = self.cfg, self.cfg.ell, self.cfg.counter_width
+        if challenges >> ell or (a | b) >> w:
+            raise ValueError(f"challenges must fit in {ell} bits and counters in {w}, "
+                             f"got {challenges}, {a} and {b}")
+        if self.prover_store is None:
+            self.prover_store = CounterStore()
+        if not self.prover_store.check_and_mark(a, b, w) and cfg.enforce_counter_freshness:
+            raise CounterReuseRefused(
+                f"prover already answered under counters {a:0{w}b},{b:0{w}b}"
+            )
+        token = (self.token if (a, b) == (self.a, self.b)
+                 else session_token(self.oracle, cfg, self.secret, a, b))
+        reply = select(challenges, token >> ell, token, ell)
+        if self.events is not None:
+            self._note_interrogation(a, b, challenges, reply)
+        return reply
 
     @cached_property
     def _label_state(self) -> tuple[dict, dict, itertools.count]:
@@ -491,12 +477,10 @@ class _Session:
             known[challenges] = label
         return label, f"boxplus({label},{token_label})"
 
-    def note_interrogation(self, a, b, challenges, reply) -> None:
-        if self.events is None:
-            return
+    def _note_interrogation(self, a, b, challenges, reply) -> None:
         z_term, r_term = self._pre_labels(a, b, challenges)
         z, r = BitString(self.cfg.ell, challenges), BitString(self.cfg.ell, reply)
-        t = self.clock = self.clock + 1
+        t = self.clock + 1
         pair = (ADVERSARY, PROVER)
         self.events.append(Event(t, ADVERSARY, "fresh", "pre_challenge", z, term=z_term))
         self.events.append(Event(t, ADVERSARY, "send", "pre_challenge", z, pair, term=z_term))
@@ -505,6 +489,15 @@ class _Session:
         self.events.append(Event(t + 2, PROVER, "send", "pre_response", r, back, term=r_term))
         self.events.append(Event(t + 3, ADVERSARY, "receive", "pre_response", r, back, term=r_term))
         self.clock = t + 3
+
+
+_BIT = (BitString(1, 0), BitString(1, 1))  # the values of one-bit events
+
+
+@lru_cache(maxsize=64)
+def _round_labels(ell: int) -> tuple[tuple[str, str, str], ...]:
+    """Per round: the challenge's name, the response's name and its term."""
+    return tuple((f"x{i}", f"r{i}", f"boxplus(x{i},h)") for i in range(1, ell + 1))
 
 
 def run_session(
@@ -522,7 +515,7 @@ def run_session(
     With no adversary the honest prover answers from its configured
     position.  With one, the adversary answers the timed phase from its
     own position (stage-1 counters are relayed unchanged), optionally
-    interrogating the prover first through the view's handle.
+    interrogating the prover first through ``view.prover``.
 
     Values travel as ints at their config widths; ``Event`` tuples, and
     the ``BitString``s they carry, are built only when recording.  The
@@ -549,11 +542,9 @@ def run_session(
     if oracle is None:
         oracle = RandomOracle(seed, 2 * cfg.ell)
     w, ell = cfg.counter_width, cfg.ell
-    if prover_store is None and adversary is not None:
-        prover_store = CounterStore()  # the adversary's handle queries it
-    sess = _Session(cfg, rng, oracle, prover_store, record)
+    events: list[Event] | None = [] if record else None
 
-    secret = sess.secret = rng.getrandbits(cfg.secret_bits)
+    secret = rng.getrandbits(cfg.secret_bits)
     a = rng.getrandbits(w)
     b = rng.getrandbits(w)
 
@@ -563,7 +554,6 @@ def run_session(
     # Stage 1: counter exchange, relayed unchanged when an adversary sits
     # in the middle (it gains nothing by tampering: the token would not
     # match the verifier's).
-    events = sess.events
     if record:
         ab, bb = BitString(w, a), BitString(w, b)
         to_p, to_v = (VERIFIER, PROVER), (PROVER, VERIFIER)
@@ -573,22 +563,21 @@ def run_session(
                    Event(hop, PROVER, "fresh", "b", bb, None, "b"),
                    Event(hop, PROVER, "send", "b", bb, to_v, "b"),
                    Event(2 * hop, VERIFIER, "receive", "b", bb, to_v, "b"))
-    sess.clock = 2 * hop
+    clock = 2 * hop
 
     # a store made for this session alone would find the pair fresh
     fresh = verifier_store is None or verifier_store.check_and_mark(a, b, w)
     if cfg.enforce_counter_freshness and not fresh:
         if record:
-            events.append(Event(sess.clock, VERIFIER, "fresh", "counter_reused"))
+            events.append(Event(clock, VERIFIER, "fresh", "counter_reused"))
         return Transcript(events or [], counter_reused=True), _REUSED
 
     token = session_token(oracle, cfg, secret, a, b)
-    sess.a, sess.b, sess.token = a, b, token
     mask = (1 << ell) - 1
 
     silent = False
     if adversary is not None:
-        view = SessionView(cfg, rng, oracle, a, b, ProverHandle(sess), secret, token)
+        view = SessionView(cfg, rng, oracle, a, b, secret, token, prover_store, events, clock)
         adversary.setup(view)
     else:
         # The honest prover answers under these counters exactly once; on
@@ -622,7 +611,7 @@ def run_session(
     who = PROVER if responder_pos == PROVER else ADVERSARY
     cpath, rpath = (VERIFIER, who), (who, VERIFIER)
     send_ticks, recv_ticks, xs, rs, es = [], [], [], [], []
-    t = sess.clock
+    t = clock if adversary is None else view.clock
     answer = delay + cfg.processing_ticks
     for shift, (x_name, r_name, r_term) in zip(range(ell - 1, -1, -1), _round_labels(ell)):
         x_i = (challenges >> shift) & 1

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .exprs import json_field, json_fields
-from .oracle import GuardRow, context_subsets, cover
+from .oracle import GuardReport, GuardRow, cover
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,18 +113,24 @@ def parse(text: str) -> Term:
 # Theories.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Theory:
     """Appliable operators with their arities, a normalizer, and the steps
     beyond applying an operator: ``destruct`` gives the destructor
     applications that take a known term apart, ``compose`` the other
     applications that normalize to a goal, and ``rules`` multi-premise
-    inferences over a set of known terms."""
+    inferences over a set of known terms.
+
+    Every theory has pairing: ``normalize`` tries the projection rewrite
+    before ``step``, and ``derive_closure`` projects a known pair before
+    applying ``destruct``.  Theories are module singletons, so a theory
+    equals and hashes as itself alone.
+    """
 
     name: str
     ops: tuple[tuple[str, int], ...]
-    step: Callable[[Term], Term | None]  # single root rewrite, None if stuck
-    destruct: Callable[[Term], Iterable[Term]]
+    step: Callable[[Term], Term | None] = lambda t: None  # single root rewrite, None if stuck
+    destruct: Callable[[Term], Iterable[Term]] = lambda t: ()
     compose: Callable[[Term], Iterable[Term]] = lambda goal: ()
     rules: tuple[Callable[[frozenset], Iterable[Term]], ...] = ()
 
@@ -132,11 +138,16 @@ class Theory:
         args = tuple(self.normalize(a) for a in t.args)
         cur = Term(t.op, args)
         while True:
-            nxt = self.step(cur)
+            nxt = _pairing_step(cur)
+            if nxt is None:
+                nxt = self.step(cur)
             if nxt is None:
                 return cur
             # A root rewrite can expose a new redex below, renormalize.
             cur = self.normalize(nxt)
+
+
+_PAIRING_OPS = (("pair", 2), ("p1", 1), ("p2", 1))
 
 
 def _pairing_step(t: Term) -> Term | None:
@@ -152,9 +163,6 @@ def _pairing_destruct(t: Term) -> Iterable[Term]:
 
 
 def _dy_step(t: Term) -> Term | None:
-    got = _pairing_step(t)
-    if got is not None:
-        return got
     if (
         t.op == "sdec"
         and len(t.args) == 2
@@ -167,15 +175,11 @@ def _dy_step(t: Term) -> Term | None:
 
 
 def _dy_destruct(t: Term) -> Iterable[Term]:
-    yield from _pairing_destruct(t)
     if t.op == "senc" and len(t.args) == 2:
         yield app("sdec", t, t.args[1])
 
 
 def _dh_step(t: Term) -> Term | None:
-    got = _pairing_step(t)
-    if got is not None:
-        return got
     if t.op == "exp" and len(t.args) >= 2:
         base = t.args[0]
         exps = list(t.args[1:])
@@ -195,16 +199,12 @@ def _dh_compose(goal: Term) -> Iterable[Term]:
 
 
 def _neg_step(t: Term) -> Term | None:
-    got = _pairing_step(t)
-    if got is not None:
-        return got
     if t.op == "neg" and len(t.args) == 1 and t.args[0].op == "neg" and len(t.args[0].args) == 1:
         return t.args[0].args[0]
     return None
 
 
 def _neg_destruct(t: Term) -> Iterable[Term]:
-    yield from _pairing_destruct(t)
     if t.op == "neg" and len(t.args) == 1:
         yield app("neg", t)
 
@@ -226,9 +226,6 @@ def _hk_extract(terms: frozenset) -> Iterable[Term]:
 
 
 def _cr_step(t: Term) -> Term | None:
-    got = _pairing_step(t)
-    if got is not None:
-        return got
     if (
         t.op == "respond"
         and len(t.args) == 2
@@ -245,20 +242,15 @@ def _cr_compose(goal: Term) -> Iterable[Term]:
         yield app("respond", app("cVP", goal.args[0]), atom("sVP"))
 
 
-PAIRING = Theory("pairing", (("pair", 2), ("p1", 1), ("p2", 1)), _pairing_step, _pairing_destruct)
+PAIRING = Theory("pairing", _PAIRING_OPS)
 
-DOLEV_YAO = Theory(
-    "dolev-yao",
-    (("pair", 2), ("p1", 1), ("p2", 1), ("senc", 2), ("sdec", 2)),
-    _dy_step,
-    _dy_destruct,
-)
+DOLEV_YAO = Theory("dolev-yao", _PAIRING_OPS + (("senc", 2), ("sdec", 2)), _dy_step, _dy_destruct)
 
-DH = Theory("dh", (("pair", 2), ("p1", 1), ("p2", 1), ("exp", 2)), _dh_step, _pairing_destruct, _dh_compose)
+DH = Theory("dh", _PAIRING_OPS + (("exp", 2),), _dh_step, compose=_dh_compose)
 
 HK = Theory(
     "hk",
-    (("pair", 2), ("p1", 1), ("p2", 1), ("H", 1), ("boxplus", 2), ("neg", 1)),
+    _PAIRING_OPS + (("H", 1), ("boxplus", 2), ("neg", 1)),
     _neg_step,
     _neg_destruct,
     rules=(_hk_extract,),
@@ -269,13 +261,7 @@ HK = Theory(
 # computation, so both are appliable; rVP and sVP stay outside the
 # appliable signature because a deduction that could mint them would be
 # forging responses, or the pair secret, out of thin air.
-CR = Theory(
-    "cr",
-    (("pair", 2), ("p1", 1), ("p2", 1), ("cVP", 1), ("respond", 2)),
-    _cr_step,
-    _pairing_destruct,
-    _cr_compose,
-)
+CR = Theory("cr", _PAIRING_OPS + (("cVP", 1), ("respond", 2)), _cr_step, compose=_cr_compose)
 
 THEORIES: dict[str, Theory] = {t.name: t for t in (PAIRING, DOLEV_YAO, DH, HK, CR)}
 
@@ -315,7 +301,8 @@ def derive_closure(start: Iterable[Term], theory: Theory) -> Closure:
     known = frozenset(theory.normalize(t) for t in start)
     while True:
         can = _synthesizer(known, theory)
-        fresh = {theory.normalize(a) for t in known for a in theory.destruct(t)
+        fresh = {theory.normalize(a) for t in known
+                 for a in (*_pairing_destruct(t), *theory.destruct(t))
                  if all(can(arg) for arg in a.args)}
         fresh.update(*(rule(known) for rule in theory.rules))
         if fresh <= known:
@@ -330,20 +317,6 @@ def derivable(start: Iterable[Term], goal: Term, theory: Theory) -> bool:
 
 # ---------------------------------------------------------------------------
 # Algebraic guards (all-or-nothing derivability).
-
-
-@dataclass(frozen=True)
-class AlgGuardRow:
-    subset: tuple[int, ...]  # indices into the spec's context
-    derives_target: bool
-    witness: int | None
-    ok: bool
-
-
-@dataclass(frozen=True)
-class AlgGuardReport:
-    rows: tuple[AlgGuardRow, ...]
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -381,21 +354,26 @@ class AlgGuardSpec:
         )
 
 
-def check_alg_guard(spec: AlgGuardSpec) -> AlgGuardReport:
-    """Whoever can derive the target can derive some guard set whole."""
-    rows = []
-    for picks in context_subsets(len(spec.context)):
-        subset = tuple(spec.context[i] for i in picks)
-        if not derivable(subset, spec.target, spec.theory):
-            rows.append(AlgGuardRow(picks, False, None, True))
-            continue
-        witness = None
-        for gi, guard in enumerate(spec.guards):
-            if all(derivable(subset, g, spec.theory) for g in guard):
-                witness = gi
-                break
-        rows.append(AlgGuardRow(picks, True, witness, witness is not None))
-    return AlgGuardReport(tuple(rows), all(r.ok for r in rows))
+def check_alg_guard(spec: AlgGuardSpec) -> GuardReport:
+    """Whoever can derive the target can derive some guard set whole.
+
+    This is ``oracle.cover`` with every chance 0 or 1: derivability.  A
+    row derives the target iff its ``lhs`` is 1.  Derivability is
+    monotone, so the subset and a guard it derives whole derive the
+    target together, and the witness is the first such guard.  Each
+    distinct known set is analysed once, whatever goals are asked of it.
+    """
+    theory = spec.theory
+    synthesizers: dict[frozenset, Callable[[Term], bool]] = {}
+
+    def c01(known: tuple[Term, ...], want: Sequence[Term]) -> int:
+        key = frozenset(known)
+        if key not in synthesizers:
+            synthesizers[key] = _synthesizer(derive_closure(key, theory).terms, theory)
+        can = synthesizers[key]
+        return int(all(can(theory.normalize(w)) for w in want))
+
+    return cover(spec.context, spec.target, spec.guards, c01)
 
 
 @dataclass(frozen=True)
@@ -409,22 +387,16 @@ class CollapsedReport:
 def check_guard_deterministic(spec: AlgGuardSpec) -> CollapsedReport:
     """Guard check with guessing collapsed to zero-or-one derivability.
 
-    This is ``oracle.cover`` in the degenerate regime where values carry
-    no bits, so a guesser that never consults randomness either derives
-    a term or has nothing: every chance is 0 or 1 and the product
-    condition reduces to plain guard coverage.  The report also states
-    whether the verdict matches check_alg_guard; the verdicts can only
-    part ways when the target is derivable from the empty context, in
-    which case every advantage vanishes and the probabilistic reading
-    exempts all subsets.
+    The probabilistic reading exempts the subsets without advantage over
+    the baseline, the chance of the target from nothing; the algebraic
+    reading exempts only the subsets that do not derive the target.  The
+    two coincide when the baseline is 0, and ``agrees_with_algebraic``
+    says so.  No theory here has a nullary operator and every term has
+    an atom at a leaf, so nothing is derivable from the empty context
+    and the flag is always True.
     """
-
-    def c01(known: tuple[Term, ...], want: Sequence[Term]) -> int:
-        return int(all(derivable(known, w, spec.theory) for w in want))
-
-    report = cover(spec.context, spec.target, spec.guards, c01)
-    algebraic = check_alg_guard(spec)
-    return CollapsedReport(report.baseline, report.rows, report.ok, report.ok == algebraic.ok)
+    report = check_alg_guard(spec)
+    return CollapsedReport(report.baseline, report.rows, report.ok, report.baseline == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,20 @@ def test_every_traced_name_exists_and_is_restored():
         layers.instrument(tracer)
         # the wrapper reads Closure.terms and Closure.saturated
         symbolic.derive_closure([symbolic.atom("a")], symbolic.PAIRING)
+        assert tracer.extra["terms"] == tracer.extra["saturated"] == 1
         # a hash-free query runs through the traced guess_chance
         x, h = exprs.Var("x"), exprs.Var("h")
         oracle.chance({"x": 2, "h": 4}, [h], [exprs.BoxPlus(x, h)])
         # Monte Carlo sessions run through the names the tracer wraps
         harness.monte_carlo_range(ProtocolConfig(ell=3), "naive-guess", "m", 0, 2)
+        # the collapsed guard check runs through the traced check_alg_guard
+        rep = symbolic.check_guard_deterministic(symbolic.builtin_alg_guard_spec("cr"))
     finally:
         assert tracer.restore()
-    assert tracer.extra["terms"] == tracer.extra["saturated"] == 1
+    assert tracer.calls[tracer.names.index("symbolic.check_alg_guard")] == 1
+    # and analyses each of the 8 subsets of its 3-term context once
+    assert tracer.calls[tracer.names.index("symbolic.derive_closure")] == tracer.extra["saturated"] == 1 + 8
+    assert rep.ok and rep.agrees_with_algebraic
     assert tracer.calls[tracer.names.index("protocol.run_session")] == 2
     assert sum(n for key, n in tracer.extra.items() if key.startswith("verdict.")) == 2
     assert {"exprs.evaluate", "harness.analytic_acceptance", "hkfun.extract_token",

@@ -25,12 +25,11 @@ from hkbound.protocol import (
     CounterReuseRefused,
     CounterStore,
     ProtocolConfig,
-    ProverHandle,
     RandomOracle,
     Responder,
+    SessionView,
     Transcript,
     _judge,
-    _Session,
     _round_labels,
     run_session,
     verifier_decide,
@@ -555,12 +554,10 @@ def test_counter_store_semantics():
 
 
 def _handle(cfg):
-    """A prover handle on a session whose counters, secret and token are set by hand."""
-    sess = _Session(cfg, random.Random(0), RandomOracle(0, 2 * cfg.ell), CounterStore(), False)
-    sess.secret = (1 << cfg.secret_bits) - 1
-    sess.a, sess.b = 0b00, 0b01
-    sess.token = 0b0110
-    return sess, ProverHandle(sess)
+    """A session view whose counters, secret and token are set by hand, and its prover."""
+    view = SessionView(cfg, random.Random(0), RandomOracle(0, 2 * cfg.ell), 0b00, 0b01,
+                       (1 << cfg.secret_bits) - 1, 0b0110, CounterStore(), None, 0)
+    return view, view.prover
 
 
 def test_prover_handle_refuses_replayed_counters():
@@ -583,3 +580,13 @@ def test_prover_handle_checks_widths():
     # nothing was marked or answered on the way
     assert len(sess.prover_store) == 0
     assert handle.respond_to(sess.a, sess.b, 0b11) == 0b10
+
+
+def test_prover_store_is_made_on_the_first_query():
+    cfg = ProtocolConfig(ell=2)
+    view = SessionView(cfg, random.Random(0), RandomOracle(0, 4), 0b00, 0b01, 0, 0b0110, None, None, 0)
+    assert view.prover is view and view.prover_store is None
+    assert view.prover.respond_to(view.a, view.b, 0b10) == 0b11
+    assert len(view.prover_store) == 1
+    with pytest.raises(CounterReuseRefused):
+        view.prover.respond_to(view.a, view.b, 0b01)

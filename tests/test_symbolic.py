@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hkbound import symbolic
 from hkbound.adversary import CounterReuseExtract, PreQueryStick, attack_session
+from hkbound.oracle import context_subsets
 from hkbound.protocol import Event, ProtocolConfig, run_session
 from hkbound.symbolic import (
     CR,
@@ -218,7 +219,7 @@ def test_decision_reaches_every_term_the_saturation_reaches(theory, data):
 @given(data=st.data())
 def test_destruct_and_compose_are_operator_applications(theory, data):
     for t in subterms(data.draw(terms_of(theory))):
-        for application in theory.destruct(t):
+        for application in itertools.chain(symbolic._pairing_destruct(t), theory.destruct(t)):
             # analysis only takes terms apart, so its fixpoint is finite
             assert (application.op, len(application.args)) in theory.ops
             assert t in application.args
@@ -226,6 +227,23 @@ def test_destruct_and_compose_are_operator_applications(theory, data):
         for application in theory.compose(t):
             assert (application.op, len(application.args)) in theory.ops
             assert theory.normalize(application) == t
+
+
+@ALL_THEORIES
+def test_every_theory_has_pairing(theory):
+    a, b = atom("a"), atom("b")
+    assert {("pair", 2), ("p1", 1), ("p2", 1)} <= set(theory.ops)
+    assert theory.normalize(app("p2", app("pair", a, b))) == b
+    assert derivable([app("pair", a, b)], a, theory)
+
+
+@ALL_THEORIES
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_nothing_is_derivable_from_nothing(theory, data):
+    # no theory has a nullary operator and every term has an atom at a
+    # leaf, so every guard check has baseline 0
+    assert not derivable([], data.draw(terms_of(theory)), theory)
 
 
 def test_derivations_past_the_old_search_budget():
@@ -251,11 +269,57 @@ def test_builtin_dh_guard_passes():
     report = check_alg_guard(spec)
     assert report.ok
     assert len(report.rows) == 32
-    deriving = [r for r in report.rows if r.derives_target]
+    deriving = [r for r in report.rows if r.lhs == 1]
     assert len(deriving) == 15
     assert all(r.witness is not None for r in deriving)
     with pytest.raises(ValueError):
         builtin_alg_guard_spec("rsa")
+
+
+def alg_guard_reference(spec: AlgGuardSpec) -> list:
+    """The algebraic guard check as its own loop over context subsets:
+    (subset, derives the target, witness, ok) per subset."""
+    rows = []
+    for picks in context_subsets(len(spec.context)):
+        subset = tuple(spec.context[i] for i in picks)
+        if not derivable(subset, spec.target, spec.theory):
+            rows.append((picks, False, None, True))
+            continue
+        witness = None
+        for gi, guard in enumerate(spec.guards):
+            if all(derivable(subset, g, spec.theory) for g in guard):
+                witness = gi
+                break
+        rows.append((picks, True, witness, witness is not None))
+    return rows
+
+
+@ALL_THEORIES
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_alg_guard_matches_the_subset_loop(theory, data):
+    terms = terms_of(theory)
+    context = data.draw(st.lists(terms, min_size=1, max_size=4))
+    # draw target and guards from the context's subterms too, so that
+    # some subsets derive them
+    pool = st.one_of(terms, st.sampled_from(sorted({u for t in context for u in subterms(t)}, key=str)))
+    spec = AlgGuardSpec(theory, tuple(context), data.draw(pool),
+                        tuple(map(tuple, data.draw(st.lists(st.lists(pool, max_size=2), max_size=3)))))
+    report = check_alg_guard(spec)
+    want = alg_guard_reference(spec)
+    assert [(r.subset, r.lhs == 1, r.witness, r.ok) for r in report.rows] == want
+    assert report.ok == all(ok for *_, ok in want)
+    assert report.baseline == 0 and all(r.lhs in (0, 1) for r in report.rows)
+
+
+def test_alg_guard_analyses_each_known_set_once(monkeypatch):
+    calls = []
+    closure = symbolic.derive_closure
+    monkeypatch.setattr(symbolic, "derive_closure", lambda start, theory: calls.append(start) or closure(start, theory))
+    report = check_alg_guard(builtin_alg_guard_spec("dh"))
+    assert report.ok and len(report.rows) == 32
+    # the guards are context terms, so every known set is a context subset
+    assert len(calls) <= 32
 
 
 def test_alg_guard_violation_detected():
@@ -316,7 +380,7 @@ def test_builtin_cr_guard_passes():
     spec = builtin_alg_guard_spec("cr")
     report = check_alg_guard(spec)
     assert report.ok
-    deriving = [r for r in report.rows if r.derives_target]
+    deriving = [r for r in report.rows if r.lhs == 1]
     assert {r.subset for r in deriving} == {(0, 1), (0, 1, 2)}
     assert all(r.witness == 0 for r in deriving)
     collapsed = check_guard_deterministic(spec)
