@@ -69,12 +69,13 @@ def _claim_prop34(ell: int):
     expect = oracle.analytic("prequery", ell=ell)
     lits = [_lit(v, ell) for v in range(1 << ell)]
     xh, boxed = exprs.BoxPlus(x, h), [exprs.BoxPlus(xl, h) for xl in lits]
+    # averaging the fixed-x chances over x gives the chance with x unknown;
+    # x is declared beside h, and the middleman's view of z is boxed[z], so
+    # that every chance of the claim reads off one pass
+    chance_of = oracle.chances({"x": ell, "h": 2 * ell}, [x, xh, *lits, *boxed])
     rows = []
-    for zl in lits:
-        # averaging the fixed-x chances over x gives the chance with x unknown;
-        # x is declared beside h so that every chance reads off one pass
-        seen = [zl, exprs.BoxPlus(zl, h)]
-        chance_of = oracle.chances({"x": ell, "h": 2 * ell}, [x, xh, *lits, *boxed, *seen])
+    for zl, zh in zip(lits, boxed):
+        seen = [zl, zh]
         total = sum(chance_of([xl, *seen], [bl]) for xl, bl in zip(lits, boxed)) / len(lits)
         agg = chance_of([x, *seen], [xh])
         rows.append(_row(f"z={zl.text}", total, expect, total == expect == agg))
@@ -435,6 +436,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # every recursion here walks an input term
+        print("error: the input nests its terms too deeply", file=sys.stderr)
         return 2
 
 

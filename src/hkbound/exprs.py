@@ -123,11 +123,6 @@ def free_vars(e: Expr) -> set[str]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def is_masked(e: Expr) -> bool:
-    """Whether the expression produces a masked string rather than bits."""
-    return isinstance(e, KernelMask)
-
-
 def width(e: Expr, declared: dict[str, int]) -> int:
     """Static bit width; raises ValueError on malformed expressions.
 
@@ -135,38 +130,39 @@ def width(e: Expr, declared: dict[str, int]) -> int:
     may only appear at the top level of a known or target, never inside
     another operator.
     """
-    if isinstance(e, Var):
+    kind = type(e)
+    if kind is Var:
         if e.name not in declared:
             raise ValueError(f"undeclared variable {e.name!r}")
         return declared[e.name]
-    if isinstance(e, Lit):
+    if kind is Lit:
         return len(e.text)
-    if isinstance(e, Concat):
+    if kind is Concat:
         for p in e.parts:
-            if is_masked(p):
+            if type(p) is KernelMask:
                 raise ValueError("masked string cannot be concatenated")
         return sum(width(p, declared) for p in e.parts)
-    if isinstance(e, Negate):
-        if is_masked(e.arg):
+    if kind is Negate:
+        if type(e.arg) is KernelMask:
             raise ValueError("masked string cannot be negated")
         return width(e.arg, declared)
-    if isinstance(e, Proj):
-        if is_masked(e.arg):
+    if kind is Proj:
+        if type(e.arg) is KernelMask:
             raise ValueError("masked string cannot be sliced")
         w = width(e.arg, declared)
         if not (1 <= e.lo and e.lo <= e.hi + 1 and e.hi <= w):
             raise ValueError(f"slice {e.lo}..{e.hi} out of range 1..{w}")
         return e.hi - e.lo + 1
-    if isinstance(e, (BoxPlus, KernelMask)):
-        if is_masked(e.x) or is_masked(e.h):
+    if kind is BoxPlus or kind is KernelMask:
+        if type(e.x) is KernelMask or type(e.h) is KernelMask:
             raise ValueError("masked string cannot feed a selection operator")
         wx = width(e.x, declared)
         wh = width(e.h, declared)
         if wh != 2 * wx:
             raise ValueError(f"token width {wh} is not twice the challenge width {wx}")
         return wx
-    if isinstance(e, Hash):
-        if is_masked(e.arg):
+    if kind is Hash:
+        if type(e.arg) is KernelMask:
             raise ValueError("masked string cannot be hashed")
         width(e.arg, declared)
         return e.out_bits
@@ -179,17 +175,16 @@ def hash_nodes(e: Expr) -> list[Hash]:
     seen: set[int] = set()
 
     def walk(n: Expr) -> None:
-        if isinstance(n, (Var, Lit)):
-            return
-        if isinstance(n, Concat):
+        kind = type(n)
+        if kind is Concat:
             for p in n.parts:
                 walk(p)
-        elif isinstance(n, (Negate, Proj)):
+        elif kind is Negate or kind is Proj:
             walk(n.arg)
-        elif isinstance(n, (BoxPlus, KernelMask)):
+        elif kind is BoxPlus or kind is KernelMask:
             walk(n.x)
             walk(n.h)
-        elif isinstance(n, Hash):
+        elif kind is Hash:
             walk(n.arg)
             if id(n) not in seen:
                 seen.add(id(n))

@@ -28,7 +28,11 @@ entry.  Every operator, the mux included, is bit-local, so all the bits
 split into independent components, and the chance is the product of the
 components' chances: the paper's per-bit argument behind (3/4)**l.  Each
 component's 2**k assignments are enumerated at once, as one truth table
-per value bit, and the budget caps the widest component.  A muxed entry
+per value bit, and the budget caps the widest component.  A component's
+chance is counted on those tables as masks, splitting its rows into
+classes of equal values with AND and popcount, while the classes fit
+one word's rows; past that, as on a wide component read by many tables,
+its rows are tallied one by one (``_best_rows``).  A muxed entry
 bit reads every bit of both arguments, so colliding classes share one
 component with their arguments.
 
@@ -110,21 +114,24 @@ def _reads(e: Expr, cols: dict) -> list[int]:
     id, to the masks of its bits.  Supersets are sound: bit i of a
     selection reads x_i, h_i and h_{l+i}, only two of which decide it.  A
     KernelMask gives its value bits, then its star bits."""
-    if isinstance(e, (exprs.Var, exprs.Hash)):
-        return cols[e.name if isinstance(e, exprs.Var) else id(e)]
-    if isinstance(e, exprs.Lit):
+    kind = type(e)
+    if kind is exprs.Var:
+        return cols[e.name]
+    if kind is exprs.Lit:
         return [0] * len(e.text)
-    if isinstance(e, exprs.Concat):
+    if kind is exprs.Hash:
+        return cols[id(e)]
+    if kind is exprs.Concat:
         return [m for p in reversed(e.parts) for m in _reads(p, cols)]
-    if isinstance(e, exprs.Negate):
+    if kind is exprs.Negate:
         return _reads(e.arg, cols)
-    if isinstance(e, exprs.Proj):
+    if kind is exprs.Proj:
         arg = _reads(e.arg, cols)
         return arg[len(arg) - e.hi:len(arg) - e.lo + 1]
     x, h = _reads(e.x, cols), _reads(e.h, cols)
     n = len(x)
     out = [x[i] | h[i] | h[n + i] for i in range(n)]
-    return out + out if isinstance(e, exprs.KernelMask) else out
+    return out + out if kind is exprs.KernelMask else out
 
 
 def _slices(e: Expr, cols: dict) -> list[int]:
@@ -132,20 +139,24 @@ def _slices(e: Expr, cols: dict) -> list[int]:
     over the rows of its component: ``cols`` holds the tables of the
     variables' and hash nodes' bits.  ``~`` is two's complement, so a table
     is exact on its component's rows once masked to them."""
-    if isinstance(e, (exprs.Var, exprs.Hash)):
-        return cols[e.name if isinstance(e, exprs.Var) else id(e)]
-    if isinstance(e, exprs.Lit):
-        return [-int(c) for c in reversed(e.text)]
-    if isinstance(e, exprs.Concat):
+    kind = type(e)
+    if kind is exprs.Var:
+        return cols[e.name]
+    if kind is exprs.Lit:
+        value = int(e.text or "0", 2)
+        return [-(value >> i & 1) for i in range(len(e.text))]
+    if kind is exprs.Hash:
+        return cols[id(e)]
+    if kind is exprs.Concat:
         return [t for p in reversed(e.parts) for t in _slices(p, cols)]
-    if isinstance(e, exprs.Negate):
+    if kind is exprs.Negate:
         return [~t for t in _slices(e.arg, cols)]
-    if isinstance(e, exprs.Proj):
+    if kind is exprs.Proj:
         arg = _slices(e.arg, cols)
         return arg[len(arg) - e.hi:len(arg) - e.lo + 1]
     x, h = _slices(e.x, cols), _slices(e.h, cols)
     n = len(x)  # h[n:] is the first half h0, chosen where x is 0
-    if isinstance(e, exprs.BoxPlus):
+    if kind is exprs.BoxPlus:
         return [h[n + i] & ~x[i] | h[i] & x[i] for i in range(n)]
     stars = [~(h[n + i] ^ h[i]) for i in range(n)]
     return [x[i] & ~stars[i] for i in range(n)] + stars
@@ -171,12 +182,57 @@ def _each_row(tables: list, k: int):
         yield from zip(*[format(t >> lo & (1 << n) - 1, f"0{n}b") for t in tables])
 
 
+WORD_LOG = 6  # 2**6 rows fit one machine word
+
+
 def _best_rows(given: list, tables: list, k: int) -> int:
     """Over a component's 2**k rows, the sum over each value of ``given``
     of the count of its commonest value of ``tables``: 2**k exactly when
-    ``tables`` are a function of ``given``."""
-    if not given and len(tables) == 1:
-        return max(ones := tables[0].bit_count(), (1 << k) - ones)
+    ``tables`` are a function of ``given``.
+
+    Two regimes count the same sum.  Masks (``_best_masks``) split the
+    rows into classes of equal values with an AND per class and table,
+    then popcount; rows (``_best_counted``) tally each row's tuple of bits
+    in a ``Counter``.  g given and t target tables make at most
+    2**min(k, g + t) classes.  While that is at most 2**WORD_LOG (on every
+    component of at most WORD_LOG bits, whose tables are one word each, or
+    on one read by few tables), masks cost at most 2 * 2**k word
+    operations per table.  Past that a wide component's classes may reach
+    2**k, of 2**k bits each, about 4**k/64 word operations, while rows
+    stay linear in 2**k."""
+    if k > WORD_LOG and len(given) + len(tables) > WORD_LOG:
+        return _best_counted(given, tables, k)
+    return _best_masks(given, tables, k)
+
+
+def _classes(tables: list, rows: int) -> list[int]:
+    """The nonempty classes of the rows in the mask ``rows`` on which every
+    table of ``tables`` is constant."""
+    classes = [rows]
+    for t in tables:
+        split = []
+        for c in classes:
+            if part := c & t:
+                split.append(part)
+            if part := c & ~t:
+                split.append(part)
+        classes = split
+    return classes
+
+
+def _best_masks(given: list, tables: list, k: int) -> int:
+    """``_best_rows`` on masks: refine the rows by each given table, then
+    each given class by each target table, and sum the largest popcount
+    per given class."""
+    best = 0
+    for g in _classes(given, (1 << (1 << k)) - 1):
+        best += max(map(int.bit_count, _classes(tables, g)))
+    return best
+
+
+def _best_counted(given: list, tables: list, k: int) -> int:
+    """``_best_rows`` on rows: count each row's tuple of bits, and keep the
+    commonest target tuple per given tuple."""
     best: dict = {}
     cut = len(given)
     for row, n in Counter(_each_row(given + tables, k)).items():
@@ -226,9 +282,13 @@ class _TruthTables:
             masks.update((id(n), entry) for n in nodes)
         reads = [_reads(e, masks) for e in shown]
         comps: list[int] = []
+        covered = 0  # the union of comps
         for m in itertools.chain(*reads, *arg_reads.values(), *entries.values()):
-            if not m:
-                continue  # a constant bit
+            if not m & covered:
+                if m:  # else a constant bit
+                    comps.append(m)
+                    covered |= m
+                continue
             hits = [c for c in comps if c & m]
             if len(hits) == 1 and m | hits[0] == hits[0]:
                 continue
@@ -236,6 +296,7 @@ class _TruthTables:
                 comps.remove(c)
                 m |= c
             comps.append(m)
+            covered |= m
         self.widths = [c.bit_count() for c in comps]
         if max(self.widths, default=0) > budget:
             raise BudgetExceededError(max(self.widths), budget)
@@ -280,14 +341,15 @@ class _TruthTables:
             for e in es:
                 for c, t in self.columns[id(e)]:
                     into.setdefault(c, []).append(t)
-        remaining = list(dict.fromkeys(key for e in (*knowns, *targets) for key in self.own[id(e)]))
-        while pinned := [key for key in remaining if all(
-                _best_rows(given.get(c, []), ts, self.widths[c]) == 1 << self.widths[c]
-                for c, ts in self.args[key].items())]:
-            for key in pinned:
-                for c, t in self.entries[key]:
-                    given.setdefault(c, []).append(t)
-                remaining.remove(key)
+        if self.entries:  # a hash-free union has no class to pin
+            remaining = list(dict.fromkeys(key for e in (*knowns, *targets) for key in self.own[id(e)]))
+            while remaining and (pinned := [key for key in remaining if all(
+                    _best_rows(given.get(c, []), ts, self.widths[c]) == 1 << self.widths[c]
+                    for c, ts in self.args[key].items())]):
+                for key in pinned:
+                    for c, t in self.entries[key]:
+                        given.setdefault(c, []).append(t)
+                    remaining.remove(key)
         best = 1
         for c, ts in want.items():
             best *= _best_rows(given.get(c, []), ts, self.widths[c])

@@ -44,6 +44,16 @@ REASON_TOO_FAR = "too_far"
 REASON_COUNTER_REUSED = "counter_reused"
 
 
+def _ticks(span: float) -> int:
+    """``span`` rounded up to whole ticks; a span too long for a tick
+    count (a tiny velocity, or far-apart positions) is a ValueError."""
+    try:
+        return math.ceil(span)
+    except OverflowError:
+        raise ValueError(f"a span of {span} ticks is too long; raise the velocity "
+                         "or bring the positions closer") from None
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Static parameters of one protocol deployment.
@@ -77,6 +87,12 @@ class ProtocolConfig:
             raise ValueError("secret_bits must be at least 1")
         if self.counter_bits is not None and self.counter_bits < 1:
             raise ValueError("counter_bits must be at least 1 when given")
+        for name in ("velocity", "distance_bound", "acceptance_slack"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for who, at in self.positions.items():
+            if not math.isfinite(at):
+                raise ValueError(f"the position of the {who} must be finite, got {at}")
         if self.velocity <= 0:
             raise ValueError("velocity must be positive")
         if self.distance_bound < 0:
@@ -90,6 +106,7 @@ class ProtocolConfig:
         for who in (VERIFIER, PROVER):
             if who not in self.positions:
                 raise ValueError(f"positions must place the {who}")
+        _ = self._session_ticks, self.timeout_ticks  # every tick count, so that an overflow raises here
 
     def __getstate__(self) -> dict:
         # a read-only mapping does not pickle, so ``positions`` travels as a dict
@@ -111,7 +128,7 @@ class ProtocolConfig:
         return abs(self.position(p) - self.position(q))
 
     def delay_ticks(self, p: str, q: str) -> int:
-        return math.ceil(self.distance(p, q) / self.velocity)
+        return _ticks(self.distance(p, q) / self.velocity)
 
     @cached_property
     def _session_ticks(self) -> dict[tuple[bool, str], tuple[int, int, int]]:
@@ -144,7 +161,7 @@ class ProtocolConfig:
     @cached_property
     def timeout_ticks(self) -> int:
         """The round trip logged for a round whose answer never arrived."""
-        return math.ceil(self.timeout_rtt)
+        return _ticks(self.timeout_rtt)
 
     def to_json(self) -> dict:
         return {

@@ -402,11 +402,16 @@ def test_cli_malformed_config_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     for doc, field in (({"ell": "8"}, "'ell'"), ({"ell": True}, "'ell'"),
                        ({"ell": 2, "positions": {"verifier": 0, "prover": "3"}}, "'positions'"),
-                       ([2], "JSON object")):
+                       ([2], "JSON object"),
+                       ({"ell": 3, "velocity": 1e-320}, "ticks"),
+                       ({"ell": 3, "velocity": 1e400}, "velocity must be finite"),
+                       ({"ell": 3, "distance_bound": -1e400}, "distance_bound must be finite"),
+                       ({"ell": 3, "positions": {"verifier": 0, "prover": 1e400}}, "prover must be finite")):
         path.write_text(json.dumps(doc))
-        err = _usage_error(["simulate", "--strategy", "naive-guess", "--trials", "5",
-                            "--config", str(path)], capsys)
-        assert field in err
+        for strategy in ("naive-guess", "honest"):
+            err = _usage_error(["simulate", "--strategy", strategy, "--trials", "5",
+                                "--config", str(path)], capsys)
+            assert field in err
 
 
 def test_cli_malformed_guard_specs_are_usage_errors(tmp_path, capsys):
@@ -456,6 +461,23 @@ def test_cli_malformed_guard_specs_are_usage_errors(tmp_path, capsys):
     for name in ("attack-run", "early-run"):
         err = _usage_error(["guard-check", "--builtin", name, "--algebraic"], capsys)
         assert repr(name) in err
+
+
+def test_cli_too_deep_specs_are_usage_errors(tmp_path, capsys):
+    # a term nested past the recursion limit is bad input, not a crash
+    from hkbound.oracle import builtin_guard_spec
+
+    path = tmp_path / "spec.json"
+    negated = {"op": "var", "name": "s"}
+    for _ in range(500):
+        negated = {"op": "negate", "arg": negated}
+    path.write_text(json.dumps({**builtin_guard_spec("early-run").to_json(), "context": [negated]}))
+    assert "too deeply" in _usage_error(["guard-check", "--spec", str(path)], capsys)
+    paired = "a"
+    for _ in range(400):
+        paired = f"pair({paired},a)"
+    path.write_text(json.dumps({"context": [paired], "target": "a", "guards": [["a"]]}))
+    assert "too deeply" in _usage_error(["guard-check", "--spec", str(path), "--algebraic"], capsys)
 
 
 @pytest.mark.parametrize("ell", ["0", "-1"])

@@ -662,6 +662,46 @@ def test_a_component_wider_than_one_chunk_matches_the_reference():
     assert chance(decls, knowns, targets) == reference_chance(decls, knowns, targets)
 
 
+# --- the two counts behind a component's chance ---------------------------------
+
+
+@st.composite
+def component_tables(draw):
+    """A component width k in 0..8 with 0-6 given and 1-6 target truth
+    tables over its 2**k rows, each a mask, a complement, or a row-number bit."""
+    k = draw(st.integers(0, 8))
+    rows = 1 << k
+    table = st.one_of(st.integers(-(1 << rows), (1 << rows) - 1),
+                      st.integers(0, k - 1).map(lambda j: oracle._pattern(j, k)) if k else st.just(0))
+    return draw(st.lists(table, max_size=6)), draw(st.lists(table, min_size=1, max_size=6)), k
+
+
+def assert_counts_agree(known, targets, k):
+    rows = oracle._best_counted(known, targets, k)
+    assert oracle._best_masks(known, targets, k) == rows == oracle._best_rows(known, targets, k)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(component_tables())
+def test_mask_count_matches_the_row_count(case):
+    # both regimes of _best_rows, on either side of the width that chooses
+    assert_counts_agree(*case)
+
+
+@pytest.mark.parametrize("k", [oracle.WORD_LOG, oracle.WORD_LOG + 1])
+@pytest.mark.parametrize("n_known, n_targets", [(0, 1), (1, 1), (3, 3), (3, 4), (6, 1), (6, 6)])
+def test_mask_count_matches_the_row_count_at_the_word_boundary(k, n_known, n_targets):
+    rng = random.Random(f"{k}:{n_known}:{n_targets}")
+    known = [rng.getrandbits(1 << k) for _ in range(n_known)]
+    targets = [rng.getrandbits(1 << k) for _ in range(n_targets)]
+    assert_counts_agree(known, targets, k)
+    # a function of the given fills every row, and a blind bit is a coin
+    rows = [oracle._pattern(j, k) for j in range(k)]
+    assert assert_counts_agree(rows, targets, k) == 1 << k
+    assert assert_counts_agree(rows[1:], rows[:1], k) == 1 << k - 1
+
+
 # --- what cover's memo rests on -------------------------------------------------
 
 
@@ -934,7 +974,7 @@ def test_each_check_enumerates_once(monkeypatch):
     assert count(advantage, GuessScenario(decls, xi + gamma, theta)) == 1
     assert count(check_prob_guard, oracle.builtin_guard_spec("attack-run")) == 1
     for ell in (1, 2, 3):
-        assert count(cli._claim_prop34, ell) == 1 << ell  # one per z
+        assert count(cli._claim_prop34, ell) == 1
         assert count(cli._claim_hamming, ell) == 1
         assert count(cli._claim_kernel, ell) == 1
 

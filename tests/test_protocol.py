@@ -462,6 +462,16 @@ def test_config_validation():
         dict(ell=1, processing_ticks=-1),
         dict(ell=1, rtt_mode="median"),
         dict(ell=1, positions={"verifier": 0.0}),
+        # non-finite numbers, and finite ones whose tick counts overflow
+        dict(ell=1, velocity=float("nan")),
+        dict(ell=1, velocity=float("inf")),
+        dict(ell=1, distance_bound=float("inf")),
+        dict(ell=1, acceptance_slack=float("nan")),
+        dict(ell=1, positions={"verifier": 0.0, "prover": float("-inf")}),
+        dict(ell=1, positions={"verifier": 0.0, "prover": 3.0, "adversary": float("nan")}),
+        dict(ell=1, velocity=1e-320),
+        dict(ell=1, positions={"verifier": -1e308, "prover": 1e308}),
+        dict(ell=1, distance_bound=1e308, velocity=1e-10),
     ):
         with pytest.raises(ValueError):
             ProtocolConfig(**bad)
