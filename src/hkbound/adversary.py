@@ -207,6 +207,8 @@ def attack_session(
 
 
 def _strategy_key(strategy) -> str:
+    if strategy is None:  # the honest prover
+        return "honest"
     s = _as_strategy(strategy)
     if isinstance(s, EarlyResponder):
         return f"early-{s.mode}"

@@ -121,16 +121,20 @@ def monte_carlo_range(cfg: ProtocolConfig, strategy, master_seed,
                       lo: int, hi: int) -> int:
     """Success count over trial indices [lo, hi); chunks sum exactly.
 
-    One generator serves the chunk: reseeding it with ``Random.seed``
-    gives the state of a fresh ``random.Random`` (``gauss_next``
-    included), so each trial draws what it would draw alone.
+    One generator serves the chunk.  Each trial reseeds it with the
+    C-level ``seed`` and clears ``gauss_next``, which for an int seed is
+    all that ``Random.seed`` does, so each trial draws what a fresh
+    ``random.Random(seed)`` would.  Unrecorded sessions build no
+    transcript (see ``protocol.Transcript``); only the verdict is read.
     """
     actor = None if strategy in (None, "honest") else adv._as_strategy(strategy)
     rng = random.Random()
+    reseed = super(random.Random, rng).seed
     wins = 0
     for i in range(lo, hi):
         seed = trial_seed(master_seed, i)
-        rng.seed(seed)
+        reseed(seed)
+        rng.gauss_next = None
         _, verdict = run_session(cfg, seed, adversary=actor, record=False, rng=rng)
         wins += verdict.accepted
     return wins

@@ -61,12 +61,13 @@ import itertools
 import json
 import random
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from math import comb
 from operator import and_, or_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import exprs
 from .exprs import Expr, free_vars, hash_nodes, width

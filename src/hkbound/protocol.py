@@ -19,16 +19,16 @@ the tick grid (the default ones do).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from hashlib import sha256
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .bits import BitString, concat, sample_uniform  # noqa: F401 (bench/layers.py patches the last two)
 from .exprs import json_field, json_fields
@@ -115,7 +115,7 @@ class ProtocolConfig:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state, positions=MappingProxyType(state["positions"]))
 
-    @property
+    @cached_property
     def counter_width(self) -> int:
         return self.counter_bits if self.counter_bits is not None else self.ell
 
@@ -146,6 +146,12 @@ class ProtocolConfig:
     def _uniform_verdicts(self) -> dict[tuple[int, int], "Verdict"]:
         """Verdicts on rounds that all took one round trip, keyed by
         (bits correct, round trip); filled by ``_judge_uniform``."""
+        return {}
+
+    @cached_property
+    def _byte_rtts(self) -> dict[int, "_ByteRtts"]:
+        """Per honest round trip, the round trips of each byte of an early
+        mask; filled by ``_mixed_rtts``."""
         return {}
 
     @cached_property
@@ -211,7 +217,9 @@ class RandomOracle:
     at construction), not a real hash, so replaying a seed replays the
     whole table: the entry of (length, value) is the leading out_bits
     bits of the SHA-256 digests of ``<seed>|<length>|<value in hex>#<i>``
-    for blocks i = 0, 1, ...  Concurrent insert is first-writer-wins;
+    for blocks i = 0, 1, ...  The block count and the shift that drops
+    the surplus bits are fixed at construction, and an entry of at most
+    256 bits takes one digest.  Concurrent insert is first-writer-wins;
     every writer would store the same value anyway.
     """
 
@@ -222,16 +230,20 @@ class RandomOracle:
         self.out_bits = out_bits
         self._table: dict[tuple[int, int], int] = {}
         self._prefix = f"{master_seed}|".encode()
+        self._blocks = -(-out_bits // 256)
+        self._shift = 256 * self._blocks - out_bits
 
     def query(self, length: int, value: int) -> int:
         k = (length, value)
         hit = self._table.get(k)
         if hit is not None:
             return hit
-        material = self._prefix + b"%d|%x#" % (length, value)
-        raw = b"".join([hashlib.sha256(material + b"%d" % i).digest()
-                        for i in range(-(-self.out_bits // 256))])
-        out = self._table[k] = int.from_bytes(raw, "big") >> (8 * len(raw) - self.out_bits)
+        material = b"%s%d|%x#" % (self._prefix, length, value)
+        if self._blocks == 1:
+            raw = sha256(material + b"0").digest()
+        else:
+            raw = b"".join([sha256(b"%s%d" % (material, i)).digest() for i in range(self._blocks)])
+        out = self._table[k] = int.from_bytes(raw, "big") >> self._shift
         return out
 
     def __len__(self) -> int:
@@ -284,21 +296,25 @@ class Event(NamedTuple):
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
     """Everything the verifier observed, plus the event log when recorded.
 
-    A session run with ``record=False`` (bulk Monte Carlo) returns a
-    transcript with no events and empty per-round arrays; it carries only
-    ``counter_reused``, and its verdict comes from the session itself.
+    A recorded session fills the event log and the per-round arrays, as
+    lists.  A session run with ``record=False`` (bulk Monte Carlo)
+    returns one of two shared constants, ``Transcript()`` or
+    ``Transcript(counter_reused=True)``: no events, empty per-round
+    tuples, and its verdict comes from the session itself.  A transcript
+    is frozen and its defaults are empty tuples, so the constants cannot
+    be modified through any session that returned them.
     """
 
-    events: list[Event] = field(default_factory=list)
-    challenge_send_ticks: list[int] = field(default_factory=list)
-    response_recv_ticks: list[int | None] = field(default_factory=list)
-    challenges: list[int] = field(default_factory=list)
-    responses: list[int | None] = field(default_factory=list)
-    expected: list[int] = field(default_factory=list)
+    events: Sequence[Event] = ()
+    challenge_send_ticks: Sequence[int] = ()
+    response_recv_ticks: Sequence[int | None] = ()
+    challenges: Sequence[int] = ()
+    responses: Sequence[int | None] = ()
+    expected: Sequence[int] = ()
     counter_reused: bool = False
 
     def to_jsonl(self) -> str:
@@ -315,6 +331,8 @@ class Verdict:
 
 
 _REUSED = Verdict(False, 0, (), 0.0, REASON_COUNTER_REUSED)
+_UNRECORDED = Transcript()
+_UNRECORDED_REUSED = Transcript(counter_reused=True)
 
 
 def _judge(cfg: ProtocolConfig, bits_correct: int, rtts: tuple[int, ...]) -> Verdict:
@@ -341,6 +359,35 @@ def _judge_uniform(cfg: ProtocolConfig, bits_correct: int, rtt: int) -> Verdict:
     if verdict is None:
         verdict = memo[bits_correct, rtt] = _judge(cfg, bits_correct, (rtt,) * cfg.ell)
     return verdict
+
+
+class _ByteRtts(dict):
+    """A byte of an early mask -> the round trips of its eight rounds,
+    most significant bit first: 0 where the bit is set, ``wait``
+    elsewhere.  An entry is made on first use."""
+
+    def __init__(self, wait: int):
+        super().__init__()
+        self.wait = wait
+
+    def __missing__(self, byte: int) -> tuple[int, ...]:
+        out = self[byte] = tuple(0 if byte >> s & 1 else self.wait for s in range(7, -1, -1))
+        return out
+
+
+def _mixed_rtts(cfg: ProtocolConfig, early_mask: int, wait: int) -> tuple[int, ...]:
+    """Per round, 0 where ``early_mask`` is set and ``wait`` elsewhere.
+
+    One table row per byte of the mask, so the cost is linear in ell.
+    The mask's bytes are padded at the top, which drops the first
+    (-ell) % 8 entries of the joined rows.
+    """
+    table = cfg._byte_rtts.get(wait)
+    if table is None:
+        table = cfg._byte_rtts[wait] = _ByteRtts(wait)
+    ell = cfg.ell
+    rows = map(table.__getitem__, early_mask.to_bytes((ell + 7) >> 3, "big"))
+    return tuple(itertools.chain.from_iterable(rows))[-ell:]
 
 
 def verifier_decide(t: Transcript, cfg: ProtocolConfig) -> Verdict:
@@ -538,10 +585,13 @@ def run_session(
     the ``BitString``s they carry, are built only when recording.  The
     verdict is decided from the session's bit masks: the wrong bits are
     the set bits of response xor expected, and a round trip is 0 in a
-    round answered early and the honest round trip otherwise.  With ``record=True`` the transcript
-    holds the event log and the per-round arrays, from which
-    ``verifier_decide`` reaches the same verdict; with ``record=False``
-    it holds neither (see ``Transcript``).
+    round answered early and the honest round trip otherwise (a mixed
+    early mask reads its round trips off a per-byte table memoised on
+    the config).  With ``record=True`` the transcript holds the event
+    log and the per-round arrays, from which ``verifier_decide`` reaches
+    the same verdict; with ``record=False`` the session builds no
+    transcript and returns one of the two shared empty ones (see
+    ``Transcript``).
 
     Identical (cfg, seed, adversary kind) replays identically.  Passing
     the same stores across calls models parties with memory: replaying a
@@ -585,9 +635,10 @@ def run_session(
     # a store made for this session alone would find the pair fresh
     fresh = verifier_store is None or verifier_store.check_and_mark(a, b, w)
     if cfg.enforce_counter_freshness and not fresh:
-        if record:
-            events.append(Event(clock, VERIFIER, "fresh", "counter_reused"))
-        return Transcript(events or [], counter_reused=True), _REUSED
+        if not record:
+            return _UNRECORDED_REUSED, _REUSED
+        events.append(Event(clock, VERIFIER, "fresh", "counter_reused"))
+        return Transcript(events, counter_reused=True), _REUSED
 
     token = session_token(oracle, cfg, secret, a, b)
     mask = (1 << ell) - 1
@@ -619,10 +670,9 @@ def run_session(
         if early_mask in (0, mask):
             verdict = _judge_uniform(cfg, bits_correct, rtt_wait if not early_mask else 0)
         else:
-            rtts = tuple(map({"0": rtt_wait, "1": 0}.__getitem__, f"{early_mask:0{ell}b}"))
-            verdict = _judge(cfg, bits_correct, rtts)
+            verdict = _judge(cfg, bits_correct, _mixed_rtts(cfg, early_mask, rtt_wait))
     if not record:
-        return Transcript(), verdict
+        return _UNRECORDED, verdict
 
     # Stage 2: sequential timed rounds.
     who = PROVER if responder_pos == PROVER else ADVERSARY

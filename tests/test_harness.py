@@ -134,6 +134,14 @@ def test_sweep_rows_and_csv(tmp_path):
     assert first["analytic_num"] == "1" and first["analytic_den"] == "2"
     assert float(first["p_hat"]) == rows[0].p_hat
 
+    # the honest prover's rows are named honest, from the API and the CLI alike
+    assert [r.strategy for r in sweep(None, [1, 2], 5, "h")] == ["honest", "honest"]
+    honest = tmp_path / "honest.csv"
+    assert cli.main(["sweep", "--strategy", "honest", "--ell", "1..2", "--trials", "5",
+                     "--out", str(honest)]) == 0
+    assert [line.split(",")[:2] for line in honest.read_text().splitlines()[1:]] == [
+        ["1", "honest"], ["2", "honest"]]
+
 
 def test_sweep_without_analytic_leaves_blanks(tmp_path):
     class Quiet(Responder):

@@ -234,6 +234,13 @@ def test_record_false_keeps_only_the_verdict():
     assert v_again.reason == "counter_reused"
     with pytest.raises(ValueError):
         verifier_decide(t_bare, cfg)
+    # the unrecorded transcripts are shared constants, so nothing may modify them
+    for bare in (t_bare, t_again):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bare.counter_reused = not bare.counter_reused
+        with pytest.raises(AttributeError):
+            bare.events.append(None)
+    assert run_session(cfg, 32, record=False)[0] is t_bare
 
 
 # --- the unrecorded fast path against the recorded reference -------------------
@@ -330,7 +337,10 @@ def test_the_reference_grid_reaches_every_outcome():
                 ProtocolConfig(ell=5, counter_bits=1, enforce_counter_freshness=False,
                                rtt_mode="mean", processing_ticks=1),
                 ProtocolConfig(ell=4, secret_bits=1, positions={
-                    "verifier": 0.0, "prover": 7.5, "adversary": 0.4})):
+                    "verifier": 0.0, "prover": 7.5, "adversary": 0.4}),
+                # early-kernel round trips from the per-byte table: a padded top byte, whole bytes
+                ProtocolConfig(ell=13, rtt_mode="mean"),
+                ProtocolConfig(ell=64)):
         seen |= _paths_agree(cfg, plays)
     assert seen >= {"ok", "wrong_bits", "too_far", "counter_reused", "silent",
                     "StrategyInfeasibleError", "CounterReuseRefused"}
