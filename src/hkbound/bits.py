@@ -9,16 +9,19 @@ operations cheap even for strings of 2**16 bits and more.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._slotted import Slotted, setfields
 
-@dataclass(frozen=True, slots=True)
-class BitString:
+
+class BitString(Slotted):
     """An immutable string over {0,1} of explicit length (possibly zero)."""
 
-    length: int
-    value: int
+    __slots__ = __match_args__ = ("length", "value")
+
+    def __init__(self, length: int, value: int):
+        setfields(self, length, value)
+        self.__post_init__()  # the checks, looked up on the class, where tracers patch them
 
     def __post_init__(self) -> None:
         if self.length < 0:

@@ -280,11 +280,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _positive_ell(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("ell must be at least 1")
-    return value
+def _at_least_one(name: str):
+    def integer(text: str) -> int:
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be at least 1")
+        return int(text)
+    return integer
 
 
 def _fraction(text: str) -> Fraction:
@@ -302,7 +303,7 @@ def _parse_ell_range(text: str) -> list[int]:
         if lo < 1 or hi < lo:
             raise argparse.ArgumentTypeError("ell range must be A..B with 1 <= A <= B")
         return list(range(lo, hi + 1))
-    return [_positive_ell(text)]
+    return [_at_least_one("ell")(text)]
 
 
 def _cmd_sweep(args) -> int:
@@ -385,18 +386,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="run an exact finite check")
     p_enum.add_argument("--claim", required=True, choices=sorted(_CLAIMS))
-    p_enum.add_argument("--ell", type=_positive_ell, default=None)
+    p_enum.add_argument("--ell", type=_at_least_one("ell"), default=None)
     p_enum.add_argument("--out", choices=("json", "csv"), default="json")
     p_enum.set_defaults(func=_cmd_enumerate)
 
     strategies = sorted(adv.STRATEGIES) + ["early-kernel", "early-full", "honest"]
     p_sim = sub.add_parser("simulate", help="Monte Carlo acceptance estimate")
     p_sim.add_argument("--strategy", required=True, choices=strategies)
-    p_sim.add_argument("--ell", type=_positive_ell, default=None)
+    p_sim.add_argument("--ell", type=_at_least_one("ell"), default=None)
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", default="0")
     p_sim.add_argument("--config", default=None, help="ProtocolConfig JSON file")
-    p_sim.add_argument("--pre-queries", type=int, default=1, dest="pre_queries")
+    p_sim.add_argument("--pre-queries", type=_at_least_one("pre-queries"), default=1, dest="pre_queries")
     p_sim.add_argument("--early-mode", choices=("kernel", "full"),
                        default="kernel", dest="early_mode")
     p_sim.set_defaults(func=_cmd_simulate)
@@ -418,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--algebraic", action="store_true")
     mode.add_argument("--probabilistic", dest="algebraic", action="store_false")
     p_guard.set_defaults(algebraic=False)
-    p_guard.add_argument("--ell", type=_positive_ell, default=None)
+    p_guard.add_argument("--ell", type=_at_least_one("ell"), default=None)
     p_guard.add_argument("--secret-bits", type=int, default=2, dest="secret_bits")
     p_guard.set_defaults(func=_cmd_guard_check)
 

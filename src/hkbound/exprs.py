@@ -15,9 +15,9 @@ does not call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Union
 
+from ._slotted import Slotted, setfields
 from .hkfun import kernel_mask, select
 
 Value = tuple  # (length, value) or (length, value, stars)
@@ -32,51 +32,61 @@ class NeedHash(Exception):
         super().__init__(f"hash entry missing for {key}")
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class Var(Slotted):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        setfields(self, name)
 
 
-@dataclass(frozen=True, slots=True)
-class Lit:
-    text: str
+class Lit(Slotted):
+    __slots__ = __match_args__ = ("text",)
 
-    def __post_init__(self) -> None:
-        if set(self.text) - {"0", "1"}:
-            raise ValueError(f"not a bitstring literal: {self.text!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class Concat:
-    parts: tuple["Expr", ...]
+    def __init__(self, text: str):
+        if set(text) - {"0", "1"}:
+            raise ValueError(f"not a bitstring literal: {text!r}")
+        setfields(self, text)
 
 
-@dataclass(frozen=True, slots=True)
-class Negate:
-    arg: "Expr"
+class Concat(Slotted):
+    __slots__ = __match_args__ = ("parts",)
+
+    def __init__(self, parts: tuple["Expr", ...]):
+        setfields(self, parts)
 
 
-@dataclass(frozen=True, slots=True)
-class Proj:
-    arg: "Expr"
-    lo: int
-    hi: int
+class Negate(Slotted):
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: "Expr"):
+        setfields(self, arg)
 
 
-@dataclass(frozen=True, slots=True)
-class BoxPlus:
+class Proj(Slotted):
+    __slots__ = __match_args__ = ("arg", "lo", "hi")
+
+    def __init__(self, arg: "Expr", lo: int, hi: int):
+        setfields(self, arg, lo, hi)
+
+
+class BoxPlus(Slotted):
     """Challenge-selection: per-bit pick from the halves of a 2l-bit token."""
 
-    x: "Expr"
-    h: "Expr"
+    __slots__ = __match_args__ = ("x", "h")
+
+    def __init__(self, x: "Expr", h: "Expr"):
+        object.__setattr__(self, "x", x)  # not ``setfields``: queries build these
+        object.__setattr__(self, "h", h)
 
 
-@dataclass(frozen=True, slots=True)
-class KernelMask:
+class KernelMask(Slotted):
     """The challenge with its token-kernel positions blanked out."""
 
-    x: "Expr"
-    h: "Expr"
+    __slots__ = __match_args__ = ("x", "h")
+
+    def __init__(self, x: "Expr", h: "Expr"):
+        object.__setattr__(self, "x", x)  # not ``setfields``: queries build these
+        object.__setattr__(self, "h", h)
 
 
 class Hash:

@@ -13,9 +13,9 @@ import csv
 import hashlib
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import adversary as adv
 from . import oracle
@@ -46,8 +46,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return (lo, hi)
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     trials: int
     successes: int
     p_hat: float
@@ -169,8 +168,7 @@ def bayes_bound(pA, pE, C, D):
     return min(one, max(zero, raw))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     ell: int
     strategy: str
     trials: int

@@ -10,8 +10,7 @@ what the early-response and pre-ask analyses exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._slotted import Slotted, setfields
 from .bits import BitString, concat  # noqa: F401 (bench/layers.py patches hkfun.concat)
 
 
@@ -32,12 +31,14 @@ def kernel_mask(h0: int, h1: int, n: int) -> int:
     return ~(h0 ^ h1) & ((1 << n) - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class ResponseToken:
+class ResponseToken(Slotted):
     """A pair of equal-length token halves h0, h1."""
 
-    h0: BitString
-    h1: BitString
+    __slots__ = __match_args__ = ("h0", "h1")
+
+    def __init__(self, h0: BitString, h1: BitString):
+        setfields(self, h0, h1)
+        self.__post_init__()  # the checks, looked up on the class, where tracers patch them
 
     def __post_init__(self) -> None:
         if self.h0.length != self.h1.length:

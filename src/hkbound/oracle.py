@@ -62,14 +62,14 @@ import json
 import random
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from math import comb
 from operator import and_, or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import exprs
+from ._slotted import Slotted, setfields
 from .exprs import Expr, free_vars, hash_nodes, width
 from .exprs import evaluate  # noqa: F401 (bench/layers.py patches oracle.evaluate)
 
@@ -88,25 +88,26 @@ class BudgetExceededError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class GuessScenario:
+class GuessScenario(Slotted):
     """Variable declarations plus known and target expression lists."""
 
-    variables: tuple[tuple[str, int], ...]
-    knowns: tuple[Expr, ...]
-    targets: tuple[Expr, ...]
+    __slots__ = __match_args__ = ("variables", "knowns", "targets")
 
-    def __post_init__(self) -> None:
+    def __init__(self, variables: tuple[tuple[str, int], ...], knowns: tuple[Expr, ...],
+                 targets: tuple[Expr, ...]):
         seen = set()
-        for name, bits in self.variables:
+        for name, bits in variables:
             if name in seen:
                 raise ValueError(f"duplicate variable declaration {name!r}")
             if bits < 0:
                 raise ValueError(f"variable {name!r} width must be >= 0, got {bits}")
             seen.add(name)
-        decls = dict(self.variables)
-        for e in self.knowns + self.targets:
+        decls = dict(variables)
+        for e in knowns + targets:
             width(e, decls)
+        object.__setattr__(self, "variables", variables)  # not ``setfields``: each query builds one
+        object.__setattr__(self, "knowns", knowns)
+        object.__setattr__(self, "targets", targets)
 
 
 def _reads(e: Expr, cols: dict) -> list[int]:
@@ -453,8 +454,7 @@ def flow_independent(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> b
     return advantage(scenario, budget) == 0
 
 
-@dataclass(frozen=True)
-class SubbayesReport:
+class SubbayesReport(NamedTuple):
     lhs_first: Fraction
     lhs_second: Fraction
     rhs: Fraction
@@ -533,19 +533,16 @@ def check_subbayes(
     )
 
 
-@dataclass(frozen=True)
-class GuardSpec:
-    """A guard-checking instance over one set of variable declarations."""
+class GuardSpec(Slotted):
+    """A guard-checking instance over one set of variable declarations,
+    checked on construction as every query would check it."""
 
-    variables: tuple[tuple[str, int], ...]
-    context: tuple[Expr, ...]
-    target: Expr
-    guards: tuple[tuple[Expr, ...], ...]
+    __slots__ = __match_args__ = ("variables", "context", "target", "guards")
 
-    def __post_init__(self) -> None:
-        # the declaration and width checks every query would make
-        GuessScenario(tuple(self.variables), tuple(self.context),
-                      (self.target, *(e for g in self.guards for e in g)))
+    def __init__(self, variables: tuple[tuple[str, int], ...], context: tuple[Expr, ...],
+                 target: Expr, guards: tuple[tuple[Expr, ...], ...]):
+        GuessScenario(tuple(variables), tuple(context), (target, *(e for g in guards for e in g)))
+        setfields(self, variables, context, target, guards)
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "GuardSpec":
@@ -571,8 +568,7 @@ class GuardSpec:
         }
 
 
-@dataclass(frozen=True)
-class GuardRow:
+class GuardRow(NamedTuple):
     """One context subset, by indices into the context.
 
     Chances are exact Fractions, or 0/1 ints in the algebraic regime of
@@ -589,8 +585,7 @@ class GuardRow:
     exempt: bool
 
 
-@dataclass(frozen=True)
-class GuardReport:
+class GuardReport(NamedTuple):
     baseline: Fraction
     rows: tuple[GuardRow, ...]
     ok: bool

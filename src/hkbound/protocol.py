@@ -30,6 +30,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
+from ._slotted import Slotted
 from .bits import BitString, concat, sample_uniform  # noqa: F401 (bench/layers.py patches the last two)
 from .exprs import json_field, json_fields
 from .hkfun import select
@@ -321,8 +322,7 @@ class Transcript:
         return "".join(json.dumps(e.to_json()) + "\n" for e in self.events)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     accepted: bool
     bits_correct: int
     per_bit_rtt: tuple[int, ...]
@@ -452,8 +452,7 @@ class Responder:
         raise NotImplementedError
 
 
-@dataclass
-class SessionView:
+class SessionView(Slotted):
     """What the responder may consult while playing one session.
 
     Counters, secret and token are ints at their config widths.  The
@@ -468,16 +467,16 @@ class SessionView:
     recording) from tick ``clock`` on.
     """
 
-    cfg: ProtocolConfig
-    rng: random.Random
-    oracle: RandomOracle
-    a: int
-    b: int
-    secret: int  # only dishonest-prover strategies may read these
-    token: int
-    prover_store: CounterStore | None  # made on the first query when None
-    events: list[Event] | None
-    clock: int
+    __match_args__ = ("cfg", "rng", "oracle", "a", "b", "secret", "token", "prover_store", "events", "clock")
+    __slots__ = __match_args__ + ("_label_state",)
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # a view is mutable
+
+    def __init__(self, cfg: ProtocolConfig, rng: random.Random, oracle: RandomOracle,
+                 a: int, b: int, secret: int, token: int,
+                 prover_store: CounterStore | None, events: list[Event] | None, clock: int):
+        self.cfg, self.rng, self.oracle, self.a, self.b, self.clock = cfg, rng, oracle, a, b, clock
+        self.secret, self.token = secret, token  # only dishonest-prover strategies may read these
+        self.prover_store, self.events, self._label_state = prover_store, events, None
 
     @property
     def prover(self) -> "SessionView":
@@ -510,13 +509,6 @@ class SessionView:
             self._note_interrogation(a, b, challenges, reply)
         return reply
 
-    @cached_property
-    def _label_state(self) -> tuple[dict, dict, itertools.count]:
-        """Pre-phase labels, made on the first recorded query: challenge
-        value -> label per counter pair, token label per non-session pair,
-        and the numbering of fresh challenges."""
-        return {}, {}, itertools.count(1)
-
     def _pre_labels(self, a, b, challenges) -> tuple[str, str]:
         """Symbolic labels for a pre-phase query and its response.
 
@@ -525,6 +517,9 @@ class SessionView:
         knowledge-context analysis can see the two responses pin the
         token down.  Tokens of non-session pairs get their own names.
         """
+        if self._label_state is None:
+            # challenge labels per counter pair, token labels per other pair, fresh-challenge numbers
+            self._label_state = {}, {}, itertools.count(1)
         query_labels, token_labels, numbers = self._label_state
         pair = (a, b)
         if pair == (self.a, self.b):

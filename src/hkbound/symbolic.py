@@ -17,18 +17,30 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from ._slotted import Slotted, setfields
 from .exprs import json_field, json_fields
 from .oracle import GuardReport, GuardRow, cover
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    op: str
-    args: tuple["Term", ...] = ()
+class Term(Slotted):
+    __match_args__ = ("op", "args")
+    __slots__ = __match_args__ + ("_hash",)  # computed once, from the children's own
+
+    def __init__(self, op: str, args: tuple["Term", ...] = ()):
+        object.__setattr__(self, "op", op)  # not ``setfields``: every rewrite builds terms
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash((op, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not Term:
+            return NotImplemented
+        return self is other or self._hash == other._hash and self.op == other.op and self.args == other.args
 
     def nodes(self) -> int:
         return 1 + sum(a.nodes() for a in self.args)
@@ -113,8 +125,7 @@ def parse(text: str) -> Term:
 # Theories.
 
 
-@dataclass(frozen=True, eq=False)
-class Theory:
+class Theory(Slotted):
     """Appliable operators with their arities, a normalizer, and the steps
     beyond applying an operator: ``destruct`` gives the destructor
     applications that take a known term apart, ``compose`` the other
@@ -127,12 +138,15 @@ class Theory:
     equals and hashes as itself alone.
     """
 
-    name: str
-    ops: tuple[tuple[str, int], ...]
-    step: Callable[[Term], Term | None] = lambda t: None  # single root rewrite, None if stuck
-    destruct: Callable[[Term], Iterable[Term]] = lambda t: ()
-    compose: Callable[[Term], Iterable[Term]] = lambda goal: ()
-    rules: tuple[Callable[[frozenset], Iterable[Term]], ...] = ()
+    __slots__ = __match_args__ = ("name", "ops", "step", "destruct", "compose", "rules")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, name: str, ops: tuple[tuple[str, int], ...],
+                 step: Callable[[Term], Term | None] = lambda t: None,  # single root rewrite, None if stuck
+                 destruct: Callable[[Term], Iterable[Term]] = lambda t: (),
+                 compose: Callable[[Term], Iterable[Term]] = lambda goal: (),
+                 rules: tuple[Callable[[frozenset], Iterable[Term]], ...] = ()):
+        setfields(self, name, ops, step, destruct, compose, rules)
 
     def normalize(self, t: Term) -> Term:
         args = tuple(self.normalize(a) for a in t.args)
@@ -266,8 +280,7 @@ CR = Theory("cr", _PAIRING_OPS + (("cVP", 1), ("respond", 2)), _cr_step, compose
 THEORIES: dict[str, Theory] = {t.name: t for t in (PAIRING, DOLEV_YAO, DH, HK, CR)}
 
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(NamedTuple):
     """The terms analysis keeps.  ``saturated`` is always True: analysis
     runs to its fixpoint, so no budget cuts it short."""
 
@@ -319,12 +332,12 @@ def derivable(start: Iterable[Term], goal: Term, theory: Theory) -> bool:
 # Algebraic guards (all-or-nothing derivability).
 
 
-@dataclass(frozen=True)
-class AlgGuardSpec:
-    theory: Theory
-    context: tuple[Term, ...]
-    target: Term
-    guards: tuple[tuple[Term, ...], ...]
+class AlgGuardSpec(Slotted):
+    __slots__ = __match_args__ = ("theory", "context", "target", "guards")
+
+    def __init__(self, theory: Theory, context: tuple[Term, ...], target: Term,
+                 guards: tuple[tuple[Term, ...], ...]):
+        setfields(self, theory, context, target, guards)
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "AlgGuardSpec":
@@ -376,8 +389,7 @@ def check_alg_guard(spec: AlgGuardSpec) -> GuardReport:
     return cover(spec.context, spec.target, spec.guards, c01)
 
 
-@dataclass(frozen=True)
-class CollapsedReport:
+class CollapsedReport(NamedTuple):
     baseline: int
     rows: tuple[GuardRow, ...]
     ok: bool
@@ -403,8 +415,7 @@ def check_guard_deterministic(spec: AlgGuardSpec) -> CollapsedReport:
 # Term contexts over protocol runs.
 
 
-@dataclass(frozen=True)
-class TermContext:
+class TermContext(NamedTuple):
     """What each principal held strictly before a cut point in a run."""
 
     cut_tick: int | None

@@ -386,6 +386,12 @@ def test_cli_usage_errors(capsys):
             cli.main(["bound", "--pA", bad, "--pE", "0", "--C", "0", "--D", "1"])
         assert out.value.code == 2
         assert "nonzero denominator" in capsys.readouterr().err
+    # rejected alike whether or not the strategy reads the value
+    for strategy in ("prequery-stick", "secret-guess", "naive-guess", "early-kernel", "honest"):
+        with pytest.raises(SystemExit) as out:
+            cli.main(["simulate", "--strategy", strategy, "--trials", "5", "--pre-queries", "-3"])
+        assert out.value.code == 2
+        assert "pre-queries must be at least 1" in capsys.readouterr().err
     capsys.readouterr()
 
 
