@@ -3,7 +3,8 @@
 Two families: man-in-the-middle attackers who stand next to the verifier
 without knowing the secret (naive guessing, pre-query sticking, counter
 reuse, secret guessing), and the dishonest prover who knows the secret
-but answers early to appear closer than she is.
+but answers early to appear closer than she is.  ``STRATEGIES`` is the
+one catalogue, keyed by each class's ``kind``.
 
 Strategies work on plain ints at the config's widths: ``play`` receives
 the challenges as an ell-bit int, round 1 in the most significant bit,
@@ -19,9 +20,7 @@ from .bits import concat, sample_uniform  # noqa: F401 (bench/layers.py patches 
 from .hkfun import extract_token  # noqa: F401 (bench/layers.py patches adversary.extract_token)
 from .hkfun import kernel_mask, select
 from .protocol import (
-    ADVERSARY,
     PROVER,
-    CounterReuseRefused,
     CounterStore,
     ProtocolConfig,
     Responder,
@@ -41,7 +40,6 @@ class NaiveGuess(Responder):
     """Answers every challenge with a fresh uniform bit; no secret, no help."""
 
     kind = "naive-guess"
-    position_key = ADVERSARY
 
     def play(self, view: SessionView, challenges: int) -> tuple[int, int]:
         return view.rng.getrandbits(view.cfg.ell), 0
@@ -59,7 +57,6 @@ class PreQueryStick(Responder):
     """
 
     kind = "prequery-stick"
-    position_key = ADVERSARY
 
     def __init__(self, pre_queries: int = 1):
         if pre_queries < 1:
@@ -95,7 +92,6 @@ class CounterReuseExtract(Responder):
     """
 
     kind = "counter-reuse"
-    position_key = ADVERSARY
 
     def setup(self, view: SessionView) -> None:
         if view.cfg.enforce_counter_freshness:
@@ -104,11 +100,8 @@ class CounterReuseExtract(Responder):
             )
         ell = view.cfg.ell
         z = view.rng.getrandbits(ell)
-        try:
-            r_z = view.prover.respond_to(view.a, view.b, z)
-            r_nz = view.prover.respond_to(view.a, view.b, z ^ ((1 << ell) - 1))
-        except CounterReuseRefused as exc:  # pragma: no cover - guarded above
-            raise StrategyInfeasibleError(str(exc)) from exc
+        r_z = view.prover.respond_to(view.a, view.b, z)
+        r_nz = view.prover.respond_to(view.a, view.b, z ^ ((1 << ell) - 1))
         # Where z_i = 0, r_z carries h0_i and r_nz carries h1_i; flipped elsewhere.
         self._h0 = select(z, r_z, r_nz, ell)
         self._h1 = select(z, r_nz, r_z, ell)
@@ -117,38 +110,36 @@ class CounterReuseExtract(Responder):
         return select(challenges, self._h0, self._h1, view.cfg.ell), 0
 
 
-class EarlyResponder(Responder):
-    """Dishonest prover: knows the token, answers some rounds before asked.
+class EarlyKernel(Responder):
+    """Dishonest prover: sends the challenge-independent rounds (token
+    halves agree) blind and waits honestly on the rest, so every bit is
+    right and the averaged round trip shrinks."""
 
-    kernel mode sends the challenge-independent rounds (token halves
-    agree) blind and waits honestly on the rest: every bit is right and
-    the averaged round trip shrinks.  full mode sends the first half
-    blind for all rounds, right only where the halves agree or the
-    challenge happens to be 0.
-    """
-
-    kind = "early"
+    kind = "early-kernel"
     position_key = PROVER
-
-    def __init__(self, mode: str = "kernel"):
-        if mode not in ("kernel", "full"):
-            raise ValueError("mode must be 'kernel' or 'full'")
-        self.mode = mode
 
     def play(self, view: SessionView, challenges: int) -> tuple[int, int]:
         # the token is h0::h1; select and kernel_mask read only its low ell bits, h1
         ell, h1 = view.cfg.ell, view.token
         h0 = h1 >> ell
-        if self.mode == "full":
-            return h0, (1 << ell) - 1
         return select(challenges, h0, h1, ell), kernel_mask(h0, h1, ell)
+
+
+class EarlyFull(Responder):
+    """Dishonest prover: sends the first token half blind for all rounds,
+    right only where the halves agree or the challenge happens to be 0."""
+
+    kind = "early-full"
+    position_key = PROVER
+
+    def play(self, view: SessionView, challenges: int) -> tuple[int, int]:
+        return view.token >> view.cfg.ell, (1 << view.cfg.ell) - 1
 
 
 class SecretGuesser(Responder):
     """Guesses the long-term secret outright and plays the derived token."""
 
     kind = "secret-guess"
-    position_key = ADVERSARY
 
     def setup(self, view: SessionView) -> None:
         guess = view.rng.getrandbits(view.cfg.secret_bits)
@@ -159,31 +150,21 @@ class SecretGuesser(Responder):
         return select(challenges, self._token >> ell, self._token, ell), 0
 
 
-STRATEGIES = {
-    "naive-guess": NaiveGuess,
-    "prequery-stick": PreQueryStick,
-    "counter-reuse": CounterReuseExtract,
-    "early": EarlyResponder,
-    "secret-guess": SecretGuesser,
-}
+STRATEGIES = {cls.kind: cls for cls in (
+    NaiveGuess, PreQueryStick, CounterReuseExtract, EarlyKernel, EarlyFull, SecretGuesser)}
 
 
-def make_strategy(name: str, pre_queries: int = 1, early_mode: str = "kernel") -> Responder:
-    """Build a strategy from its CLI name; early-kernel/early-full work too."""
-    if name in ("early-kernel", "early-full"):
-        return EarlyResponder(mode=name.split("-", 1)[1])
-    if name == "prequery-stick":
-        return PreQueryStick(pre_queries=pre_queries)
-    if name == "early":
-        return EarlyResponder(mode=early_mode)
+def make_strategy(name: str, pre_queries: int = 1) -> Responder | None:
+    """Build a strategy from its name in STRATEGIES; "honest" gives None."""
+    if name == "honest":
+        return None
     cls = STRATEGIES.get(name)
     if cls is None:
-        raise ValueError(f"unknown strategy {name!r}; choose from "
-                         f"{sorted(STRATEGIES) + ['early-kernel', 'early-full']}")
-    return cls()
+        raise ValueError(f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)} or 'honest'")
+    return PreQueryStick(pre_queries) if cls is PreQueryStick else cls()
 
 
-def _as_strategy(strategy) -> Responder:
+def _as_strategy(strategy) -> Responder | None:
     return make_strategy(strategy) if isinstance(strategy, str) else strategy
 
 
@@ -207,9 +188,7 @@ def attack_session(
 
 
 def _strategy_key(strategy) -> str:
-    if strategy is None:  # the honest prover
-        return "honest"
+    """The name a strategy goes by: "honest" for the honest prover, else
+    its ``kind``, else its class name."""
     s = _as_strategy(strategy)
-    if isinstance(s, EarlyResponder):
-        return f"early-{s.mode}"
-    return getattr(s, "kind", type(s).__name__)
+    return "honest" if s is None else getattr(s, "kind", type(s).__name__)

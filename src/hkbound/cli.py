@@ -268,9 +268,7 @@ def _infeasible(args, exc: adv.StrategyInfeasibleError) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     _lint_config(cfg)
-    strategy = adv.make_strategy(args.strategy, pre_queries=args.pre_queries,
-                                 early_mode=args.early_mode) \
-        if args.strategy != "honest" else None
+    strategy = adv.make_strategy(args.strategy, pre_queries=args.pre_queries)
     try:
         est = harness.monte_carlo(cfg, strategy, args.trials, args.seed)
     except adv.StrategyInfeasibleError as exc:
@@ -307,9 +305,8 @@ def _parse_ell_range(text: str) -> list[int]:
 
 
 def _cmd_sweep(args) -> int:
-    strategy = args.strategy if args.strategy != "honest" else None
     try:
-        rows = harness.sweep(strategy, args.ell, args.trials, args.seed,
+        rows = harness.sweep(args.strategy, args.ell, args.trials, args.seed,
                              csv_path=args.out)
     except adv.StrategyInfeasibleError as exc:
         return _infeasible(args, exc)
@@ -390,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--out", choices=("json", "csv"), default="json")
     p_enum.set_defaults(func=_cmd_enumerate)
 
-    strategies = sorted(adv.STRATEGIES) + ["early-kernel", "early-full", "honest"]
+    strategies = sorted(adv.STRATEGIES) + ["honest"]
     p_sim = sub.add_parser("simulate", help="Monte Carlo acceptance estimate")
     p_sim.add_argument("--strategy", required=True, choices=strategies)
     p_sim.add_argument("--ell", type=_at_least_one("ell"), default=None)
@@ -398,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", default="0")
     p_sim.add_argument("--config", default=None, help="ProtocolConfig JSON file")
     p_sim.add_argument("--pre-queries", type=_at_least_one("pre-queries"), default=1, dest="pre_queries")
-    p_sim.add_argument("--early-mode", choices=("kernel", "full"),
-                       default="kernel", dest="early_mode")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="estimates across challenge lengths")
@@ -415,10 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_guard.add_mutually_exclusive_group(required=True)
     src.add_argument("--spec", help="guard spec JSON file")
     src.add_argument("--builtin", choices=("attack-run", "early-run", "dh", "cr"))
-    mode = p_guard.add_mutually_exclusive_group()
-    mode.add_argument("--algebraic", action="store_true")
-    mode.add_argument("--probabilistic", dest="algebraic", action="store_false")
-    p_guard.set_defaults(algebraic=False)
+    p_guard.add_argument("--algebraic", action="store_true")
     p_guard.add_argument("--ell", type=_at_least_one("ell"), default=None)
     p_guard.add_argument("--secret-bits", type=int, default=2, dest="secret_bits")
     p_guard.set_defaults(func=_cmd_guard_check)

@@ -103,10 +103,10 @@ def analytic_acceptance(strategy, cfg: ProtocolConfig) -> Fraction | None:
     freshness.  The honest prover accepts with certainty iff its
     tick-rounded distance fits the bound.
     """
-    if strategy is None or strategy == "honest":
+    key = adv._strategy_key(strategy)
+    if key == "honest":
         within = cfg.delay_ticks(VERIFIER, PROVER) * cfg.velocity <= cfg.reach
         return Fraction(1) if within else Fraction(0)
-    key = adv._strategy_key(strategy)
     if key in _CLOSED_FORMS:
         return oracle.analytic(_CLOSED_FORMS[key], ell=cfg.ell, secret_bits=cfg.secret_bits)
     if key == "counter-reuse" and cfg.enforce_counter_freshness:
@@ -126,7 +126,7 @@ def monte_carlo_range(cfg: ProtocolConfig, strategy, master_seed,
     ``random.Random(seed)`` would.  Unrecorded sessions build no
     transcript (see ``protocol.Transcript``); only the verdict is read.
     """
-    actor = None if strategy in (None, "honest") else adv._as_strategy(strategy)
+    actor = adv._as_strategy(strategy)
     rng = random.Random()
     reseed = super(random.Random, rng).seed
     wins = 0
@@ -199,7 +199,7 @@ def sweep(
         raise ValueError("ell range must be non-empty")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    name = strategy if isinstance(strategy, str) else adv._strategy_key(strategy)
+    name = adv._strategy_key(strategy)
     rows: list[SweepRow] = []
     prev: float | None = None
     for ell in ells:

@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from hashlib import sha256
 from operator import itemgetter
@@ -171,18 +171,7 @@ class ProtocolConfig:
         return _ticks(self.timeout_rtt)
 
     def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "secret_bits": self.secret_bits,
-            "counter_bits": self.counter_bits,
-            "velocity": self.velocity,
-            "distance_bound": self.distance_bound,
-            "acceptance_slack": self.acceptance_slack,
-            "processing_ticks": self.processing_ticks,
-            "positions": dict(self.positions),
-            "rtt_mode": self.rtt_mode,
-            "enforce_counter_freshness": self.enforce_counter_freshness,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"positions": dict(self.positions)}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ProtocolConfig":

@@ -23,7 +23,7 @@ import pytest
 from hkbound import cli, exprs, oracle
 from hkbound.adversary import (
     CounterReuseExtract,
-    EarlyResponder,
+    EarlyKernel,
     StrategyInfeasibleError,
     attack_session,
 )
@@ -247,7 +247,7 @@ def test_criterion_10_kernel_early_runs_shrink_the_distance():
         factors = []
         predicted = []
         for seed in range(1000):
-            _, verdict = attack_session(cfg, EarlyResponder("kernel"), seed)
+            _, verdict = attack_session(cfg, EarlyKernel(), seed)
             assert verdict.accepted, f"seed {seed} rejected"
             kappa = sum(1 for r in verdict.per_bit_rtt if r == 0)
             factors.append(verdict.estimated_distance / honest.estimated_distance)

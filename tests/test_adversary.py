@@ -13,14 +13,17 @@ import pytest
 from hkbound.exprs import BoxPlus, Lit, Var
 from hkbound.hkfun import select
 from hkbound.oracle import chance
-from hkbound.protocol import ProtocolConfig, CounterStore
+from hkbound.protocol import ProtocolConfig, CounterStore, Responder
 from hkbound.adversary import (
+    STRATEGIES,
     CounterReuseExtract,
-    EarlyResponder,
+    EarlyFull,
+    EarlyKernel,
     NaiveGuess,
     PreQueryStick,
     SecretGuesser,
     StrategyInfeasibleError,
+    _strategy_key,
     attack_session,
     make_strategy,
 )
@@ -151,7 +154,7 @@ def test_early_kernel_always_accepted_and_closer():
     honest_distance = 3.0
     shrunk = 0
     for seed in range(30):
-        _, verdict = attack_session(cfg, EarlyResponder("kernel"), seed)
+        _, verdict = attack_session(cfg, EarlyKernel(), seed)
         assert verdict.accepted
         zeros = sum(1 for r in verdict.per_bit_rtt if r == 0)
         assert verdict.estimated_distance == honest_distance * (1 - zeros / 8)
@@ -161,19 +164,14 @@ def test_early_kernel_always_accepted_and_closer():
 
 def test_early_full_sends_the_first_half_blind():
     cfg = cfg_at(6, rtt_mode="mean")
-    _, verdict = attack_session(cfg, EarlyResponder("full"), 17)
+    _, verdict = attack_session(cfg, EarlyFull(), 17)
     assert verdict.per_bit_rtt == (0,) * 6
     assert verdict.estimated_distance == 0.0
     # acceptance now rides on the challenge bits alone
     accepted = sum(
-        attack_session(cfg, EarlyResponder("full"), s)[1].accepted for s in range(200)
+        attack_session(cfg, EarlyFull(), s)[1].accepted for s in range(200)
     )
     assert 0 < accepted < 200
-
-
-def test_early_responder_mode_validation():
-    with pytest.raises(ValueError):
-        EarlyResponder("sideways")
 
 
 def test_secret_guesser_with_tiny_secret():
@@ -187,12 +185,27 @@ def test_secret_guesser_with_tiny_secret():
 
 def test_make_strategy_names():
     assert isinstance(make_strategy("naive-guess"), NaiveGuess)
-    assert make_strategy("early-kernel").mode == "kernel"
-    assert make_strategy("early-full").mode == "full"
-    assert make_strategy("early", early_mode="full").mode == "full"
+    assert isinstance(make_strategy("early-kernel"), EarlyKernel)
+    assert isinstance(make_strategy("early-full"), EarlyFull)
     assert make_strategy("prequery-stick", pre_queries=4).pre_queries == 4
-    with pytest.raises(ValueError):
-        make_strategy("replay-everything")
+    assert make_strategy("honest") is None
+    for gone in ("replay-everything", "early"):
+        with pytest.raises(ValueError, match="choose from"):
+            make_strategy(gone)
+
+
+def test_every_catalogue_name_round_trips():
+    assert len(STRATEGIES) == 6
+    for name, cls in STRATEGIES.items():
+        assert cls.kind == name
+        assert _strategy_key(make_strategy(name)) == _strategy_key(name) == name
+    assert _strategy_key(None) == _strategy_key("honest") == "honest"
+
+    class Unnamed(Responder):
+        def play(self, view, challenges):
+            return 0, 0
+
+    assert _strategy_key(Unnamed()) == "Unnamed"
 
 
 def test_attack_sessions_are_deterministic():

@@ -1,14 +1,19 @@
 """Estimation harness: intervals, seed discipline, sweeps, and the bound."""
 
+import argparse
 import csv
 import json
 import math
+import re
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hkbound import cli, oracle
+from hkbound.adversary import STRATEGIES
 from hkbound.protocol import ProtocolConfig, Responder
 from hkbound.harness import (
     CSV_COLUMNS,
@@ -393,6 +398,34 @@ def test_cli_usage_errors(capsys):
         assert out.value.code == 2
         assert "pre-queries must be at least 1" in capsys.readouterr().err
     capsys.readouterr()
+
+
+def test_cli_strategy_choices_are_the_catalogue(capsys):
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command in ("simulate", "sweep"):
+        strategy = next(a for a in commands[command]._actions if a.dest == "strategy")
+        assert strategy.choices == sorted(STRATEGIES) + ["honest"]
+    # the early alias, its mode flag and the second spelling of the default guard mode are gone
+    for argv in (["simulate", "--strategy", "early", "--trials", "5"],
+                 ["simulate", "--strategy", "early-full", "--trials", "5", "--early-mode", "full"],
+                 ["guard-check", "--builtin", "attack-run", "--probabilistic"]):
+        with pytest.raises(SystemExit) as out:
+            cli.main(argv)
+        assert out.value.code == 2
+    capsys.readouterr()
+
+
+def test_every_readme_command_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = re.findall(r"^hkbound .*$", readme, re.M)
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line.split(">")[0], comments=True)
+        try:
+            cli.build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_cli_missing_config_is_a_usage_error(capsys):

@@ -29,6 +29,7 @@ from hkbound.protocol import (
     Responder,
     SessionView,
     Transcript,
+    _JSON_FIELDS,
     _judge,
     _round_labels,
     run_session,
@@ -496,6 +497,18 @@ def test_config_defaults_and_json():
     assert again.to_json() == cfg.to_json()
     with pytest.raises(ValueError):
         ProtocolConfig.from_json({"ell": 2, "surprise": 1})
+
+
+def test_config_json_fields_are_the_dataclass_fields():
+    names = [f.name for f in dataclasses.fields(ProtocolConfig)]
+    assert list(_JSON_FIELDS) == names
+    doc = ProtocolConfig(ell=8).to_json()
+    assert list(doc) == names and type(doc["positions"]) is dict
+    assert json.dumps(doc) == (
+        '{"ell": 8, "secret_bits": 256, "counter_bits": null, "velocity": 1.0, '
+        '"distance_bound": 5.0, "acceptance_slack": 0.0, "processing_ticks": 0, '
+        '"positions": {"verifier": 0.0, "prover": 3.0}, "rtt_mode": "max", '
+        '"enforce_counter_freshness": true}')
 
 
 def test_counter_width_override():
