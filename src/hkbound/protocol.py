@@ -10,7 +10,7 @@ estimate recovered from the round trips, and counter freshness.  Every
 value in a session is a plain int at its config width, round 1 (or bit
 1) in the most significant position.  A recorded session also keeps an
 event log: ``Event`` tuples, built only when recording, whose values are
-``BitString``s for their JSON.
+the bit text of those ints (``f"{v:0{w}b}"``), as their JSON holds it.
 
 Distances resolve to whole ticks: propagation delay is ceil(dist /
 velocity), so estimates are exact only on configs whose distances sit on
@@ -31,7 +31,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from ._slotted import Slotted
-from .bits import BitString, concat, sample_uniform  # noqa: F401 (bench/layers.py patches the last two)
+from .bits import concat, sample_uniform  # noqa: F401 (bench/layers.py patches the last two)
 from .exprs import json_field, json_fields
 from .hkfun import select
 
@@ -150,12 +150,6 @@ class ProtocolConfig:
         return {}
 
     @cached_property
-    def _byte_rtts(self) -> dict[int, "_ByteRtts"]:
-        """Per honest round trip, the round trips of each byte of an early
-        mask; filled by ``_mixed_rtts``."""
-        return {}
-
-    @cached_property
     def reach(self) -> float:
         """The greatest distance estimate the verifier accepts."""
         return self.distance_bound + self.acceptance_slack
@@ -270,20 +264,12 @@ class Event(NamedTuple):
     principal: str
     kind: str  # "fresh" | "send" | "receive"
     name: str
-    value: BitString | None = None
+    value: str | None = None  # the bit text, e.g. "0110"
     channel: tuple[str, str] | None = None
     term: str | None = None  # symbolic label for knowledge-tracking
 
     def to_json(self) -> dict:
-        return {
-            "tick": self.tick,
-            "principal": self.principal,
-            "kind": self.kind,
-            "name": self.name,
-            "value": None if self.value is None else self.value.text(),
-            "channel": None if self.channel is None else list(self.channel),
-            "term": self.term,
-        }
+        return self._asdict() | {"channel": None if self.channel is None else list(self.channel)}
 
 
 @dataclass(frozen=True)
@@ -348,35 +334,6 @@ def _judge_uniform(cfg: ProtocolConfig, bits_correct: int, rtt: int) -> Verdict:
     if verdict is None:
         verdict = memo[bits_correct, rtt] = _judge(cfg, bits_correct, (rtt,) * cfg.ell)
     return verdict
-
-
-class _ByteRtts(dict):
-    """A byte of an early mask -> the round trips of its eight rounds,
-    most significant bit first: 0 where the bit is set, ``wait``
-    elsewhere.  An entry is made on first use."""
-
-    def __init__(self, wait: int):
-        super().__init__()
-        self.wait = wait
-
-    def __missing__(self, byte: int) -> tuple[int, ...]:
-        out = self[byte] = tuple(0 if byte >> s & 1 else self.wait for s in range(7, -1, -1))
-        return out
-
-
-def _mixed_rtts(cfg: ProtocolConfig, early_mask: int, wait: int) -> tuple[int, ...]:
-    """Per round, 0 where ``early_mask`` is set and ``wait`` elsewhere.
-
-    One table row per byte of the mask, so the cost is linear in ell.
-    The mask's bytes are padded at the top, which drops the first
-    (-ell) % 8 entries of the joined rows.
-    """
-    table = cfg._byte_rtts.get(wait)
-    if table is None:
-        table = cfg._byte_rtts[wait] = _ByteRtts(wait)
-    ell = cfg.ell
-    rows = map(table.__getitem__, early_mask.to_bytes((ell + 7) >> 3, "big"))
-    return tuple(itertools.chain.from_iterable(rows))[-ell:]
 
 
 def verifier_decide(t: Transcript, cfg: ProtocolConfig) -> Verdict:
@@ -527,7 +484,8 @@ class SessionView(Slotted):
 
     def _note_interrogation(self, a, b, challenges, reply) -> None:
         z_term, r_term = self._pre_labels(a, b, challenges)
-        z, r = BitString(self.cfg.ell, challenges), BitString(self.cfg.ell, reply)
+        ell = self.cfg.ell
+        z, r = f"{challenges:0{ell}b}", f"{reply:0{ell}b}"
         t = self.clock + 1
         pair = (ADVERSARY, PROVER)
         self.events.append(Event(t, ADVERSARY, "fresh", "pre_challenge", z, term=z_term))
@@ -539,7 +497,7 @@ class SessionView(Slotted):
         self.clock = t + 3
 
 
-_BIT = (BitString(1, 0), BitString(1, 1))  # the values of one-bit events
+_BIT = ("0", "1")  # the values of one-bit events
 
 
 @lru_cache(maxsize=64)
@@ -566,16 +524,15 @@ def run_session(
     interrogating the prover first through ``view.prover``.
 
     Values travel as ints at their config widths; ``Event`` tuples, and
-    the ``BitString``s they carry, are built only when recording.  The
-    verdict is decided from the session's bit masks: the wrong bits are
-    the set bits of response xor expected, and a round trip is 0 in a
-    round answered early and the honest round trip otherwise (a mixed
-    early mask reads its round trips off a per-byte table memoised on
-    the config).  With ``record=True`` the transcript holds the event
-    log and the per-round arrays, from which ``verifier_decide`` reaches
-    the same verdict; with ``record=False`` the session builds no
-    transcript and returns one of the two shared empty ones (see
-    ``Transcript``).
+    the bit text they carry, are built only when recording.  The verdict
+    is decided from the session's bit masks: the wrong bits are the set
+    bits of response xor expected, and a round trip is 0 in a round
+    answered early and the honest round trip otherwise (a mixed early
+    mask reads its round trips off its own bit text).  With
+    ``record=True`` the transcript holds the event log and the per-round
+    arrays, from which ``verifier_decide`` reaches the same verdict;
+    with ``record=False`` the session builds no transcript and returns
+    one of the two shared empty ones (see ``Transcript``).
 
     Identical (cfg, seed, adversary kind) replays identically.  Passing
     the same stores across calls models parties with memory: replaying a
@@ -606,7 +563,7 @@ def run_session(
     # in the middle (it gains nothing by tampering: the token would not
     # match the verifier's).
     if record:
-        ab, bb = BitString(w, a), BitString(w, b)
+        ab, bb = f"{a:0{w}b}", f"{b:0{w}b}"
         to_p, to_v = (VERIFIER, PROVER), (PROVER, VERIFIER)
         events += (Event(0, VERIFIER, "fresh", "a", ab, None, "a"),
                    Event(0, VERIFIER, "send", "a", ab, to_p, "a"),
@@ -654,7 +611,9 @@ def run_session(
         if early_mask in (0, mask):
             verdict = _judge_uniform(cfg, bits_correct, rtt_wait if not early_mask else 0)
         else:
-            verdict = _judge(cfg, bits_correct, _mixed_rtts(cfg, early_mask, rtt_wait))
+            # early_mask fits in ell bits, so its text has one character per round
+            rtts = tuple(map({"0": rtt_wait, "1": 0}.__getitem__, f"{early_mask:0{ell}b}"))
+            verdict = _judge(cfg, bits_correct, rtts)
     if not record:
         return _UNRECORDED, verdict
 

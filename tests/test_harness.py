@@ -4,8 +4,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -435,6 +438,23 @@ def test_cli_missing_config_is_a_usage_error(capsys):
     )
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_cli_closed_stdout_exits_1_quietly(unbuffered):
+    # `hkbound ... | head -1`: the reader is gone before the CLI writes
+    # (unbuffered, the print raises; buffered, the flush does)
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "hkbound.cli", "enumerate", "--claim", "binomial"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def _usage_error(argv, capsys) -> str:
