@@ -425,11 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
-        return code
+        try:  # argparse's --help exits from here, and flushes as a command does
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # so that a closed stdout raises here, not at exit
     except BrokenPipeError:  # the reader left (``| head``): stop quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush goes nowhere
         return 1

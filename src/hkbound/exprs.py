@@ -113,22 +113,16 @@ Expr = Union[Var, Lit, Concat, Negate, Proj, BoxPlus, KernelMask, Hash]
 
 
 def free_vars(e: Expr) -> set[str]:
-    if isinstance(e, Var):
+    kind = type(e)
+    if kind is Var:
         return {e.name}
-    if isinstance(e, Lit):
+    if kind is Lit:
         return set()
-    if isinstance(e, Concat):
-        out: set[str] = set()
-        for p in e.parts:
-            out |= free_vars(p)
-        return out
-    if isinstance(e, Negate):
-        return free_vars(e.arg)
-    if isinstance(e, Proj):
-        return free_vars(e.arg)
-    if isinstance(e, (BoxPlus, KernelMask)):
+    if kind is Concat:
+        return set().union(*map(free_vars, e.parts))
+    if kind is BoxPlus or kind is KernelMask:
         return free_vars(e.x) | free_vars(e.h)
-    if isinstance(e, Hash):
+    if kind is Negate or kind is Proj or kind is Hash:
         return free_vars(e.arg)
     raise TypeError(f"not an expression: {e!r}")
 
@@ -181,27 +175,24 @@ def width(e: Expr, declared: dict[str, int]) -> int:
 
 def hash_nodes(e: Expr) -> list[Hash]:
     """All hash nodes in evaluation order, deduplicated by identity."""
-    out: list[Hash] = []
-    seen: set[int] = set()
+    found: dict[int, Hash] = {}  # id -> node, in first-visit order
+    _find_hashes(e, found)
+    return list(found.values())
 
-    def walk(n: Expr) -> None:
-        kind = type(n)
-        if kind is Concat:
-            for p in n.parts:
-                walk(p)
-        elif kind is Negate or kind is Proj:
-            walk(n.arg)
-        elif kind is BoxPlus or kind is KernelMask:
-            walk(n.x)
-            walk(n.h)
-        elif kind is Hash:
-            walk(n.arg)
-            if id(n) not in seen:
-                seen.add(id(n))
-                out.append(n)
 
-    walk(e)
-    return out
+def _find_hashes(n: Expr, found: dict) -> None:
+    kind = type(n)
+    if kind is Concat:
+        for p in n.parts:
+            _find_hashes(p, found)
+    elif kind is Negate or kind is Proj:
+        _find_hashes(n.arg, found)
+    elif kind is BoxPlus or kind is KernelMask:
+        _find_hashes(n.x, found)
+        _find_hashes(n.h, found)
+    elif kind is Hash:
+        _find_hashes(n.arg, found)
+        found.setdefault(id(n), n)
 
 
 def evaluate(e: Expr, env: dict[str, Value], htable: dict) -> Value:

@@ -32,9 +32,12 @@ per value bit, and the budget caps the widest component.  A component's
 chance is counted on those tables as masks, splitting its rows into
 classes of equal values with AND and popcount, while the classes fit
 one word's rows; past that, as on a wide component read by many tables,
-its rows are tallied one by one (``_best_rows``).  A muxed entry
-bit reads every bit of both arguments, so colliding classes share one
-component with their arguments.
+its rows are tallied one by one (``_best_rows``).  A two-row component
+is counted in closed form, off the low two bits of its tables.  A muxed
+entry bit reads every bit of both arguments, so colliding classes share
+one component with their arguments.  One pass slices each shown term and
+subterm once, keeping its tables by node id for that pass only; across
+calls the oracle keeps just the row-bit tables of each width up to 12.
 
 The hash itself is public, so a guesser whose observations pin down an
 argument value is credited with knowing that table entry as well.  The
@@ -139,29 +142,35 @@ def _reads(e: Expr, cols: dict) -> list[int]:
 def _slices(e: Expr, cols: dict) -> list[int]:
     """For each value bit of ``e``, in ``_reads`` order, its truth table
     over the rows of its component: ``cols`` holds the tables of the
-    variables' and hash nodes' bits.  ``~`` is two's complement, so a table
-    is exact on its component's rows once masked to them."""
+    variables' and hash nodes' bits, and keeps each other node's tables by
+    id once sliced, so that a term shown again, alone or inside another,
+    is sliced once per pass.  ``~`` is two's complement, so a table is
+    exact on its component's rows once masked to them."""
     kind = type(e)
     if kind is exprs.Var:
         return cols[e.name]
+    if (out := cols.get(id(e))) is not None:  # a hash node, or a node sliced before
+        return out
     if kind is exprs.Lit:
         value = int(e.text or "0", 2)
-        return [-(value >> i & 1) for i in range(len(e.text))]
-    if kind is exprs.Hash:
-        return cols[id(e)]
-    if kind is exprs.Concat:
-        return [t for p in reversed(e.parts) for t in _slices(p, cols)]
-    if kind is exprs.Negate:
-        return [~t for t in _slices(e.arg, cols)]
-    if kind is exprs.Proj:
+        out = [-(value >> i & 1) for i in range(len(e.text))]
+    elif kind is exprs.Concat:
+        out = [t for p in reversed(e.parts) for t in _slices(p, cols)]
+    elif kind is exprs.Negate:
+        out = [~t for t in _slices(e.arg, cols)]
+    elif kind is exprs.Proj:
         arg = _slices(e.arg, cols)
-        return arg[len(arg) - e.hi:len(arg) - e.lo + 1]
-    x, h = _slices(e.x, cols), _slices(e.h, cols)
-    n = len(x)  # h[n:] is the first half h0, chosen where x is 0
-    if kind is exprs.BoxPlus:
-        return [h[n + i] & ~x[i] | h[i] & x[i] for i in range(n)]
-    stars = [~(h[n + i] ^ h[i]) for i in range(n)]
-    return [x[i] & ~stars[i] for i in range(n)] + stars
+        out = arg[len(arg) - e.hi:len(arg) - e.lo + 1]
+    else:
+        x, h = _slices(e.x, cols), _slices(e.h, cols)
+        n = len(x)  # h[n:] is the first half h0, chosen where x is 0
+        if kind is exprs.BoxPlus:
+            out = [h[n + i] & ~x[i] | h[i] & x[i] for i in range(n)]
+        else:
+            stars = [~(h[n + i] ^ h[i]) for i in range(n)]
+            out = [x[i] & ~stars[i] for i in range(n)] + stars
+    cols[id(e)] = out
+    return out
 
 
 def _pattern(j: int, k: int) -> int:
@@ -171,6 +180,20 @@ def _pattern(j: int, k: int) -> int:
         table |= table << span
         span <<= 1
     return table
+
+
+ROW_TABLES_MAX = 12  # widths whose row-bit tables are kept, 2**12 bits per table at most
+_row_tables: dict[int, tuple[int, ...]] = {}  # width -> its row-bit tables
+
+
+def _patterns(k: int) -> tuple[int, ...]:
+    """``_pattern(j, k)`` for each j < k, built once per width up to
+    ROW_TABLES_MAX; the oracle keeps no other state across calls."""
+    if (got := _row_tables.get(k)) is None:
+        got = tuple(_pattern(j, k) for j in range(k))
+        if k <= ROW_TABLES_MAX:
+            _row_tables[k] = got
+    return got
 
 
 CHUNK_BITS = 16  # rows are counted 2**16 at a time
@@ -201,7 +224,19 @@ def _best_rows(given: list, tables: list, k: int) -> int:
     on one read by few tables), masks cost at most 2 * 2**k word
     operations per table.  Past that a wide component's classes may reach
     2**k, of 2**k bits each, about 4**k/64 word operations, while rows
-    stay linear in 2**k."""
+    stay linear in 2**k.
+
+    Two rows (k = 1) count in closed form: both when some given table
+    tells them apart or no target table does, else one.  Tables may be
+    any int, so only their low two bits, one per row, are read."""
+    if k == 1:
+        for t in given:
+            if t & 3 in (1, 2):
+                return 2
+        for t in tables:
+            if t & 3 in (1, 2):
+                return 1
+        return 2
     if k > WORD_LOG and len(given) + len(tables) > WORD_LOG:
         return _best_counted(given, tables, k)
     return _best_masks(given, tables, k)
@@ -255,9 +290,9 @@ class _TruthTables:
     AND of the XNORs of the argument bits.  The positions split into
     independent components by the masks that ``_reads`` gives every bit of
     ``shown`` and of the classes' arguments and entries, and each
-    component's 2**k rows are its assignments.  Every expression is
-    evaluated once, by ``_slices``, into a truth table per value bit.
-    Expressions are looked up by id, as ``shown`` holds them.
+    component's 2**k rows are its assignments.  Every expression and
+    subterm is evaluated once, by ``_slices``, into a truth table per value
+    bit.  Expressions are looked up by id, as ``shown`` holds them.
     """
 
     def __init__(self, variables, shown: Sequence[Expr], classes: dict, own: dict, budget: int):
@@ -304,9 +339,9 @@ class _TruthTables:
             raise BudgetExceededError(max(self.widths), budget)
         comp_of, tables = {}, {}
         for i, c in enumerate(comps):
-            for j in range(self.widths[i]):
+            for table in _patterns(self.widths[i]):
                 bit = c & -c
-                comp_of[bit], tables[bit] = i, _pattern(j, self.widths[i])
+                comp_of[bit], tables[bit] = i, table
                 c ^= bit
         cols = {name: [tables.get(m, 0) for m in masks[name]] for name, _ in variables}
         args = {}
@@ -317,10 +352,13 @@ class _TruthTables:
                 eq = reduce(and_, (~(p ^ q) for p, q in zip(args[i], arg)), -1)
                 entry = [eq & e | ~eq & t for e, t in zip(cols[id(classes[i][0])], entry)]
             cols.update((id(n), entry) for n in nodes)
-        fulls = [(1 << (1 << k)) - 1 for k in self.widths]
 
-        def columns(ms, ts):
-            return [(c := comp_of[m & -m], t & fulls[c]) for m, t in zip(ms, ts) if m]
+        def columns(ms, ts):  # the tables unmasked: every count reads only its rows
+            out = []
+            for m, t in zip(ms, ts):
+                if m:
+                    out.append((comp_of[m & -m], t))
+            return out
 
         self.columns = {id(e): columns(ms, _slices(e, cols)) for e, ms in zip(shown, reads)}
         self.args = {}
@@ -352,10 +390,15 @@ class _TruthTables:
                     for c, t in self.entries[key]:
                         given.setdefault(c, []).append(t)
                     remaining.remove(key)
-        best = 1
+        best, bits = 1, 0
         for c, ts in want.items():
-            best *= _best_rows(given.get(c, []), ts, self.widths[c])
-        return Fraction(best, 1 << sum(self.widths[c] for c in want))
+            k = self.widths[c]
+            bits += k
+            if c in given or k == 1 or k > WORD_LOG and len(ts) > WORD_LOG:
+                best *= _best_rows(given.get(c, []), ts, k)
+            else:  # no known reads c, and its classes fit a word: the commonest over all its rows
+                best *= max(map(int.bit_count, _classes(ts, (1 << (1 << k)) - 1)))
+        return Fraction(best, 1 << bits)
 
 
 def _enumerate(variables, shown: Sequence[Expr], budget: int):
@@ -365,9 +408,10 @@ def _enumerate(variables, shown: Sequence[Expr], budget: int):
     own: dict = {}  # id(e) -> the classes of e's nodes
     for e in shown:
         own[id(e)] = keys = []
-        for n in hash_nodes(e):
-            keys.append(repr(n))
-            classes.setdefault(keys[-1], []).append(n)
+        if type(e) is not exprs.Var and type(e) is not exprs.Lit:  # a bare leaf holds no hash node
+            for n in hash_nodes(e):
+                keys.append(repr(n))
+                classes.setdefault(keys[-1], []).append(n)
     return _TruthTables(variables, shown, classes, own, budget).chance
 
 
@@ -468,13 +512,6 @@ class SubbayesReport(NamedTuple):
         return self.lhs_first * self.lhs_second
 
 
-def _free_vars_of(es: Sequence[Expr]) -> set[str]:
-    fv: set[str] = set()
-    for e in es:
-        fv |= free_vars(e)
-    return fv
-
-
 def check_subbayes(
     variables: Sequence[tuple[str, int]],
     xi: Sequence[Expr],
@@ -520,16 +557,17 @@ def check_subbayes(
     a = chance_of(xi, gamma)
     b = chance_of(context, theta)
     rhs = chance_of(xi, gamma + theta)
-    fv_theta = _free_vars_of(theta)
+    lhs = a * b
+    fv_xi, fv_gamma, fv_theta = (set().union(*map(free_vars, es)) for es in (xi, gamma, theta))
     shared_table = any(hash_nodes(e) for e in theta) and any(hash_nodes(e) for e in context)
     return SubbayesReport(
         lhs_first=a,
         lhs_second=b,
         rhs=rhs,
-        holds=a * b <= rhs,
-        disjoint=not (_free_vars_of(xi) & fv_theta),
-        equality=a * b == rhs,
-        independent=not (_free_vars_of(context) & fv_theta) and not shared_table,
+        holds=lhs <= rhs,
+        disjoint=not fv_xi & fv_theta,
+        equality=lhs == rhs,
+        independent=not (fv_xi | fv_gamma) & fv_theta and not shared_table,
     )
 
 

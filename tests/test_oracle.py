@@ -702,6 +702,59 @@ def test_mask_count_matches_the_row_count_at_the_word_boundary(k, n_known, n_tar
     assert assert_counts_agree(rows[1:], rows[:1], k) == 1 << k - 1
 
 
+# Tables a caller may pass besides exact ones: constant, negative, or wider
+# than the 2**k rows, so that only their low 2**k bits are the component's.
+LOOSE_TABLES = (0, -1, 1, 2, 3, -2, -3, -4, 5, 6, 9, 12, -(1 << 9), (1 << 9) | 1, (1 << 9) | 2)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_row_counts_read_only_the_component_rows(k):
+    # the two-row closed form of _best_rows (k = 1) beside the regimes it
+    # skips, on every given list of at most one and target list of one or two
+    for n_known, n_targets in ((0, 1), (0, 2), (1, 1), (1, 2)):
+        for known in itertools.product(LOOSE_TABLES, repeat=n_known):
+            for targets in itertools.product(LOOSE_TABLES, repeat=n_targets):
+                assert_counts_agree(list(known), list(targets), k)
+
+
+# --- one pass slices each term once ---------------------------------------------
+
+
+def spy_slices(monkeypatch) -> Counter:
+    """Count, by node id, each time ``_slices`` works a node out rather
+    than reading it back off the pass's tables."""
+    real, worked = oracle._slices, Counter()
+
+    def spy(e, cols):
+        if type(e) is not Var and id(e) not in cols:
+            worked[id(e)] += 1
+        return real(e, cols)
+
+    monkeypatch.setattr(oracle, "_slices", spy)
+    return worked
+
+
+def test_a_pass_slices_each_term_once(monkeypatch, capsys):
+    worked = spy_slices(monkeypatch)
+    x, token = Var("x"), lit(0b10110010, 8)
+    assert chance({"x": 4}, [token], [BoxPlus(x, token)]) == analytic("kernel", kappa=2, ell=4)
+    assert sorted(worked.values()) == [1, 1]  # the token, and the token inside the selection
+    worked.clear()
+    assert cli.main(["enumerate", "--claim", "prop34", "--ell", "4"]) == 0
+    capsys.readouterr()
+    # boxplus(x,h), the 16 literals, and the 16 selections that read them again
+    assert sorted(worked.values()) == [1] * 33
+
+
+def test_short_lived_kernel_queries_share_no_tables():
+    # each literal dies with its query, so later ones reuse its id
+    x = Var("x")
+    for raw in range(256):
+        token = lit(raw, 8)
+        kappa = (~(raw >> 4 ^ raw) & 15).bit_count()
+        assert chance({"x": 4}, [token], [BoxPlus(x, token)]) == analytic("kernel", kappa=kappa, ell=4)
+
+
 # --- what cover's memo rests on -------------------------------------------------
 
 

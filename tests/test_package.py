@@ -1,14 +1,18 @@
-"""Package hygiene: every export resolves, and the runtime needs only the
-standard library (``dependencies = []`` in pyproject.toml)."""
+"""Package hygiene: every export resolves, the runtime needs only the
+standard library (``dependencies = []`` in pyproject.toml), and the exact
+engine keeps no state across calls beyond its row-bit tables."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import random
 import sys
 from pathlib import Path
 
 import hkbound
+from hkbound import exprs, oracle
+from hkbound.exprs import BoxPlus, Hash, Lit, Var
 
 # The only dataclasses, each for a use of the dataclass API.  Every other
 # class avoids the methods a dataclass writes out and compiles at import.
@@ -43,3 +47,25 @@ def test_only_the_listed_classes_are_dataclasses():
                   if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)}
     assert found == set(DATACLASSES), (
         f"dataclasses {sorted(found)}; only these may be, each for its reason: {DATACLASSES}")
+
+
+def test_the_oracle_keeps_only_row_tables_across_calls():
+    # memos keyed by node id live in one pass; across calls only the row-bit
+    # tables of each small width stay, so an id reused later finds nothing
+    rng = random.Random(0)
+    x, h, u, v = Var("x"), Var("h"), Var("u"), Var("v")
+    for _ in range(50):
+        token = Lit(format(rng.getrandbits(8), "08b"))
+        oracle.chance({"x": 4}, [token], [BoxPlus(x, token)])
+        xl, zl = (Lit(format(rng.getrandbits(6), "06b")) for _ in range(2))
+        oracle.chance({"h": 12}, [xl, zl, BoxPlus(zl, h)], [BoxPlus(xl, h)])
+        oracle.check_subbayes(*oracle.random_subbayes_case(rng))
+    oracle.chance({"u": 7, "v": 7}, [], [Hash(u, 1), Hash(v, 1)])  # one 16-bit component
+    kept = {f"{m.__name__}.{name}": value for m in (oracle, exprs) for name, value in vars(m).items()
+            if not name.startswith("__") and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))}
+    assert list(kept) == ["hkbound.oracle._row_tables"]
+    tables = oracle._row_tables
+    assert 0 < len(tables) <= oracle.ROW_TABLES_MAX == 12
+    for k, row_bits in tables.items():
+        assert type(k) is int and 1 <= k <= 12
+        assert row_bits == tuple(oracle._pattern(j, k) for j in range(k))
