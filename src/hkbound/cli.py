@@ -374,8 +374,13 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own drops the error of a closed stdout
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hkbound",
         description="Exact and simulated analyses of the timed "
                     "challenge-response exchange.",

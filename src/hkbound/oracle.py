@@ -353,12 +353,8 @@ class _TruthTables:
                 entry = [eq & e | ~eq & t for e, t in zip(cols[id(classes[i][0])], entry)]
             cols.update((id(n), entry) for n in nodes)
 
-        def columns(ms, ts):  # the tables unmasked: every count reads only its rows
-            out = []
-            for m, t in zip(ms, ts):
-                if m:
-                    out.append((comp_of[m & -m], t))
-            return out
+        def columns(ms, ts):
+            return [(comp_of[m & -m], t) for m, t in zip(ms, ts) if m]
 
         self.columns = {id(e): columns(ms, _slices(e, cols)) for e, ms in zip(shown, reads)}
         self.args = {}
@@ -392,12 +388,8 @@ class _TruthTables:
                     remaining.remove(key)
         best, bits = 1, 0
         for c, ts in want.items():
-            k = self.widths[c]
-            bits += k
-            if c in given or k == 1 or k > WORD_LOG and len(ts) > WORD_LOG:
-                best *= _best_rows(given.get(c, []), ts, k)
-            else:  # no known reads c, and its classes fit a word: the commonest over all its rows
-                best *= max(map(int.bit_count, _classes(ts, (1 << (1 << k)) - 1)))
+            bits += self.widths[c]
+            best *= _best_rows(given.get(c, []), ts, self.widths[c])
         return Fraction(best, 1 << bits)
 
 
@@ -408,10 +400,9 @@ def _enumerate(variables, shown: Sequence[Expr], budget: int):
     own: dict = {}  # id(e) -> the classes of e's nodes
     for e in shown:
         own[id(e)] = keys = []
-        if type(e) is not exprs.Var and type(e) is not exprs.Lit:  # a bare leaf holds no hash node
-            for n in hash_nodes(e):
-                keys.append(repr(n))
-                classes.setdefault(keys[-1], []).append(n)
+        for n in hash_nodes(e):
+            keys.append(repr(n))
+            classes.setdefault(keys[-1], []).append(n)
     return _TruthTables(variables, shown, classes, own, budget).chance
 
 

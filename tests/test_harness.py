@@ -448,9 +448,7 @@ def test_cli_missing_config_is_a_usage_error(capsys):
 ])
 def test_cli_closed_stdout_exits_1_quietly(unbuffered, argv):
     # `hkbound ... | head -1`: the reader is gone before the CLI writes
-    # (unbuffered, the print raises; buffered, the flush does).  argparse
-    # prints --help itself and drops the error of an unbuffered write, so
-    # that one case exits 0 as --help does, quietly too
+    # (unbuffered, the print raises; buffered, the flush does)
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -461,8 +459,7 @@ def test_cli_closed_stdout_exits_1_quietly(unbuffered, argv):
                               stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(write_end)
-    code = 0 if argv == ["--help"] and unbuffered else 1
-    assert (done.returncode, done.stderr) == (code, b"")
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def _usage_error(argv, capsys) -> str:
