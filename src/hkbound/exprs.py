@@ -153,6 +153,8 @@ def width(e: Expr, declared: dict[str, int]) -> int:
     if kind is Proj:
         if type(e.arg) is KernelMask:
             raise ValueError("masked string cannot be sliced")
+        if type(e.lo) is not int or type(e.hi) is not int:  # a bool is not an int here
+            raise ValueError(f"slice bounds must be ints, got {e.lo!r}..{e.hi!r}")
         w = width(e.arg, declared)
         if not (1 <= e.lo and e.lo <= e.hi + 1 and e.hi <= w):
             raise ValueError(f"slice {e.lo}..{e.hi} out of range 1..{w}")
@@ -168,6 +170,8 @@ def width(e: Expr, declared: dict[str, int]) -> int:
     if kind is Hash:
         if type(e.arg) is KernelMask:
             raise ValueError("masked string cannot be hashed")
+        if type(e.out_bits) is not int:
+            raise ValueError(f"hash output width must be an int, got {e.out_bits!r}")
         width(e.arg, declared)
         return e.out_bits
     raise TypeError(f"not an expression: {e!r}")

@@ -26,18 +26,19 @@ earlier entries, its fresh bits where no argument matches.  That is the
 law of the lazily filled random oracle, whose tabled key reuses its
 entry.  Every operator, the mux included, is bit-local, so all the bits
 split into independent components, and the chance is the product of the
-components' chances: the paper's per-bit argument behind (3/4)**l.  Each
-component's 2**k assignments are enumerated at once, as one truth table
-per value bit, and the budget caps the widest component.  A component's
-chance is counted on those tables as masks, splitting its rows into
-classes of equal values with AND and popcount, while the classes fit
-one word's rows; past that, as on a wide component read by many tables,
-its rows are tallied one by one (``_best_rows``).  A two-row component
-is counted in closed form, off the low two bits of its tables.  A muxed
-entry bit reads every bit of both arguments, so colliding classes share
-one component with their arguments.  One pass slices each shown term and
-subterm once, keeping its tables by node id for that pass only; across
-calls the oracle keeps just the row-bit tables of each width up to 12.
+components' chances: the paper's per-bit argument behind (3/4)**l.  A
+muxed entry bit reads every bit of both arguments, so colliding classes
+share one component with their arguments.  One pass walks each shown
+term once for its bits' components and hash classes, then evaluates
+every node once over all of a component's 2**k assignments, as one truth
+table per value bit, grouped by component once per term; the budget caps
+the widest component.  A two-row component is one bit of a mask of the
+positions a term varies on, and a query's two-row factor is
+2**-popcount(targets' mask & ~knowns' mask).  A wider component is
+counted on its tables as masks, splitting its rows into classes of equal
+values with AND and popcount, while the classes fit one word's rows, and
+past that row by row (``_best_rows``).  Across calls the oracle keeps
+only the row-bit tables of each width up to 12.
 
 The hash itself is public, so a guesser whose observations pin down an
 argument value is credited with knowing that table entry as well.  The
@@ -98,14 +99,15 @@ class GuessScenario(Slotted):
 
     def __init__(self, variables: tuple[tuple[str, int], ...], knowns: tuple[Expr, ...],
                  targets: tuple[Expr, ...]):
-        seen = set()
-        for name, bits in variables:
-            if name in seen:
-                raise ValueError(f"duplicate variable declaration {name!r}")
-            if bits < 0:
-                raise ValueError(f"variable {name!r} width must be >= 0, got {bits}")
-            seen.add(name)
         decls = dict(variables)
+        if len(decls) < len(variables):
+            seen: set = set()
+            name = next(n for n, _ in variables if n in seen or seen.add(n))  # the first repeat
+            raise ValueError(f"duplicate variable declaration {name!r}")
+        for name, bits in decls.items():
+            if type(bits) is not int or bits < 0:  # a bool is not an int here
+                need = ">= 0" if type(bits) is int else "an int"
+                raise ValueError(f"variable {name!r} width must be {need}, got {bits!r}")
         for e in knowns + targets:
             width(e, decls)
         object.__setattr__(self, "variables", variables)  # not ``setfields``: each query builds one
@@ -113,34 +115,44 @@ class GuessScenario(Slotted):
         object.__setattr__(self, "targets", targets)
 
 
-def _reads(e: Expr, cols: dict) -> list[int]:
-    """For each value bit of ``e``, least significant first, the mask of the
-    positions it reads; ``cols`` maps a variable's name, or a hash node's
-    id, to the masks of its bits.  Supersets are sound: bit i of a
-    selection reads x_i, h_i and h_{l+i}, only two of which decide it.  A
-    KernelMask gives its value bits, then its star bits."""
+def _analyse(e: Expr, memo: dict, fill) -> tuple:
+    """For each value bit of ``e``, least significant first, the mask of
+    the positions it reads, and the class keys of e's hash nodes.  The walk
+    is post-order: ``fill(node, argument reads)`` classes a hash node when
+    first met, in fill order, and gives its entry masks and key.  ``memo``
+    holds the variables by name and each node once analysed by id.  Reads
+    may be supersets: a selection's bit i reads x_i, h_i and h_{l+i}, only
+    two of which decide it.  A KernelMask gives its value bits, then its stars."""
     kind = type(e)
     if kind is exprs.Var:
-        return cols[e.name]
+        return memo[e.name]
+    if (got := memo.get(id(e))) is not None:
+        return got
     if kind is exprs.Lit:
-        return [0] * len(e.text)
-    if kind is exprs.Hash:
-        return cols[id(e)]
-    if kind is exprs.Concat:
-        return [m for p in reversed(e.parts) for m in _reads(p, cols)]
-    if kind is exprs.Negate:
-        return _reads(e.arg, cols)
-    if kind is exprs.Proj:
-        arg = _reads(e.arg, cols)
-        return arg[len(arg) - e.hi:len(arg) - e.lo + 1]
-    x, h = _reads(e.x, cols), _reads(e.h, cols)
-    n = len(x)
-    out = [x[i] | h[i] | h[n + i] for i in range(n)]
-    return out + out if kind is exprs.KernelMask else out
+        got = [0] * len(e.text), ()
+    elif kind is exprs.Concat:
+        parts = [_analyse(p, memo, fill) for p in e.parts]
+        got = [m for reads, _ in reversed(parts) for m in reads], sum((keys for _, keys in parts), ())
+    elif kind is exprs.Negate:
+        got = _analyse(e.arg, memo, fill)
+    elif kind is exprs.Proj:
+        arg, keys = _analyse(e.arg, memo, fill)
+        got = arg[len(arg) - e.hi:len(arg) - e.lo + 1], keys
+    elif kind is exprs.Hash:
+        arg, keys = _analyse(e.arg, memo, fill)
+        entry, key = fill(e, arg)
+        got = entry, keys + (key,)
+    else:
+        (x, keys), (h, more) = _analyse(e.x, memo, fill), _analyse(e.h, memo, fill)
+        n = len(x)
+        out = [x[i] | h[i] | h[n + i] for i in range(n)]
+        got = out + out if kind is exprs.KernelMask else out, keys + more
+    memo[id(e)] = got
+    return got
 
 
 def _slices(e: Expr, cols: dict) -> list[int]:
-    """For each value bit of ``e``, in ``_reads`` order, its truth table
+    """For each value bit of ``e``, in ``_analyse`` order, its truth table
     over the rows of its component: ``cols`` holds the tables of the
     variables' and hash nodes' bits, and keeps each other node's tables by
     id once sliced, so that a term shown again, alone or inside another,
@@ -151,9 +163,8 @@ def _slices(e: Expr, cols: dict) -> list[int]:
         return cols[e.name]
     if (out := cols.get(id(e))) is not None:  # a hash node, or a node sliced before
         return out
-    if kind is exprs.Lit:
-        value = int(e.text or "0", 2)
-        out = [-(value >> i & 1) for i in range(len(e.text))]
+    if kind is exprs.Lit:  # a 1 bit is all ones on every row
+        out = [-(c == "1") for c in reversed(e.text)]
     elif kind is exprs.Concat:
         out = [t for p in reversed(e.parts) for t in _slices(p, cols)]
     elif kind is exprs.Negate:
@@ -224,19 +235,8 @@ def _best_rows(given: list, tables: list, k: int) -> int:
     on one read by few tables), masks cost at most 2 * 2**k word
     operations per table.  Past that a wide component's classes may reach
     2**k, of 2**k bits each, about 4**k/64 word operations, while rows
-    stay linear in 2**k.
-
-    Two rows (k = 1) count in closed form: both when some given table
-    tells them apart or no target table does, else one.  Tables may be
-    any int, so only their low two bits, one per row, are read."""
-    if k == 1:
-        for t in given:
-            if t & 3 in (1, 2):
-                return 2
-        for t in tables:
-            if t & 3 in (1, 2):
-                return 1
-        return 2
+    stay linear in 2**k.  Two-row components never get here: a pass
+    counts them as position masks (``_TruthTables``)."""
     if k > WORD_LOG and len(given) + len(tables) > WORD_LOG:
         return _best_counted(given, tables, k)
     return _best_masks(given, tables, k)
@@ -288,63 +288,82 @@ class _TruthTables:
     ``eq(arg_1, arg_j) ? e_1 : eq(arg_2, arg_j) ? e_2 : ... : fresh_j`` over
     those earlier classes, the first match winning, where ``eq`` is the
     AND of the XNORs of the argument bits.  The positions split into
-    independent components by the masks that ``_reads`` gives every bit of
-    ``shown`` and of the classes' arguments and entries, and each
-    component's 2**k rows are its assignments.  Every expression and
-    subterm is evaluated once, by ``_slices``, into a truth table per value
-    bit.  Expressions are looked up by id, as ``shown`` holds them.
+    independent components by the masks that one ``_analyse`` walk of each
+    shown term gives its bits and the classes' arguments and entries, and
+    each component's 2**k rows are its assignments.  Every node is sliced
+    once, by ``_slices``, into a truth table per value bit, and each shown
+    term's tables are grouped by component once.  A two-row component (one
+    position) is a bit of a mask instead: the positions on which one of a
+    term's tables varies (``t & 3`` is 1 or 2; any int may be a table).
+    Expressions are looked up by id, as ``shown`` holds them.
     """
 
-    def __init__(self, variables, shown: Sequence[Expr], classes: dict, own: dict, budget: int):
-        self.own = own
-        masks: dict = {}
-        at = 0
+    def __init__(self, variables, shown: Sequence[Expr], budget: int):
+        memo, at = {}, 0  # memo: a variable's name, or a node's id -> its reads and classes
         for name, bits in variables:
-            masks[name] = [1 << at + k for k in range(bits)]
+            memo[name] = [1 << k for k in range(at, at + bits)], ()
             at += bits
-        fresh, arg_reads, entries, earlier = {}, {}, {}, {}
-        shapes: dict = {}  # (argument width, output width) -> its classes so far
-        for key, nodes in classes.items():
-            arg = arg_reads[key] = _reads(nodes[0].arg, masks)
-            entry = fresh[key] = [1 << at + k for k in range(nodes[0].out_bits)]
-            at += len(entry)
-            shape = len(arg), len(entry)
-            earlier[key] = same = shapes.get(shape, [])
-            shapes[shape] = same + [key]
-            if same:  # bit k reads every argument and bit k of each earlier entry
-                compared = reduce(or_, arg + [m for i in same for m in arg_reads[i]], 0)
-                entry = [reduce(or_, (entries[i][k] for i in same), m | compared)
-                         for k, m in enumerate(entry)]
-            entries[key] = entry
-            masks.update((id(n), entry) for n in nodes)
-        reads = [_reads(e, masks) for e in shown]
+        classes, fresh, arg_reads, entries, earlier = {}, {}, {}, {}, {}
+
+        def fill(node, arg):
+            nonlocal at
+            key = repr(node)
+            if key not in classes:
+                shape = len(arg), node.out_bits  # the classes that may collide with it
+                earlier[key] = same = [i for i in classes if (len(arg_reads[i]), len(fresh[i])) == shape]
+                classes[key], arg_reads[key] = [], arg
+                entry = fresh[key] = [1 << at + k for k in range(node.out_bits)]
+                at += len(entry)
+                if same:  # bit k reads every argument and bit k of each earlier entry
+                    compared = reduce(or_, arg + [m for i in same for m in arg_reads[i]], 0)
+                    entry = [reduce(or_, (entries[i][k] for i in same), m | compared)
+                             for k, m in enumerate(entry)]
+                entries[key] = entry
+            classes[key].append(node)
+            return entries[key], key
+
+        reads = [_analyse(e, memo, fill) for e in shown]
         comps: list[int] = []
         covered = 0  # the union of comps
-        for m in itertools.chain(*reads, *arg_reads.values(), *entries.values()):
+        masks = itertools.chain(*(ms for ms, _ in reads), *arg_reads.values(), *entries.values())
+        for m in filter(None, masks):  # a constant bit reads no position
             if not m & covered:
-                if m:  # else a constant bit
-                    comps.append(m)
-                    covered |= m
+                comps.append(m)
+                covered |= m
                 continue
-            hits = [c for c in comps if c & m]
-            if len(hits) == 1 and m | hits[0] == hits[0]:
+            hits = [c for c in comps if c & m] if m & m - 1 else ()  # a covered position is in one
+            if len(hits) < 2 and not m & ~covered:
                 continue
             for c in hits:
                 comps.remove(c)
                 m |= c
             comps.append(m)
             covered |= m
-        self.widths = [c.bit_count() for c in comps]
+        self.widths = list(map(int.bit_count, comps))
         if max(self.widths, default=0) > budget:
             raise BudgetExceededError(max(self.widths), budget)
-        comp_of, tables = {}, {}
+        comp_of, tables, two = {}, {}, 0  # two: the positions of the two-row components
         for i, c in enumerate(comps):
+            if self.widths[i] == 1:  # its table is the row number
+                tables[c], two = 2, two | c
+                continue
             for table in _patterns(self.widths[i]):
                 bit = c & -c
                 comp_of[bit], tables[bit] = i, table
                 c ^= bit
-        cols = {name: [tables.get(m, 0) for m in masks[name]] for name, _ in variables}
-        args = {}
+
+        def group(ms, ts):  # the tables of each wider component, and the two-row mask
+            by_comp, varies = {}, 0
+            for m, t in zip(ms, ts):
+                if m & two:
+                    if t & 3 in (1, 2):
+                        varies |= m
+                elif m:
+                    by_comp.setdefault(comp_of[m & -m], []).append(t)
+            return by_comp, varies
+
+        cols = {name: [tables.get(m, 0) for m in memo[name][0]] for name, _ in variables}
+        self.args, self.entries, args = {}, {}, {}
         for key, nodes in classes.items():
             arg = args[key] = _slices(nodes[0].arg, cols)
             entry = [tables[m] for m in fresh[key]]
@@ -352,58 +371,54 @@ class _TruthTables:
                 eq = reduce(and_, (~(p ^ q) for p, q in zip(args[i], arg)), -1)
                 entry = [eq & e | ~eq & t for e, t in zip(cols[id(classes[i][0])], entry)]
             cols.update((id(n), entry) for n in nodes)
-
-        def columns(ms, ts):
-            return [(comp_of[m & -m], t) for m, t in zip(ms, ts) if m]
-
-        self.columns = {id(e): columns(ms, _slices(e, cols)) for e, ms in zip(shown, reads)}
-        self.args = {}
-        for key in classes:
-            self.args[key] = by_comp = {}
-            for c, t in columns(arg_reads[key], args[key]):
-                by_comp.setdefault(c, []).append(t)
-        self.entries = {key: columns(entries[key], cols[id(nodes[0])]) for key, nodes in classes.items()}
+            self.args[key], self.entries[key] = group(arg_reads[key], arg), group(entries[key], entry)
+        # a constant term reads no position, and is not sliced on its own
+        self.columns = {id(e): group(ms, _slices(e, cols)) if any(ms) else ({}, 0)
+                        for e, (ms, _) in zip(shown, reads)}
+        self.reads = dict(zip(map(id, shown), reads)) if classes else {}  # id(e) -> reads, class keys
 
     def chance(self, knowns: Sequence[Expr], targets: Sequence[Expr]) -> Fraction:
         """The chance of ``targets`` given ``knowns``: a product over the
         components that targets read, each a sum over known rows of the
-        commonest target row.  A class's entry joins the knowns once its
-        argument follows from the knowns in every component, to a
-        fixpoint, so that chains of hashes resolve in order; only the
-        query's own classes are pinned (``chances`` says why)."""
-        given: dict = {}
-        want: dict = {}
-        for es, into in ((knowns, given), (targets, want)):
-            for e in es:
-                for c, t in self.columns[id(e)]:
-                    into.setdefault(c, []).append(t)
+        commonest target row, where a two-row component halves the chance
+        when some target varies on it and no known does.  A class's entry
+        joins the knowns once its argument follows from the knowns in every
+        component, to a fixpoint, so that chains of hashes resolve in order;
+        only the query's own classes are pinned (``chances`` says why)."""
+        given, known = _merged([self.columns[id(e)] for e in knowns])
+        want, target = _merged([self.columns[id(e)] for e in targets])
+        widths = self.widths
         if self.entries:  # a hash-free union has no class to pin
-            remaining = list(dict.fromkeys(key for e in (*knowns, *targets) for key in self.own[id(e)]))
-            while remaining and (pinned := [key for key in remaining if all(
-                    _best_rows(given.get(c, []), ts, self.widths[c]) == 1 << self.widths[c]
-                    for c, ts in self.args[key].items())]):
-                for key in pinned:
-                    for c, t in self.entries[key]:
-                        given.setdefault(c, []).append(t)
-                    remaining.remove(key)
-        best, bits = 1, 0
+            remaining = list(dict.fromkeys(key for e in (*knowns, *targets) for key in self.reads[id(e)][1]))
+            while remaining and (pinned := [  # on two rows, pinned iff no bit varies where no known does
+                    key for key in remaining if not self.args[key][1] & ~known
+                    and all(_best_rows(given.get(c, []), ts, widths[c]) == 1 << widths[c]
+                            for c, ts in self.args[key][0].items())]):
+                given, known = _merged([(given, known), *(self.entries[key] for key in pinned)])
+                remaining = [key for key in remaining if key not in pinned]
+        best, bits = 1, (target & ~known).bit_count()
         for c, ts in want.items():
-            bits += self.widths[c]
-            best *= _best_rows(given.get(c, []), ts, self.widths[c])
+            bits += widths[c]
+            best *= _best_rows(given.get(c, []), ts, widths[c])
         return Fraction(best, 1 << bits)
+
+
+def _merged(sides: list) -> tuple[dict, int]:
+    """Several terms' grouped tables and two-row masks as one; no input is extended."""
+    if len(sides) == 1:
+        return sides[0]
+    by_comp, varies = {}, 0
+    for more, mask in sides:
+        varies |= mask
+        for c, ts in more.items():
+            by_comp[c] = by_comp[c] + ts if c in by_comp else ts
+    return by_comp, varies
 
 
 def _enumerate(variables, shown: Sequence[Expr], budget: int):
     """``chance_of(knowns, targets)`` for queries over ``shown``, read off
     one ``_TruthTables`` enumeration of it."""
-    classes: dict = {}  # repr -> the nodes of one class, in fill order
-    own: dict = {}  # id(e) -> the classes of e's nodes
-    for e in shown:
-        own[id(e)] = keys = []
-        for n in hash_nodes(e):
-            keys.append(repr(n))
-            classes.setdefault(keys[-1], []).append(n)
-    return _TruthTables(variables, shown, classes, own, budget).chance
+    return _TruthTables(variables, shown, budget).chance
 
 
 def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
@@ -425,8 +440,9 @@ def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fract
     the widest component.
 
     Classes are muxed in fill order, which lists a class after those in
-    its argument (``hash_nodes`` is post-order and the dedup keeps first
-    occurrences), so a muxed entry reads only entries already built.
+    its argument (one post-order ``_analyse`` walk classes each node when
+    first met), so a muxed entry reads only entries already built.  Each
+    term's tables are grouped by component once, two-row ones as masks.
     """
     knowns, targets = scenario.knowns, scenario.targets
     return _enumerate(scenario.variables, knowns + targets, budget)(knowns, targets)
@@ -738,8 +754,6 @@ def _random_expr(rng: random.Random, decls: list[tuple[str, int]], want: int, de
     pick = rng.choice(options)
     if pick == "var":
         return exprs.Var(rng.choice(fitting))
-    if pick == "lit":
-        return exprs.Lit("".join(rng.choice("01") for _ in range(want)))
     if pick == "negate":
         return exprs.Negate(_random_expr(rng, decls, want, depth - 1))
     if pick == "concat" and want >= 2:
@@ -759,7 +773,7 @@ def _random_expr(rng: random.Random, decls: list[tuple[str, int]], want: int, de
             _random_expr(rng, decls, want, depth - 1),
             _random_expr(rng, decls, 2 * want, depth - 1),
         )
-    return exprs.Lit("".join(rng.choice("01") for _ in range(want)))
+    return exprs.Lit("".join(rng.choice("01") for _ in range(want)))  # "lit", or "concat" at one bit
 
 
 def random_subbayes_case(

@@ -26,7 +26,7 @@ def test_every_traced_name_exists_and_is_restored():
         assert tracer.extra["terms"] == tracer.extra["saturated"] == 1
         # a hash-free query runs through the traced guess_chance
         x, h = exprs.Var("x"), exprs.Var("h")
-        oracle.chance({"x": 2, "h": 4}, [h], [exprs.BoxPlus(x, h)])
+        early = oracle.chance({"x": 2, "h": 4}, [h], [exprs.BoxPlus(x, h)])
         # Monte Carlo sessions run through the names the tracer wraps
         harness.monte_carlo_range(ProtocolConfig(ell=3), "naive-guess", "m", 0, 2)
         # the collapsed guard check runs through the traced check_alg_guard
@@ -34,6 +34,9 @@ def test_every_traced_name_exists_and_is_restored():
     finally:
         assert tracer.restore()
     assert tracer.calls[tracer.names.index("symbolic.check_alg_guard")] == 1
+    # once, or the bench's oracle.guess_chance.* metrics read 0
+    assert tracer.calls[tracer.names.index("oracle.guess_chance")] == 1
+    assert early == oracle.analytic("early", ell=2)
     # and analyses each of the 8 subsets of its 3-term context once
     assert tracer.calls[tracer.names.index("symbolic.derive_closure")] == tracer.extra["saturated"] == 1 + 8
     assert rep.ok and rep.agrees_with_algebraic

@@ -697,8 +697,9 @@ def assert_counts_agree(known, targets, k):
 @example(([-(1 << 9)], [12, 9], 2))
 @example(([6], [-3, -1], 2))
 def test_mask_count_matches_the_row_count(case):
-    # both regimes of _best_rows, on either side of the width that chooses,
-    # and its two-row closed form
+    # both regimes of _best_rows, on either side of the width that chooses;
+    # a pass counts two-row components as position masks, and the k = 1
+    # examples here go through _best_masks
     assert_counts_agree(*case)
 
 
@@ -713,6 +714,117 @@ def test_mask_count_matches_the_row_count_at_the_word_boundary(k, n_known, n_tar
     rows = [oracle._pattern(j, k) for j in range(k)]
     assert assert_counts_agree(rows, targets, k) == 1 << k
     assert assert_counts_agree(rows[1:], rows[:1], k) == 1 << k - 1
+
+
+# --- two-row components counted as position masks ------------------------------
+
+
+@st.composite
+def two_row_scenarios(draw):
+    """Declarations, knowns and targets whose bits mostly read one position
+    each, so that a pass has many two-row components: 1-bit variables,
+    their negations and literals (tables that are negative ints), and
+    selections and kernel masks of a variable by a token of two bits, which
+    read the variable but vary on it only when the halves differ (a kernel
+    mask's star bits never vary on it).  Hash nodes of 1 or 2 bits hash
+    such bits, or a bit of an earlier node, so their arguments share
+    variables with the knowns and targets; knowns may pin them or not, and
+    nodes of one shape may collide."""
+    n = draw(st.integers(1, 5))
+    decls = tuple((f"v{i}", 1) for i in range(n))
+    var = st.sampled_from([Var(name) for name, _ in decls])
+    lit1 = st.sampled_from([Lit("0"), Lit("1")])
+    plain = st.one_of(var, var.map(Negate), lit1)
+    nodes: list = []
+
+    def bit():
+        options = [plain, st.builds(lambda x, a, b: BoxPlus(x, Concat((a, b))), var, plain, plain)]
+        if nodes:
+            options.append(st.sampled_from(nodes).flatmap(lambda h: st.sampled_from(
+                [Proj(h, i, i) for i in range(1, h.out_bits + 1)])))
+        return st.one_of(options)
+
+    for _ in range(draw(st.integers(0, 3))):
+        arg = draw(st.lists(bit(), min_size=1, max_size=2))
+        nodes.append(Hash(Concat(tuple(arg)), draw(st.integers(1, 2))))
+    term = st.one_of(
+        st.lists(bit(), min_size=1, max_size=3).map(lambda bs: Concat(tuple(bs))),
+        bit(),
+        st.builds(lambda x, a, b: KernelMask(x, Concat((a, b))), var, plain, plain),
+        st.sampled_from(nodes) if nodes else bit())
+    return decls, draw(st.lists(term, max_size=4)), draw(st.lists(term, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_row_scenarios())
+@example(((("v0", 1), ("v1", 1)), [Var("v0")], [Hash(Concat((Var("v0"),)), 1), Negate(Var("v1"))]))
+@example(((("v0", 1),), [KernelMask(Var("v0"), Concat((Lit("1"), Lit("1"))))], [Var("v0")]))
+def test_two_row_masks_match_the_references(scenario):
+    decls, knowns, targets = scenario
+    got = chance(decls, knowns, targets)
+    if any(exprs.hash_nodes(e) for e in knowns + targets):
+        assert got == restart_chance(decls, knowns, targets)
+    else:
+        assert got == reference_chance(decls, knowns, targets)
+    # one pass over more terms, as the checks ask, reads the same chance
+    assert oracle.chances(decls, [*targets, *knowns, Var(decls[0][0])])(knowns, targets) == got
+
+
+# --- one pass analyses each node once ------------------------------------------
+
+
+def test_a_pass_analyses_each_node_once(monkeypatch):
+    a, b = Var("a"), Var("b")
+    inner = Hash(a, 2)
+    outer = Hash(Concat((b, inner)), 2)
+    twin = Hash(Concat((b, Hash(a, 2))), 2)  # a copy of outer, as JSON parsing makes
+    decls = (("a", 1), ("b", 1))
+    queries = [([a, inner], [BoxPlus(b, outer)]), ([KernelMask(a, inner)], [Negate(twin), outer]),
+               ([], [inner, Lit("01")])]
+    shown = [e for q in queries for es in q for e in es]
+    want = [restart_chance(decls, *q) for q in queries]
+    real, analysed = oracle._analyse, Counter()
+
+    def spy(e, memo, fill):
+        if type(e) is not Var and id(e) not in memo:
+            analysed[id(e)] += 1
+        return real(e, memo, fill)
+
+    def refuse(e):
+        raise AssertionError(f"a pass walked {e!r} outside its analysis")
+
+    monkeypatch.setattr(oracle, "_analyse", spy)
+    for module in (exprs, oracle):
+        monkeypatch.setattr(module, "hash_nodes", refuse)
+        monkeypatch.setattr(module, "free_vars", refuse)
+    chance_of = oracle.chances(decls, shown)
+    assert [chance_of(*q) for q in queries] == want
+    # inner, outer and its argument, the twin, its argument and its own H(a),
+    # the selection, the mask, the negation and the literal
+    assert sorted(analysed.values()) == [1] * 10
+    for query, value in zip(queries, want):  # a pass per query, as ``chance`` makes
+        analysed.clear()
+        assert chance(decls, *query) == value
+        assert set(analysed.values()) == {1}
+
+
+# --- widths that are not ints -----------------------------------------------------
+
+
+@pytest.mark.parametrize("variables, targets, message", [
+    ({"x": True}, [Var("x")], "variable 'x' width must be an int, got True"),
+    ({"x": 2.0}, [Var("x")], "variable 'x' width must be an int, got 2.0"),
+    ({"x": "2"}, [Var("x")], "variable 'x' width must be an int, got '2'"),
+    ({"x": 2}, [Proj(Var("x"), 1.0, 2)], "slice bounds must be ints, got 1.0..2"),
+    ({"x": 2}, [Proj(Var("x"), 1, True)], "slice bounds must be ints, got 1..True"),
+    ({"x": 2}, [Hash(Var("x"), 2.0)], "hash output width must be an int, got 2.0"),
+    ({"x": 2}, [Negate(Hash(Var("x"), True))], "hash output width must be an int, got True"),
+])
+def test_widths_that_are_not_ints_are_usage_errors(variables, targets, message):
+    with pytest.raises(ValueError, match=message.replace(".", r"\.")):
+        chance(variables, [], targets)
+    with pytest.raises(ValueError, match=message.replace(".", r"\.")):
+        oracle.chances(variables, targets)
 
 
 # --- one pass slices each term once ---------------------------------------------
