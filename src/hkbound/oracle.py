@@ -34,7 +34,9 @@ every node once over all of a component's 2**k assignments, as one truth
 table per value bit, grouped by component once per term; the budget caps
 the widest component.  A two-row component is one bit of a mask of the
 positions a term varies on, and a query's two-row factor is
-2**-popcount(targets' mask & ~knowns' mask).  A wider component is
+2**-popcount(targets' mask & ~knowns' mask).  A pass whose components
+are all one position, as the kernel query's are, builds no tables, and
+a query on it with no class to pin is that factor.  A wider component is
 counted on its tables as masks, splitting its rows into classes of equal
 values with AND and popcount, while the classes fit one word's rows, and
 past that row by row (``_best_rows``).  Across calls the oracle keeps
@@ -295,6 +297,8 @@ class _TruthTables:
     term's tables are grouped by component once.  A two-row component (one
     position) is a bit of a mask instead: the positions on which one of a
     term's tables varies (``t & 3`` is 1 or 2; any int may be a table).
+    When every component is one position, the pass keeps no widths and
+    builds no row tables: every position's table is 2, its row number.
     Expressions are looked up by id, as ``shown`` holds them.
     """
 
@@ -339,18 +343,19 @@ class _TruthTables:
                 m |= c
             comps.append(m)
             covered |= m
-        self.widths = list(map(int.bit_count, comps))
-        if max(self.widths, default=0) > budget:
-            raise BudgetExceededError(max(self.widths), budget)
-        comp_of, tables, two = {}, {}, 0  # two: the positions of the two-row components
-        for i, c in enumerate(comps):
-            if self.widths[i] == 1:  # its table is the row number
-                tables[c], two = 2, two | c
-                continue
-            for table in _patterns(self.widths[i]):
-                bit = c & -c
-                comp_of[bit], tables[bit] = i, table
-                c ^= bit
+        # components all of one position: no widths, no tables, a 1-bit budget if any is read
+        self.widths = [] if len(comps) == covered.bit_count() else list(map(int.bit_count, comps))
+        if (widest := max(self.widths, default=covered and 1)) > budget:
+            raise BudgetExceededError(widest, budget)
+        comp_of, tables, two = {}, {}, covered  # two: the positions of the two-row components
+        for i, k in enumerate(self.widths):
+            if k > 1:  # a one-position table is 2, the row number; the default below
+                c = comps[i]
+                two ^= c
+                for table in _patterns(k):
+                    bit = c & -c
+                    comp_of[bit], tables[bit] = i, table
+                    c ^= bit
 
         def group(ms, ts):  # the tables of each wider component, and the two-row mask
             by_comp, varies = {}, 0
@@ -362,11 +367,12 @@ class _TruthTables:
                     by_comp.setdefault(comp_of[m & -m], []).append(t)
             return by_comp, varies
 
-        cols = {name: [tables.get(m, 0) for m in memo[name][0]] for name, _ in variables}
+        cols = {name: [tables.get(m, 2) for m in memo[name][0]] if tables else [2] * bits
+                for name, bits in variables}
         self.args, self.entries, args = {}, {}, {}
         for key, nodes in classes.items():
             arg = args[key] = _slices(nodes[0].arg, cols)
-            entry = [tables[m] for m in fresh[key]]
+            entry = [tables.get(m, 2) for m in fresh[key]]
             for i in reversed(earlier[key]):
                 eq = reduce(and_, (~(p ^ q) for p, q in zip(args[i], arg)), -1)
                 entry = [eq & e | ~eq & t for e, t in zip(cols[id(classes[i][0])], entry)]
@@ -384,7 +390,16 @@ class _TruthTables:
         when some target varies on it and no known does.  A class's entry
         joins the knowns once its argument follows from the knowns in every
         component, to a fixpoint, so that chains of hashes resolve in order;
-        only the query's own classes are pinned (``chances`` says why)."""
+        only the query's own classes are pinned (``chances`` says why).
+        A pass of one-position components and no class reads the chance
+        off the two masks alone: 2**-popcount(target & ~known)."""
+        if not self.widths and not self.entries:  # one position per component, no class to pin
+            known = target = 0
+            for e in knowns:
+                known |= self.columns[id(e)][1]
+            for e in targets:
+                target |= self.columns[id(e)][1]
+            return Fraction(1, 1 << (target & ~known).bit_count())
         given, known = _merged([self.columns[id(e)] for e in knowns])
         want, target = _merged([self.columns[id(e)] for e in targets])
         widths = self.widths
@@ -498,11 +513,6 @@ def advantage(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction
     knowns, targets = scenario.knowns, scenario.targets
     chance_of = chances(scenario.variables, knowns + targets, budget)
     return chance_of(knowns, targets) - chance_of((), targets)
-
-
-def flow_independent(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> bool:
-    """True when the knowns give no advantage at all."""
-    return advantage(scenario, budget) == 0
 
 
 class SubbayesReport(NamedTuple):

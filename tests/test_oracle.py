@@ -31,7 +31,6 @@ from hkbound.oracle import (
     chance,
     check_prob_guard,
     check_subbayes,
-    flow_independent,
     guess_chance,
 )
 from hkbound.protocol import ProtocolConfig
@@ -68,7 +67,6 @@ def test_mapping_and_pair_declarations_agree():
 
 def test_irrelevant_knowledge_gives_no_advantage():
     scenario = GuessScenario((("u", 2), ("v", 2)), (Var("v"),), (Var("u"),))
-    assert flow_independent(scenario)
     assert advantage(scenario) == 0
 
 
@@ -106,6 +104,19 @@ def test_budget_is_enforced():
     assert chance({"a": 1, "b": 1}, [], pair, budget=6) == Fraction(5, 32)
     # unused variables cost nothing
     assert chance({"u": 2, "w": 100}, [], [Var("u")], budget=24) == Fraction(1, 4)
+
+
+def test_a_pass_of_single_positions_needs_a_one_bit_budget():
+    # the kernel query: every component is one position of x, and only the
+    # position where the token's halves differ counts, yet reading any
+    # position takes a 1-bit budget; a pass that reads none takes none
+    token = Lit("1011")
+    query = ({"x": 2}, [token], [BoxPlus(Var("x"), token)])
+    with pytest.raises(BudgetExceededError) as err:
+        chance(*query, budget=0)
+    assert (err.value.required_bits, err.value.budget) == (1, 0)
+    assert chance(*query, budget=1) == Fraction(1, 2)
+    assert chance({"x": 2}, [token], [Lit("01")], budget=0) == 1
 
 
 def test_budget_does_not_change_small_answers():
@@ -759,6 +770,10 @@ def two_row_scenarios(draw):
 @given(two_row_scenarios())
 @example(((("v0", 1), ("v1", 1)), [Var("v0")], [Hash(Concat((Var("v0"),)), 1), Negate(Var("v1"))]))
 @example(((("v0", 1),), [KernelMask(Var("v0"), Concat((Lit("1"), Lit("1"))))], [Var("v0")]))
+# passes of one-position components: no position, a pinned class, an unpinned one
+@example(((("v0", 1),), [Lit("1")], [Concat((Lit("0"), Lit("1")))]))
+@example(((("v0", 1), ("v1", 1)), [Negate(Var("v0"))], [Hash(Concat((Var("v0"),)), 2), Var("v1")]))
+@example(((("v0", 1), ("v1", 1)), [Var("v1")], [Hash(Concat((Var("v0"),)), 2), Negate(Var("v1"))]))
 def test_two_row_masks_match_the_references(scenario):
     decls, knowns, targets = scenario
     got = chance(decls, knowns, targets)
@@ -768,6 +783,33 @@ def test_two_row_masks_match_the_references(scenario):
         assert got == reference_chance(decls, knowns, targets)
     # one pass over more terms, as the checks ask, reads the same chance
     assert oracle.chances(decls, [*targets, *knowns, Var(decls[0][0])])(knowns, targets) == got
+
+
+def test_passes_of_single_positions_build_no_tables(monkeypatch):
+    v0, v1, token = Var("v0"), Var("v1"), Lit("10110010")
+    pair = (("v0", 1), ("v1", 1))
+    kernel = ((("v0", 4),), [token], [BoxPlus(v0, token)])
+    pinned = (pair, [Negate(v0)], [Hash(Concat((v0,)), 2), v1])
+    unpinned = (pair, [v1], [Hash(Concat((v0,)), 2), Negate(v1)])
+    blank = (pair, [token], [Lit("1")])  # no position
+    queries = [kernel, pinned, unpinned, blank]
+    want = [restart_chance(*q) for q in queries]
+    assert want == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), 1]
+    for decls, knowns, targets in queries:
+        assert oracle._TruthTables(decls, (*knowns, *targets), oracle.DEFAULT_BUDGET).widths == []
+
+    def refuse(*args):
+        raise AssertionError(f"a one-position pass built or merged tables: {args[-1]!r}")
+
+    for name in ("_patterns", "_best_rows", "_merged"):
+        monkeypatch.setattr(oracle, name, refuse)
+    assert [chance(*q) for q in (kernel, blank)] == [want[0], want[3]]
+    monkeypatch.undo()  # a query with a class to pin merges its entry's groups
+    monkeypatch.setattr(oracle, "_patterns", refuse)
+    monkeypatch.setattr(oracle, "_best_rows", refuse)
+    assert [chance(*q) for q in (pinned, unpinned)] == want[1:3]
+    with pytest.raises(AssertionError, match="tables: 6"):  # muxed classes: one 6-bit component
+        chance(pair, [], [Hash(v0, 2), Hash(v1, 2)])
 
 
 # --- one pass analyses each node once ------------------------------------------
@@ -1070,7 +1112,7 @@ def test_one_pass_raises_where_the_queries_asked_alone_raise():
             pytest.fail("no query raises alone")
     for scenario, bits in ((GuessScenario(wide, (), (chained(u, 30),)), 30),
                            (GuessScenario(pair, (Hash(v, 2),), (Hash(u, 2),)), 28)):
-        for check in (advantage, flow_independent, guess_chance):
+        for check in (advantage, guess_chance):
             with pytest.raises(BudgetExceededError) as err:
                 check(scenario)
             assert err.value.required_bits == bits
