@@ -112,19 +112,23 @@ class Hash:
 Expr = Union[Var, Lit, Concat, Negate, Proj, BoxPlus, KernelMask, Hash]
 
 
-def free_vars(e: Expr) -> set[str]:
+def free_vars(e: Expr, found: set[str] | None = None) -> set[str]:
+    """The names of the variables in ``e``, added to ``found`` when given."""
+    found = set() if found is None else found
     kind = type(e)
     if kind is Var:
-        return {e.name}
-    if kind is Lit:
-        return set()
-    if kind is Concat:
-        return set().union(*map(free_vars, e.parts))
-    if kind is BoxPlus or kind is KernelMask:
-        return free_vars(e.x) | free_vars(e.h)
-    if kind is Negate or kind is Proj or kind is Hash:
-        return free_vars(e.arg)
-    raise TypeError(f"not an expression: {e!r}")
+        found.add(e.name)
+    elif kind is Concat:
+        for p in e.parts:
+            free_vars(p, found)
+    elif kind is BoxPlus or kind is KernelMask:
+        free_vars(e.x, found)
+        free_vars(e.h, found)
+    elif kind is Negate or kind is Proj or kind is Hash:
+        free_vars(e.arg, found)
+    elif kind is not Lit:
+        raise TypeError(f"not an expression: {e!r}")
+    return found
 
 
 def width(e: Expr, declared: dict[str, int]) -> int:

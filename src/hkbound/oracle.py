@@ -56,7 +56,8 @@ session token, and every full-knowledge chance would come out wrong.
 A check that asks several chances over one declaration reads them all
 off one enumeration of their terms (``chances``): ``check_subbayes``,
 ``advantage``, ``check_prob_guard`` and the ``enumerate`` claims that
-ask many.
+ask many.  With no class to pin, ``check_subbayes`` reads its three off
+one split of each component's rows, by xi, then gamma, then theta.
 
 Everything returns exact fractions; nothing here samples.
 """
@@ -281,7 +282,7 @@ def _best_counted(given: list, tables: list, k: int) -> int:
 
 
 class _TruthTables:
-    """Truth tables of the expressions ``shown``, for ``chance`` to read.
+    """Truth tables of the expressions ``shown``, for ``chance`` and ``product_rule`` to read.
 
     Each variable bit, and each bit of a hash class's fresh entry, is a
     position.  Classes are taken in fill order, an argument's nodes first.
@@ -417,6 +418,39 @@ class _TruthTables:
             best *= _best_rows(given.get(c, []), ts, widths[c])
         return Fraction(best, 1 << bits)
 
+    __call__ = chance  # a pass is the ``chance_of`` that ``chances`` hands out
+
+    def product_rule(self, xi, gamma, theta) -> tuple[Fraction, Fraction, Fraction] | None:
+        """chance(xi -> gamma), chance(xi,gamma -> theta) and chance(xi ->
+        gamma,theta) off one split of the rows of each component that gamma
+        or theta reads, by xi's tables, then gamma's, then theta's: sums of
+        the largest (xi,gamma) class per xi class, and of the largest theta
+        class per (xi,gamma) class and per xi class.  An unread component
+        sums to 2**k, a factor of 1.  None on a pass with a class to pin or
+        a component past the mask regime (``_best_rows``)."""
+        if self.entries:
+            return None
+        (xs, mx), (gs, mg), (ts, mt) = (_merged([self.columns[id(e)] for e in es]) for es in (xi, gamma, theta))
+        bits, s1, s2, s3 = 0, 1, 1, 1
+        for c in gs.keys() | ts.keys():
+            k, given, middle, last = self.widths[c], xs.get(c, []), gs.get(c, []), ts.get(c, [])
+            if k > WORD_LOG and len(given) + len(middle) + len(last) > WORD_LOG:
+                return None
+            bits += k
+            t1 = t2 = t3 = 0
+            for x in _classes(given, (1 << (1 << k)) - 1):
+                top_g = top_t = 0
+                for g in _classes(middle, x):
+                    top = max(map(int.bit_count, _classes(last, g)))
+                    t2 += top
+                    top_g, top_t = max(top_g, g.bit_count()), max(top_t, top)
+                t1 += top_g
+                t3 += top_t
+            s1, s2, s3 = s1 * t1, s2 * t2, s3 * t3
+        return (Fraction(s1, 1 << bits + (mg & ~mx).bit_count()),
+                Fraction(s2, 1 << bits + (mt & ~(mx | mg)).bit_count()),
+                Fraction(s3, 1 << bits + ((mg | mt) & ~mx).bit_count()))
+
 
 def _merged(sides: list) -> tuple[dict, int]:
     """Several terms' grouped tables and two-row masks as one; no input is extended."""
@@ -430,10 +464,10 @@ def _merged(sides: list) -> tuple[dict, int]:
     return by_comp, varies
 
 
-def _enumerate(variables, shown: Sequence[Expr], budget: int):
-    """``chance_of(knowns, targets)`` for queries over ``shown``, read off
-    one ``_TruthTables`` enumeration of it."""
-    return _TruthTables(variables, shown, budget).chance
+def _enumerate(variables, shown: Sequence[Expr], budget: int) -> _TruthTables:
+    """One ``_TruthTables`` enumeration of ``shown``, callable as
+    ``chance_of(knowns, targets)`` for queries over it."""
+    return _TruthTables(variables, shown, budget)
 
 
 def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
@@ -539,9 +573,10 @@ def check_subbayes(
     """Compare chance(xi -> gamma) * chance(xi,gamma -> theta) with chance(xi -> gamma,theta).
 
     The three chances are read off one ``chances`` pass over xi, gamma and
-    theta, which are the last query's own terms: the pass is over the
-    budget exactly when that query is, and then the three are asked one
-    by one, as they would be alone.
+    theta, the last query's own terms, so the pass is over the budget
+    exactly when that query is, and then each is asked alone.  With no
+    class to pin, all three come off one split of each component's rows
+    (``_TruthTables.product_rule``); otherwise the pass answers each.
 
     ``holds`` is the product inequality lhs <= rhs and ``equality`` is
     lhs == rhs.  Two conditions on the expressions are reported beside
@@ -571,20 +606,26 @@ def check_subbayes(
     xi, gamma, theta = tuple(xi), tuple(gamma), tuple(theta)
     context = xi + gamma
     chance_of = chances(variables, context + theta, budget)
-    a = chance_of(xi, gamma)
-    b = chance_of(context, theta)
-    rhs = chance_of(xi, gamma + theta)
-    lhs = a * b
-    fv_xi, fv_gamma, fv_theta = (set().union(*map(free_vars, es)) for es in (xi, gamma, theta))
-    shared_table = any(hash_nodes(e) for e in theta) and any(hash_nodes(e) for e in context)
+    got = chance_of.product_rule(xi, gamma, theta) if isinstance(chance_of, _TruthTables) else None
+    a, b, rhs = got or (chance_of(xi, gamma), chance_of(context, theta), chance_of(xi, gamma + theta))
+    fv_theta, fv_context = set(), set()  # fv_context takes xi's names, then gamma's
+    for found, es in ((fv_theta, theta), (fv_context, xi)):
+        for e in es:
+            free_vars(e, found)
+    disjoint = fv_context.isdisjoint(fv_theta)
+    for e in gamma:
+        free_vars(e, fv_context)
+    left = a.numerator * b.numerator * rhs.denominator  # lhs and rhs over one denominator
+    right = rhs.numerator * a.denominator * b.denominator
     return SubbayesReport(
         lhs_first=a,
         lhs_second=b,
         rhs=rhs,
-        holds=lhs <= rhs,
-        disjoint=not fv_xi & fv_theta,
-        equality=lhs == rhs,
-        independent=not (fv_xi | fv_gamma) & fv_theta and not shared_table,
+        holds=left <= right,
+        disjoint=disjoint,
+        equality=left == right,
+        independent=fv_context.isdisjoint(fv_theta) and not (
+            any(hash_nodes(e) for e in theta) and any(hash_nodes(e) for e in context)),
     )
 
 
@@ -742,7 +783,7 @@ def binomial_identity_check(ell: int) -> tuple[Fraction, Fraction, bool]:
     """sum_i C(ell,i) 2**-i against (3/2)**ell, both exact."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    lhs = sum(Fraction(comb(ell, i), 2**i) for i in range(ell + 1))
+    lhs = Fraction(sum(comb(ell, i) << ell - i for i in range(ell + 1)), 1 << ell)
     rhs = Fraction(3, 2) ** ell
     return lhs, rhs, lhs == rhs
 

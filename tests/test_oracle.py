@@ -9,6 +9,7 @@ table to chances enumerated query by query.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -1321,6 +1322,90 @@ def test_product_inequality_overlapping_case():
     assert rep.holds
 
 
+def subbayes_reference(decls, xi, gamma, theta, budget):
+    """``check_subbayes`` as three reads of one ``chances`` pass, with the
+    flags from a name set per term and ``hash_nodes``."""
+    chance_of = oracle.chances(decls, xi + gamma + theta, budget)
+    a, b, rhs = chance_of(xi, gamma), chance_of(xi + gamma, theta), chance_of(xi, gamma + theta)
+    fv_xi, fv_gamma, fv_theta = (set().union(*map(exprs.free_vars, es)) for es in (xi, gamma, theta))
+    shared_table = any(exprs.hash_nodes(e) for e in theta) and any(exprs.hash_nodes(e) for e in xi + gamma)
+    return oracle.SubbayesReport(a, b, rhs, a * b <= rhs, not fv_xi & fv_theta, a * b == rhs,
+                                 not (fv_xi | fv_gamma) & fv_theta and not shared_table)
+
+
+@st.composite
+def subbayes_cases(draw):
+    """Corpus cases of 4 to 12 bits, and cases of slices of an n-bit
+    variable and its ``chained`` selection, one component of up to n bits
+    for n in 2..9; in half of them gamma's and theta's first terms are
+    hashed (``hashed_case``)."""
+    if draw(st.booleans()):
+        case = oracle.random_subbayes_case(draw(st.randoms(use_true_random=False)), draw(st.integers(4, 12)))
+    else:
+        n, w = draw(st.integers(2, 9)), Var("w")
+        ends = st.tuples(st.integers(1, n), st.integers(1, n)).map(sorted)
+        part = st.builds(lambda e, lo_hi: Proj(e, *lo_hi), st.sampled_from([w, chained(w, n)]), ends)
+        case = ((("w", n),), *(tuple(draw(st.lists(part, min_size=lo, max_size=2))) for lo in (0, 1, 1)))
+    return hashed_case(case) if draw(st.booleans()) else case
+
+
+v0, v1, wide = Var("v0"), Var("v1"), Var("w")
+
+
+@settings(max_examples=300, deadline=None)
+@given(subbayes_cases(), st.sampled_from([3, 5, oracle.DEFAULT_BUDGET]))
+@example(((("v0", 2), ("v1", 1)), (), (chained(v0, 2),), (v0, v1)), oracle.DEFAULT_BUDGET)  # empty xi
+# theta names v0, which xi reads, but reads only v1's bit
+@example(((("v0", 1), ("v1", 1)), (v0,), (Negate(v1),), (Proj(Concat((v0, v1)), 1, 1),)),
+         oracle.DEFAULT_BUDGET)
+@example(((("a0", 1), ("a1", 1), ("b1", 1)), (), (Hash(Var("a0"), 1), Hash(Var("a1"), 1)),
+          (Hash(Var("b1"), 1),)), oracle.DEFAULT_BUDGET)  # the docstring's shared table
+# one 8-bit component read by 19 tables: past the mask regime
+@example(((("w", 8),), (Proj(wide, 1, 3),), (chained(wide, 8),), (wide,)), oracle.DEFAULT_BUDGET)
+@example(((("w", 8),), (), (chained(wide, 8),), (wide,)), 7)  # a pass over the budget
+def test_subbayes_matches_three_reads_of_its_pass(case, budget):
+    def outcome(check):
+        try:
+            return check(*case, budget)
+        except BudgetExceededError as err:
+            return "over budget", err.required_bits
+
+    assert outcome(check_subbayes) == outcome(subbayes_reference)
+
+
+def test_a_hash_free_pass_reads_the_product_rule_off_one_split(monkeypatch):
+    # the third case of the seed-1 corpus has a 3-bit component; hashed, it
+    # has classes to pin, and a component of 8 bits read by 19 tables is
+    # past the mask regime: both ask the pass three queries
+    rng = random.Random(1)
+    case = [oracle.random_subbayes_case(rng) for _ in range(3)][-1]
+    decls, xi, gamma, theta = case
+    assert not any(exprs.hash_nodes(e) for e in xi + gamma + theta)
+    assert 3 in oracle._TruthTables(decls, xi + gamma + theta, oracle.DEFAULT_BUDGET).widths
+    past = ((("w", 8),), (Proj(wide, 1, 3),), (chained(wide, 8),), (wide,))
+    want = [subbayes_reference(*c, oracle.DEFAULT_BUDGET) for c in (case, hashed_case(case), past)]
+    calls = Counter()
+    real_chance, real_best = oracle._TruthTables.chance, oracle._best_rows
+
+    def chance_spy(self, knowns, targets):
+        calls["chance"] += 1
+        return real_chance(self, knowns, targets)
+
+    def best_spy(*args):
+        calls["_best_rows"] += 1
+        return real_best(*args)
+
+    monkeypatch.setattr(oracle._TruthTables, "chance", chance_spy)
+    monkeypatch.setattr(oracle._TruthTables, "__call__", chance_spy)
+    monkeypatch.setattr(oracle, "_best_rows", best_spy)
+    assert check_subbayes(*case) == want[0]
+    assert calls == {}
+    for other, value in zip((hashed_case(case), past), want[1:]):
+        calls.clear()
+        assert check_subbayes(*other) == value
+        assert calls["chance"] == 3 and calls["_best_rows"] > 0
+
+
 # --- guard checking ----------------------------------------------------------
 
 
@@ -1369,6 +1454,14 @@ def test_binomial_identity_range():
         assert equal and lhs == rhs == Fraction(3, 2) ** ell
     with pytest.raises(ValueError):
         binomial_identity_check(-1)
+
+
+def test_binomial_identity_sums_over_one_denominator():
+    # the left side is the sum of C(ell, i) * 2**-i, term by term
+    for ell in range(61):
+        lhs, rhs, equal = binomial_identity_check(ell)
+        assert lhs == sum(Fraction(math.comb(ell, i), 2**i) for i in range(ell + 1))
+        assert rhs == Fraction(3, 2) ** ell and equal
 
 
 def test_analytic_claims():
