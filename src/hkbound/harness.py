@@ -13,7 +13,6 @@ import csv
 import hashlib
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -191,7 +190,6 @@ def sweep(
     trials: int,
     master_seed,
     csv_path=None,
-    base_cfg: ProtocolConfig | None = None,
 ) -> list[SweepRow]:
     """One Monte Carlo estimate per challenge length, optionally as CSV."""
     ells = list(ells)
@@ -203,8 +201,7 @@ def sweep(
     rows: list[SweepRow] = []
     prev: float | None = None
     for ell in ells:
-        cfg = ProtocolConfig(ell=ell) if base_cfg is None else replace(base_cfg, ell=ell)
-        est = monte_carlo(cfg, strategy, trials, f"{master_seed}|ell={ell}")
+        est = monte_carlo(ProtocolConfig(ell=ell), strategy, trials, f"{master_seed}|ell={ell}")
         ratio = None if prev in (None, 0.0) else est.p_hat / prev
         rows.append(
             SweepRow(ell, name, trials, est.successes, est.p_hat, est.ci95,

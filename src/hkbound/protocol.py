@@ -81,7 +81,13 @@ class ProtocolConfig:
     enforce_counter_freshness: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.positions, Mapping):
+            raise ValueError(f"positions must be a mapping, got {self.positions!r}")
         object.__setattr__(self, "positions", MappingProxyType(dict(self.positions)))
+        doc = self.to_json()
+        for key, kinds in _JSON_FIELDS.items():
+            json_field(doc, key, kinds)
+        json_field(doc, "positions", dict, item=_NUMBER)
         if self.ell < 1:
             raise ValueError("ell must be at least 1")
         if self.secret_bits < 1:
@@ -169,16 +175,14 @@ class ProtocolConfig:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ProtocolConfig":
-        """Build from a JSON object; an unknown field or one of the wrong type is a ValueError."""
+        """Build from a JSON object; an unknown, mistyped or missing required field is a ValueError."""
         json_fields(data, _JSON_FIELDS)
-        for key in data:
-            json_field(data, key, _JSON_FIELDS[key])
-        json_field(data, "positions", dict, {}, item=_NUMBER)
+        json_field(data, "ell", int)  # the one field without a default
         return cls(**data)
 
 
 _NUMBER = (int, float)
-# JSON field -> the exact types it may hold (a bool is not a number here).
+# field -> the exact types it may hold, built directly or from JSON (a bool is not a number here)
 _JSON_FIELDS = {
     "ell": (int,),
     "secret_bits": (int,),
@@ -274,23 +278,22 @@ class Event(NamedTuple):
 
 @dataclass(frozen=True)
 class Transcript:
-    """Everything the verifier observed, plus the event log when recorded.
+    """A recorded session: its event log, and what the verifier expected.
 
-    A recorded session fills the event log and the per-round arrays, as
-    lists.  A session run with ``record=False`` (bulk Monte Carlo)
-    returns one of two shared constants, ``Transcript()`` or
-    ``Transcript(counter_reused=True)``: no events, empty per-round
-    tuples, and its verdict comes from the session itself.  A transcript
-    is frozen and its defaults are empty tuples, so the constants cannot
-    be modified through any session that returned them.
+    The log is the one record of the rounds.  The verifier's own
+    ``send x<i>`` and ``receive r<i>`` events hold each challenge's
+    departure, each answer's arrival and its bit text; ``expected`` holds
+    the token bits the verifier derived for the challenges it sent, an
+    ell-bit int with round 1 in the most significant bit.  A session run
+    with ``record=False`` (bulk Monte Carlo) returns one of two shared
+    constants, ``Transcript()`` or ``Transcript(counter_reused=True)``:
+    no events, and its verdict comes from the session itself.  A
+    transcript is frozen and its default log is an empty tuple, so the
+    constants cannot be modified through any session that returned them.
     """
 
     events: Sequence[Event] = ()
-    challenge_send_ticks: Sequence[int] = ()
-    response_recv_ticks: Sequence[int | None] = ()
-    challenges: Sequence[int] = ()
-    responses: Sequence[int | None] = ()
-    expected: Sequence[int] = ()
+    expected: int = 0
     counter_reused: bool = False
 
     def to_jsonl(self) -> str:
@@ -337,39 +340,40 @@ def _judge_uniform(cfg: ProtocolConfig, bits_correct: int, rtt: int) -> Verdict:
 
 
 def verifier_decide(t: Transcript, cfg: ProtocolConfig) -> Verdict:
-    """Recompute the verdict from a recorded transcript alone.
+    """Recompute the verdict from the verifier's own events in a recorded transcript.
 
-    Reason precedence: counter_reused, then wrong_bits, then too_far.
-    A round whose response never arrived counts as a wrong bit and
-    contributes the timeout window to the distance estimate; a response
-    that did arrive is measured at its true round trip, so an honest but
+    Round i is the verifier's ``send x<i>`` and ``receive r<i>`` events
+    (``_round_labels``); a round with no send is a ValueError, and so is
+    an answer received before its challenge was sent.  Reason
+    precedence: counter_reused, then wrong_bits, then too_far.  A round
+    whose response never arrived counts as a wrong bit and contributes
+    the timeout window to the distance estimate; a response that did
+    arrive is measured at its true round trip, so an honest but
     out-of-range prover is rejected as too_far rather than wrong_bits.
     """
     if t.counter_reused:
         return _REUSED
     ell = cfg.ell
-    lists = (
-        t.challenge_send_ticks,
-        t.response_recv_ticks,
-        t.challenges,
-        t.responses,
-        t.expected,
-    )
-    if any(len(xs) != ell for xs in lists):
-        raise ValueError(f"transcript does not cover all {ell} rounds")
+    sent, got = {}, {}
+    for e in t.events:
+        if e.principal == VERIFIER:
+            if e.kind == "send":
+                sent[e.name] = e.tick
+            elif e.kind == "receive":
+                got[e.name] = e
     rtts: list[int] = []
     bits_correct = 0
-    for sent, got, answer, want in zip(
-        t.challenge_send_ticks, t.response_recv_ticks, t.responses, t.expected
-    ):
-        if got is None or answer is None:
+    for shift, (x_name, r_name, _) in zip(range(ell - 1, -1, -1), _round_labels(ell)):
+        if x_name not in sent:
+            raise ValueError(f"transcript does not cover all {ell} rounds")
+        answer = got.get(r_name)
+        if answer is None:
             rtts.append(cfg.timeout_ticks)
             continue
-        if got < sent:
+        if answer.tick < sent[x_name]:
             raise ValueError("response received before its challenge was sent")
-        rtts.append(got - sent)
-        if answer == want:
-            bits_correct += 1
+        rtts.append(answer.tick - sent[x_name])
+        bits_correct += answer.value == _BIT[t.expected >> shift & 1]
     return _judge(cfg, bits_correct, tuple(rtts))
 
 
@@ -529,8 +533,8 @@ def run_session(
     bits of response xor expected, and a round trip is 0 in a round
     answered early and the honest round trip otherwise (a mixed early
     mask reads its round trips off its own bit text).  With
-    ``record=True`` the transcript holds the event log and the per-round
-    arrays, from which ``verifier_decide`` reaches the same verdict;
+    ``record=True`` the transcript holds the event log and the expected
+    bits, from which ``verifier_decide`` reaches the same verdict;
     with ``record=False`` the session builds no transcript and returns
     one of the two shared empty ones (see ``Transcript``).
 
@@ -620,23 +624,12 @@ def run_session(
     # Stage 2: sequential timed rounds.
     who = PROVER if responder_pos == PROVER else ADVERSARY
     cpath, rpath = (VERIFIER, who), (who, VERIFIER)
-    send_ticks, recv_ticks, xs, rs, es = [], [], [], [], []
     t = clock if adversary is None else view.clock
     answer = delay + cfg.processing_ticks
     for shift, (x_name, r_name, r_term) in zip(range(ell - 1, -1, -1), _round_labels(ell)):
-        x_i = (challenges >> shift) & 1
-        r_i = (response_value >> shift) & 1
-        e_i = (expected_value >> shift) & 1
-        early = (early_mask >> shift) & 1
-        recv: int | None = t if early else t + rtt_wait
-        if silent:
-            recv = None
-        send_ticks.append(t)
-        recv_ticks.append(recv)
-        xs.append(x_i)
-        rs.append(None if silent else r_i)
-        es.append(e_i)
-        xb, rb = _BIT[x_i], _BIT[r_i]
+        early = (early_mask >> shift) & 1  # never set on a silent prover
+        recv = t if early else t + rtt_wait
+        xb, rb = _BIT[(challenges >> shift) & 1], _BIT[(response_value >> shift) & 1]
         events.append(Event(t, VERIFIER, "send", x_name, xb, cpath, x_name))
         if not silent:
             if early:
@@ -646,7 +639,7 @@ def run_session(
                 events += (Event(t + delay, who, "receive", x_name, xb, cpath, x_name),
                            Event(t + answer, who, "send", r_name, rb, rpath, r_term))
             events.append(Event(recv, VERIFIER, "receive", r_name, rb, rpath, r_term))
-        t = (t + rtt_wait if recv is None else recv) + 1
+        t = recv + 1
 
     events.sort(key=itemgetter(0))
-    return Transcript(events, send_ticks, recv_ticks, xs, rs, es), verdict
+    return Transcript(events, expected_value), verdict

@@ -169,12 +169,6 @@ def test_sweep_validation():
         sweep("naive-guess", [1], 0, "s")
 
 
-def test_sweep_respects_base_config(tmp_path):
-    base = ProtocolConfig(ell=1, enforce_counter_freshness=False)
-    rows = sweep("counter-reuse", [1, 2], 40, "cr", base_cfg=base)
-    assert all(r.successes == 40 for r in rows)
-
-
 # --- the acceptance-confidence bound ------------------------------------------
 
 

@@ -13,6 +13,7 @@ import json
 import math
 import pickle
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from hkbound import bits, harness, hkfun
 from hkbound.hkfun import select
 from hkbound.protocol import (
     PROVER,
+    VERIFIER,
     Event,
     CounterReuseRefused,
     CounterStore,
@@ -38,6 +40,11 @@ from hkbound.protocol import (
 )
 
 
+def _verifier_events(transcript) -> dict[tuple[str, str], Event]:
+    """The verifier's own events, keyed by (kind, name): ("send", "x1"), ("receive", "r1"), ..."""
+    return {(e.kind, e.name): e for e in transcript.events if e.principal == VERIFIER}
+
+
 def test_honest_session_accepts_with_exact_timing():
     cfg = ProtocolConfig(ell=4)
     transcript, verdict = run_session(cfg, "baseline")
@@ -45,7 +52,9 @@ def test_honest_session_accepts_with_exact_timing():
     assert verdict.bits_correct == 4
     assert verdict.per_bit_rtt == (6, 6, 6, 6)
     assert verdict.estimated_distance == 3.0
-    assert transcript.responses == transcript.expected
+    seen = _verifier_events(transcript)
+    answers = "".join(seen["receive", f"r{i}"].value for i in range(1, 5))
+    assert answers == f"{transcript.expected:04b}"
 
 
 def test_sessions_are_seed_deterministic():
@@ -142,7 +151,9 @@ def test_replay_against_a_remembering_prover_times_out():
     transcript, second = run_session(cfg, 7, prover_store=prover_store)
     assert first.accepted
     # fresh verifier store, so the counters pass; the prover stays silent
-    assert transcript.responses == [None, None, None]
+    seen = _verifier_events(transcript)
+    assert [("send", f"x{i}") in seen for i in (1, 2, 3)] == [True] * 3
+    assert [("receive", f"r{i}") in seen for i in (1, 2, 3)] == [False] * 3
     assert not second.accepted and second.reason == "wrong_bits"
     cutoff = math.ceil(cfg.timeout_rtt)
     assert second.per_bit_rtt == (cutoff,) * 3
@@ -159,19 +170,43 @@ def test_freshness_can_be_disabled():
 def test_transcript_validation():
     cfg = ProtocolConfig(ell=3)
     transcript, _ = run_session(cfg, 2)
-    short = Transcript([], [0], [6], [0], [0], [0])
+    # one round of three
+    short = Transcript([Event(0, VERIFIER, "send", "x1", "0"),
+                        Event(6, VERIFIER, "receive", "r1", "0")], 0)
     with pytest.raises(ValueError):
         verifier_decide(short, cfg)
+    # every answer arrives 20 ticks before its challenge leaves
+    seen = _verifier_events(transcript)
     warped = Transcript(
-        [],
-        transcript.challenge_send_ticks,
-        [t - 20 for t in transcript.challenge_send_ticks],
-        transcript.challenges,
-        transcript.responses,
+        [e._replace(tick=seen["send", "x" + e.name[1:]].tick - 20)
+         if e.principal == VERIFIER and e.kind == "receive" and e.name[0] == "r" else e
+         for e in transcript.events],
         transcript.expected,
     )
     with pytest.raises(ValueError):
         verifier_decide(warped, cfg)
+
+
+def test_the_verdict_reads_the_verifiers_events():
+    cfg = ProtocolConfig(ell=4)
+    transcript, verdict = run_session(cfg, "log")
+    assert verdict.reason == "ok" and verifier_decide(transcript, cfg) == verdict
+
+    def edited(kind, name, change):
+        """The transcript with the verifier's (kind, name) event replaced by change(event); None drops it."""
+        events = [change(e) if e[1:4] == (VERIFIER, kind, name) else e for e in transcript.events]
+        return dataclasses.replace(transcript, events=[e for e in events if e is not None])
+
+    for i in range(1, 5):
+        flipped = edited("receive", f"r{i}", lambda e: e._replace(value="10"[int(e.value)]))
+        assert verifier_decide(flipped, cfg).reason == "wrong_bits"
+        assert verifier_decide(flipped, cfg).bits_correct == 3
+        late = edited("receive", f"r{i}", lambda e: e._replace(tick=e.tick + 5))
+        rtts = list(verdict.per_bit_rtt)
+        rtts[i - 1] += 5
+        assert verifier_decide(late, cfg).per_bit_rtt == tuple(rtts)
+        with pytest.raises(ValueError):
+            verifier_decide(edited("send", f"x{i}", lambda e: None), cfg)
 
 
 def test_event_log_is_ordered_and_causal():
@@ -181,7 +216,9 @@ def test_event_log_is_ordered_and_causal():
     assert all(e.tick >= 0 for e in events)
     assert [e.tick for e in events] == sorted(e.tick for e in events)
     delay = cfg.delay_ticks("verifier", "prover")
-    for i, sent in enumerate(transcript.challenge_send_ticks, start=1):
+    seen = _verifier_events(transcript)
+    for i in range(1, 5):
+        sent = seen["send", f"x{i}"].tick
         (recv,) = [e for e in events if e.name == f"r{i}" and e.kind == "receive"]
         assert recv.tick == sent + 2 * delay + cfg.processing_ticks
         (hear,) = [e for e in events if e.name == f"x{i}" and e.kind == "receive"]
@@ -221,14 +258,15 @@ def test_round_labels_are_the_formatted_names():
 
 
 def test_record_false_keeps_only_the_verdict():
-    # an unrecorded transcript has no events and no per-round arrays; it
+    # an unrecorded transcript has no events and no expected bits; it
     # carries counter_reused, and the session's verdict stands for it
     cfg = ProtocolConfig(ell=4)
     t_rec, v_rec = run_session(cfg, 31, record=True)
     t_bare, v_bare = run_session(cfg, 31, record=False)
     assert v_rec == v_bare
     assert t_bare == Transcript()
-    assert len(t_rec.responses) == 4 and t_rec.events
+    answered = {name for kind, name in _verifier_events(t_rec) if kind == "receive"}
+    assert answered == {"b", "r1", "r2", "r3", "r4"} and t_rec.events
     store = CounterStore()
     run_session(cfg, 31, verifier_store=store, record=False)
     t_again, v_again = run_session(cfg, 31, verifier_store=store, record=False)
@@ -282,7 +320,8 @@ def _paths_agree(cfg, plays) -> set[str]:
             assert fast == slow == verifier_decide(transcript, cfg)
             assert bare == Transcript(counter_reused=transcript.counter_reused)
             seen.add(fast.reason)
-            if transcript.responses and transcript.responses[0] is None:
+            rounds = _verifier_events(transcript)
+            if ("send", "x1") in rounds and ("receive", "r1") not in rounds:
                 seen.add("silent")
     return seen
 
@@ -525,9 +564,24 @@ def test_config_validation():
         dict(ell=1, velocity=1e-320),
         dict(ell=1, positions={"verifier": -1e308, "prover": 1e308}),
         dict(ell=1, distance_bound=1e308, velocity=1e-10),
+        # a field of the wrong type, as from_json would find it (a bool is not a number)
+        dict(ell=True),
+        dict(ell=2.5),
+        dict(ell=1, secret_bits=3.0),
+        dict(ell=1, counter_bits=2.5),
+        dict(ell=1, processing_ticks=0.5),
+        dict(ell=1, velocity="1"),
+        dict(ell=1, rtt_mode=None),
+        dict(ell=1, enforce_counter_freshness=1),
+        dict(ell=1, positions=[("verifier", 0.0), ("prover", 3.0)]),
+        dict(ell=1, positions={"verifier": False, "prover": 3.0}),
+        dict(ell=1, positions={"verifier": 0.0, "prover": "3"}),
     ):
         with pytest.raises(ValueError):
             ProtocolConfig(**bad)
+    # positions may be any mapping of numbers, ints included
+    cfg = ProtocolConfig(ell=1, positions=types.MappingProxyType({"verifier": 0, "prover": 3}))
+    assert cfg.delay_ticks("verifier", "prover") == 3
 
 
 def test_config_defaults_and_json():
@@ -537,8 +591,9 @@ def test_config_defaults_and_json():
     assert cfg.position("adversary") == cfg.position("verifier")
     again = ProtocolConfig.from_json(cfg.to_json())
     assert again.to_json() == cfg.to_json()
-    with pytest.raises(ValueError):
-        ProtocolConfig.from_json({"ell": 2, "surprise": 1})
+    for bad in ({"ell": 2, "surprise": 1}, {}, {"secret_bits": 8}):
+        with pytest.raises(ValueError):
+            ProtocolConfig.from_json(bad)
 
 
 def test_config_json_fields_are_the_dataclass_fields():
