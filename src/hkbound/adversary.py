@@ -174,16 +174,14 @@ def attack_session(
     seed,
     verifier_store: CounterStore | None = None,
     prover_store: CounterStore | None = None,
-    record: bool = True,
 ) -> tuple[Transcript, Verdict]:
-    """One full session with the given strategy answering the verifier."""
+    """One full recorded session with the given strategy answering the verifier."""
     return run_session(
         cfg,
         seed,
         adversary=_as_strategy(strategy),
         verifier_store=verifier_store,
         prover_store=prover_store,
-        record=record,
     )
 
 

@@ -94,10 +94,9 @@ def _claim_early(ell: int):
     x, h = exprs.Var("x"), exprs.Var("h")
     by_policy = oracle.chance({"x": ell, "h": 2 * ell}, [h], [exprs.BoxPlus(x, h)])
     # the same average, through the kernel-size distribution: 2**(kappa - l)
-    # over the n*n tokens, summed as ints over one denominator
-    n = 1 << ell
-    by_kernel = Fraction(sum(1 << kernel_mask(h0, h1, ell).bit_count()
-                             for h0 in range(n) for h1 in range(n)), n ** 3)
+    # over the 4**l tokens, a product over the bits of each bit's average
+    by_kernel = Fraction(sum(1 << kernel_mask(h0, h1, 1) for h0 in (0, 1) for h1 in (0, 1)) ** ell,
+                         8 ** ell)
     expect = oracle.analytic("early", ell=ell)
     return _verdict({"ell": ell, "policy_average": _frac(by_policy),
                      "kernel_average": _frac(by_kernel), "expected": _frac(expect)},

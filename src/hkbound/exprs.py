@@ -89,24 +89,24 @@ class KernelMask(Slotted):
         object.__setattr__(self, "h", h)
 
 
-class Hash:
+class Hash(Slotted):
     """Public randomized hash applied to an argument expression.
 
-    Instances are compared by identity; the enumeration engine treats
-    each distinct argument value as an independent uniformly random
-    table entry of ``out_bits`` bits.
+    Nodes with equal arguments and output widths are equal, as they read
+    one table entry: the enumeration engine treats each distinct argument
+    value as an independent uniformly random entry of ``out_bits`` bits.
     """
 
-    __slots__ = ("arg", "out_bits")
+    __match_args__ = ("arg", "out_bits")
+    __slots__ = __match_args__ + ("_hash",)  # computed once, from the argument's own
 
     def __init__(self, arg: "Expr", out_bits: int):
         if out_bits < 0:
             raise ValueError("hash output width must be >= 0")
-        self.arg = arg
-        self.out_bits = out_bits
+        setfields(self, arg, out_bits, hash((arg, out_bits)))
 
-    def __repr__(self) -> str:
-        return f"Hash({self.arg!r}, {self.out_bits})"
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Expr = Union[Var, Lit, Concat, Negate, Proj, BoxPlus, KernelMask, Hash]

@@ -153,8 +153,6 @@ def bayes_bound(pA, pE, C, D):
     families; C is the prior weight of dishonest runs and D the overall
     acceptance rate.  Exact when fed Fractions; clamped into [0, 1].
     """
-    if D == 0:
-        raise ValueError("D must be positive")
     if not 0 < D <= 1:
         raise ValueError("D must lie in (0, 1]")
     if not 0 <= C < 1:
@@ -195,8 +193,6 @@ def sweep(
     ells = list(ells)
     if not ells:
         raise ValueError("ell range must be non-empty")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     name = adv._strategy_key(strategy)
     rows: list[SweepRow] = []
     prev: float | None = None

@@ -122,10 +122,11 @@ def _analyse(e: Expr, memo: dict, fill) -> tuple:
     """For each value bit of ``e``, least significant first, the mask of
     the positions it reads, and the class keys of e's hash nodes.  The walk
     is post-order: ``fill(node, argument reads)`` classes a hash node when
-    first met, in fill order, and gives its entry masks and key.  ``memo``
-    holds the variables by name and each node once analysed by id.  Reads
-    may be supersets: a selection's bit i reads x_i, h_i and h_{l+i}, only
-    two of which decide it.  A KernelMask gives its value bits, then its stars."""
+    first met, in fill order, and gives its entry masks; equal nodes are
+    one class, keyed by the first met.  ``memo`` holds the variables by
+    name and each node once analysed by id.  Reads may be supersets: a
+    selection's bit i reads x_i, h_i and h_{l+i}, only two of which decide
+    it.  A KernelMask gives its value bits, then its stars."""
     kind = type(e)
     if kind is exprs.Var:
         return memo[e.name]
@@ -143,8 +144,7 @@ def _analyse(e: Expr, memo: dict, fill) -> tuple:
         got = arg[len(arg) - e.hi:len(arg) - e.lo + 1], keys
     elif kind is exprs.Hash:
         arg, keys = _analyse(e.arg, memo, fill)
-        entry, key = fill(e, arg)
-        got = entry, keys + (key,)
+        got = fill(e, arg), keys + (e,)
     else:
         (x, keys), (h, more) = _analyse(e.x, memo, fill), _analyse(e.h, memo, fill)
         n = len(x)
@@ -282,7 +282,8 @@ def _best_counted(given: list, tables: list, k: int) -> int:
 
 
 class _TruthTables:
-    """Truth tables of the expressions ``shown``, for ``chance`` and ``product_rule`` to read.
+    """Truth tables of the expressions ``shown``: called as ``chance_of(knowns,
+    targets)`` for a query over them, or read by ``product_rule``.
 
     Each variable bit, and each bit of a hash class's fresh entry, is a
     position.  Classes are taken in fill order, an argument's nodes first.
@@ -310,22 +311,21 @@ class _TruthTables:
             at += bits
         classes, fresh, arg_reads, entries, earlier = {}, {}, {}, {}, {}
 
-        def fill(node, arg):
+        def fill(node, arg):  # equal nodes are one class, keyed by the first met
             nonlocal at
-            key = repr(node)
-            if key not in classes:
+            if node not in classes:
                 shape = len(arg), node.out_bits  # the classes that may collide with it
-                earlier[key] = same = [i for i in classes if (len(arg_reads[i]), len(fresh[i])) == shape]
-                classes[key], arg_reads[key] = [], arg
-                entry = fresh[key] = [1 << at + k for k in range(node.out_bits)]
+                earlier[node] = same = [i for i in classes if (len(arg_reads[i]), len(fresh[i])) == shape]
+                classes[node], arg_reads[node] = [], arg
+                entry = fresh[node] = [1 << at + k for k in range(node.out_bits)]
                 at += len(entry)
                 if same:  # bit k reads every argument and bit k of each earlier entry
                     compared = reduce(or_, arg + [m for i in same for m in arg_reads[i]], 0)
                     entry = [reduce(or_, (entries[i][k] for i in same), m | compared)
                              for k, m in enumerate(entry)]
-                entries[key] = entry
-            classes[key].append(node)
-            return entries[key], key
+                entries[node] = entry
+            classes[node].append(node)
+            return entries[node]
 
         reads = [_analyse(e, memo, fill) for e in shown]
         comps: list[int] = []
@@ -372,11 +372,11 @@ class _TruthTables:
                 for name, bits in variables}
         self.args, self.entries, args = {}, {}, {}
         for key, nodes in classes.items():
-            arg = args[key] = _slices(nodes[0].arg, cols)
+            arg = args[key] = _slices(key.arg, cols)
             entry = [tables.get(m, 2) for m in fresh[key]]
             for i in reversed(earlier[key]):
                 eq = reduce(and_, (~(p ^ q) for p, q in zip(args[i], arg)), -1)
-                entry = [eq & e | ~eq & t for e, t in zip(cols[id(classes[i][0])], entry)]
+                entry = [eq & e | ~eq & t for e, t in zip(cols[id(i)], entry)]
             cols.update((id(n), entry) for n in nodes)
             self.args[key], self.entries[key] = group(arg_reads[key], arg), group(entries[key], entry)
         # a constant term reads no position, and is not sliced on its own
@@ -384,7 +384,7 @@ class _TruthTables:
                         for e, (ms, _) in zip(shown, reads)}
         self.reads = dict(zip(map(id, shown), reads)) if classes else {}  # id(e) -> reads, class keys
 
-    def chance(self, knowns: Sequence[Expr], targets: Sequence[Expr]) -> Fraction:
+    def __call__(self, knowns: Sequence[Expr], targets: Sequence[Expr]) -> Fraction:
         """The chance of ``targets`` given ``knowns``: a product over the
         components that targets read, each a sum over known rows of the
         commonest target row, where a two-row component halves the chance
@@ -417,8 +417,6 @@ class _TruthTables:
             bits += widths[c]
             best *= _best_rows(given.get(c, []), ts, widths[c])
         return Fraction(best, 1 << bits)
-
-    __call__ = chance  # a pass is the ``chance_of`` that ``chances`` hands out
 
     def product_rule(self, xi, gamma, theta) -> tuple[Fraction, Fraction, Fraction] | None:
         """chance(xi -> gamma), chance(xi,gamma -> theta) and chance(xi ->
@@ -464,12 +462,6 @@ def _merged(sides: list) -> tuple[dict, int]:
     return by_comp, varies
 
 
-def _enumerate(variables, shown: Sequence[Expr], budget: int) -> _TruthTables:
-    """One ``_TruthTables`` enumeration of ``shown``, callable as
-    ``chance_of(knowns, targets)`` for queries over it."""
-    return _TruthTables(variables, shown, budget)
-
-
 def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact best guessing chance of the targets given the knowns.
 
@@ -494,7 +486,7 @@ def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fract
     term's tables are grouped by component once, two-row ones as masks.
     """
     knowns, targets = scenario.knowns, scenario.targets
-    return _enumerate(scenario.variables, knowns + targets, budget)(knowns, targets)
+    return _TruthTables(scenario.variables, knowns + targets, budget)(knowns, targets)
 
 
 def chance(
@@ -536,7 +528,7 @@ def chances(variables, shown: Iterable[Expr], budget: int = DEFAULT_BUDGET):
     variables, shown = tuple(variables), tuple(shown)
     GuessScenario(variables, (), shown)  # the declaration and width checks, once
     try:
-        return _enumerate(variables, shown, budget)
+        return _TruthTables(variables, shown, budget)
     except BudgetExceededError:
         return partial(chance, variables, budget=budget)  # each query may still fit alone
 

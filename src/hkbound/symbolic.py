@@ -130,7 +130,8 @@ class Theory(Slotted):
     beyond applying an operator: ``destruct`` gives the destructor
     applications that take a known term apart, ``compose`` the other
     applications that normalize to a goal, and ``rules`` multi-premise
-    inferences over a set of known terms.
+    inferences: each rule takes the known set and ``can``, the synthesizer
+    over it that ``derive_closure`` built for the round, and yields terms.
 
     Every theory has pairing: ``normalize`` tries the projection rewrite
     before ``step``, and ``derive_closure`` projects a known pair before
@@ -145,7 +146,7 @@ class Theory(Slotted):
                  step: Callable[[Term], Term | None] = lambda t: None,  # single root rewrite, None if stuck
                  destruct: Callable[[Term], Iterable[Term]] = lambda t: (),
                  compose: Callable[[Term], Iterable[Term]] = lambda goal: (),
-                 rules: tuple[Callable[[frozenset], Iterable[Term]], ...] = ()):
+                 rules: tuple[Callable[[frozenset, Callable[[Term], bool]], Iterable[Term]], ...] = ()):
         setfields(self, name, ops, step, destruct, compose, rules)
 
     def normalize(self, t: Term) -> Term:
@@ -223,14 +224,13 @@ def _neg_destruct(t: Term) -> Iterable[Term]:
         yield app("neg", t)
 
 
-def _hk_extract(terms: frozenset) -> Iterable[Term]:
+def _hk_extract(known: frozenset, can: Callable[[Term], bool]) -> Iterable[Term]:
     """From boxplus(t,u), boxplus(neg t,u) and a derivable t, recover u.
     Without t the exact chance of u from the two answers is (3/4)^l, not 1."""
     seen = {}
-    for t in terms:
+    for t in known:
         if t.op == "boxplus" and len(t.args) == 2:
             seen.setdefault(t.args[1], set()).add(t.args[0])
-    can = _synthesizer(terms, HK)
     for token, challenges in seen.items():
         for c in challenges:
             flipped = HK.normalize(app("neg", c))
@@ -317,7 +317,7 @@ def derive_closure(start: Iterable[Term], theory: Theory) -> Closure:
         fresh = {theory.normalize(a) for t in known
                  for a in (*_pairing_destruct(t), *theory.destruct(t))
                  if all(can(arg) for arg in a.args)}
-        fresh.update(*(rule(known) for rule in theory.rules))
+        fresh.update(*(rule(known, can) for rule in theory.rules))
         if fresh <= known:
             return Closure(known, True)
         known |= fresh

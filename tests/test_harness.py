@@ -162,11 +162,12 @@ def test_sweep_without_analytic_leaves_blanks(tmp_path):
     assert line.split(",")[7:9] == ["", ""]
 
 
-def test_sweep_validation():
+def test_sweep_validation(tmp_path):
     with pytest.raises(ValueError):
         sweep("naive-guess", [], 10, "s")
-    with pytest.raises(ValueError):
-        sweep("naive-guess", [1], 0, "s")
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        sweep("naive-guess", [1], 0, "s", csv_path=tmp_path / "none.csv")
+    assert not (tmp_path / "none.csv").exists()
 
 
 # --- the acceptance-confidence bound ------------------------------------------
@@ -186,7 +187,7 @@ def test_bayes_bound_float_and_clamping():
 
 
 def test_bayes_bound_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"D must lie in \(0, 1\]"):
         bayes_bound(0.1, 0.1, 0.5, 0.0)
     with pytest.raises(ValueError):
         bayes_bound(0.1, 0.1, 1.0, 0.5)
@@ -207,6 +208,16 @@ def test_cli_enumerate_and_bound(capsys):
     assert cli.main(["bound", "--pA", "1/4", "--pE", "1/4", "--C", "1/2", "--D", "1/2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["bound"] == {"num": 1, "den": 2, "decimal": 0.5}
+
+
+def test_cli_enumerate_early_averages_the_kernel_per_bit(capsys):
+    # the kernel average is a product over the bits, so l = 32 walks no 4**l tokens
+    start = time.perf_counter()
+    assert cli.main(["enumerate", "--claim", "early", "--ell", "32"]) == 0
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    want = oracle.prob_json(oracle.analytic("early", ell=32))
+    assert doc["policy_average"] == doc["kernel_average"] == doc["expected"] == want and doc["ok"]
 
 
 def test_cli_enumerate_csv(capsys):

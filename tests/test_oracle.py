@@ -9,6 +9,7 @@ table to chances enumerated query by query.
 """
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -1131,7 +1132,7 @@ def test_a_union_over_the_budget_is_asked_query_by_query():
     for decls, first, second in ((pair, hu, hv), halves):
         shown = [first, second, *(Var(n) for n, _ in decls)]
         with pytest.raises(BudgetExceededError):
-            oracle._enumerate(decls, shown, oracle.DEFAULT_BUDGET)
+            oracle._TruthTables(decls, shown, oracle.DEFAULT_BUDGET)
         chance_of = oracle.chances(decls, shown)
         for ks, ts in splits(shown):
             try:
@@ -1164,8 +1165,8 @@ def test_each_check_enumerates_once(monkeypatch):
     # a check that asks several chances over one declaration reads them
     # off one pass: a regression to one pass per query shows here
     passes = []
-    real = oracle._enumerate
-    monkeypatch.setattr(oracle, "_enumerate", lambda *args: passes.append(args) or real(*args))
+    real = oracle._TruthTables.__init__
+    monkeypatch.setattr(oracle._TruthTables, "__init__", lambda *args: passes.append(args) or real(*args))
 
     def count(check, *args):
         passes.clear()
@@ -1385,7 +1386,7 @@ def test_a_hash_free_pass_reads_the_product_rule_off_one_split(monkeypatch):
     past = ((("w", 8),), (Proj(wide, 1, 3),), (chained(wide, 8),), (wide,))
     want = [subbayes_reference(*c, oracle.DEFAULT_BUDGET) for c in (case, hashed_case(case), past)]
     calls = Counter()
-    real_chance, real_best = oracle._TruthTables.chance, oracle._best_rows
+    real_chance, real_best = oracle._TruthTables.__call__, oracle._best_rows
 
     def chance_spy(self, knowns, targets):
         calls["chance"] += 1
@@ -1395,7 +1396,6 @@ def test_a_hash_free_pass_reads_the_product_rule_off_one_split(monkeypatch):
         calls["_best_rows"] += 1
         return real_best(*args)
 
-    monkeypatch.setattr(oracle._TruthTables, "chance", chance_spy)
     monkeypatch.setattr(oracle._TruthTables, "__call__", chance_spy)
     monkeypatch.setattr(oracle, "_best_rows", best_spy)
     assert check_subbayes(*case) == want[0]
@@ -1431,10 +1431,9 @@ def test_prob_guard_violated():
 
 
 def test_guard_spec_json_roundtrip():
-    # hash nodes compare by identity (each is its own oracle), so the
-    # roundtrip is checked up to rendering
     spec = oracle.builtin_guard_spec("attack-run")
     again = GuardSpec.from_json(spec.to_json())
+    assert again == spec
     assert again.variables == spec.variables
     assert exprs.render(again.target) == exprs.render(spec.target)
     assert [
@@ -1443,6 +1442,20 @@ def test_guard_spec_json_roundtrip():
     assert check_prob_guard(again).ok
     with pytest.raises(ValueError):
         oracle.builtin_guard_spec("no-such-spec")
+
+
+@pytest.mark.parametrize("name", ["attack-run", "early-run"])
+@pytest.mark.parametrize("ell, s", [(1, 2), (2, 3), (8, 256)])
+def test_builtin_specs_survive_a_json_roundtrip_as_equal_values(name, ell, s):
+    # parsing builds a fresh H(s.a.b) wherever the spec shows it; the copies
+    # are equal values, so they are one hash class and share cover's asks
+    spec = oracle.builtin_guard_spec(name, ell=ell, secret_bits=s)
+    again = GuardSpec.from_json(json.dumps(spec.to_json()))
+    assert again == spec and hash(again) == hash(spec)
+    shown = (*again.context, again.target, *(e for g in again.guards for e in g))
+    nodes = [n for e in shown for n in exprs.hash_nodes(e)]
+    assert len(nodes) == (3 if name == "attack-run" else 2) and len(set(nodes)) == 1
+    assert check_prob_guard(again) == check_prob_guard(spec)
 
 
 # --- closed forms -------------------------------------------------------------

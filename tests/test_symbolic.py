@@ -31,6 +31,7 @@ from hkbound.symbolic import (
     derive_closure,
     parse,
     term_context,
+    _synthesizer,
 )
 
 
@@ -154,8 +155,10 @@ def saturate(
             return (Term(op, combo) for combo in itertools.product(ordered, repeat=arity))
 
         streams = [op_stream(op, arity) for op, arity in theory.ops]
+        known = frozenset(current)
         for rule in theory.rules:
-            streams.append(iter(sorted(rule(frozenset(current)), key=lambda t: (t.nodes(), t.render()))))
+            streams.append(iter(sorted(rule(known, _synthesizer(known, theory)),
+                                       key=lambda t: (t.nodes(), t.render()))))
         fresh: set = set()
         found = False
         stopped = False

@@ -25,6 +25,7 @@ VALUES = [
     (exprs.Proj, (H, 1, 2), (H, 1, 1)),
     (exprs.BoxPlus, (X, H), (H, X)),
     (exprs.KernelMask, (X, H), (H, X)),
+    (exprs.Hash, (X, 4), (X, 2)),
     (symbolic.Term, ("boxplus", T.args), ("boxplus", T.args[::-1])),
     (bits.BitString, (2, 1), (3, 1)),
     (hkfun.ResponseToken, (B, bits.BitString(2, 2)), (B, B)),
@@ -89,9 +90,8 @@ def test_reprs_match_the_dataclass_reprs():
         "Verdict(accepted=True, bits_correct=3, per_bit_rtt=(1, 2, 2), estimated_distance=1.5, reason='ok')")
     assert repr(ROW) == ("GuardRow(subset=(0, 2), lhs=Fraction(1, 2), advantage=Fraction(1, 4), "
                          "rhs=None, witness=1, ok=True, exempt=False)")
-    # the exact engine keys hash classes by repr
     assert repr(exprs.Hash(exprs.Concat((X, H)), 4)) == (
-        "Hash(Concat(parts=(Var(name='x'), Var(name='h'))), 4)")
+        "Hash(arg=Concat(parts=(Var(name='x'), Var(name='h'))), out_bits=4)")
 
 
 def test_validation_messages_hold_in_both_forms():
