@@ -9,7 +9,6 @@ table to chances enumerated query by query.
 """
 
 import itertools
-import json
 import math
 import random
 from collections import Counter
@@ -1450,7 +1449,7 @@ def test_builtin_specs_survive_a_json_roundtrip_as_equal_values(name, ell, s):
     # parsing builds a fresh H(s.a.b) wherever the spec shows it; the copies
     # are equal values, so they are one hash class and share cover's asks
     spec = oracle.builtin_guard_spec(name, ell=ell, secret_bits=s)
-    again = GuardSpec.from_json(json.dumps(spec.to_json()))
+    again = GuardSpec.from_json(spec.to_json())
     assert again == spec and hash(again) == hash(spec)
     shown = (*again.context, again.target, *(e for g in again.guards for e in g))
     nodes = [n for e in shown for n in exprs.hash_nodes(e)]
