@@ -284,17 +284,17 @@ class Transcript:
     ``send x<i>`` and ``receive r<i>`` events hold each challenge's
     departure, each answer's arrival and its bit text; ``expected`` holds
     the token bits the verifier derived for the challenges it sent, an
-    ell-bit int with round 1 in the most significant bit.  A session run
-    with ``record=False`` (bulk Monte Carlo) returns one of two shared
-    constants, ``Transcript()`` or ``Transcript(counter_reused=True)``:
-    no events, and its verdict comes from the session itself.  A
-    transcript is frozen and its default log is an empty tuple, so the
-    constants cannot be modified through any session that returned them.
+    ell-bit int with round 1 in the most significant bit.  A reused
+    counter pair is the verifier's ``fresh counter_reused`` event.  A
+    session run with ``record=False`` (bulk Monte Carlo) returns the one
+    shared ``Transcript()``: no events, and its verdict comes from the
+    session itself.  A transcript is frozen and its default log is an
+    empty tuple, so the shared one cannot be modified through any
+    session that returned it.
     """
 
     events: Sequence[Event] = ()
     expected: int = 0
-    counter_reused: bool = False
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(e.to_json()) + "\n" for e in self.events)
@@ -310,7 +310,6 @@ class Verdict(NamedTuple):
 
 _REUSED = Verdict(False, 0, (), 0.0, REASON_COUNTER_REUSED)
 _UNRECORDED = Transcript()
-_UNRECORDED_REUSED = Transcript(counter_reused=True)
 
 
 def _judge(cfg: ProtocolConfig, bits_correct: int, rtts: tuple[int, ...]) -> Verdict:
@@ -344,15 +343,14 @@ def verifier_decide(t: Transcript, cfg: ProtocolConfig) -> Verdict:
 
     Round i is the verifier's ``send x<i>`` and ``receive r<i>`` events
     (``_round_labels``); a round with no send is a ValueError, and so is
-    an answer received before its challenge was sent.  Reason
-    precedence: counter_reused, then wrong_bits, then too_far.  A round
+    an answer received before its challenge was sent.  The verifier's
+    ``fresh counter_reused`` event decides a reused session, so reason
+    precedence is counter_reused, then wrong_bits, then too_far.  A round
     whose response never arrived counts as a wrong bit and contributes
     the timeout window to the distance estimate; a response that did
     arrive is measured at its true round trip, so an honest but
     out-of-range prover is rejected as too_far rather than wrong_bits.
     """
-    if t.counter_reused:
-        return _REUSED
     ell = cfg.ell
     sent, got = {}, {}
     for e in t.events:
@@ -361,6 +359,8 @@ def verifier_decide(t: Transcript, cfg: ProtocolConfig) -> Verdict:
                 sent[e.name] = e.tick
             elif e.kind == "receive":
                 got[e.name] = e
+            elif e.name == REASON_COUNTER_REUSED:
+                return _REUSED
     rtts: list[int] = []
     bits_correct = 0
     for shift, (x_name, r_name, _) in zip(range(ell - 1, -1, -1), _round_labels(ell)):
@@ -534,9 +534,10 @@ def run_session(
     answered early and the honest round trip otherwise (a mixed early
     mask reads its round trips off its own bit text).  With
     ``record=True`` the transcript holds the event log and the expected
-    bits, from which ``verifier_decide`` reaches the same verdict;
-    with ``record=False`` the session builds no transcript and returns
-    one of the two shared empty ones (see ``Transcript``).
+    bits, from which ``verifier_decide`` reaches the same verdict (it
+    reads a reused counter pair off the verifier's ``fresh
+    counter_reused`` event); with ``record=False`` the session builds no
+    transcript and returns the one shared empty one (see ``Transcript``).
 
     Identical (cfg, seed, adversary kind) replays identically.  Passing
     the same stores across calls models parties with memory: replaying a
@@ -581,9 +582,9 @@ def run_session(
     fresh = verifier_store is None or verifier_store.check_and_mark(a, b, w)
     if cfg.enforce_counter_freshness and not fresh:
         if not record:
-            return _UNRECORDED_REUSED, _REUSED
-        events.append(Event(clock, VERIFIER, "fresh", "counter_reused"))
-        return Transcript(events, counter_reused=True), _REUSED
+            return _UNRECORDED, _REUSED
+        events.append(Event(clock, VERIFIER, "fresh", REASON_COUNTER_REUSED))
+        return Transcript(events), _REUSED
 
     token = session_token(oracle, cfg, secret, a, b)
     mask = (1 << ell) - 1

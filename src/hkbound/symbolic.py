@@ -424,12 +424,6 @@ class TermContext(NamedTuple):
     def of(self, principal: str) -> frozenset:
         return self.per_principal.get(principal, frozenset())
 
-    def union(self, principals: Iterable[str]) -> frozenset:
-        out: frozenset = frozenset()
-        for p in principals:
-            out |= self.of(p)
-        return out
-
 
 def builtin_alg_guard_spec(name: str) -> AlgGuardSpec:
     """Bundled algebraic guard instances.
@@ -469,27 +463,22 @@ def _label_term(theory: Theory, label: str) -> Term:
 
 def term_context(
     events: Sequence,
-    before,
+    before: Iterable,
     initial: dict[str, Iterable[Term | str]] | None = None,
     theory: Theory = HK,
 ) -> TermContext:
     """Collect per-principal term knowledge up to (not including) a cut.
 
-    ``events`` are objects with tick, principal, kind and an optional
-    term label (a Term or parseable string).  ``before`` is either a
-    predicate selecting the cut events or a collection of them; the cut
-    tick is the earliest tick of any selected event.  A principal learns
-    the labels of what it receives and freshly generates; initial
-    long-term knowledge comes in via ``initial``.  Runs repeat their
-    labels, so a string label's normal form is memoised per (theory,
-    label), in a bounded cache shared by all calls.
+    ``events`` are ``protocol.Event``s; each one's ``term`` is a label (a
+    Term or a parseable string) or None.  The cut tick is the earliest
+    tick of the events in ``before``, whether they are the log's own
+    objects or equal copies; with none, the whole log counts.  A
+    principal learns the labels of what it receives and freshly
+    generates; initial long-term knowledge comes in via ``initial``.
+    Runs repeat their labels, so a string label's normal form is
+    memoised per (theory, label), in a bounded cache shared by all calls.
     """
-    if callable(before):
-        cut_events = [e for e in events if before(e)]
-    else:
-        chosen = set(id(e) for e in before)
-        cut_events = [e for e in events if id(e) in chosen]
-    cut_tick = min((e.tick for e in cut_events), default=None)
+    cut_tick = min((e.tick for e in before), default=None)
 
     held: dict[str, set] = {}
 
@@ -506,5 +495,5 @@ def term_context(
         if cut_tick is not None and e.tick >= cut_tick:
             continue
         if e.kind in ("receive", "fresh"):
-            learn(e.principal, getattr(e, "term", None))
+            learn(e.principal, e.term)
     return TermContext(cut_tick, {p: frozenset(s) for p, s in held.items()})

@@ -9,6 +9,7 @@ table to chances enumerated query by query.
 """
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -1455,6 +1456,24 @@ def test_builtin_specs_survive_a_json_roundtrip_as_equal_values(name, ell, s):
     nodes = [n for e in shown for n in exprs.hash_nodes(e)]
     assert len(nodes) == (3 if name == "attack-run" else 2) and len(set(nodes)) == 1
     assert check_prob_guard(again) == check_prob_guard(spec)
+
+
+@st.composite
+def random_exprs(draw):
+    """An expression of ``oracle._random_expr`` over 1 to 3 variables of 1 to 4 bits."""
+    decls = [(f"v{i}", w) for i, w in enumerate(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))]
+    rng = draw(st.randoms(use_true_random=False))
+    return oracle._random_expr(rng, decls, draw(st.integers(1, 4)), draw(st.integers(0, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_exprs())
+@example(Hash(Concat((Var("s"), Hash(Lit("01"), 2))), 4))
+@example(KernelMask(Proj(Var("x"), 1, 2), Negate(Var("h"))))
+@example(Lit(""))
+@example(Concat(()))
+def test_every_expression_node_survives_a_json_roundtrip(e):
+    assert exprs.from_json(json.loads(json.dumps(exprs.to_json(e)))) == e
 
 
 # --- closed forms -------------------------------------------------------------

@@ -208,6 +208,19 @@ def test_the_verdict_reads_the_verifiers_events():
         with pytest.raises(ValueError):
             verifier_decide(edited("send", f"x{i}", lambda e: None), cfg)
 
+    # counter reuse is the verifier's own event, and nothing else
+    reuse = Event(transcript.events[-1].tick, VERIFIER, "fresh", "counter_reused")
+    flagged = dataclasses.replace(transcript, events=[*transcript.events, reuse])
+    assert verifier_decide(flagged, cfg).reason == "counter_reused"
+    store = CounterStore()
+    run_session(cfg, "log", verifier_store=store)
+    reused, reused_verdict = run_session(cfg, "log", verifier_store=store)
+    assert reused_verdict.reason == "counter_reused" == verifier_decide(reused, cfg).reason
+    unflagged = [e for e in reused.events if e.name != "counter_reused"]
+    assert len(unflagged) == len(reused.events) - 1
+    with pytest.raises(ValueError, match="does not cover"):
+        verifier_decide(Transcript(unflagged), cfg)
+
 
 def test_event_log_is_ordered_and_causal():
     cfg = ProtocolConfig(ell=4, processing_ticks=1)
@@ -258,8 +271,8 @@ def test_round_labels_are_the_formatted_names():
 
 
 def test_record_false_keeps_only_the_verdict():
-    # an unrecorded transcript has no events and no expected bits; it
-    # carries counter_reused, and the session's verdict stands for it
+    # an unrecorded transcript has no events and no expected bits: it is
+    # one shared empty transcript, and the session's verdict stands for it
     cfg = ProtocolConfig(ell=4)
     t_rec, v_rec = run_session(cfg, 31, record=True)
     t_bare, v_bare = run_session(cfg, 31, record=False)
@@ -270,16 +283,15 @@ def test_record_false_keeps_only_the_verdict():
     store = CounterStore()
     run_session(cfg, 31, verifier_store=store, record=False)
     t_again, v_again = run_session(cfg, 31, verifier_store=store, record=False)
-    assert t_again == Transcript(counter_reused=True)
+    assert t_again is t_bare == Transcript()
     assert v_again.reason == "counter_reused"
     with pytest.raises(ValueError):
         verifier_decide(t_bare, cfg)
-    # the unrecorded transcripts are shared constants, so nothing may modify them
-    for bare in (t_bare, t_again):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            bare.counter_reused = not bare.counter_reused
-        with pytest.raises(AttributeError):
-            bare.events.append(None)
+    # the unrecorded transcript is a shared constant, so nothing may modify it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t_bare.expected = 1
+    with pytest.raises(AttributeError):
+        t_bare.events.append(None)
     assert run_session(cfg, 32, record=False)[0] is t_bare
 
 
@@ -318,7 +330,7 @@ def _paths_agree(cfg, plays) -> set[str]:
                 continue
             (bare, fast), (transcript, slow) = out[False], out[True]
             assert fast == slow == verifier_decide(transcript, cfg)
-            assert bare == Transcript(counter_reused=transcript.counter_reused)
+            assert bare == Transcript()
             seen.add(fast.reason)
             rounds = _verifier_events(transcript)
             if ("send", "x1") in rounds and ("receive", "r1") not in rounds:

@@ -419,6 +419,10 @@ def test_counter_reuse_context_order():
     early = term_context(events, [second])
     assert early.cut_tick == second.tick
     assert not derivable(early.of("adversary"), atom("h"), HK)
+    # an equal copy of the event cuts the log at the same tick
+    copied = term_context(events, [Event(*second)])
+    assert copied == early and copied.cut_tick == second.tick
+    assert not derivable(copied.of("adversary"), atom("h"), HK)
 
 
 def test_single_prequery_context_stays_short_of_the_token():
@@ -429,19 +433,19 @@ def test_single_prequery_context_stays_short_of_the_token():
     assert not derivable(terms, atom("h"), HK)
 
 
-def test_context_cut_by_predicate_and_initial_knowledge():
+def test_context_cut_at_the_given_events_and_initial_knowledge():
     cfg = ProtocolConfig(ell=2)
     transcript, _ = run_session(cfg, "ctx-cut")
     ctx = term_context(
         transcript.events,
-        lambda e: e.name == "x1" and e.kind == "send",
+        [e for e in transcript.events if e.name == "x1" and e.kind == "send"],
         initial={"prover": ["s"]},
     )
     prover = ctx.of("prover")
     assert parse("s") in prover and parse("a") in prover and parse("b") in prover
     # the cut sits before any timed challenge reached her
     assert parse("x1") not in prover
-    assert ctx.union(["prover", "verifier"]) >= prover
+    assert ctx.of("prover") | ctx.of("verifier") >= prover
 
 
 def test_term_context_parses_each_label_once(monkeypatch):
