@@ -29,18 +29,19 @@ split into independent components, and the chance is the product of the
 components' chances: the paper's per-bit argument behind (3/4)**l.  A
 muxed entry bit reads every bit of both arguments, so colliding classes
 share one component with their arguments.  One pass walks each shown
-term once for its bits' components and hash classes, then evaluates
-every node once over all of a component's 2**k assignments, as one truth
-table per value bit, grouped by component once per term; the budget caps
-the widest component.  A two-row component is one bit of a mask of the
-positions a term varies on, and a query's two-row factor is
-2**-popcount(targets' mask & ~knowns' mask).  A pass whose components
-are all one position, as the kernel query's are, builds no tables, and
-a query on it with no class to pin is that factor.  A wider component is
-counted on its tables as masks, splitting its rows into classes of equal
-values with AND and popcount, while the classes fit one word's rows, and
-past that row by row (``_best_rows``).  Across calls the oracle keeps
-only the row-bit tables of each width up to 12.
+term once for its bits' components, constants and hash classes; a
+selection bit whose challenge bit is constant reads only the token half
+it selects.  A pass whose bits are all constants or copies of one
+position, as the kernel and distance-law queries' are, is answered from
+that walk: 2**-popcount(targets' mask & ~knowns' mask) over the
+positions the terms read.  Any other pass evaluates every node once over
+all of a component's 2**k assignments, as one truth table per value bit,
+grouped by component once per term; the budget caps the widest
+component.  A two-row component is one bit of such a mask.  A wider
+component is counted on its tables as masks, splitting its rows into
+classes of equal values with AND and popcount, while the classes fit one
+word's rows, and past that row by row (``_best_rows``).  Across calls
+the oracle keeps only the row-bit tables of each width up to 12.
 
 The hash itself is public, so a guesser whose observations pin down an
 argument value is credited with knowing that table entry as well.  The
@@ -72,7 +73,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial, reduce
 from math import comb
-from operator import and_, or_
+from operator import and_, invert, itemgetter, or_, xor
 from typing import Iterable, NamedTuple, Sequence
 
 from . import exprs
@@ -81,6 +82,7 @@ from .exprs import Expr, free_vars, hash_nodes, width
 from .exprs import evaluate  # noqa: F401 (bench/layers.py patches oracle.evaluate)
 
 DEFAULT_BUDGET = 24
+_NEGATED = bytes.maketrans(b"01", b"10")  # a shape's constants negated, by str.translate
 
 
 class BudgetExceededError(ValueError):
@@ -119,37 +121,62 @@ class GuessScenario(Slotted):
 
 
 def _analyse(e: Expr, memo: dict, fill) -> tuple:
-    """For each value bit of ``e``, least significant first, the mask of
-    the positions it reads, and the class keys of e's hash nodes.  The walk
-    is post-order: ``fill(node, argument reads)`` classes a hash node when
-    first met, in fill order, and gives its entry masks; equal nodes are
-    one class, keyed by the first met.  ``memo`` holds the variables by
-    name and each node once analysed by id.  Reads may be supersets: a
-    selection's bit i reads x_i, h_i and h_{l+i}, only two of which decide
-    it.  A KernelMask gives its value bits, then its stars."""
+    """For each value bit of ``e``, least significant first, the mask of the
+    positions it reads; the class keys of e's hash nodes; and the bits'
+    shape: "0" or "1" for a constant, "." for a copy or negation of the
+    position it reads, "?" for any other bit.  The walk is post-order:
+    ``fill(node, argument reads)`` classes a hash node when first met, in
+    fill order, and gives its entry masks; equal nodes are one class, keyed
+    by the first met, with "." bits unless the argument has a "?" (muxing is
+    the pass's to check).  ``memo`` holds the variables by name and each
+    node once analysed by id.  A selection's bit i reads x_i, h_i and
+    h_{l+i}, but a constant x_i reads only the half it selects, and constant
+    halves read x_i where they differ, nothing where equal; past that, reads
+    may be supersets.  A KernelMask gives its value bits, then its stars."""
     kind = type(e)
     if kind is exprs.Var:
         return memo[e.name]
     if (got := memo.get(id(e))) is not None:
         return got
     if kind is exprs.Lit:
-        got = [0] * len(e.text), ()
+        got = [0] * len(e.text), (), e.text[::-1]
     elif kind is exprs.Concat:
-        parts = [_analyse(p, memo, fill) for p in e.parts]
-        got = [m for reads, _ in reversed(parts) for m in reads], sum((keys for _, keys in parts), ())
+        reads, keys, shape = [], (), ""
+        for part in e.parts:  # the first part holds the high bits
+            r, k, s = _analyse(part, memo, fill)
+            reads, keys, shape = r + reads, keys + k, s + shape
+        got = reads, keys, shape
     elif kind is exprs.Negate:
-        got = _analyse(e.arg, memo, fill)
+        reads, keys, shape = _analyse(e.arg, memo, fill)
+        got = reads, keys, shape.translate(_NEGATED)
     elif kind is exprs.Proj:
-        arg, keys = _analyse(e.arg, memo, fill)
-        got = arg[len(arg) - e.hi:len(arg) - e.lo + 1], keys
+        reads, keys, shape = _analyse(e.arg, memo, fill)
+        lo, hi = len(reads) - e.hi, len(reads) - e.lo + 1
+        got = reads[lo:hi], keys, shape[lo:hi]
     elif kind is exprs.Hash:
-        arg, keys = _analyse(e.arg, memo, fill)
-        got = fill(e, arg), keys + (e,)
+        arg, keys, shape = _analyse(e.arg, memo, fill)
+        got = fill(e, arg), keys + (e,), ("?" if "?" in shape else ".") * e.out_bits
     else:
-        (x, keys), (h, more) = _analyse(e.x, memo, fill), _analyse(e.h, memo, fill)
-        n = len(x)
-        out = [x[i] | h[i] | h[n + i] for i in range(n)]
-        got = out + out if kind is exprs.KernelMask else out, keys + more
+        (x, keys, cx), (h, more, ch) = _analyse(e.x, memo, fill), _analyse(e.h, memo, fill)
+        n, keys, pick = len(x), keys + more, kind is exprs.BoxPlus
+        if not (pick and cx.strip(".?") or ch[:n].strip(".?") and ch[n:].strip(".?")):  # nothing to fold
+            out = list(map(or_, map(or_, x, h), h[n:]))
+            got = (out, keys, "?" * n) if pick else (out + out, keys, "?" * 2 * n)
+        else:  # h_i is picked where x_i is 1, and h_{l+i} where it is 0
+            out, shape = [], ""
+            for i, c, one, zero in zip(range(n), cx, ch, ch[n:]):
+                if pick and c in "01":
+                    bit, char = (h[i], one) if c == "1" else (h[n + i], zero)
+                elif one in "01" and zero in "01":  # x_i or its negation, or constant (a mask blanks it)
+                    bit, char = (x[i], c) if one != zero else (0, one if pick else "0")
+                else:
+                    bit, char = x[i] | h[i] | h[n + i], "?"
+                out.append(bit)
+                shape += char
+            if not pick:  # a star is set where the halves are equal; a constant star reads nothing
+                stars = "".join(["01"[a == b] if a in "01" and b in "01" else "?" for a, b in zip(ch, ch[n:])])
+                out, shape = out + [m if s == "?" else 0 for s, m in zip(stars, out)], shape + stars
+            got = out, keys, shape
     memo[id(e)] = got
     return got
 
@@ -169,20 +196,22 @@ def _slices(e: Expr, cols: dict) -> list[int]:
     if kind is exprs.Lit:  # a 1 bit is all ones on every row
         out = [-(c == "1") for c in reversed(e.text)]
     elif kind is exprs.Concat:
-        out = [t for p in reversed(e.parts) for t in _slices(p, cols)]
+        out = []
+        for part in e.parts:  # the first part holds the high bits
+            out = _slices(part, cols) + out
     elif kind is exprs.Negate:
-        out = [~t for t in _slices(e.arg, cols)]
+        out = list(map(invert, _slices(e.arg, cols)))
     elif kind is exprs.Proj:
         arg = _slices(e.arg, cols)
         out = arg[len(arg) - e.hi:len(arg) - e.lo + 1]
     else:
         x, h = _slices(e.x, cols), _slices(e.h, cols)
-        n = len(x)  # h[n:] is the first half h0, chosen where x is 0
-        if kind is exprs.BoxPlus:
-            out = [h[n + i] & ~x[i] | h[i] & x[i] for i in range(n)]
-        else:
-            stars = [~(h[n + i] ^ h[i]) for i in range(n)]
-            out = [x[i] & ~stars[i] for i in range(n)] + stars
+        h0 = h[len(x):]  # the first half, chosen where x is 0; h1 = h[:n] is chosen where it is 1
+        differ = list(map(xor, h0, h))  # the rows on which the halves differ
+        if kind is exprs.BoxPlus:  # h0 & ~x | h1 & x
+            out = list(map(xor, h0, map(and_, differ, x)))
+        else:  # a star is set where the halves are equal
+            out = list(map(and_, x, differ)) + list(map(invert, differ))
     cols[id(e)] = out
     return out
 
@@ -294,20 +323,21 @@ class _TruthTables:
     AND of the XNORs of the argument bits.  The positions split into
     independent components by the masks that one ``_analyse`` walk of each
     shown term gives its bits and the classes' arguments and entries, and
-    each component's 2**k rows are its assignments.  Every node is sliced
-    once, by ``_slices``, into a truth table per value bit, and each shown
-    term's tables are grouped by component once.  A two-row component (one
+    each component's 2**k rows are its assignments.  When the walk finds
+    every bit a constant or one position's copy or negation, and no entry
+    muxed, a column is the union of a term's masks, and the pass merges,
+    tabulates and slices nothing.  Otherwise every node is sliced once, by
+    ``_slices``, into a truth table per value bit, and each shown term's
+    tables are grouped by component once.  A two-row component (one
     position) is a bit of a mask instead: the positions on which one of a
     term's tables varies (``t & 3`` is 1 or 2; any int may be a table).
-    When every component is one position, the pass keeps no widths and
-    builds no row tables: every position's table is 2, its row number.
     Expressions are looked up by id, as ``shown`` holds them.
     """
 
     def __init__(self, variables, shown: Sequence[Expr], budget: int):
-        memo, at = {}, 0  # memo: a variable's name, or a node's id -> its reads and classes
+        memo, at = {}, 0  # memo: a variable's name, or a node's id -> its reads, classes and shape
         for name, bits in variables:
-            memo[name] = [1 << k for k in range(at, at + bits)], ()
+            memo[name] = [1 << k for k in range(at, at + bits)], (), "." * bits
             at += bits
         classes, fresh, arg_reads, entries, earlier = {}, {}, {}, {}, {}
 
@@ -328,9 +358,18 @@ class _TruthTables:
             return entries[node]
 
         reads = [_analyse(e, memo, fill) for e in shown]
+        self.reads = dict(zip(map(id, shown), reads)) if classes else {}  # id(e) -> its _analyse
+        if "?" not in "".join(map(itemgetter(2), reads)) and not any(earlier.values()):
+            self.widths = []  # every bit is a constant or one position's copy: the walk's masks are exact
+            self.args = {key: ({}, reduce(or_, arg_reads[key], 0)) for key in classes}
+            self.entries = {key: ({}, reduce(or_, fresh[key], 0)) for key in classes}
+            self.columns = {id(e): ({}, reduce(or_, r[0], 0)) for e, r in zip(shown, reads)}
+            if budget < 1 and any(m for d in (self.columns, self.args, self.entries) for _, m in d.values()):
+                raise BudgetExceededError(1, budget)
+            return
         comps: list[int] = []
         covered = 0  # the union of comps
-        masks = itertools.chain(*(ms for ms, _ in reads), *arg_reads.values(), *entries.values())
+        masks = itertools.chain(*(r[0] for r in reads), *arg_reads.values(), *entries.values())
         for m in filter(None, masks):  # a constant bit reads no position
             if not m & covered:
                 comps.append(m)
@@ -344,9 +383,8 @@ class _TruthTables:
                 m |= c
             comps.append(m)
             covered |= m
-        # components all of one position: no widths, no tables, a 1-bit budget if any is read
-        self.widths = [] if len(comps) == covered.bit_count() else list(map(int.bit_count, comps))
-        if (widest := max(self.widths, default=covered and 1)) > budget:
+        self.widths = list(map(int.bit_count, comps))
+        if (widest := max(self.widths, default=0)) > budget:
             raise BudgetExceededError(widest, budget)
         comp_of, tables, two = {}, {}, covered  # two: the positions of the two-row components
         for i, k in enumerate(self.widths):
@@ -368,8 +406,7 @@ class _TruthTables:
                     by_comp.setdefault(comp_of[m & -m], []).append(t)
             return by_comp, varies
 
-        cols = {name: [tables.get(m, 2) for m in memo[name][0]] if tables else [2] * bits
-                for name, bits in variables}
+        cols = {name: [tables.get(m, 2) for m in memo[name][0]] for name, _ in variables}
         self.args, self.entries, args = {}, {}, {}
         for key, nodes in classes.items():
             arg = args[key] = _slices(key.arg, cols)
@@ -380,9 +417,8 @@ class _TruthTables:
             cols.update((id(n), entry) for n in nodes)
             self.args[key], self.entries[key] = group(arg_reads[key], arg), group(entries[key], entry)
         # a constant term reads no position, and is not sliced on its own
-        self.columns = {id(e): group(ms, _slices(e, cols)) if any(ms) else ({}, 0)
-                        for e, (ms, _) in zip(shown, reads)}
-        self.reads = dict(zip(map(id, shown), reads)) if classes else {}  # id(e) -> reads, class keys
+        self.columns = {id(e): group(r[0], _slices(e, cols)) if any(r[0]) else ({}, 0)
+                        for e, r in zip(shown, reads)}
 
     def __call__(self, knowns: Sequence[Expr], targets: Sequence[Expr]) -> Fraction:
         """The chance of ``targets`` given ``knowns``: a product over the
@@ -392,9 +428,9 @@ class _TruthTables:
         joins the knowns once its argument follows from the knowns in every
         component, to a fixpoint, so that chains of hashes resolve in order;
         only the query's own classes are pinned (``chances`` says why).
-        A pass of one-position components and no class reads the chance
-        off the two masks alone: 2**-popcount(target & ~known)."""
-        if not self.widths and not self.entries:  # one position per component, no class to pin
+        A pass answered from its walk, with no class, reads the chance off
+        the two masks alone: 2**-popcount(target & ~known)."""
+        if not self.widths and not self.entries:  # read off the walk, no class to pin
             known = target = 0
             for e in knowns:
                 known |= self.columns[id(e)][1]

@@ -28,12 +28,15 @@ from functools import cached_property, lru_cache
 from hashlib import sha256
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from ._slotted import Slotted
 from .bits import concat, sample_uniform  # noqa: F401 (bench/layers.py patches the last two)
 from .exprs import json_field, json_fields
 from .hkfun import select
+
+if TYPE_CHECKING:  # symbolic imports the oracle, which this module does not need
+    from .symbolic import Term
 
 VERIFIER = "verifier"
 PROVER = "prover"
@@ -270,10 +273,11 @@ class Event(NamedTuple):
     name: str
     value: str | None = None  # the bit text, e.g. "0110"
     channel: tuple[str, str] | None = None
-    term: str | None = None  # symbolic label for knowledge-tracking
+    term: str | Term | None = None  # symbolic label for knowledge-tracking
 
-    def to_json(self) -> dict:
-        return self._asdict() | {"channel": None if self.channel is None else list(self.channel)}
+    def to_json(self) -> dict:  # a Term label as its text, which ``symbolic.parse`` reads back
+        return self._asdict() | {"channel": None if self.channel is None else list(self.channel),
+                                 "term": None if self.term is None else str(self.term)}
 
 
 @dataclass(frozen=True)

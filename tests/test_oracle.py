@@ -14,7 +14,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -814,6 +814,111 @@ def test_passes_of_single_positions_build_no_tables(monkeypatch):
         chance(pair, [], [Hash(v0, 2), Hash(v1, 2)])
 
 
+# --- constants folded: passes read off the analysis walk -----------------------
+
+
+@st.composite
+def literal_scenarios(draw):
+    """Declarations, knowns and targets whose selections mostly read
+    constants: literal challenges, token halves that are literals or
+    slices, concatenations and negations of literals, and kernel masks of
+    such tokens, so that most passes are answered from the walk.  Partly
+    literal challenges and plain terms over the variables fold some bits
+    only, and send the pass through the component merge on folded masks.
+    Up to two hash nodes hash such a term, and a term may read one, so
+    that knowns may pin it."""
+    widths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    decls = tuple((f"v{i}", b) for i, b in enumerate(widths))
+
+    @cache
+    def constant(w):
+        text = st.text("01", min_size=w, max_size=w)
+        wider = st.tuples(st.text("01", min_size=w + 1, max_size=w + 2), st.integers(0, 2)).map(
+            lambda t: Proj(Lit(t[0]), min(t[1], len(t[0]) - w) + 1, min(t[1], len(t[0]) - w) + w))
+        options = [text.map(Lit), text.map(lambda t: Negate(Lit(t))), wider]
+        if w >= 2:
+            options.append(st.integers(1, w - 1).flatmap(
+                lambda cut: st.tuples(constant(cut), constant(w - cut)).map(Concat)))
+        return st.one_of(options)
+
+    @cache
+    def term(w, depth):
+        options = [constant(w), bit_exprs(decls, w, 1)]
+        if depth:
+            half = term(w, depth - 1)
+            token = st.one_of(st.tuples(half, constant(w)), st.tuples(constant(w), half),
+                              st.tuples(constant(w), constant(w))).map(Concat)
+            challenge = constant(w) if w < 2 else st.one_of(constant(w), st.tuples(
+                constant(1), term(w - 1, 0)).map(Concat), st.tuples(term(w - 1, 0), constant(1)).map(Concat))
+            options += [st.builds(BoxPlus, challenge, term(2 * w, depth - 1)),
+                        st.builds(BoxPlus, term(w, depth - 1), token),
+                        term(w, depth - 1).map(Negate)]
+        return st.one_of(options)
+
+    nodes = [Hash(draw(term(w, 1)), w) for w in draw(st.lists(st.sampled_from(widths), max_size=2))]
+    width = st.sampled_from(widths)
+    shown = [width.flatmap(lambda w: term(w, 2)), width.flatmap(lambda w: bit_exprs(decls, w, 2)),
+             width.flatmap(lambda w: st.builds(KernelMask, term(w, 1), st.tuples(
+                 constant(w), constant(w)).map(Concat)))]
+    if nodes:
+        shown.append(st.sampled_from(nodes).flatmap(lambda node: st.one_of(
+            st.just(node), st.builds(BoxPlus, constant(node.out_bits), st.tuples(
+                st.just(node), constant(node.out_bits)).map(Concat)))))
+    any_term = st.one_of(shown)
+    return decls, draw(st.lists(any_term, max_size=3)), draw(st.lists(any_term, min_size=1, max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(literal_scenarios())
+# a distance-law query: x = 011 and z = 110 differ in two bits
+@example(((("h", 6),), [Lit("011"), Lit("110"), BoxPlus(Lit("110"), Var("h"))],
+          [BoxPlus(Lit("011"), Var("h"))]))
+# every bit reads x's one position, yet is the constant 1
+@example(((("x", 1),), [], [BoxPlus(Var("x"), Concat((Negate(Var("x")), Var("x"))))]))
+# a hash of one position's copy, pinned by the knowns
+@example(((("v0", 1), ("v1", 1)), [Negate(Var("v0"))],
+          [Hash(BoxPlus(Lit("1"), Concat((Var("v1"), Var("v0")))), 1),
+           Proj(Concat((Lit("0"), Var("v1"))), 2, 2)]))
+def test_folded_constants_match_the_restart_reference(scenario):
+    decls, knowns, targets = scenario
+    got = chance(decls, knowns, targets)
+    assert got == restart_chance(decls, knowns, targets)
+    # one pass over more terms, as the checks ask, reads the same chance
+    assert oracle.chances(decls, [*targets, *knowns, Var(decls[0][0])])(knowns, targets) == got
+
+
+def test_constants_and_copies_are_read_off_the_walk(monkeypatch):
+    # once a challenge bit is known, a response bit is one token bit: the
+    # kernel query, a distance-law query and the hamming claim's pass are
+    # answered from the analysis walk; prop34's selects by the unknown x
+    x, h, token = Var("x"), Var("h"), lit(0b10110010, 8)
+    kernel = ((("x", 4),), [token], [BoxPlus(x, token)])
+    distance = ((("h", 6),), [lit(0b011, 3), lit(0b110, 3), BoxPlus(lit(0b110, 3), h)],
+                [BoxPlus(lit(0b011, 3), h)])
+    widths = []
+    real = oracle._TruthTables.__init__
+
+    def spy(self, *args):
+        real(self, *args)
+        widths.append(self.widths)
+
+    def refuse(*args):
+        raise AssertionError("a pass read off the walk merged, tabulated or sliced")
+
+    monkeypatch.setattr(oracle._TruthTables, "__init__", spy)
+    for name in ("_slices", "_patterns", "_best_rows", "_merged"):
+        monkeypatch.setattr(oracle, name, refuse)
+    assert chance(*kernel) == analytic("kernel", kappa=2, ell=4)
+    assert chance(*distance) == analytic("hamming", delta=2)
+    assert cli._claim_hamming(3)[1]
+    assert widths == [[], [], []]
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle._TruthTables, "__init__", spy)
+    widths.clear()
+    assert cli._claim_prop34(3)[1]
+    assert len(widths) == 1 and widths[0] != []
+
+
 # --- one pass analyses each node once ------------------------------------------
 
 
@@ -892,7 +997,7 @@ def test_a_pass_slices_each_term_once(monkeypatch, capsys):
     worked = spy_slices(monkeypatch)
     x, token = Var("x"), lit(0b10110010, 8)
     assert chance({"x": 4}, [token], [BoxPlus(x, token)]) == analytic("kernel", kappa=2, ell=4)
-    assert sorted(worked.values()) == [1, 1]  # the token, and the token inside the selection
+    assert worked == {}  # every bit a constant or a copy of x's: the pass is read off the walk
     worked.clear()
     assert cli.main(["enumerate", "--claim", "prop34", "--ell", "4"]) == 0
     capsys.readouterr()

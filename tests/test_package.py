@@ -60,6 +60,7 @@ def test_the_oracle_keeps_only_row_tables_across_calls():
         xl, zl = (Lit(format(rng.getrandbits(6), "06b")) for _ in range(2))
         oracle.chance({"h": 12}, [xl, zl, BoxPlus(zl, h)], [BoxPlus(xl, h)])
         oracle.check_subbayes(*oracle.random_subbayes_case(rng))
+    oracle.chance({"x": 4, "h": 8}, [], [BoxPlus(x, h)])  # four 3-bit components
     oracle.chance({"u": 7, "v": 7}, [], [Hash(u, 1), Hash(v, 1)])  # one 16-bit component
     kept = {f"{m.__name__}.{name}": value for m in (oracle, exprs) for name, value in vars(m).items()
             if not name.startswith("__") and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))}

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import json
 from typing import Iterable
 
 import pytest
@@ -483,5 +484,9 @@ def test_term_labels_bypass_the_memo():
     events = [Event(0, "adversary", "fresh", "z", None, None, label)]
     ctx = term_context(events, [], initial={"prover": [label]})
     assert ctx.of("adversary") == ctx.of("prover") == {atom("z1")}
+    # a Term label is written as its text, which reads back to the same context
+    doc = json.loads(json.dumps(events[0].to_json()))
+    assert doc["term"] == "neg(neg(z1))" and parse(doc["term"]) == label
+    assert term_context([Event(**doc)], [], initial={"prover": [label]}) == ctx
     with pytest.raises(ValueError):
         parse(["a"])
