@@ -361,8 +361,8 @@ class _TruthTables:
         self.reads = dict(zip(map(id, shown), reads)) if classes else {}  # id(e) -> its _analyse
         if "?" not in "".join(map(itemgetter(2), reads)) and not any(earlier.values()):
             self.widths = []  # every bit is a constant or one position's copy: the walk's masks are exact
-            self.args = {key: ({}, reduce(or_, arg_reads[key], 0)) for key in classes}
-            self.entries = {key: ({}, reduce(or_, fresh[key], 0)) for key in classes}
+            self.args = {key: ({}, reduce(or_, arg_reads[key], 0)) for key in classes} if classes else {}
+            self.entries = {key: ({}, reduce(or_, fresh[key], 0)) for key in classes} if classes else {}
             self.columns = {id(e): ({}, reduce(or_, r[0], 0)) for e, r in zip(shown, reads)}
             if budget < 1 and any(m for d in (self.columns, self.args, self.entries) for _, m in d.values()):
                 raise BudgetExceededError(1, budget)
