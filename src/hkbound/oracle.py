@@ -82,7 +82,7 @@ from .exprs import Expr, free_vars, hash_nodes, width
 from .exprs import evaluate  # noqa: F401 (bench/layers.py patches oracle.evaluate)
 
 DEFAULT_BUDGET = 24
-_NEGATED = bytes.maketrans(b"01", b"10")  # a shape's constants negated, by str.translate
+_NEGATED = bytes.maketrans(b"01", b"10")  # str.translate table negating a shape's constants; immutable
 
 
 class BudgetExceededError(ValueError):
