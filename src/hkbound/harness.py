@@ -4,13 +4,14 @@ which ``analytic_acceptance`` holds in one table.
 Per-trial seeds are derived from the master seed in counter mode, so an
 estimate is a pure function of (config, strategy, master seed, trials):
 any partition of the trial range into chunks sums to the same success
-count, regardless of scheduling.
+count, regardless of scheduling.  A trial's seed is the leading 64 bits
+of the SHA-256 digest of ``<master seed>:<index>``, taken from
+``protocol.sha256``.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import random
 from fractions import Fraction
@@ -18,12 +19,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import adversary as adv
 from . import oracle
-from .protocol import VERIFIER, PROVER, ProtocolConfig, run_session
+from .protocol import VERIFIER, PROVER, ProtocolConfig, run_session, sha256
 
 
 def trial_seed(master_seed, index: int) -> int:
     """Deterministic per-trial seed, independent of any worker layout."""
-    digest = hashlib.sha256(f"{master_seed}:{index}".encode()).digest()
+    digest = sha256(f"{master_seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -57,6 +58,8 @@ class Estimate(NamedTuple):
     def from_counts(cls, successes: int, trials: int,
                     analytic: Fraction | None = None) -> "Estimate":
         ci = wilson_interval(successes, trials)  # validates the counts first
+        if analytic is not None and not 0 <= analytic <= 1:
+            raise ValueError(f"analytic value {analytic} not within [0, 1]")
         p_hat = successes / trials
         z = None
         if analytic is not None:

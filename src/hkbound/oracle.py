@@ -778,32 +778,42 @@ def check_prob_guard(spec: GuardSpec, budget: int = DEFAULT_BUDGET) -> GuardRepo
 # Closed forms and identities.
 
 
+def _width(claim: str, params: dict, name: str) -> int:
+    """Parameter ``name`` of ``claim``, popped from ``params``: an int (not a bool) of at least 0."""
+    try:
+        value = params.pop(name)
+    except KeyError:
+        raise ValueError(f"claim {claim!r} needs parameter {name!r}") from None
+    if type(value) is not int or value < 0:
+        raise ValueError(f"claim {claim!r} needs parameter {name!r} to be an int >= 0, not {value!r}")
+    return value
+
+
 def analytic(claim: str, **params) -> Fraction:
     """Exact closed-form value for a named claim.
 
     hamming(delta): 2**-delta        kernel(kappa, ell): 2**(kappa-ell)
     monty/prequery/early(ell): (3/4)**ell      naive(ell): 2**-ell
     secret-guess(ell, secret_bits): hit + (1 - hit) * 2**-ell, hit = 2**-secret_bits
-    Parameters a claim does not use are ignored.
+    Each parameter is a width: an int, not a bool, of at least 0; anything
+    else is a ValueError naming the claim and the parameter.  Parameters a
+    claim does not use are ignored.
     """
-    try:
-        if claim == "hamming":
-            return Fraction(1, 2 ** params.pop("delta"))
-        if claim == "kernel":
-            kappa = params.pop("kappa")
-            ell = params.pop("ell")
-            if not 0 <= kappa <= ell:
-                raise ValueError(f"kernel size {kappa} not within 0..{ell}")
-            return Fraction(2**kappa, 2**ell)
-        if claim in ("monty", "prequery", "early"):
-            return Fraction(3, 4) ** params.pop("ell")
-        if claim == "naive":
-            return Fraction(1, 2) ** params.pop("ell")
-        if claim == "secret-guess":
-            hit = Fraction(1, 2 ** params.pop("secret_bits"))
-            return hit + (1 - hit) * Fraction(1, 2 ** params.pop("ell"))
-    except KeyError as missing:
-        raise ValueError(f"claim {claim!r} needs parameter {missing}") from None
+    if claim == "hamming":
+        return Fraction(1, 2 ** _width(claim, params, "delta"))
+    if claim == "kernel":
+        kappa = _width(claim, params, "kappa")
+        ell = _width(claim, params, "ell")
+        if kappa > ell:
+            raise ValueError(f"kernel size {kappa} not within 0..{ell}")
+        return Fraction(2**kappa, 2**ell)
+    if claim in ("monty", "prequery", "early"):
+        return Fraction(3, 4) ** _width(claim, params, "ell")
+    if claim == "naive":
+        return Fraction(1, 2) ** _width(claim, params, "ell")
+    if claim == "secret-guess":
+        hit = Fraction(1, 2 ** _width(claim, params, "secret_bits"))
+        return hit + (1 - hit) * Fraction(1, 2 ** _width(claim, params, "ell"))
     raise ValueError(f"unknown claim {claim!r}")
 
 

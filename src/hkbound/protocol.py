@@ -25,7 +25,6 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from hashlib import sha256
 from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
@@ -34,6 +33,11 @@ from ._slotted import Slotted
 from .bits import concat, sample_uniform  # noqa: F401 (bench/layers.py patches the last two)
 from .exprs import json_field, json_fields
 from .hkfun import select
+
+try:  # the built-in module: hashlib loads OpenSSL's libcrypto, about 3.5 MB
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed it _sha2
+    from hashlib import sha256
 
 if TYPE_CHECKING:  # symbolic imports the oracle, which this module does not need
     from .symbolic import Term
@@ -210,8 +214,11 @@ class RandomOracle:
     bits of the SHA-256 digests of ``<seed>|<length>|<value in hex>#<i>``
     for blocks i = 0, 1, ...  The block count and the shift that drops
     the surplus bits are fixed at construction, and an entry of at most
-    256 bits takes one digest.  Concurrent insert is first-writer-wins;
-    every writer would store the same value anyway.
+    256 bits takes one digest.  ``sha256`` is the interpreter's built-in
+    module, which gives hashlib's digests without loading OpenSSL; where
+    the interpreter has no ``_sha256`` (Python 3.12 and later) it is
+    hashlib's.  Concurrent insert is first-writer-wins; every writer would
+    store the same value anyway.
     """
 
     def __init__(self, master_seed, out_bits: int):

@@ -76,6 +76,9 @@ def test_estimate_from_counts():
     assert bare.analytic is None and bare.z_score is None
     with pytest.raises(ValueError):
         bare.calibrated()
+    for value in (Fraction(3, 2), Fraction(-1, 4)):  # not a probability
+        with pytest.raises(ValueError, match=f"analytic value {value} not within"):
+            Estimate.from_counts(1, 2, value)
 
 
 def test_an_estimate_of_no_trials_is_a_value_error():

@@ -341,6 +341,19 @@ def test_pinning_chains_through_nested_hashes():
     assert chance({"a": 1}, [a], [inner, outer]) == 1
 
 
+def test_an_argument_fixed_in_some_groups_only_stays_unpinned():
+    # H(v ? s : 00) with v known: v = 0 fixes the argument at 00 and v = 1
+    # leaves it open, so the all-groups rule pins nothing and the value is
+    # the blind 1/4.  A guesser that evaluates the public hash per group,
+    # at H(00) when v = 0, would win (1 + 1/4) / 2 = 5/8: the value does
+    # not bound that guesser.
+    v, s = Var("v"), Var("s")
+    decls = {"v": 1, "s": 2}
+    target = Hash(BoxPlus(Concat((v, v)), Concat((Lit("00"), s))), 2)
+    assert chance(decls, [v], [target]) == Fraction(1, 4)
+    assert restart_chance(list(decls.items()), [v], [target]) == Fraction(1, 4)
+
+
 def test_response_chances_around_the_session_token():
     (s, a, b), h = session_token()
     x, z = Var("x"), Var("z")
@@ -1610,3 +1623,16 @@ def test_analytic_claims():
         analytic("no-such-claim")
     with pytest.raises(ValueError):
         analytic("monty")  # ell missing
+    # every parameter is a width: an int, not a bool, of at least 0
+    bad = [("naive", {"ell": -1}, "ell"), ("early", {"ell": -1}, "ell"), ("monty", {"ell": -2}, "ell"),
+           ("naive", {"ell": 1.5}, "ell"), ("hamming", {"delta": True}, "delta"),
+           ("hamming", {"delta": -1}, "delta"), ("kernel", {"kappa": -1, "ell": 2}, "kappa"),
+           ("kernel", {"kappa": 1, "ell": 2.0}, "ell"), ("prequery", {"ell": "3"}, "ell"),
+           ("secret-guess", {"ell": 2, "secret_bits": -1}, "secret_bits"),
+           ("secret-guess", {"ell": False, "secret_bits": 2}, "ell")]
+    for claim, params, name in bad:
+        with pytest.raises(ValueError, match=f"claim '{claim}' needs parameter '{name}'"):
+            analytic(claim, **params)
+    assert analytic("naive", ell=0) == analytic("hamming", delta=0) == analytic("kernel", kappa=0, ell=0) == 1
+    assert analytic("secret-guess", ell=0, secret_bits=0) == 1
+    assert analytic("monty", ell=2, secret_bits=-1) == Fraction(9, 16)  # a parameter a claim does not use

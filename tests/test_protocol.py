@@ -8,12 +8,16 @@ import collections
 import copy
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
 import pickle
 import random
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -678,6 +682,41 @@ def test_oracle_entries_follow_the_documented_derivation():
             for length, value in ((4, 5), (320, (1 << 319) | 12345)):
                 oracle = RandomOracle(seed, out_bits)
                 assert oracle.query(length, value) == entry(seed, out_bits, length, value)
+
+
+@given(st.one_of(st.text(), st.integers()), st.integers(0, 2**64))
+def test_trial_seeds_follow_the_documented_derivation(master, index):
+    digest = hashlib.sha256(f"{master}:{index}".encode()).digest()
+    assert harness.trial_seed(master, index) == int.from_bytes(digest[:8], "big")
+
+
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter without site packages, importing
+    hkbound from this tree."""
+    env = {"PYTHONPATH": str(Path(harness.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_the_package_does_not_load_openssl():
+    # SHA-256 comes from the interpreter's built-in module, not hashlib
+    pytest.importorskip("_sha256")
+    done = _fresh_python("import sys, hkbound, hkbound.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_the_hashlib_fallback_prints_the_same_simulation():
+    run = ("import sys\n"
+           "if sys.argv[1] == 'fallback':\n"
+           "    sys.modules['_sha256'] = None\n"
+           "from hkbound import cli\n"
+           "rc = cli.main(sys.argv[2:])\n"
+           "sys.stderr.write(f'{rc} {\"hashlib\" in sys.modules}')\n")
+    argv = ["simulate", "--strategy", "prequery-stick", "--ell", "6", "--trials", "2000", "--seed", "7"]
+    default, fallback = (_fresh_python(run, side, *argv) for side in ("default", "fallback"))
+    assert fallback.stderr == "0 True"
+    assert default.stderr == f"0 {importlib.util.find_spec('_sha256') is None}"
+    assert fallback.stdout == default.stdout != ""
 
 
 def test_counter_store_semantics():
