@@ -214,6 +214,12 @@ def _ell(args, default: int) -> int:
     return default if args.ell is None else args.ell
 
 
+def _unused(args, flags, where: str) -> None:
+    """A usage error for any of ``flags`` given to a command that would ignore it."""
+    if given := [flag for flag in flags if getattr(args, flag) is not None]:
+        raise ValueError(f"--{given[0].replace('_', '-')} does not apply to {where}")
+
+
 _CLAIMS = {
     "monty": lambda args: _claim_monty(_ell(args, 4)),
     "prop34": lambda args: _claim_prop34(_ell(args, 4)),
@@ -227,6 +233,8 @@ _CLAIMS = {
 
 
 def _cmd_enumerate(args) -> int:
+    if args.claim == "subbayes":  # a fixed corpus
+        _unused(args, ("ell",), "--claim subbayes")
     payload, ok, rows = _CLAIMS[args.claim](args)
     if args.out == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -266,9 +274,11 @@ def _infeasible(args, exc: adv.StrategyInfeasibleError) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.strategy != "prequery-stick":
+        _unused(args, ("pre_queries",), f"--strategy {args.strategy}")
     cfg = _load_config(args)
     _lint_config(cfg)
-    strategy = adv.make_strategy(args.strategy, pre_queries=args.pre_queries)
+    strategy = adv.make_strategy(args.strategy, pre_queries=args.pre_queries or 1)
     try:
         est = harness.monte_carlo(cfg, strategy, args.trials, args.seed)
     except adv.StrategyInfeasibleError as exc:
@@ -322,6 +332,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_guard_check(args) -> int:
+    if args.builtin in ("dh", "cr") or args.spec:
+        _unused(args, ("ell", "secret_bits"), f"--builtin {args.builtin}" if args.builtin else "--spec")
     if args.builtin in ("dh", "cr"):
         spec = symbolic.builtin_alg_guard_spec(args.builtin)
         algebraic = True
@@ -329,7 +341,7 @@ def _cmd_guard_check(args) -> int:
         if args.algebraic:
             raise ValueError(f"--algebraic takes builtin dh or cr, not {args.builtin!r}")
         spec = oracle.builtin_guard_spec(args.builtin, ell=_ell(args, 1),
-                                         secret_bits=args.secret_bits)
+                                         secret_bits=2 if args.secret_bits is None else args.secret_bits)
         algebraic = False
     else:
         with open(args.spec) as fh:
@@ -399,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", default="0")
     p_sim.add_argument("--config", default=None, help="ProtocolConfig JSON file")
-    p_sim.add_argument("--pre-queries", type=_at_least_one("pre-queries"), default=1, dest="pre_queries")
+    p_sim.add_argument("--pre-queries", type=_at_least_one("pre-queries"), default=None, dest="pre_queries")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="estimates across challenge lengths")
@@ -417,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--builtin", choices=("attack-run", "early-run", "dh", "cr"))
     p_guard.add_argument("--algebraic", action="store_true")
     p_guard.add_argument("--ell", type=_at_least_one("ell"), default=None)
-    p_guard.add_argument("--secret-bits", type=int, default=2, dest="secret_bits")
+    p_guard.add_argument("--secret-bits", type=int, default=None, dest="secret_bits")
     p_guard.set_defaults(func=_cmd_guard_check)
 
     p_bound = sub.add_parser("bound", help="acceptance-confidence lower bound")

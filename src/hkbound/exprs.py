@@ -4,8 +4,10 @@ These are the terms the guessing oracle enumerates: variables, literal
 bitstrings, concatenation, bitwise negation, 1-based slicing, the
 challenge-selection operator ``boxplus``, kernel masking, and an
 idealised public hash.  Every expression has a static width computable
-from the variable declarations, which lets scenarios be validated before
-any enumeration starts.
+from the variable declarations.  The oracle's analysis walk checks each
+term as it reads it (``oracle._analyse``: declared variables, masks at
+the top level only, slices in range, tokens twice their challenge's
+width), and it runs when a scenario is built, before any enumeration.
 
 ``evaluate`` gives an expression's value under one environment as a
 plain tuple: ``(length, value)`` for bitstrings and ``(length, value,
@@ -129,56 +131,6 @@ def free_vars(e: Expr, found: set[str] | None = None) -> set[str]:
     elif kind is not Lit:
         raise TypeError(f"not an expression: {e!r}")
     return found
-
-
-def width(e: Expr, declared: dict[str, int]) -> int:
-    """Static bit width; raises ValueError on malformed expressions.
-
-    Masked strings are observations, not bit material, so a KernelMask
-    may only appear at the top level of a known or target, never inside
-    another operator.
-    """
-    kind = type(e)
-    if kind is Var:
-        if e.name not in declared:
-            raise ValueError(f"undeclared variable {e.name!r}")
-        return declared[e.name]
-    if kind is Lit:
-        return len(e.text)
-    if kind is Concat:
-        for p in e.parts:
-            if type(p) is KernelMask:
-                raise ValueError("masked string cannot be concatenated")
-        return sum(width(p, declared) for p in e.parts)
-    if kind is Negate:
-        if type(e.arg) is KernelMask:
-            raise ValueError("masked string cannot be negated")
-        return width(e.arg, declared)
-    if kind is Proj:
-        if type(e.arg) is KernelMask:
-            raise ValueError("masked string cannot be sliced")
-        if type(e.lo) is not int or type(e.hi) is not int:  # a bool is not an int here
-            raise ValueError(f"slice bounds must be ints, got {e.lo!r}..{e.hi!r}")
-        w = width(e.arg, declared)
-        if not (1 <= e.lo and e.lo <= e.hi + 1 and e.hi <= w):
-            raise ValueError(f"slice {e.lo}..{e.hi} out of range 1..{w}")
-        return e.hi - e.lo + 1
-    if kind is BoxPlus or kind is KernelMask:
-        if type(e.x) is KernelMask or type(e.h) is KernelMask:
-            raise ValueError("masked string cannot feed a selection operator")
-        wx = width(e.x, declared)
-        wh = width(e.h, declared)
-        if wh != 2 * wx:
-            raise ValueError(f"token width {wh} is not twice the challenge width {wx}")
-        return wx
-    if kind is Hash:
-        if type(e.arg) is KernelMask:
-            raise ValueError("masked string cannot be hashed")
-        if type(e.out_bits) is not int:
-            raise ValueError(f"hash output width must be an int, got {e.out_bits!r}")
-        width(e.arg, declared)
-        return e.out_bits
-    raise TypeError(f"not an expression: {e!r}")
 
 
 def hash_nodes(e: Expr) -> list[Hash]:

@@ -28,20 +28,20 @@ entry.  Every operator, the mux included, is bit-local, so all the bits
 split into independent components, and the chance is the product of the
 components' chances: the paper's per-bit argument behind (3/4)**l.  A
 muxed entry bit reads every bit of both arguments, so colliding classes
-share one component with their arguments.  One pass walks each shown
-term once for its bits' components, constants and hash classes; a
-selection bit whose challenge bit is constant reads only the token half
-it selects.  A pass whose bits are all constants or copies of one
-position, as the kernel and distance-law queries' are, is answered from
-that walk: 2**-popcount(targets' mask & ~knowns' mask) over the
-positions the terms read.  Any other pass evaluates every node once over
-all of a component's 2**k assignments, as one truth table per value bit,
-grouped by component once per term; the budget caps the widest
-component.  A two-row component is one bit of such a mask.  A wider
-component is counted on its tables as masks, splitting its rows into
-classes of equal values with AND and popcount, while the classes fit one
-word's rows, and past that row by row (``_best_rows``).  Across calls
-the oracle keeps only the row-bit tables of each width up to 12.
+share one component with their arguments.  One walk of each term, made
+when its scenario is built, checks the term and gives its bits'
+components, constants and hash classes; a selection bit whose challenge
+bit is constant reads only the token half it selects.  A pass whose bits
+are all constants or copies of one position, as the kernel and
+distance-law queries' are, is answered from that walk:
+2**-popcount(targets' mask & ~knowns' mask).  Any other pass evaluates
+every node once over all of a component's 2**k assignments, as one truth
+table per value bit; the budget caps the widest component.  A two-row
+component is one bit of such a mask; a wider one is counted on its
+tables as masks, splitting its rows into classes with AND and popcount,
+while the classes fit one word's rows, and row by row past that
+(``_best_rows``).  Across calls the oracle keeps only the row-bit tables
+of each width up to 12.
 
 The hash itself is public, so a guesser whose observations pin down an
 argument value is credited with knowing that table entry as well.  The
@@ -78,7 +78,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import exprs
 from ._slotted import Slotted, setfields
-from .exprs import Expr, free_vars, hash_nodes, width
+from .exprs import Expr
 from .exprs import evaluate  # noqa: F401 (bench/layers.py patches oracle.evaluate)
 
 DEFAULT_BUDGET = 24
@@ -98,33 +98,27 @@ class BudgetExceededError(ValueError):
 
 
 class GuessScenario(Slotted):
-    """Variable declarations plus known and target expression lists."""
+    """Variable declarations plus known and target expression lists,
+    checked by the one walk (``_walk``) that every pass over them reads."""
 
-    __slots__ = __match_args__ = ("variables", "knowns", "targets")
+    __match_args__ = ("variables", "knowns", "targets")
+    __slots__ = __match_args__ + ("_walk",)  # a function of the fields, as the scenario is immutable
 
     def __init__(self, variables: tuple[tuple[str, int], ...], knowns: tuple[Expr, ...],
                  targets: tuple[Expr, ...]):
-        decls = dict(variables)
-        if len(decls) < len(variables):
-            seen: set = set()
-            name = next(n for n, _ in variables if n in seen or seen.add(n))  # the first repeat
-            raise ValueError(f"duplicate variable declaration {name!r}")
-        for name, bits in decls.items():
-            if type(bits) is not int or bits < 0:  # a bool is not an int here
-                need = ">= 0" if type(bits) is int else "an int"
-                raise ValueError(f"variable {name!r} width must be {need}, got {bits!r}")
-        for e in knowns + targets:
-            width(e, decls)
+        walk = _walk(variables, knowns + targets)
         object.__setattr__(self, "variables", variables)  # not ``setfields``: each query builds one
         object.__setattr__(self, "knowns", knowns)
         object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "_walk", walk)
 
 
 def _analyse(e: Expr, memo: dict, fill) -> tuple:
     """For each value bit of ``e``, least significant first, the mask of the
-    positions it reads; the class keys of e's hash nodes; and the bits'
-    shape: "0" or "1" for a constant, "." for a copy or negation of the
-    position it reads, "?" for any other bit.  The walk is post-order:
+    positions it reads; the class keys of e's hash nodes; the bits' shape:
+    "0" or "1" for a constant, "." for a copy or negation of the position
+    it reads, "?" for any other bit; and the mask of e's variables, one bit
+    per declaration.  The walk is post-order:
     ``fill(node, argument reads)`` classes a hash node when first met, in
     fill order, and gives its entry masks; equal nodes are one class, keyed
     by the first met, with "." bits unless the argument has a "?" (muxing is
@@ -132,36 +126,62 @@ def _analyse(e: Expr, memo: dict, fill) -> tuple:
     node once analysed by id.  A selection's bit i reads x_i, h_i and
     h_{l+i}, but a constant x_i reads only the half it selects, and constant
     halves read x_i where they differ, nothing where equal; past that, reads
-    may be supersets.  A KernelMask gives its value bits, then its stars."""
+    may be supersets.  A KernelMask gives its value bits, then its stars.
+
+    The walk checks the term, raising at the first fault met: an
+    undeclared variable, a KernelMask below the top level (masks are
+    observations, not bit material), slice bounds not ints and then out of
+    range, a hash width not an int, a token not twice its challenge."""
     kind = type(e)
     if kind is exprs.Var:
-        return memo[e.name]
+        try:
+            return memo[e.name]
+        except KeyError:
+            raise ValueError(f"undeclared variable {e.name!r}") from None
     if (got := memo.get(id(e))) is not None:
         return got
     if kind is exprs.Lit:
-        got = [0] * len(e.text), (), e.text[::-1]
+        got = [0] * len(e.text), (), e.text[::-1], 0
     elif kind is exprs.Concat:
-        reads, keys, shape = [], (), ""
+        if exprs.KernelMask in map(type, e.parts):
+            raise ValueError("masked string cannot be concatenated")
+        reads, keys, shape, names = [], (), "", 0
         for part in e.parts:  # the first part holds the high bits
-            r, k, s = _analyse(part, memo, fill)
-            reads, keys, shape = r + reads, keys + k, s + shape
-        got = reads, keys, shape
+            r, k, s, n = _analyse(part, memo, fill)
+            reads, keys, shape, names = r + reads, keys + k, s + shape, names | n
+        got = reads, keys, shape, names
     elif kind is exprs.Negate:
-        reads, keys, shape = _analyse(e.arg, memo, fill)
-        got = reads, keys, shape.translate(_NEGATED)
+        if type(e.arg) is exprs.KernelMask:
+            raise ValueError("masked string cannot be negated")
+        reads, keys, shape, names = _analyse(e.arg, memo, fill)
+        got = reads, keys, shape.translate(_NEGATED), names
     elif kind is exprs.Proj:
-        reads, keys, shape = _analyse(e.arg, memo, fill)
+        if type(e.arg) is exprs.KernelMask:
+            raise ValueError("masked string cannot be sliced")
+        if type(e.lo) is not int or type(e.hi) is not int:  # a bool is not an int here
+            raise ValueError(f"slice bounds must be ints, got {e.lo!r}..{e.hi!r}")
+        reads, keys, shape, names = _analyse(e.arg, memo, fill)
+        if not 1 <= e.lo <= e.hi + 1 or e.hi > len(reads):
+            raise ValueError(f"slice {e.lo}..{e.hi} out of range 1..{len(reads)}")
         lo, hi = len(reads) - e.hi, len(reads) - e.lo + 1
-        got = reads[lo:hi], keys, shape[lo:hi]
+        got = reads[lo:hi], keys, shape[lo:hi], names
     elif kind is exprs.Hash:
-        arg, keys, shape = _analyse(e.arg, memo, fill)
-        got = fill(e, arg), keys + (e,), ("?" if "?" in shape else ".") * e.out_bits
-    else:
-        (x, keys, cx), (h, more, ch) = _analyse(e.x, memo, fill), _analyse(e.h, memo, fill)
-        n, keys, pick = len(x), keys + more, kind is exprs.BoxPlus
+        if type(e.arg) is exprs.KernelMask:
+            raise ValueError("masked string cannot be hashed")
+        if type(e.out_bits) is not int:
+            raise ValueError(f"hash output width must be an int, got {e.out_bits!r}")
+        arg, keys, shape, names = _analyse(e.arg, memo, fill)
+        got = fill(e, arg), keys + (e,), ("?" if "?" in shape else ".") * e.out_bits, names
+    elif kind is exprs.BoxPlus or kind is exprs.KernelMask:
+        if type(e.x) is exprs.KernelMask or type(e.h) is exprs.KernelMask:
+            raise ValueError("masked string cannot feed a selection operator")
+        (x, keys, cx, names), (h, more, ch, also) = _analyse(e.x, memo, fill), _analyse(e.h, memo, fill)
+        n, keys, names, pick = len(x), keys + more, names | also, kind is exprs.BoxPlus
+        if len(h) != 2 * n:
+            raise ValueError(f"token width {len(h)} is not twice the challenge width {n}")
         if not (pick and cx.strip(".?") or ch[:n].strip(".?") and ch[n:].strip(".?")):  # nothing to fold
             out = list(map(or_, map(or_, x, h), h[n:]))
-            got = (out, keys, "?" * n) if pick else (out + out, keys, "?" * 2 * n)
+            got = (out, keys, "?" * n, names) if pick else (out + out, keys, "?" * 2 * n, names)
         else:  # h_i is picked where x_i is 1, and h_{l+i} where it is 0
             out, shape = [], ""
             for i, c, one, zero in zip(range(n), cx, ch, ch[n:]):
@@ -176,9 +196,47 @@ def _analyse(e: Expr, memo: dict, fill) -> tuple:
             if not pick:  # a star is set where the halves are equal; a constant star reads nothing
                 stars = "".join(["01"[a == b] if a in "01" and b in "01" else "?" for a, b in zip(ch, ch[n:])])
                 out, shape = out + [m if s == "?" else 0 for s, m in zip(stars, out)], shape + stars
-            got = out, keys, shape
+            got = out, keys, shape, names
+    else:
+        raise TypeError(f"not an expression: {e!r}")
     memo[id(e)] = got
     return got
+
+
+def _walk(variables, shown: tuple) -> tuple:
+    """Check ``variables`` and walk ``shown`` once: the memo, each term's
+    ``_analyse``, and per hash class in fill order its nodes, fresh
+    positions, argument reads, entry and earlier classes that may collide."""
+    if len(dict(variables)) < len(variables):
+        name = next(n for i, (n, _) in enumerate(variables) if n in dict(variables[:i]))  # the first repeat
+        raise ValueError(f"duplicate variable declaration {name!r}")
+    memo, at = {}, 0  # memo: a variable's name, or a node's id -> its analysis
+    for i, (name, bits) in enumerate(variables):
+        if type(bits) is not int or bits < 0:  # a bool is not an int here
+            need = ">= 0" if type(bits) is int else "an int"
+            raise ValueError(f"variable {name!r} width must be {need}, got {bits!r}")
+        memo[name] = [1 << k for k in range(at, at + bits)], (), "." * bits, 1 << i
+        at += bits
+    classes, fresh, arg_reads, entries, earlier = {}, {}, {}, {}, {}
+
+    def fill(node, arg):  # equal nodes are one class, keyed by the first met
+        nonlocal at
+        if node not in classes:
+            shape = len(arg), node.out_bits  # the classes that may collide with it
+            earlier[node] = same = [i for i in classes if (len(arg_reads[i]), len(fresh[i])) == shape]
+            classes[node], arg_reads[node] = [], arg
+            entry = fresh[node] = [1 << at + k for k in range(node.out_bits)]
+            at += len(entry)
+            if same:  # bit k reads every argument and bit k of each earlier entry
+                compared = reduce(or_, arg + [m for i in same for m in arg_reads[i]], 0)
+                entry = [reduce(or_, (entries[i][k] for i in same), m | compared)
+                         for k, m in enumerate(entry)]
+            entries[node] = entry
+        classes[node].append(node)
+        return entries[node]
+
+    reads = [_analyse(e, memo, fill) for e in shown]
+    return memo, reads, classes, fresh, arg_reads, entries, earlier
 
 
 def _slices(e: Expr, cols: dict) -> list[int]:
@@ -311,53 +369,31 @@ def _best_counted(given: list, tables: list, k: int) -> int:
 
 
 class _TruthTables:
-    """Truth tables of the expressions ``shown``: called as ``chance_of(knowns,
-    targets)`` for a query over them, or read by ``product_rule``.
+    """Truth tables of a scenario's terms, its knowns then its targets
+    (``shown``, looked up by id): called as ``chance_of(knowns, targets)``
+    for a query over them, or read by ``product_rule``.  The pass tabulates
+    from the walk that the scenario made when it was built (``_walk``),
+    and walks no term again.
 
-    Each variable bit, and each bit of a hash class's fresh entry, is a
-    position.  Classes are taken in fill order, an argument's nodes first.
-    A class's entry is its fresh bits unless an earlier class has the same
-    shape (argument width, output width); then it is the mux
-    ``eq(arg_1, arg_j) ? e_1 : eq(arg_2, arg_j) ? e_2 : ... : fresh_j`` over
-    those earlier classes, the first match winning, where ``eq`` is the
-    AND of the XNORs of the argument bits.  The positions split into
-    independent components by the masks that one ``_analyse`` walk of each
-    shown term gives its bits and the classes' arguments and entries, and
-    each component's 2**k rows are its assignments.  When the walk finds
-    every bit a constant or one position's copy or negation, and no entry
-    muxed, a column is the union of a term's masks, and the pass merges,
-    tabulates and slices nothing.  Otherwise every node is sliced once, by
-    ``_slices``, into a truth table per value bit, and each shown term's
-    tables are grouped by component once.  A two-row component (one
-    position) is a bit of a mask instead: the positions on which one of a
-    term's tables varies (``t & 3`` is 1 or 2; any int may be a table).
-    Expressions are looked up by id, as ``shown`` holds them.
+    A class's entry is its fresh bits unless an earlier class, in fill
+    order, has the same shape (argument width, output width); then it is
+    the mux ``eq(arg_1, arg_j) ? e_1 : eq(arg_2, arg_j) ? e_2 : ... :
+    fresh_j`` over those earlier classes, the first match winning, where
+    ``eq`` is the AND of the XNORs of the argument bits.  The walk's masks
+    split the positions into independent components, each of whose 2**k
+    rows is an assignment.  When the walk finds every bit a constant or
+    one position's copy or negation, and no entry muxed, a column is the
+    union of a term's masks, and the pass merges, tabulates and slices
+    nothing.  Otherwise every node is sliced once (``_slices``) into a
+    truth table per value bit, grouped by component once per term.  A
+    two-row component (one position) is a bit of a mask instead: the
+    positions on which one of a term's tables varies (``t & 3`` is 1 or 2;
+    any int may be a table).
     """
 
-    def __init__(self, variables, shown: Sequence[Expr], budget: int):
-        memo, at = {}, 0  # memo: a variable's name, or a node's id -> its reads, classes and shape
-        for name, bits in variables:
-            memo[name] = [1 << k for k in range(at, at + bits)], (), "." * bits
-            at += bits
-        classes, fresh, arg_reads, entries, earlier = {}, {}, {}, {}, {}
-
-        def fill(node, arg):  # equal nodes are one class, keyed by the first met
-            nonlocal at
-            if node not in classes:
-                shape = len(arg), node.out_bits  # the classes that may collide with it
-                earlier[node] = same = [i for i in classes if (len(arg_reads[i]), len(fresh[i])) == shape]
-                classes[node], arg_reads[node] = [], arg
-                entry = fresh[node] = [1 << at + k for k in range(node.out_bits)]
-                at += len(entry)
-                if same:  # bit k reads every argument and bit k of each earlier entry
-                    compared = reduce(or_, arg + [m for i in same for m in arg_reads[i]], 0)
-                    entry = [reduce(or_, (entries[i][k] for i in same), m | compared)
-                             for k, m in enumerate(entry)]
-                entries[node] = entry
-            classes[node].append(node)
-            return entries[node]
-
-        reads = [_analyse(e, memo, fill) for e in shown]
+    def __init__(self, scenario: GuessScenario, budget: int):
+        memo, reads, classes, fresh, arg_reads, entries, earlier = scenario._walk
+        variables, shown = scenario.variables, scenario.knowns + scenario.targets
         self.reads = dict(zip(map(id, shown), reads)) if classes else {}  # id(e) -> its _analyse
         if "?" not in "".join(map(itemgetter(2), reads)) and not any(earlier.values()):
             self.widths = []  # every bit is a constant or one position's copy: the walk's masks are exact
@@ -499,45 +535,34 @@ def _merged(sides: list) -> tuple[dict, int]:
 
 
 def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Exact best guessing chance of the targets given the knowns.
+    """Exact best guessing chance of the targets given the knowns, off one
+    pass over the walk that the scenario made when it was built.
 
-    Hash nodes are variables here: each class brings a block of
-    ``out_bits`` fresh variable bits, its entry is that block muxed with
-    the entries of earlier classes that may collide with it (see the
-    module docstring), and a node's value is its class's entry.  The
-    variable and entry bits split into independent components, and the
+    Hash nodes read their classes' entries (see the module docstring).
+    The variable and entry bits split into independent components, and the
     chance is the product of the components' chances (Smith, FoSSaCS
     2009, for independent channels).  This is exact: each value bit, and
     each bit of a class's argument, is a function of one component or
     constant, so the components' parts are independent and the sum over
     observations of the best answer's weight splits into a product.  A
-    class is pinned, its entry joining the knowns, when its argument is a
-    function of the knowns in every component, that is, when the knowns
-    determine it in every group of equal observations.  The budget caps
-    the widest component.
-
-    Classes are muxed in fill order, which lists a class after those in
-    its argument (one post-order ``_analyse`` walk classes each node when
-    first met), so a muxed entry reads only entries already built.  Each
-    term's tables are grouped by component once, two-row ones as masks.
+    class is pinned, its entry joining the knowns, when the knowns
+    determine its argument in every group of equal observations.  The
+    budget caps the widest component.  Classes are muxed in fill order,
+    which lists a class after those in its argument, so a muxed entry
+    reads only entries already built.
     """
-    knowns, targets = scenario.knowns, scenario.targets
-    return _TruthTables(scenario.variables, knowns + targets, budget)(knowns, targets)
+    return _TruthTables(scenario, budget)(scenario.knowns, scenario.targets)
 
 
-def chance(
-    variables,
-    knowns: Iterable[Expr],
-    targets: Iterable[Expr],
-    budget: int = DEFAULT_BUDGET,
-) -> Fraction:
-    """Convenience wrapper building the scenario in place.
+def chance(variables, knowns: Iterable[Expr], targets: Iterable[Expr], budget: int = DEFAULT_BUDGET) -> Fraction:
+    """``guess_chance`` of a scenario built in place; ``variables`` may be
+    (name, bits) pairs or a name -> bits mapping."""
+    return guess_chance(GuessScenario(_declared(variables), tuple(knowns), tuple(targets)), budget)
 
-    ``variables`` may be (name, bits) pairs or a name -> bits mapping.
-    """
-    if isinstance(variables, Mapping):
-        variables = tuple(variables.items())
-    return guess_chance(GuessScenario(tuple(variables), tuple(knowns), tuple(targets)), budget)
+
+def _declared(variables) -> tuple:
+    """(name, bits) pairs, from pairs or a name -> bits mapping."""
+    return tuple(variables.items() if isinstance(variables, Mapping) else variables)
 
 
 def chances(variables, shown: Iterable[Expr], budget: int = DEFAULT_BUDGET):
@@ -559,22 +584,22 @@ def chances(variables, shown: Iterable[Expr], budget: int = DEFAULT_BUDGET):
     ``chance`` per query, and a query over the budget raises as it would
     alone.
     """
-    if isinstance(variables, Mapping):
-        variables = tuple(variables.items())
-    variables, shown = tuple(variables), tuple(shown)
-    GuessScenario(variables, (), shown)  # the declaration and width checks, once
+    return _pass(GuessScenario(_declared(variables), (), tuple(shown)), budget)
+
+
+def _pass(scenario: GuessScenario, budget: int):
+    """The pass over a scenario's terms, or ``chance`` per query over the budget."""
     try:
-        return _TruthTables(variables, shown, budget)
+        return _TruthTables(scenario, budget)
     except BudgetExceededError:
-        return partial(chance, variables, budget=budget)  # each query may still fit alone
+        return partial(chance, scenario.variables, budget=budget)  # each query may still fit alone
 
 
 def advantage(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
     """How much the knowns improve on guessing the targets cold, both
     chances read off one pass."""
-    knowns, targets = scenario.knowns, scenario.targets
-    chance_of = chances(scenario.variables, knowns + targets, budget)
-    return chance_of(knowns, targets) - chance_of((), targets)
+    chance_of = _TruthTables(scenario, budget)  # the union is the first query's own terms
+    return chance_of(scenario.knowns, scenario.targets) - chance_of((), scenario.targets)
 
 
 class SubbayesReport(NamedTuple):
@@ -591,18 +616,13 @@ class SubbayesReport(NamedTuple):
         return self.lhs_first * self.lhs_second
 
 
-def check_subbayes(
-    variables: Sequence[tuple[str, int]],
-    xi: Sequence[Expr],
-    gamma: Sequence[Expr],
-    theta: Sequence[Expr],
-    budget: int = DEFAULT_BUDGET,
-) -> SubbayesReport:
+def check_subbayes(variables: Sequence[tuple[str, int]], xi: Sequence[Expr], gamma: Sequence[Expr],
+                   theta: Sequence[Expr], budget: int = DEFAULT_BUDGET) -> SubbayesReport:
     """Compare chance(xi -> gamma) * chance(xi,gamma -> theta) with chance(xi -> gamma,theta).
 
-    The three chances are read off one ``chances`` pass over xi, gamma and
-    theta, the last query's own terms, so the pass is over the budget
-    exactly when that query is, and then each is asked alone.  With no
+    The three chances are read off one pass over xi, gamma and theta, as
+    ``chances`` makes, the last query's own terms, so the pass is over the
+    budget exactly when that query is, and then each is asked alone.  With no
     class to pin, all three come off one split of each component's rows
     (``_TruthTables.product_rule``); otherwise the pass answers each.
 
@@ -633,16 +653,14 @@ def check_subbayes(
     """
     xi, gamma, theta = tuple(xi), tuple(gamma), tuple(theta)
     context = xi + gamma
-    chance_of = chances(variables, context + theta, budget)
+    scenario = GuessScenario(_declared(variables), context, theta)
+    chance_of = _pass(scenario, budget)
     got = chance_of.product_rule(xi, gamma, theta) if isinstance(chance_of, _TruthTables) else None
     a, b, rhs = got or (chance_of(xi, gamma), chance_of(context, theta), chance_of(xi, gamma + theta))
-    fv_theta, fv_context = set(), set()  # fv_context takes xi's names, then gamma's
-    for found, es in ((fv_theta, theta), (fv_context, xi)):
-        for e in es:
-            free_vars(e, found)
-    disjoint = fv_context.isdisjoint(fv_theta)
-    for e in gamma:
-        free_vars(e, fv_context)
+    terms = scenario._walk[1]  # xi's analyses, then gamma's, then theta's
+    in_xi = reduce(or_, (t[3] for t in terms[:len(xi)]), 0)  # the variables, one bit per declaration
+    in_context = reduce(or_, (t[3] for t in terms[len(xi):len(context)]), in_xi)
+    in_theta = reduce(or_, (t[3] for t in terms[len(context):]), 0)
     left = a.numerator * b.numerator * rhs.denominator  # lhs and rhs over one denominator
     right = rhs.numerator * a.denominator * b.denominator
     return SubbayesReport(
@@ -650,23 +668,25 @@ def check_subbayes(
         lhs_second=b,
         rhs=rhs,
         holds=left <= right,
-        disjoint=disjoint,
+        disjoint=not in_xi & in_theta,
         equality=left == right,
-        independent=fv_context.isdisjoint(fv_theta) and not (
-            any(hash_nodes(e) for e in theta) and any(hash_nodes(e) for e in context)),
+        independent=not in_context & in_theta and not (
+            any(t[1] for t in terms[len(context):]) and any(t[1] for t in terms[:len(context)])),
     )
 
 
 class GuardSpec(Slotted):
     """A guard-checking instance over one set of variable declarations,
-    checked on construction as every query would check it."""
+    checked when built by the walk of a scenario over all its terms, which
+    ``check_prob_guard``'s pass reads."""
 
-    __slots__ = __match_args__ = ("variables", "context", "target", "guards")
+    __match_args__ = ("variables", "context", "target", "guards")
+    __slots__ = __match_args__ + ("_scenario",)
 
     def __init__(self, variables: tuple[tuple[str, int], ...], context: tuple[Expr, ...],
                  target: Expr, guards: tuple[tuple[Expr, ...], ...]):
-        GuessScenario(tuple(variables), tuple(context), (target, *(e for g in guards for e in g)))
-        setfields(self, variables, context, target, guards)
+        scenario = GuessScenario(tuple(variables), tuple(context), (target, *(e for g in guards for e in g)))
+        setfields(self, variables, context, target, guards, scenario)
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "GuardSpec":
@@ -767,11 +787,11 @@ def cover(context: Sequence, target, guards: Sequence[Sequence], chance_of) -> G
 def check_prob_guard(spec: GuardSpec, budget: int = DEFAULT_BUDGET) -> GuardReport:
     """``cover`` with exact guessing chances over the spec's variables.
 
-    Every chance ``cover`` asks is read off one ``chances`` pass over the
-    union of context, target and guard terms.
+    Every chance ``cover`` asks is read off one pass over all the spec's
+    terms, from the walk made when the spec was built (``chances`` says
+    what a union over the budget does).
     """
-    shown = (*spec.context, spec.target, *(e for g in spec.guards for e in g))
-    return cover(spec.context, spec.target, spec.guards, chances(spec.variables, shown, budget))
+    return cover(spec.context, spec.target, spec.guards, _pass(spec._scenario, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ must land on those values, and the stick policy must be optimal among
 single-round deterministic rules.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from hkbound.exprs import BoxPlus, Lit, Var
 from hkbound.hkfun import select
 from hkbound.oracle import chance
-from hkbound.protocol import ProtocolConfig, CounterStore, Responder
+from hkbound.protocol import CounterStore, ProtocolConfig, RandomOracle, Responder, SessionView, session_token
 from hkbound.adversary import (
     STRATEGIES,
     CounterReuseExtract,
@@ -224,3 +225,65 @@ def test_strategies_share_verifier_state():
     _, second = attack_session(cfg, "naive-guess", 8, verifier_store=store)
     assert first.reason in ("ok", "wrong_bits")
     assert second.reason == "counter_reused"
+
+
+# --- what a responder may know, and when: the causality audit ------------------
+
+
+def causality_faults(strategy: Responder, cfg: ProtocolConfig, seed) -> list[tuple[int, str]]:
+    """Where ``strategy`` answers with what its rounds may not know yet.
+
+    A view is built and set up as ``run_session`` builds it, then ``play``
+    is replayed from one generator state with challenge bit j flipped,
+    for each round j.  A waited round i may read x_1..x_i, and an early
+    round reads no challenge: a changed waited bit of a round before j, a
+    changed early bit or a changed early mask is a fault (j, what)."""
+    ell, w = cfg.ell, cfg.counter_width
+    rng = random.Random(seed)
+    oracle = RandomOracle(seed, 2 * ell)
+    secret, a, b = rng.getrandbits(cfg.secret_bits), rng.getrandbits(w), rng.getrandbits(w)
+    view = SessionView(cfg, rng, oracle, a, b, secret, session_token(oracle, cfg, secret, a, b), None, None, 0)
+    strategy.setup(view)
+    challenges = rng.getrandbits(ell)
+    state = rng.getstate()
+    response, early = strategy.play(view, challenges)
+    faults = []
+    for j in range(1, ell + 1):
+        rng.setstate(state)
+        flipped, flipped_early = strategy.play(view, challenges ^ 1 << ell - j)
+        before = (1 << ell) - (1 << ell - j + 1)  # rounds 1..j-1, round 1 the most significant bit
+        changed = response ^ flipped
+        if flipped_early != early:
+            faults.append((j, "early mask"))
+        if changed & early:
+            faults.append((j, "early bit"))
+        if changed & before & ~early:
+            faults.append((j, "waited bit of an earlier round"))
+    return faults
+
+
+class AnswersRoundOneWithX2(Responder):
+    def play(self, view, challenges):
+        ell = view.cfg.ell
+        return (challenges >> ell - 2 & 1) << ell - 1, 0
+
+
+class EchoesItsChallengeEarly(Responder):
+    def play(self, view, challenges):
+        first = 1 << view.cfg.ell - 1  # round 1, sent before its challenge leaves
+        return challenges & first, first
+
+
+@pytest.mark.parametrize("ell", [2, 4, 8])
+def test_the_shipped_strategies_read_only_what_their_rounds_know(ell):
+    for name, cls in STRATEGIES.items():
+        cfg = cfg_at(ell, enforce_counter_freshness=name != "counter-reuse")
+        for seed in range(5):
+            assert causality_faults(cls(), cfg, f"{name}:{seed}") == [], name
+
+
+@pytest.mark.parametrize("ell", [2, 4, 8])
+def test_the_audit_fails_planted_responders(ell):
+    cfg = cfg_at(ell)
+    assert (2, "waited bit of an earlier round") in causality_faults(AnswersRoundOneWithX2(), cfg, 1)
+    assert (1, "early bit") in causality_faults(EchoesItsChallengeEarly(), cfg, 1)

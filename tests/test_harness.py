@@ -233,10 +233,10 @@ def test_cli_enumerate_csv(capsys):
 @pytest.mark.parametrize("claim", sorted(cli._CLAIMS))
 def test_cli_enumerate_exits_1_when_a_claim_fails(claim, monkeypatch, capsys):
     # the oracle function the claim checks against answers wrong once per
-    # run: binomial_identity_check, chance, or a chance_of that chances
-    # returned
-    real_binomial, real_chance, real_chances = (
-        oracle.binomial_identity_check, oracle.chance, oracle.chances)
+    # run: binomial_identity_check, chance, or a chance_of that a pass
+    # returned (``oracle._pass``, which chances and check_subbayes build)
+    real_binomial, real_chance, real_pass = (
+        oracle.binomial_identity_check, oracle.chance, oracle._pass)
     for out in ("json", "csv"):
         wrong = iter([True])
 
@@ -247,15 +247,15 @@ def test_cli_enumerate_exits_1_when_a_claim_fails(claim, monkeypatch, capsys):
             lhs, rhs, holds = real_binomial(ell)
             return (lhs + 1, rhs, False) if next(wrong, False) else (lhs, rhs, holds)
 
-        def chances(*args, **kwargs):
-            chance_of = real_chances(*args, **kwargs)
+        def passes(*args, **kwargs):
+            chance_of = real_pass(*args, **kwargs)
             return lambda *query: once(chance_of(*query))
 
         if claim == "binomial":
             monkeypatch.setattr(oracle, "binomial_identity_check", binomial)
         else:
             monkeypatch.setattr(oracle, "chance", lambda *a, **k: once(real_chance(*a, **k)))
-            monkeypatch.setattr(oracle, "chances", chances)
+            monkeypatch.setattr(oracle, "_pass", passes)
         assert cli.main(["enumerate", "--claim", claim, "--out", out]) == 1
         text = capsys.readouterr().out
         if out == "json":
@@ -541,6 +541,39 @@ def test_cli_malformed_guard_specs_are_usage_errors(tmp_path, capsys):
     for name in ("attack-run", "early-run"):
         err = _usage_error(["guard-check", "--builtin", name, "--algebraic"], capsys)
         assert repr(name) in err
+
+
+@pytest.mark.parametrize("argv, flag, where", [
+    (["guard-check", "--builtin", "dh", "--ell", "3"], "--ell", "--builtin dh"),
+    (["guard-check", "--builtin", "cr", "--secret-bits", "9"], "--secret-bits", "--builtin cr"),
+    (["guard-check", "--builtin", "cr", "--algebraic", "--ell", "2"], "--ell", "--builtin cr"),
+    (["guard-check", "--spec", "SPEC", "--ell", "2"], "--ell", "--spec"),
+    (["guard-check", "--spec", "SPEC", "--secret-bits", "2"], "--secret-bits", "--spec"),
+    (["enumerate", "--claim", "subbayes", "--ell", "5"], "--ell", "--claim subbayes"),
+    (["simulate", "--strategy", "naive-guess", "--pre-queries", "3", "--trials", "10"],
+     "--pre-queries", "--strategy naive-guess"),
+    (["simulate", "--strategy", "honest", "--pre-queries", "1", "--trials", "10"],
+     "--pre-queries", "--strategy honest"),
+])
+def test_cli_a_flag_the_command_would_ignore_is_a_usage_error(argv, flag, where, tmp_path, capsys):
+    from hkbound.oracle import builtin_guard_spec
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(builtin_guard_spec("early-run").to_json()))
+    argv = [str(path) if a == "SPEC" else a for a in argv]
+    assert f"{flag} does not apply to {where}" in _usage_error(argv, capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_flags_that_apply_keep_their_defaults(capsys):
+    # --secret-bits 2 and --pre-queries 1 are what the commands use when absent
+    for argv in (["guard-check", "--builtin", "attack-run"],
+                 ["simulate", "--strategy", "prequery-stick", "--ell", "2", "--trials", "50"]):
+        flag = ["--secret-bits", "2"] if argv[0] == "guard-check" else ["--pre-queries", "1"]
+        assert cli.main(argv) == 0
+        default = capsys.readouterr().out
+        assert cli.main(argv + flag) == 0
+        assert capsys.readouterr().out == default
 
 
 def test_cli_too_deep_specs_are_usage_errors(tmp_path, capsys):

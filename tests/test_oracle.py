@@ -383,6 +383,12 @@ def reference_chance(decls, knowns, targets) -> Fraction:
     return Fraction(sum(best.values()), 2 ** sum(b for _, b in decls))
 
 
+def walked_width(decls, e) -> int:
+    """The width of a term that is not masked: its bit count in the walk
+    that checks it."""
+    return len(GuessScenario(tuple(decls), (), (e,))._walk[1][0][0])
+
+
 def bit_exprs(decls, want: int, depth: int):
     """Hash-free expressions of width ``want`` over ``decls``."""
     options = [st.text("01", min_size=want, max_size=want).map(Lit)]
@@ -811,7 +817,8 @@ def test_passes_of_single_positions_build_no_tables(monkeypatch):
     want = [restart_chance(*q) for q in queries]
     assert want == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), 1]
     for decls, knowns, targets in queries:
-        assert oracle._TruthTables(decls, (*knowns, *targets), oracle.DEFAULT_BUDGET).widths == []
+        assert oracle._TruthTables(GuessScenario(decls, tuple(knowns), tuple(targets)),
+                                   oracle.DEFAULT_BUDGET).widths == []
 
     def refuse(*args):
         raise AssertionError(f"a one-position pass built or merged tables: {args[-1]!r}")
@@ -935,16 +942,10 @@ def test_constants_and_copies_are_read_off_the_walk(monkeypatch):
 # --- one pass analyses each node once ------------------------------------------
 
 
-def test_a_pass_analyses_each_node_once(monkeypatch):
-    a, b = Var("a"), Var("b")
-    inner = Hash(a, 2)
-    outer = Hash(Concat((b, inner)), 2)
-    twin = Hash(Concat((b, Hash(a, 2))), 2)  # a copy of outer, as JSON parsing makes
-    decls = (("a", 1), ("b", 1))
-    queries = [([a, inner], [BoxPlus(b, outer)]), ([KernelMask(a, inner)], [Negate(twin), outer]),
-               ([], [inner, Lit("01")])]
-    shown = [e for q in queries for es in q for e in es]
-    want = [restart_chance(decls, *q) for q in queries]
+def spy_analyse(monkeypatch) -> Counter:
+    """Count, by node id, each time ``_analyse`` works a node out rather
+    than reading it back off the walk's memo; refuse the term walks of
+    ``exprs``, which one walk per term leaves to the bench and the tests."""
     real, analysed = oracle._analyse, Counter()
 
     def spy(e, memo, fill):
@@ -956,9 +957,27 @@ def test_a_pass_analyses_each_node_once(monkeypatch):
         raise AssertionError(f"a pass walked {e!r} outside its analysis")
 
     monkeypatch.setattr(oracle, "_analyse", spy)
-    for module in (exprs, oracle):
-        monkeypatch.setattr(module, "hash_nodes", refuse)
-        monkeypatch.setattr(module, "free_vars", refuse)
+    monkeypatch.setattr(exprs, "hash_nodes", refuse)
+    monkeypatch.setattr(exprs, "free_vars", refuse)
+    return analysed
+
+
+def test_a_pass_analyses_each_node_once(monkeypatch):
+    a, b = Var("a"), Var("b")
+    inner = Hash(a, 2)
+    outer = Hash(Concat((b, inner)), 2)
+    twin = Hash(Concat((b, Hash(a, 2))), 2)  # a copy of outer, as JSON parsing makes
+    decls = (("a", 1), ("b", 1))
+    queries = [([a, inner], [BoxPlus(b, outer)]), ([KernelMask(a, inner)], [Negate(twin), outer]),
+               ([], [inner, Lit("01")])]
+    shown = [e for q in queries for es in q for e in es]
+    want = [restart_chance(decls, *q) for q in queries]
+    other = (decls, (a, inner), (BoxPlus(b, outer),), (Negate(twin), outer))
+    checks = [subbayes_reference(*other, oracle.DEFAULT_BUDGET),
+              advantage(GuessScenario(decls, *map(tuple, queries[1])))]
+    guard = (decls, (a, inner, KernelMask(a, inner)), outer, ((Negate(twin),), (BoxPlus(b, outer),)))
+    covered = per_query_cover(GuardSpec(*guard))
+    analysed = spy_analyse(monkeypatch)
     chance_of = oracle.chances(decls, shown)
     assert [chance_of(*q) for q in queries] == want
     # inner, outer and its argument, the twin, its argument and its own H(a),
@@ -968,6 +987,19 @@ def test_a_pass_analyses_each_node_once(monkeypatch):
         analysed.clear()
         assert chance(decls, *query) == value
         assert set(analysed.values()) == {1}
+    # a scenario, a spec and a check walk their terms when built, and each
+    # pass and flag reads that walk: 8, 8 and 9 nodes, outer's and the twin's
+    # arguments and the twin's H(a) included
+    for run, value, nodes in ((lambda: guess_chance(GuessScenario(decls, *map(tuple, queries[1]))), want[1], 8),
+                              (lambda: advantage(GuessScenario(decls, *map(tuple, queries[1]))), checks[1], 8),
+                              (lambda: check_subbayes(*other), checks[0], 8),
+                              (lambda: check_prob_guard(GuardSpec(*guard)), covered, 9)):
+        analysed.clear()
+        assert run() == value
+        assert sorted(analysed.values()) == [1] * nodes
+    scenario = GuessScenario(decls, *map(tuple, queries[1]))  # built beforehand: its passes walk nothing
+    analysed.clear()
+    assert guess_chance(scenario) == want[1] and advantage(scenario) == checks[1] and not analysed
 
 
 # --- widths that are not ints -----------------------------------------------------
@@ -987,6 +1019,141 @@ def test_widths_that_are_not_ints_are_usage_errors(variables, targets, message):
         chance(variables, [], targets)
     with pytest.raises(ValueError, match=message.replace(".", r"\.")):
         oracle.chances(variables, targets)
+
+
+# --- one walk checks each term: the first fault met ----------------------------
+
+MASKED = {  # a KernelMask below the top level, by the node it feeds
+    Concat: "masked string cannot be concatenated",
+    Negate: "masked string cannot be negated",
+    Proj: "masked string cannot be sliced",
+    Hash: "masked string cannot be hashed",
+    BoxPlus: "masked string cannot feed a selection operator",
+    KernelMask: "masked string cannot feed a selection operator",
+}
+FAULTS = {  # a planted fault -> whether it is met before or after the node's arguments, and its message
+    "undeclared": ("before", "undeclared variable 'nowhere'"),
+    "bounds": ("before", "slice bounds must be ints, got {lo!r}..{hi!r}"),
+    "out_bits": ("before", "hash output width must be an int, got {bits!r}"),
+    "masked": ("before", None),  # a node fed a KernelMask: its MASKED message
+    "range": ("after", "slice {lo}..{hi} out of range 1..{w}"),
+    "token": ("after", "token width {wh} is not twice the challenge width {wx}"),
+}
+
+
+def arguments(e) -> tuple:
+    """A node's argument terms, in field order."""
+    if type(e) is Concat:
+        return e.parts
+    if type(e) in (Negate, Proj, Hash):
+        return (e.arg,)
+    return (e.x, e.h) if type(e) in (BoxPlus, KernelMask) else ()
+
+
+def with_argument(e, i: int, new):
+    """``e`` with its i-th argument replaced by ``new``."""
+    if type(e) is Concat:
+        return Concat(e.parts[:i] + (new,) + e.parts[i + 1:])
+    if type(e) in (Negate, Proj, Hash):
+        return type(e)(new, *[getattr(e, f) for f in e.__match_args__[1:]])
+    return type(e)(*(new if j == i else a for j, a in enumerate((e.x, e.h))))
+
+
+def places(e, path=()):
+    """The path of every node of ``e``, by argument index, root first."""
+    yield path
+    for i, a in enumerate(arguments(e)):
+        yield from places(a, path + (i,))
+
+
+def planted_at(e, path, new):
+    if not path:
+        return new
+    return with_argument(e, path[0], planted_at(arguments(e)[path[0]], path[1:], new))
+
+
+def first_fault(terms, planted: dict) -> str:
+    """The message of the first planted fault that a walk meets when it
+    takes each term in turn, depth first and arguments in field order: a
+    fault met before the node's arguments, the arguments, then one met
+    after them.  ``planted`` maps a node's id to its fault's (when,
+    message)."""
+    def walk(e):
+        when, message = planted.get(id(e)) or (None, None)
+        if when == "before":
+            return message
+        for a in arguments(e):
+            if got := walk(a):
+                return got
+        return message
+
+    return next(got for got in map(walk, terms) if got)
+
+
+@st.composite
+def faulty_terms(draw):
+    """Declarations, one to three terms, some hashed, with one or two
+    faults planted at places neither of which holds the other, and the
+    message of the first fault met.  A mask is planted as an argument of
+    a node of each kind, beside an argument that may itself be faulty,
+    and may hold a fault of its own: the node's check comes first.  A
+    masked node is planted at the top level only."""
+    widths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    decls = tuple((f"v{i}", b) for i, b in enumerate(widths))
+
+    def term(w, depth=1):
+        return draw(bit_exprs(decls, w, depth))
+
+    def maybe_undeclared(w):
+        return draw(st.one_of(bit_exprs(decls, w, 1), st.just(Var("nowhere"))))
+
+    terms = []
+    for w in draw(st.lists(st.sampled_from(widths), min_size=1, max_size=3)):
+        t = term(w, 2)
+        terms.append(Hash(t, draw(st.integers(1, 2))) if draw(st.booleans()) else t)
+    sites = [(i, path) for i, t in enumerate(terms) for path in places(t)]
+    picks = draw(st.lists(st.sampled_from(sites), min_size=1, max_size=2, unique=True))
+    picks = [p for p in picks if not any(q != p and q[0] == p[0] and p[1][:len(q[1])] == q[1] for q in picks)]
+    planted = {}
+    for i, path in picks:
+        kind, w = draw(st.sampled_from(list(FAULTS))), draw(st.integers(1, 3))
+        when, message = FAULTS[kind]
+        if kind == "undeclared":
+            node = Var("nowhere")
+        elif kind == "masked":  # the mask's challenge and the other argument may be undeclared
+            mask, other = KernelMask(maybe_undeclared(w), term(2 * w)), maybe_undeclared(w)
+            fed = [Concat((mask, other)), Concat((other, mask)), Negate(mask), Proj(mask, 1, 1),
+                   Hash(mask, 1), BoxPlus(mask, term(2 * w)), BoxPlus(other, mask)]
+            node = draw(st.sampled_from(fed if path else fed + [KernelMask(other, mask)]))  # a mask is a term
+            message = MASKED[type(node)]
+        elif kind == "bounds":
+            lo, hi = draw(st.sampled_from([(1.0, 1), (1, True), (None, 2), (False, "1")]))
+            node, message = Proj(term(w), lo, hi), message.format(lo=lo, hi=hi)
+        elif kind == "out_bits":
+            bits = draw(st.sampled_from([2.0, True, 0.5]))
+            node, message = Hash(term(w), bits), message.format(bits=bits)
+        elif kind == "range":  # each bound just past its end of the range
+            hi = draw(st.integers(0, w))
+            lo, hi = draw(st.sampled_from([(0, hi), (hi + 2, hi), (1, w + 1)]))
+            node, message = Proj(term(w), lo, hi), message.format(lo=lo, hi=hi, w=w)
+        else:
+            wh = draw(st.integers(0, 4).filter(lambda n: n != 2 * w))
+            node, message = BoxPlus(term(w), term(wh)), message.format(wh=wh, wx=w)
+        terms[i] = planted_at(terms[i], path, node)
+        planted[id(node)] = when, message
+    return decls, terms, first_fault(terms, planted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_terms())
+def test_the_walk_reports_the_first_fault_of_its_terms(case):
+    decls, terms, message = case
+    for build in (lambda: GuessScenario(decls, tuple(terms[:1]), tuple(terms[1:])),
+                  lambda: oracle.chances(decls, terms),
+                  lambda: GuardSpec(decls, tuple(terms[:-1]), terms[-1], ())):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
 
 # --- one pass slices each term once ---------------------------------------------
@@ -1106,8 +1273,7 @@ def guard_specs(draw):
                       st.sampled_from([w for _, w in decls]).flatmap(lambda w: bit_exprs(decls, w, 1)))
     if plain:
         pinned = draw(st.sampled_from(plain))
-        width_of = exprs.width(pinned, dict(decls))
-        guard_only = Hash(pinned, draw(st.sampled_from([max(width_of, 1), 2])))
+        guard_only = Hash(pinned, draw(st.sampled_from([max(walked_width(decls, pinned), 1), 2])))
         terms = st.one_of(terms, st.just(guard_only), st.just(Negate(guard_only)))
     guards = draw(st.lists(st.lists(terms, min_size=1, max_size=2).map(tuple), min_size=1, max_size=2))
     spec = GuardSpec(decls, tuple(context), targets[0], tuple(guards))
@@ -1250,7 +1416,7 @@ def test_a_union_over_the_budget_is_asked_query_by_query():
     for decls, first, second in ((pair, hu, hv), halves):
         shown = [first, second, *(Var(n) for n, _ in decls)]
         with pytest.raises(BudgetExceededError):
-            oracle._TruthTables(decls, shown, oracle.DEFAULT_BUDGET)
+            oracle._TruthTables(GuessScenario(decls, (), tuple(shown)), oracle.DEFAULT_BUDGET)
         chance_of = oracle.chances(decls, shown)
         for ks, ts in splits(shown):
             try:
@@ -1366,8 +1532,7 @@ def hashed_case(case):
     """A corpus case with gamma's and theta's first terms hashed; the two
     nodes may collide when their arguments are of equal widths."""
     decls, xi, gamma, theta = case
-    arg_bits = exprs.width(gamma[0], dict(decls))
-    return decls, xi, (Hash(gamma[0], arg_bits),) + gamma[1:], (Hash(theta[0], 2),) + theta[1:]
+    return decls, xi, (Hash(gamma[0], walked_width(decls, gamma[0])),) + gamma[1:], (Hash(theta[0], 2),) + theta[1:]
 
 
 def test_subbayes_reads_the_chances_the_queries_give_alone():
@@ -1500,7 +1665,7 @@ def test_a_hash_free_pass_reads_the_product_rule_off_one_split(monkeypatch):
     case = [oracle.random_subbayes_case(rng) for _ in range(3)][-1]
     decls, xi, gamma, theta = case
     assert not any(exprs.hash_nodes(e) for e in xi + gamma + theta)
-    assert 3 in oracle._TruthTables(decls, xi + gamma + theta, oracle.DEFAULT_BUDGET).widths
+    assert 3 in oracle._TruthTables(GuessScenario(decls, xi + gamma, theta), oracle.DEFAULT_BUDGET).widths
     past = ((("w", 8),), (Proj(wide, 1, 3),), (chained(wide, 8),), (wide,))
     want = [subbayes_reference(*c, oracle.DEFAULT_BUDGET) for c in (case, hashed_case(case), past)]
     calls = Counter()
