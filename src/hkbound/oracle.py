@@ -31,12 +31,13 @@ muxed entry bit reads every bit of both arguments, so colliding classes
 share one component with their arguments.  One walk of each term, made
 when its scenario is built, checks the term and gives its bits'
 components, constants and hash classes; a selection bit whose challenge
-bit is constant reads only the token half it selects.  A pass whose bits
-are all constants or copies of one position, as the kernel and
-distance-law queries' are, is answered from that walk:
-2**-popcount(targets' mask & ~knowns' mask).  Any other pass evaluates
-every node once over all of a component's 2**k assignments, as one truth
-table per value bit; the budget caps the widest component.  A two-row
+bit is constant reads only the token half it selects.  A plain query,
+whose bits are all constants or copies of one position and which reads
+no muxed entry (kernel, distance-law and prop34's fixed-x queries), is
+answered from that walk on any pass: 2**-popcount(targets' mask &
+~knowns' mask).  Any other query is counted on one truth table per value
+bit of every node over a component's 2**k assignments, which a pass of
+plain terms never builds; the budget caps the widest component.  A two-row
 component is one bit of such a mask; a wider one is counted on its
 tables as masks, splitting its rows into classes with AND and popcount,
 while the classes fit one word's rows, and row by row past that
@@ -83,6 +84,7 @@ from .exprs import evaluate  # noqa: F401 (bench/layers.py patches oracle.evalua
 
 DEFAULT_BUDGET = 24
 _NEGATED = bytes.maketrans(b"01", b"10")  # str.translate table negating a shape's constants; immutable
+_POWERS = tuple(Fraction(1, 1 << n) for n in range(64))  # 2**-n, built at import; never grows
 
 
 class BudgetExceededError(ValueError):
@@ -117,8 +119,9 @@ def _analyse(e: Expr, memo: dict, fill) -> tuple:
     """For each value bit of ``e``, least significant first, the mask of the
     positions it reads; the class keys of e's hash nodes; the bits' shape:
     "0" or "1" for a constant, "." for a copy or negation of the position
-    it reads, "?" for any other bit; and the mask of e's variables, one bit
-    per declaration.  The walk is post-order:
+    it reads, "?" for any other bit; the mask of e's variables, one bit
+    per declaration; and the union of its bits' masks, which a plain
+    query's chance reads.  The walk is post-order:
     ``fill(node, argument reads)`` classes a hash node when first met, in
     fill order, and gives its entry masks; equal nodes are one class, keyed
     by the first met, with "." bits unless the argument has a "?" (muxing is
@@ -141,47 +144,48 @@ def _analyse(e: Expr, memo: dict, fill) -> tuple:
     if (got := memo.get(id(e))) is not None:
         return got
     if kind is exprs.Lit:
-        got = [0] * len(e.text), (), e.text[::-1], 0
+        got = [0] * len(e.text), (), e.text[::-1], 0, 0
     elif kind is exprs.Concat:
         if exprs.KernelMask in map(type, e.parts):
             raise ValueError("masked string cannot be concatenated")
-        reads, keys, shape, names = [], (), "", 0
+        reads, keys, shape, names, union = [], (), "", 0, 0
         for part in e.parts:  # the first part holds the high bits
-            r, k, s, n = _analyse(part, memo, fill)
-            reads, keys, shape, names = r + reads, keys + k, s + shape, names | n
-        got = reads, keys, shape, names
+            r, k, s, n, u = _analyse(part, memo, fill)
+            reads, keys, shape, names, union = r + reads, keys + k, s + shape, names | n, union | u
+        got = reads, keys, shape, names, union
     elif kind is exprs.Negate:
         if type(e.arg) is exprs.KernelMask:
             raise ValueError("masked string cannot be negated")
-        reads, keys, shape, names = _analyse(e.arg, memo, fill)
-        got = reads, keys, shape.translate(_NEGATED), names
+        reads, keys, shape, names, union = _analyse(e.arg, memo, fill)
+        got = reads, keys, shape.translate(_NEGATED), names, union
     elif kind is exprs.Proj:
         if type(e.arg) is exprs.KernelMask:
             raise ValueError("masked string cannot be sliced")
         if type(e.lo) is not int or type(e.hi) is not int:  # a bool is not an int here
             raise ValueError(f"slice bounds must be ints, got {e.lo!r}..{e.hi!r}")
-        reads, keys, shape, names = _analyse(e.arg, memo, fill)
+        reads, keys, shape, names, _ = _analyse(e.arg, memo, fill)
         if not 1 <= e.lo <= e.hi + 1 or e.hi > len(reads):
             raise ValueError(f"slice {e.lo}..{e.hi} out of range 1..{len(reads)}")
         lo, hi = len(reads) - e.hi, len(reads) - e.lo + 1
-        got = reads[lo:hi], keys, shape[lo:hi], names
+        got = reads[lo:hi], keys, shape[lo:hi], names, reduce(or_, reads[lo:hi], 0)
     elif kind is exprs.Hash:
         if type(e.arg) is exprs.KernelMask:
             raise ValueError("masked string cannot be hashed")
         if type(e.out_bits) is not int:
             raise ValueError(f"hash output width must be an int, got {e.out_bits!r}")
-        arg, keys, shape, names = _analyse(e.arg, memo, fill)
-        got = fill(e, arg), keys + (e,), ("?" if "?" in shape else ".") * e.out_bits, names
+        arg, keys, shape, names, _ = _analyse(e.arg, memo, fill)
+        entry = fill(e, arg)
+        got = entry, keys + (e,), ("?" if "?" in shape else ".") * e.out_bits, names, reduce(or_, entry, 0)
     elif kind is exprs.BoxPlus or kind is exprs.KernelMask:
         if type(e.x) is exprs.KernelMask or type(e.h) is exprs.KernelMask:
             raise ValueError("masked string cannot feed a selection operator")
-        (x, keys, cx, names), (h, more, ch, also) = _analyse(e.x, memo, fill), _analyse(e.h, memo, fill)
+        (x, keys, cx, names, ux), (h, more, ch, also, uh) = _analyse(e.x, memo, fill), _analyse(e.h, memo, fill)
         n, keys, names, pick = len(x), keys + more, names | also, kind is exprs.BoxPlus
         if len(h) != 2 * n:
             raise ValueError(f"token width {len(h)} is not twice the challenge width {n}")
         if not (pick and cx.strip(".?") or ch[:n].strip(".?") and ch[n:].strip(".?")):  # nothing to fold
             out = list(map(or_, map(or_, x, h), h[n:]))
-            got = (out, keys, "?" * n, names) if pick else (out + out, keys, "?" * 2 * n, names)
+            got = (out, keys, "?" * n, names, ux | uh) if pick else (out + out, keys, "?" * 2 * n, names, ux | uh)
         else:  # h_i is picked where x_i is 1, and h_{l+i} where it is 0
             out, shape = [], ""
             for i, c, one, zero in zip(range(n), cx, ch, ch[n:]):
@@ -196,7 +200,7 @@ def _analyse(e: Expr, memo: dict, fill) -> tuple:
             if not pick:  # a star is set where the halves are equal; a constant star reads nothing
                 stars = "".join(["01"[a == b] if a in "01" and b in "01" else "?" for a, b in zip(ch, ch[n:])])
                 out, shape = out + [m if s == "?" else 0 for s, m in zip(stars, out)], shape + stars
-            got = out, keys, shape, names
+            got = out, keys, shape, names, reduce(or_, out, 0)
     else:
         raise TypeError(f"not an expression: {e!r}")
     memo[id(e)] = got
@@ -215,7 +219,7 @@ def _walk(variables, shown: tuple) -> tuple:
         if type(bits) is not int or bits < 0:  # a bool is not an int here
             need = ">= 0" if type(bits) is int else "an int"
             raise ValueError(f"variable {name!r} width must be {need}, got {bits!r}")
-        memo[name] = [1 << k for k in range(at, at + bits)], (), "." * bits, 1 << i
+        memo[name] = [1 << k for k in range(at, at + bits)], (), "." * bits, 1 << i, ((1 << bits) - 1) << at
         at += bits
     classes, fresh, arg_reads, entries, earlier = {}, {}, {}, {}, {}
 
@@ -381,26 +385,28 @@ class _TruthTables:
     fresh_j`` over those earlier classes, the first match winning, where
     ``eq`` is the AND of the XNORs of the argument bits.  The walk's masks
     split the positions into independent components, each of whose 2**k
-    rows is an assignment.  When the walk finds every bit a constant or
-    one position's copy or negation, and no entry muxed, a column is the
-    union of a term's masks, and the pass merges, tabulates and slices
-    nothing.  Otherwise every node is sliced once (``_slices``) into a
-    truth table per value bit, grouped by component once per term.  A
-    two-row component (one position) is a bit of a mask instead: the
-    positions on which one of a term's tables varies (``t & 3`` is 1 or 2;
-    any int may be a table).
+    rows is an assignment.  Every pass keeps each term's analysis, the
+    muxed classes and each class's (argument, entry) unions, which answer
+    a plain query (``__call__``); a pass of plain terms only stops there.
+    Otherwise every node is sliced once (``_slices``) into a truth table
+    per value bit, grouped by component once per term, for the queries
+    that are not plain.  A two-row component (one position) is a bit of a
+    mask instead: the positions on which one of a term's tables varies
+    (``t & 3`` is 1 or 2; any int may be a table).  The budget must be an
+    int of at least 0.
     """
 
     def __init__(self, scenario: GuessScenario, budget: int):
+        if type(budget) is not int or budget < 0:  # a bool is not an int here
+            raise ValueError(f"budget must be an int >= 0, got {budget!r}")
         memo, reads, classes, fresh, arg_reads, entries, earlier = scenario._walk
         variables, shown = scenario.variables, scenario.knowns + scenario.targets
-        self.reads = dict(zip(map(id, shown), reads)) if classes else {}  # id(e) -> its _analyse
-        if "?" not in "".join(map(itemgetter(2), reads)) and not any(earlier.values()):
-            self.widths = []  # every bit is a constant or one position's copy: the walk's masks are exact
-            self.args = {key: ({}, reduce(or_, arg_reads[key], 0)) for key in classes} if classes else {}
-            self.entries = {key: ({}, reduce(or_, fresh[key], 0)) for key in classes} if classes else {}
-            self.columns = {id(e): ({}, reduce(or_, r[0], 0)) for e, r in zip(shown, reads)}
-            if budget < 1 and any(m for d in (self.columns, self.args, self.entries) for _, m in d.values()):
+        self.reads = dict(zip(map(id, shown), reads))  # id(e) -> its _analyse
+        self.muxed = {key for key in classes if earlier[key]}
+        self.unions = {key: (reduce(or_, arg_reads[key], 0), reduce(or_, entries[key], 0)) for key in classes}
+        if "?" not in "".join(map(itemgetter(2), reads)) and not self.muxed:
+            self.widths = []  # every query is plain: the walk's masks answer it, and nothing is tabulated
+            if budget < 1 and (any(map(itemgetter(4), reads)) or any(map(any, self.unions.values()))):
                 raise BudgetExceededError(1, budget)
             return
         comps: list[int] = []
@@ -457,33 +463,41 @@ class _TruthTables:
                         for e, r in zip(shown, reads)}
 
     def __call__(self, knowns: Sequence[Expr], targets: Sequence[Expr]) -> Fraction:
-        """The chance of ``targets`` given ``knowns``: a product over the
-        components that targets read, each a sum over known rows of the
-        commonest target row, where a two-row component halves the chance
-        when some target varies on it and no known does.  A class's entry
-        joins the knowns once its argument follows from the knowns in every
-        component, to a fixpoint, so that chains of hashes resolve in order;
-        only the query's own classes are pinned (``chances`` says why).
-        A pass answered from its walk, with no class, reads the chance off
-        the two masks alone: 2**-popcount(target & ~known)."""
-        if not self.widths and not self.entries:  # read off the walk, no class to pin
-            known = target = 0
-            for e in knowns:
-                known |= self.columns[id(e)][1]
-            for e in targets:
-                target |= self.columns[id(e)][1]
-            return Fraction(1, 1 << (target & ~known).bit_count())
+        """The chance of ``targets`` given ``knowns``.  A plain query, whose
+        terms' bits are all constants or copies of one position and which
+        reads no muxed class, is 2**-popcount(target & ~known) off its
+        terms' unions on either kind of pass, a class's entry joining the
+        knowns once its argument's union lies inside theirs.  Any other is
+        a product over the components that targets read, each a sum over
+        known rows of the commonest target row (a two-row component halves
+        it when some target varies on it and no known does), an entry
+        joining once the knowns fix its argument in every component.  Both
+        pin to a fixpoint, so that chains of hashes resolve in order, and
+        pin only the query's own classes (``chances`` says why)."""
+        reads, known, target, remaining, plain = self.reads, 0, 0, (), not self.widths
+        for e in knowns:
+            known |= reads[id(e)][4]
+        for e in targets:
+            target |= reads[id(e)][4]
+        if self.widths or self.unions:  # is the query plain, and which classes may it pin?
+            terms = [reads[id(e)] for e in (*knowns, *targets)]
+            remaining = list(dict.fromkeys(key for t in terms for key in t[1]))
+            plain = plain or "?" not in "".join([t[2] for t in terms]) and self.muxed.isdisjoint(remaining)
+        if plain:
+            while remaining and (pinned := [key for key in remaining if not self.unions[key][0] & ~known]):
+                known = reduce(or_, [self.unions[key][1] for key in pinned], known)
+                remaining = [key for key in remaining if key not in pinned]
+            n = (target & ~known).bit_count()
+            return _POWERS[n] if n < 64 else Fraction(1, 1 << n)
         given, known = _merged([self.columns[id(e)] for e in knowns])
         want, target = _merged([self.columns[id(e)] for e in targets])
         widths = self.widths
-        if self.entries:  # a hash-free union has no class to pin
-            remaining = list(dict.fromkeys(key for e in (*knowns, *targets) for key in self.reads[id(e)][1]))
-            while remaining and (pinned := [  # on two rows, pinned iff no bit varies where no known does
-                    key for key in remaining if not self.args[key][1] & ~known
-                    and all(_best_rows(given.get(c, []), ts, widths[c]) == 1 << widths[c]
-                            for c, ts in self.args[key][0].items())]):
-                given, known = _merged([(given, known), *(self.entries[key] for key in pinned)])
-                remaining = [key for key in remaining if key not in pinned]
+        while remaining and (pinned := [  # on two rows, pinned iff no bit varies where no known does
+                key for key in remaining if not self.args[key][1] & ~known
+                and all(_best_rows(given.get(c, []), ts, widths[c]) == 1 << widths[c]
+                        for c, ts in self.args[key][0].items())]):
+            given, known = _merged([(given, known), *(self.entries[key] for key in pinned)])
+            remaining = [key for key in remaining if key not in pinned]
         best, bits = 1, (target & ~known).bit_count()
         for c, ts in want.items():
             bits += widths[c]
@@ -497,9 +511,12 @@ class _TruthTables:
         the largest (xi,gamma) class per xi class, and of the largest theta
         class per (xi,gamma) class and per xi class.  An unread component
         sums to 2**k, a factor of 1.  None on a pass with a class to pin or
-        a component past the mask regime (``_best_rows``)."""
-        if self.entries:
+        a component past the mask regime (``_best_rows``).  On a pass
+        of plain terms only it asks the three, read off the unions."""
+        if self.unions:
             return None
+        if not self.widths:
+            return self(xi, gamma), self((*xi, *gamma), theta), self(xi, (*gamma, *theta))
         (xs, mx), (gs, mg), (ts, mt) = (_merged([self.columns[id(e)] for e in es]) for es in (xi, gamma, theta))
         bits, s1, s2, s3 = 0, 1, 1, 1
         for c in gs.keys() | ts.keys():
@@ -561,8 +578,10 @@ def chance(variables, knowns: Iterable[Expr], targets: Iterable[Expr], budget: i
 
 
 def _declared(variables) -> tuple:
-    """(name, bits) pairs, from pairs or a name -> bits mapping."""
-    return tuple(variables.items() if isinstance(variables, Mapping) else variables)
+    """(name, bits) pairs, from pairs or a name -> bits mapping; a tuple as given."""
+    if type(variables) is tuple:
+        return variables
+    return tuple(variables.items() if isinstance(variables, (dict, Mapping)) else variables)
 
 
 def chances(variables, shown: Iterable[Expr], budget: int = DEFAULT_BUDGET):
@@ -657,22 +676,15 @@ def check_subbayes(variables: Sequence[tuple[str, int]], xi: Sequence[Expr], gam
     chance_of = _pass(scenario, budget)
     got = chance_of.product_rule(xi, gamma, theta) if isinstance(chance_of, _TruthTables) else None
     a, b, rhs = got or (chance_of(xi, gamma), chance_of(context, theta), chance_of(xi, gamma + theta))
-    terms = scenario._walk[1]  # xi's analyses, then gamma's, then theta's
-    in_xi = reduce(or_, (t[3] for t in terms[:len(xi)]), 0)  # the variables, one bit per declaration
-    in_context = reduce(or_, (t[3] for t in terms[len(xi):len(context)]), in_xi)
-    in_theta = reduce(or_, (t[3] for t in terms[len(context):]), 0)
+    names, hashed = [0, 0, 0], [0, 0, 0]  # xi's, gamma's, theta's: variables by declaration, hash nodes
+    for i, t in enumerate(scenario._walk[1]):  # xi's analyses, then gamma's, then theta's
+        side = (i >= len(xi)) + (i >= len(context))
+        names[side] |= t[3]
+        hashed[side] += len(t[1])
     left = a.numerator * b.numerator * rhs.denominator  # lhs and rhs over one denominator
     right = rhs.numerator * a.denominator * b.denominator
-    return SubbayesReport(
-        lhs_first=a,
-        lhs_second=b,
-        rhs=rhs,
-        holds=left <= right,
-        disjoint=not in_xi & in_theta,
-        equality=left == right,
-        independent=not in_context & in_theta and not (
-            any(t[1] for t in terms[len(context):]) and any(t[1] for t in terms[:len(context)])),
-    )
+    independent = not (names[0] | names[1]) & names[2] and not (hashed[2] and (hashed[0] or hashed[1]))
+    return SubbayesReport(a, b, rhs, left <= right, not names[0] & names[2], left == right, independent)
 
 
 class GuardSpec(Slotted):
@@ -839,8 +851,7 @@ def analytic(claim: str, **params) -> Fraction:
 
 def binomial_identity_check(ell: int) -> tuple[Fraction, Fraction, bool]:
     """sum_i C(ell,i) 2**-i against (3/2)**ell, both exact."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
+    ell = _width("binomial", {"ell": ell}, "ell")
     lhs = Fraction(sum(comb(ell, i) << ell - i for i in range(ell + 1)), 1 << ell)
     rhs = Fraction(3, 2) ** ell
     return lhs, rhs, lhs == rhs
@@ -888,8 +899,10 @@ def _random_expr(rng: random.Random, decls: list[tuple[str, int]], want: int, de
 def random_subbayes_case(
     rng: random.Random, max_total_bits: int = 12
 ) -> tuple[tuple[tuple[str, int], ...], tuple[Expr, ...], tuple[Expr, ...], tuple[Expr, ...]]:
-    """One random (variables, xi, gamma, theta) case within the bit budget."""
-    n_vars = rng.randrange(2, 5)
+    """One random (variables, xi, gamma, theta) case within the bit budget (at least 2)."""
+    if max_total_bits < 2:
+        raise ValueError(f"max_total_bits must be at least 2, got {max_total_bits!r}")
+    n_vars = rng.randrange(2, min(5, max_total_bits + 1))
     decls = []
     left = max_total_bits
     for i in range(n_vars):

@@ -939,6 +939,107 @@ def test_constants_and_copies_are_read_off_the_walk(monkeypatch):
     assert len(widths) == 1 and widths[0] != []
 
 
+# --- a plain query is read off its masks on any pass ---------------------------
+
+
+def refuse_tables(*args):
+    raise AssertionError("a plain query was counted on tables")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(literal_scenarios(), hash_scenarios()))
+# hash-reading plain queries: a pinned entry, an entry whose argument is
+# half known, a chain pinned in two steps, and colliding classes (muxed:
+# not plain, so counted on tables)
+@example(((("v0", 1), ("v1", 2)), [Var("v0")], [Hash(Var("v0"), 2), Hash(Concat((Var("v0"), Lit("1"))), 1)]))
+@example(((("v0", 1), ("v1", 1)), [Negate(Var("v0"))], [Hash(Concat((Var("v1"), Var("v0"))), 2)]))
+@example(((("v0", 1),), [Var("v0")], [Hash(Hash(Var("v0"), 2), 1)]))
+@example(((("v0", 1), ("v1", 1)), [Var("v0")], [Hash(Var("v0"), 1), Hash(Var("v1"), 1)]))
+def test_a_plain_query_reads_its_masks_on_a_tabulated_pass(scenario):
+    # a query whose bits are all constants or copies of one position, and
+    # which reads no muxed class, is 2**-popcount(target & ~known) even on
+    # a pass whose other terms, here a selection by p of q, are tabulated
+    decls, knowns, targets = scenario
+    p, q = Var("p"), Var("q")
+    chance_of = oracle.chances(decls + (("p", 1), ("q", 2)), [*knowns, *targets, BoxPlus(p, q)])
+    assert 3 in chance_of.widths  # the selection's component: the pass is tabulated
+    _, reads, *_, earlier = GuessScenario(decls, tuple(knowns), tuple(targets))._walk
+    plain = "?" not in "".join(r[2] for r in reads) and not any(earlier.values())
+    with pytest.MonkeyPatch.context() as patch:
+        if plain:
+            for name in ("_best_rows", "_merged"):
+                patch.setattr(oracle, name, refuse_tables)
+        got = chance_of(knowns, targets)
+    assert got == chance(decls, knowns, targets) == restart_chance(decls, knowns, targets)
+
+
+def test_a_plain_query_past_the_powers_table():
+    # 2**-n comes off a table built at import for n < 64, and is built
+    # past it, on a pass of plain terms and on a tabulated one
+    w, p, q = Var("w"), Var("p"), Var("q")
+    decls = (("w", 70), ("p", 1), ("q", 2))
+    terms = [w, Proj(w, 1, 63), Proj(w, 1, 64), Proj(w, 2, 66)]
+    for shown in (terms, [*terms, BoxPlus(p, q)]):
+        chance_of = oracle.chances(decls, shown)
+        assert [chance_of([], [e]) for e in terms] == [Fraction(1, 2**n) for n in (70, 63, 64, 65)]
+        assert chance_of([terms[1]], [w]) == Fraction(1, 2**7)
+    assert chance(decls, [Proj(w, 70, 70)], [w]) == Fraction(1, 2**69)
+    assert oracle._POWERS == tuple(Fraction(1, 2**n) for n in range(64))
+
+
+def test_only_queries_that_are_not_plain_count_rows(monkeypatch):
+    # prop34's fixed-x queries select by a literal challenge: plain, so
+    # only its unknown-x queries count rows, one per 3-bit component of
+    # x_i, h_i and h_(l+i); kernel, distance-law and hamming queries count
+    # none
+    calls = []
+    real = oracle._best_rows
+    monkeypatch.setattr(oracle, "_best_rows", lambda *args: calls.append(args[2]) or real(*args))
+    for ell, count in ((3, 8 * 3), (4, 16 * 4)):
+        calls.clear()
+        assert cli._claim_prop34(ell)[1]
+        assert len(calls) == count and set(calls) == {3}
+    calls.clear()
+    x, h, token = Var("x"), Var("h"), lit(0b10110010, 8)
+    assert chance({"x": 4}, [token], [BoxPlus(x, token)]) == analytic("kernel", kappa=2, ell=4)
+    assert chance({"h": 6}, [lit(0b011, 3), lit(0b110, 3), BoxPlus(lit(0b110, 3), h)],
+                  [BoxPlus(lit(0b011, 3), h)]) == analytic("hamming", delta=2)
+    assert cli._claim_hamming(3)[1]
+    assert calls == []
+
+
+# --- malformed inputs to the checks -------------------------------------------------
+
+
+@pytest.mark.parametrize("budget", [True, False, -1, 1.5, 24.0, None, "24"])
+def test_a_malformed_budget_is_a_value_error(budget):
+    u = Var("u")
+    decls = (("u", 1),)
+    spec = GuardSpec(decls, (u,), u, ((u,),))
+    for ask in (lambda: chance(decls, [], [Lit("1")], budget),
+                lambda: chance(decls, [u], [u], budget),
+                lambda: oracle.chances(decls, [u], budget),
+                lambda: advantage(GuessScenario(decls, (u,), (u,)), budget),
+                lambda: check_subbayes(decls, (), (u,), (u,), budget),
+                lambda: check_prob_guard(spec, budget)):
+        with pytest.raises(ValueError, match=r"budget must be an int >= 0, got ") as err:
+            ask()
+        assert type(err.value) is ValueError  # not a BudgetExceededError
+    if budget is False:  # 0 is a budget
+        assert chance(decls, [], [Lit("1")], 0) == 1
+
+
+def test_random_cases_fit_a_small_bit_budget():
+    for bits in (2, 3, 4):
+        rng = random.Random(0)
+        for _ in range(50):
+            decls, *_ = oracle.random_subbayes_case(rng, max_total_bits=bits)
+            assert 2 <= len(decls) <= bits and sum(b for _, b in decls) <= bits
+    for bits in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"max_total_bits must be at least 2, got {bits}"):
+            oracle.random_subbayes_case(random.Random(0), max_total_bits=bits)
+
+
 # --- one pass analyses each node once ------------------------------------------
 
 
@@ -1768,6 +1869,9 @@ def test_binomial_identity_range():
         assert equal and lhs == rhs == Fraction(3, 2) ** ell
     with pytest.raises(ValueError):
         binomial_identity_check(-1)
+    for ell in (True, 1.5, "2"):  # a width, as analytic's parameters are
+        with pytest.raises(ValueError, match=f"claim 'binomial' needs parameter 'ell' to be an int >= 0, not {ell!r}"):
+            binomial_identity_check(ell)
 
 
 def test_binomial_identity_sums_over_one_denominator():

@@ -8,6 +8,8 @@ import importlib
 import inspect
 import random
 import sys
+from collections.abc import Sized
+from fractions import Fraction
 from pathlib import Path
 
 import hkbound
@@ -52,16 +54,34 @@ def test_only_the_listed_classes_are_dataclasses():
 def test_the_oracle_keeps_only_row_tables_across_calls():
     # memos keyed by node id live in one pass; across calls only the row-bit
     # tables of each small width stay, so an id reused later finds nothing
+    def snapshot():  # every module attribute, by identity and length
+        return {f"{m.__name__}.{name}": (value, len(value) if isinstance(value, Sized) else None)
+                for m in (oracle, exprs) for name, value in vars(m).items() if not name.startswith("__")}
+
+    before = snapshot()
+    powers = oracle._POWERS  # 2**-n for n < 64, built at import
+    assert powers == tuple(Fraction(1, 2**n) for n in range(64))
     rng = random.Random(0)
-    x, h, u, v = Var("x"), Var("h"), Var("u"), Var("v")
+    x, h, u, v, w = Var("x"), Var("h"), Var("u"), Var("v"), Var("w")
     for _ in range(50):
         token = Lit(format(rng.getrandbits(8), "08b"))
         oracle.chance({"x": 4}, [token], [BoxPlus(x, token)])
         xl, zl = (Lit(format(rng.getrandbits(6), "06b")) for _ in range(2))
         oracle.chance({"h": 12}, [xl, zl, BoxPlus(zl, h)], [BoxPlus(xl, h)])
+        # plain queries read off their masks on a tabulated pass, one of them
+        # past the powers table
+        xh, zh = BoxPlus(x, h), BoxPlus(zl, h)
+        chance_of = oracle.chances({"x": 6, "h": 12, "w": 80}, [x, xl, zl, w, xh, zh])
+        chance_of([zl, zh], [xh]), chance_of([xl, zl], [zh, w])
         oracle.check_subbayes(*oracle.random_subbayes_case(rng))
     oracle.chance({"x": 4, "h": 8}, [], [BoxPlus(x, h)])  # four 3-bit components
     oracle.chance({"u": 7, "v": 7}, [], [Hash(u, 1), Hash(v, 1)])  # one 16-bit component
+    oracle.check_prob_guard(oracle.builtin_guard_spec("attack-run"))
+    after = snapshot()
+    assert list(after) == list(before)
+    changed = [name for name, (value, size) in after.items() if value is not before[name][0] or size != before[name][1]]
+    assert set(changed) <= {"hkbound.oracle._row_tables"}
+    assert oracle._POWERS is powers and len(powers) == 64
     kept = {f"{m.__name__}.{name}": value for m in (oracle, exprs) for name, value in vars(m).items()
             if not name.startswith("__") and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))}
     assert list(kept) == ["hkbound.oracle._row_tables"]
