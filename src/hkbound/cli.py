@@ -21,6 +21,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 from . import adversary as adv
 from . import exprs, harness, oracle, symbolic
@@ -77,7 +78,9 @@ def _claim_prop34(ell: int):
     rows = []
     for zl, zh in zip(lits, boxed):
         seen = [zl, zh]
-        total = sum(chance_of([xl, *seen], [bl]) for xl, bl in zip(lits, boxed)) / len(lits)
+        fixed = [chance_of([xl, *seen], [bl]) for xl, bl in zip(lits, boxed)]
+        den = lcm(*(p.denominator for p in fixed))  # each a power of two, so this is the largest
+        total = Fraction(sum(p.numerator * (den // p.denominator) for p in fixed), den * len(lits))
         agg = chance_of([x, *seen], [xh])
         rows.append(_row(f"z={zl.text}", total, expect, total == expect == agg))
     binom = _binomial_rows(20, "binomial ")

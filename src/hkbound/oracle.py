@@ -32,17 +32,18 @@ share one component with their arguments.  One walk of each term, made
 when its scenario is built, checks the term and gives its bits'
 components, constants and hash classes; a selection bit whose challenge
 bit is constant reads only the token half it selects.  A plain query,
-whose bits are all constants or copies of one position and which reads
-no muxed entry (kernel, distance-law and prop34's fixed-x queries), is
-answered from that walk on any pass: 2**-popcount(targets' mask &
-~knowns' mask).  Any other query is counted on one truth table per value
-bit of every node over a component's 2**k assignments, which a pass of
-plain terms never builds; the budget caps the widest component.  A two-row
-component is one bit of such a mask; a wider one is counted on its
-tables as masks, splitting its rows into classes with AND and popcount,
-while the classes fit one word's rows, and row by row past that
-(``_best_rows``).  Across calls the oracle keeps only the row-bit tables
-of each width up to 12.
+whose bits are constants or copies of one position and which reads no
+muxed entry (kernel, distance-law and prop34's fixed-x queries, most
+product-rule cases), is read off that walk (``_plain_chance``), pass or
+no pass: 2**-popcount(targets' mask & ~knowns' mask), an entry joining
+the knowns once its argument's mask lies inside theirs.  Any other is
+counted on a pass, one truth table per value bit of every node over a
+component's 2**k assignments.  The budget caps the widest component; a
+plain query reading a position needs 1 bit.  A two-row component is one
+bit of a mask; a wider one is counted on its tables as masks, splitting
+its rows into classes with AND and popcount, while the classes fit one
+word's rows, and row by row past that (``_best_rows``).  Across calls
+the oracle keeps only the row-bit tables of each width up to 12.
 
 The hash itself is public, so a guesser whose observations pin down an
 argument value is credited with knowing that table entry as well.  The
@@ -55,11 +56,9 @@ when each component's part of it is.  Without this rule a guesser
 knowing the secret and both counters would not be able to "compute" the
 session token, and every full-knowledge chance would come out wrong.
 
-A check that asks several chances over one declaration reads them all
-off one enumeration of their terms (``chances``): ``check_subbayes``,
-``advantage``, ``check_prob_guard`` and the ``enumerate`` claims that
-ask many.  With no class to pin, ``check_subbayes`` reads its three off
-one split of each component's rows, by xi, then gamma, then theta.
+A check that asks several chances over one declaration reads them off
+the walk when every term is plain, else off one enumeration of their
+terms (``chances``); ``check_subbayes`` says how it reads its three.
 
 Everything returns exact fractions; nothing here samples.
 """
@@ -74,7 +73,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial, reduce
 from math import comb
-from operator import and_, invert, itemgetter, or_, xor
+from operator import and_, invert, or_, xor
 from typing import Iterable, NamedTuple, Sequence
 
 from . import exprs
@@ -209,8 +208,9 @@ def _analyse(e: Expr, memo: dict, fill) -> tuple:
 
 def _walk(variables, shown: tuple) -> tuple:
     """Check ``variables`` and walk ``shown`` once: the memo, each term's
-    ``_analyse``, and per hash class in fill order its nodes, fresh
-    positions, argument reads, entry and earlier classes that may collide."""
+    ``_analyse``, whether every term is plain, and per hash class in fill
+    order its (argument, entry) unions, nodes, fresh positions, argument
+    reads, entry and earlier classes that may collide."""
     if len(dict(variables)) < len(variables):
         name = next(n for i, (n, _) in enumerate(variables) if n in dict(variables[:i]))  # the first repeat
         raise ValueError(f"duplicate variable declaration {name!r}")
@@ -221,7 +221,7 @@ def _walk(variables, shown: tuple) -> tuple:
             raise ValueError(f"variable {name!r} width must be {need}, got {bits!r}")
         memo[name] = [1 << k for k in range(at, at + bits)], (), "." * bits, 1 << i, ((1 << bits) - 1) << at
         at += bits
-    classes, fresh, arg_reads, entries, earlier = {}, {}, {}, {}, {}
+    classes, fresh, arg_reads, entries, earlier, unions = {}, {}, {}, {}, {}, {}
 
     def fill(node, arg):  # equal nodes are one class, keyed by the first met
         nonlocal at
@@ -235,12 +235,38 @@ def _walk(variables, shown: tuple) -> tuple:
                 compared = reduce(or_, arg + [m for i in same for m in arg_reads[i]], 0)
                 entry = [reduce(or_, (entries[i][k] for i in same), m | compared)
                          for k, m in enumerate(entry)]
-            entries[node] = entry
+            entries[node], unions[node] = entry, (reduce(or_, arg, 0), reduce(or_, entry, 0))
         classes[node].append(node)
         return entries[node]
 
     reads = [_analyse(e, memo, fill) for e in shown]
-    return memo, reads, classes, fresh, arg_reads, entries, earlier
+    plain = "?" not in "".join([r[2] for r in reads]) and not any(earlier.values())
+    return memo, reads, plain, unions, classes, fresh, arg_reads, entries, earlier
+
+
+def _plain_chance(walk: tuple, knowns: Sequence[Expr], targets: Sequence[Expr], budget: int) -> Fraction | None:
+    """The chance of ``targets`` given ``knowns``, terms of the scenario
+    that made ``walk``, if the query is plain (the module docstring's rule,
+    pinning to a fixpoint only the query's own classes), else None.  The
+    budget must be an int of at least 0, and 1 if the query reads a position."""
+    if type(budget) is not int or budget < 0:  # a bool is not an int here
+        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
+    memo, unions, known, target, keys, shapes = walk[0], walk[3], 0, 0, (), ""  # keys: the query's classes
+    for e in knowns:  # loops, not comprehensions: this is the cost of a kernel query
+        t = memo[e.name] if type(e) is exprs.Var else memo[id(e)]
+        known, keys, shapes = known | t[4], keys + t[1], shapes + t[2]
+    for e in targets:
+        t = memo[e.name] if type(e) is exprs.Var else memo[id(e)]
+        target, keys, shapes = target | t[4], keys + t[1], shapes + t[2]
+    if not walk[2] and ("?" in shapes or any(walk[-1][key] for key in keys)):
+        return None
+    if budget < 1 and (known | target or any(any(unions[key]) for key in keys)):
+        raise BudgetExceededError(1, budget)
+    while keys and (pinned := [key for key in keys if not unions[key][0] & ~known]):
+        known = reduce(or_, [unions[key][1] for key in pinned], known)
+        keys = [key for key in keys if key not in pinned]
+    n = (target & ~known).bit_count()
+    return _POWERS[n] if n < 64 else Fraction(1, 1 << n)
 
 
 def _slices(e: Expr, cols: dict) -> list[int]:
@@ -385,29 +411,22 @@ class _TruthTables:
     fresh_j`` over those earlier classes, the first match winning, where
     ``eq`` is the AND of the XNORs of the argument bits.  The walk's masks
     split the positions into independent components, each of whose 2**k
-    rows is an assignment.  Every pass keeps each term's analysis, the
-    muxed classes and each class's (argument, entry) unions, which answer
-    a plain query (``__call__``); a pass of plain terms only stops there.
+    rows is an assignment.  A plain query is read off the walk
+    (``_plain_chance``), and a pass of plain terms tabulates nothing.
     Otherwise every node is sliced once (``_slices``) into a truth table
-    per value bit, grouped by component once per term, for the queries
-    that are not plain.  A two-row component (one position) is a bit of a
-    mask instead: the positions on which one of a term's tables varies
-    (``t & 3`` is 1 or 2; any int may be a table).  The budget must be an
-    int of at least 0.
+    per value bit, grouped by component once per term.  A two-row
+    component (one position) is a bit of a mask instead: the positions on
+    which one of a term's tables varies (``t & 3`` is 1 or 2; any int may
+    be a table).  The budget must be an int of at least 0.
     """
 
     def __init__(self, scenario: GuessScenario, budget: int):
         if type(budget) is not int or budget < 0:  # a bool is not an int here
             raise ValueError(f"budget must be an int >= 0, got {budget!r}")
-        memo, reads, classes, fresh, arg_reads, entries, earlier = scenario._walk
-        variables, shown = scenario.variables, scenario.knowns + scenario.targets
-        self.reads = dict(zip(map(id, shown), reads))  # id(e) -> its _analyse
-        self.muxed = {key for key in classes if earlier[key]}
-        self.unions = {key: (reduce(or_, arg_reads[key], 0), reduce(or_, entries[key], 0)) for key in classes}
-        if "?" not in "".join(map(itemgetter(2), reads)) and not self.muxed:
-            self.widths = []  # every query is plain: the walk's masks answer it, and nothing is tabulated
-            if budget < 1 and (any(map(itemgetter(4), reads)) or any(map(any, self.unions.values()))):
-                raise BudgetExceededError(1, budget)
+        memo, reads, plain, _, classes, fresh, arg_reads, entries, earlier = self.walk = scenario._walk
+        variables, shown, self.budget = scenario.variables, scenario.knowns + scenario.targets, budget
+        if plain:
+            self.widths = []  # every query is plain: the walk answers it, and nothing is tabulated
             return
         comps: list[int] = []
         covered = 0  # the union of comps
@@ -463,32 +482,15 @@ class _TruthTables:
                         for e, r in zip(shown, reads)}
 
     def __call__(self, knowns: Sequence[Expr], targets: Sequence[Expr]) -> Fraction:
-        """The chance of ``targets`` given ``knowns``.  A plain query, whose
-        terms' bits are all constants or copies of one position and which
-        reads no muxed class, is 2**-popcount(target & ~known) off its
-        terms' unions on either kind of pass, a class's entry joining the
-        knowns once its argument's union lies inside theirs.  Any other is
-        a product over the components that targets read, each a sum over
-        known rows of the commonest target row (a two-row component halves
-        it when some target varies on it and no known does), an entry
-        joining once the knowns fix its argument in every component.  Both
-        pin to a fixpoint, so that chains of hashes resolve in order, and
-        pin only the query's own classes (``chances`` says why)."""
-        reads, known, target, remaining, plain = self.reads, 0, 0, (), not self.widths
-        for e in knowns:
-            known |= reads[id(e)][4]
-        for e in targets:
-            target |= reads[id(e)][4]
-        if self.widths or self.unions:  # is the query plain, and which classes may it pin?
-            terms = [reads[id(e)] for e in (*knowns, *targets)]
-            remaining = list(dict.fromkeys(key for t in terms for key in t[1]))
-            plain = plain or "?" not in "".join([t[2] for t in terms]) and self.muxed.isdisjoint(remaining)
-        if plain:
-            while remaining and (pinned := [key for key in remaining if not self.unions[key][0] & ~known]):
-                known = reduce(or_, [self.unions[key][1] for key in pinned], known)
-                remaining = [key for key in remaining if key not in pinned]
-            n = (target & ~known).bit_count()
-            return _POWERS[n] if n < 64 else Fraction(1, 1 << n)
+        """The chance of ``targets`` given ``knowns``: a plain query's off
+        the walk; any other's a product over the components that targets
+        read, each a sum over known rows of the commonest target row (a
+        two-row component halves it when some target varies on it and no
+        known does), its own classes pinned as the module docstring says."""
+        if (got := _plain_chance(self.walk, knowns, targets, self.budget)) is not None:
+            return got
+        memo = self.walk[0]  # a variable reads no class
+        remaining = list(dict.fromkeys(k for e in (*knowns, *targets) if type(e) is not exprs.Var for k in memo[id(e)][1]))
         given, known = _merged([self.columns[id(e)] for e in knowns])
         want, target = _merged([self.columns[id(e)] for e in targets])
         widths = self.widths
@@ -511,12 +513,9 @@ class _TruthTables:
         the largest (xi,gamma) class per xi class, and of the largest theta
         class per (xi,gamma) class and per xi class.  An unread component
         sums to 2**k, a factor of 1.  None on a pass with a class to pin or
-        a component past the mask regime (``_best_rows``).  On a pass
-        of plain terms only it asks the three, read off the unions."""
-        if self.unions:
+        a component past the mask regime (``_best_rows``); asked of passes that tabulate."""
+        if self.args:
             return None
-        if not self.widths:
-            return self(xi, gamma), self((*xi, *gamma), theta), self(xi, (*gamma, *theta))
         (xs, mx), (gs, mg), (ts, mt) = (_merged([self.columns[id(e)] for e in es]) for es in (xi, gamma, theta))
         bits, s1, s2, s3 = 0, 1, 1, 1
         for c in gs.keys() | ts.keys():
@@ -552,8 +551,9 @@ def _merged(sides: list) -> tuple[dict, int]:
 
 
 def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Exact best guessing chance of the targets given the knowns, off one
-    pass over the walk that the scenario made when it was built.
+    """Exact best guessing chance of the targets given the knowns: read off
+    the walk that the scenario made when it was built if the query is
+    plain (``_plain_chance``), else counted on one pass over that walk.
 
     Hash nodes read their classes' entries (see the module docstring).
     The variable and entry bits split into independent components, and the
@@ -561,14 +561,12 @@ def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fract
     2009, for independent channels).  This is exact: each value bit, and
     each bit of a class's argument, is a function of one component or
     constant, so the components' parts are independent and the sum over
-    observations of the best answer's weight splits into a product.  A
-    class is pinned, its entry joining the knowns, when the knowns
-    determine its argument in every group of equal observations.  The
-    budget caps the widest component.  Classes are muxed in fill order,
-    which lists a class after those in its argument, so a muxed entry
-    reads only entries already built.
+    observations of the best answer's weight splits into a product.
+    Classes are muxed in fill order, which lists a class after those in
+    its argument, so a muxed entry reads only entries already built.
     """
-    return _TruthTables(scenario, budget)(scenario.knowns, scenario.targets)
+    got = _plain_chance(scenario._walk, scenario.knowns, scenario.targets, budget)
+    return _TruthTables(scenario, budget)(scenario.knowns, scenario.targets) if got is None else got
 
 
 def chance(variables, knowns: Iterable[Expr], targets: Iterable[Expr], budget: int = DEFAULT_BUDGET) -> Fraction:
@@ -616,8 +614,9 @@ def _pass(scenario: GuessScenario, budget: int):
 
 def advantage(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
     """How much the knowns improve on guessing the targets cold, both
-    chances read off one pass."""
-    chance_of = _TruthTables(scenario, budget)  # the union is the first query's own terms
+    chances read off the walk if plain, else off one pass."""
+    walk = scenario._walk
+    chance_of = partial(_plain_chance, walk, budget=budget) if walk[2] else _TruthTables(scenario, budget)
     return chance_of(scenario.knowns, scenario.targets) - chance_of((), scenario.targets)
 
 
@@ -639,11 +638,11 @@ def check_subbayes(variables: Sequence[tuple[str, int]], xi: Sequence[Expr], gam
                    theta: Sequence[Expr], budget: int = DEFAULT_BUDGET) -> SubbayesReport:
     """Compare chance(xi -> gamma) * chance(xi,gamma -> theta) with chance(xi -> gamma,theta).
 
-    The three chances are read off one pass over xi, gamma and theta, as
-    ``chances`` makes, the last query's own terms, so the pass is over the
-    budget exactly when that query is, and then each is asked alone.  With no
-    class to pin, all three come off one split of each component's rows
-    (``_TruthTables.product_rule``); otherwise the pass answers each.
+    The three chances are read off the walk when every term is plain, else
+    off one pass over xi, gamma and theta (the last query's own terms, so
+    over the budget exactly when that query is, and then each is asked
+    alone): with no class to pin, off one split of each component's rows
+    (``_TruthTables.product_rule``).
 
     ``holds`` is the product inequality lhs <= rhs and ``equality`` is
     lhs == rhs.  Two conditions on the expressions are reported beside
@@ -673,11 +672,12 @@ def check_subbayes(variables: Sequence[tuple[str, int]], xi: Sequence[Expr], gam
     xi, gamma, theta = tuple(xi), tuple(gamma), tuple(theta)
     context = xi + gamma
     scenario = GuessScenario(_declared(variables), context, theta)
-    chance_of = _pass(scenario, budget)
+    walk = scenario._walk
+    chance_of = partial(_plain_chance, walk, budget=budget) if walk[2] else _pass(scenario, budget)
     got = chance_of.product_rule(xi, gamma, theta) if isinstance(chance_of, _TruthTables) else None
     a, b, rhs = got or (chance_of(xi, gamma), chance_of(context, theta), chance_of(xi, gamma + theta))
     names, hashed = [0, 0, 0], [0, 0, 0]  # xi's, gamma's, theta's: variables by declaration, hash nodes
-    for i, t in enumerate(scenario._walk[1]):  # xi's analyses, then gamma's, then theta's
+    for i, t in enumerate(walk[1]):  # xi's analyses, then gamma's, then theta's
         side = (i >= len(xi)) + (i >= len(context))
         names[side] |= t[3]
         hashed[side] += len(t[1])

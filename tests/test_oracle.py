@@ -909,8 +909,9 @@ def test_folded_constants_match_the_restart_reference(scenario):
 
 def test_constants_and_copies_are_read_off_the_walk(monkeypatch):
     # once a challenge bit is known, a response bit is one token bit: the
-    # kernel query, a distance-law query and the hamming claim's pass are
-    # answered from the analysis walk; prop34's selects by the unknown x
+    # kernel query and a distance-law query are answered from the analysis
+    # walk and build no pass, and the hamming claim's pass tabulates
+    # nothing; prop34's selects by the unknown x
     x, h, token = Var("x"), Var("h"), lit(0b10110010, 8)
     kernel = ((("x", 4),), [token], [BoxPlus(x, token)])
     distance = ((("h", 6),), [lit(0b011, 3), lit(0b110, 3), BoxPlus(lit(0b110, 3), h)],
@@ -930,8 +931,9 @@ def test_constants_and_copies_are_read_off_the_walk(monkeypatch):
         monkeypatch.setattr(oracle, name, refuse)
     assert chance(*kernel) == analytic("kernel", kappa=2, ell=4)
     assert chance(*distance) == analytic("hamming", delta=2)
+    assert widths == []
     assert cli._claim_hamming(3)[1]
-    assert widths == [[], [], []]
+    assert widths == [[]]
     monkeypatch.undo()
     monkeypatch.setattr(oracle._TruthTables, "__init__", spy)
     widths.clear()
@@ -940,6 +942,13 @@ def test_constants_and_copies_are_read_off_the_walk(monkeypatch):
 
 
 # --- a plain query is read off its masks on any pass ---------------------------
+
+
+def is_plain(decls, knowns, targets) -> bool:
+    """Whether every bit of the terms is a constant or a copy of one
+    position, and no hash class they read is muxed."""
+    _, reads, *_, earlier = GuessScenario(decls, tuple(knowns), tuple(targets))._walk
+    return "?" not in "".join(r[2] for r in reads) and not any(earlier.values())
 
 
 def refuse_tables(*args):
@@ -1006,6 +1015,127 @@ def test_only_queries_that_are_not_plain_count_rows(monkeypatch):
                   [BoxPlus(lit(0b011, 3), h)]) == analytic("hamming", delta=2)
     assert cli._claim_hamming(3)[1]
     assert calls == []
+
+
+# --- a plain query builds no pass ----------------------------------------------
+
+
+def outcome(ask):
+    """What ``ask()`` gives: its value, or the type and message of the
+    ValueError (a BudgetExceededError among them) that it raises."""
+    try:
+        return ask()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def counted(decls, queries):
+    """Each (knowns, targets) of ``queries`` counted on truth tables with
+    the walk's answer shut off, on one pass over their terms and a
+    selection of a fresh p by a fresh q, which makes the pass tabulate;
+    and that pass."""
+    p, q = Var("p"), Var("q")
+    shown = (*(e for ks, ts in queries for e in (*ks, *ts)), BoxPlus(p, q))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_plain_chance", lambda *args: None)
+        chance_of = oracle._TruthTables(GuessScenario(decls + (("p", 1), ("q", 2)), (), shown),
+                                        oracle.DEFAULT_BUDGET)
+        return [chance_of(ks, ts) for ks, ts in queries], chance_of
+
+
+def on_pass(scenario, budget):
+    """``chance`` and ``advantage`` as the scenario's own pass answers them."""
+    chance_of = oracle._TruthTables(scenario, budget)
+    value = chance_of(scenario.knowns, scenario.targets)
+    return value, value - chance_of((), scenario.targets)
+
+
+w70 = Var("w")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(literal_scenarios(), hash_scenarios()), st.sampled_from([0, 1, 3, oracle.DEFAULT_BUDGET]))
+# a chain pinned in two steps
+@example(((("v0", 1),), [Var("v0")], [Hash(Hash(Var("v0"), 2), 1)]), oracle.DEFAULT_BUDGET)
+# an entry whose argument is half known
+@example(((("v0", 1), ("v1", 1)), [Negate(Var("v0"))], [Hash(Concat((Var("v1"), Var("v0"))), 2)]),
+         oracle.DEFAULT_BUDGET)
+# colliding classes: muxed, so counted on tables
+@example(((("v0", 1), ("v1", 1)), [Var("v0")], [Hash(Var("v0"), 1), Hash(Var("v1"), 1)]), oracle.DEFAULT_BUDGET)
+@example(((("v0", 1), ("v1", 1)), [Var("v0")], [Hash(Var("v0"), 1), Hash(Var("v1"), 1)]), 1)
+# a 70-bit variable: 2**-67 and, cold, 2**-70, past the powers table
+@example(((("w", 70),), [Proj(w70, 1, 3)], [w70]), oracle.DEFAULT_BUDGET)
+# budgets 0 and 1: a plain query that reads a position needs 1 bit, a constant none
+@example(((("v0", 1),), [], [Var("v0")]), 0)
+@example(((("v0", 1),), [Var("v0")], [Lit("1")]), 0)
+@example(((("v0", 1),), [], [Lit("1")]), 0)
+@example(((("v0", 2),), [], [Hash(Var("v0"), 2)]), 1)
+# malformed budgets
+@example(((("v0", 1),), [], [Lit("1")]), True)
+@example(((("v0", 1),), [Var("v0")], [Var("v0")]), -1)
+@example(((("v0", 1), ("v1", 1)), [Var("v0")], [Hash(Var("v0"), 1), Hash(Var("v1"), 1)]), "24")
+def test_the_walk_answers_as_the_pass_it_bypasses(scenario, budget):
+    # chance, advantage and check_subbayes read a plain scenario off the
+    # walk: the same values as the tables, the product rule and the
+    # restart reference count, and the budget errors the pass raised
+    decls, knowns, targets = scenario
+    knowns, targets = tuple(knowns), tuple(targets)
+    xi, gamma = knowns[:1], knowns[1:]
+    s = GuessScenario(decls, knowns, targets)
+    (value, cold, *three), tabulated = counted(decls, [(knowns, targets), ((), targets), (xi, gamma),
+                                                       (knowns, targets), (xi, gamma + targets)])
+    if sum(bits for _, bits in decls) <= 12:
+        assert value == restart_chance(decls, knowns, targets)
+    if (split := tabulated.product_rule(xi, gamma, targets)) is not None:
+        assert list(split) == three
+    got = [outcome(lambda: chance(decls, knowns, targets, budget)), outcome(lambda: advantage(s, budget)),
+           outcome(lambda: check_subbayes(decls, xi, gamma, targets, budget))]
+    reads = any(r[4] for r in s._walk[1]) or any(exprs.hash_nodes(e) for e in knowns + targets)
+    if type(budget) is not int or budget < 0:
+        want = [(ValueError, f"budget must be an int >= 0, got {budget!r}")] * 3
+    elif not is_plain(decls, knowns, targets):  # counted on the scenario's own pass, as before
+        passed = outcome(lambda: on_pass(s, budget))
+        want = [passed[0], passed[1]] if type(passed[0]) is Fraction else [passed] * 2
+        want.append(outcome(lambda: subbayes_reference(decls, xi, gamma, targets, budget)))
+    elif budget < 1 and reads:
+        want = [(BudgetExceededError, str(BudgetExceededError(1, budget)))] * 3
+    else:
+        want = [value, value - cold, subbayes_reference(decls, xi, gamma, targets, budget)]
+    assert got == want
+    if type(got[0]) is Fraction:
+        assert got[0] == value and got[1] == value - cold
+    if type(got[2]) is oracle.SubbayesReport:
+        assert list(got[2][:3]) == three
+
+
+def test_plain_queries_build_no_pass(monkeypatch):
+    # the kernel query, a distance-law query and a plain product-rule case
+    # are read off the walk; a check that counts rows, a guard check and
+    # the claims that ask many chances build exactly one pass
+    passes = []
+    real = oracle._TruthTables.__init__
+    monkeypatch.setattr(oracle._TruthTables, "__init__", lambda *args: passes.append(args) or real(*args))
+
+    def count(check, *args):
+        passes.clear()
+        check(*args)
+        return len(passes)
+
+    x, h, token, v0, v1 = Var("x"), Var("h"), lit(0b10110010, 8), Var("v0"), Var("v1")
+    assert count(chance, {"x": 4}, [token], [BoxPlus(x, token)]) == 0
+    assert count(chance, {"h": 6}, [lit(0b011, 3), lit(0b110, 3), BoxPlus(lit(0b110, 3), h)],
+                 [BoxPlus(lit(0b011, 3), h)]) == 0
+    pair = (("v0", 2), ("v1", 1))
+    assert count(check_subbayes, pair, (v0,), (Negate(v1),), (Proj(Concat((v0, v1)), 1, 2),)) == 0
+    assert count(check_subbayes, pair, (v1,), (v0,), (BoxPlus(v1, v0),)) == 1  # selects by v1
+    assert count(chance, (("v0", 1), ("v1", 1)), [v0], [Hash(v0, 1), Hash(v1, 1)]) == 1  # muxed
+    assert count(check_prob_guard, oracle.builtin_guard_spec("attack-run")) == 1
+    for claim in (cli._claim_prop34, cli._claim_hamming, cli._claim_kernel):
+        assert count(claim, 3) == 1
+    # the seed-1 corpus of the bench's exact workload: 464 plain cases of 500
+    rng = random.Random(1)
+    built = Counter(count(check_subbayes, *oracle.random_subbayes_case(rng)) for _ in range(500))
+    assert built == {0: 464, 1: 36}
 
 
 # --- malformed inputs to the checks -------------------------------------------------
@@ -1548,7 +1678,8 @@ def test_one_pass_validates_as_the_queries_do():
 
 def test_each_check_enumerates_once(monkeypatch):
     # a check that asks several chances over one declaration reads them
-    # off one pass: a regression to one pass per query shows here
+    # off at most one pass, and off none when every term is plain: a
+    # regression to one pass per query shows here
     passes = []
     real = oracle._TruthTables.__init__
     monkeypatch.setattr(oracle._TruthTables, "__init__", lambda *args: passes.append(args) or real(*args))
@@ -1559,11 +1690,15 @@ def test_each_check_enumerates_once(monkeypatch):
         return len(passes)
 
     rng = random.Random(5)
+    kinds = set()
     for _ in range(20):
         case = oracle.random_subbayes_case(rng)
-        assert count(check_subbayes, *case) == count(check_subbayes, *hashed_case(case)) == 1
-    decls, xi, gamma, theta = case
-    assert count(advantage, GuessScenario(decls, xi + gamma, theta)) == 1
+        for decls, xi, gamma, theta in (case, hashed_case(case)):
+            plain = is_plain(decls, xi + gamma, theta)
+            kinds.add(plain)
+            assert count(check_subbayes, decls, xi, gamma, theta) == (not plain)
+            assert count(advantage, GuessScenario(decls, xi + gamma, theta)) == (not plain)
+    assert kinds == {True, False}
     assert count(check_prob_guard, oracle.builtin_guard_spec("attack-run")) == 1
     for ell in (1, 2, 3):
         assert count(cli._claim_prop34, ell) == 1
