@@ -28,9 +28,9 @@ entry.  Every operator, the mux included, is bit-local, so all the bits
 split into independent components, and the chance is the product of the
 components' chances: the paper's per-bit argument behind (3/4)**l.  A
 muxed entry bit reads every bit of both arguments, so colliding classes
-share one component with their arguments.  One walk of each term, made
-when its scenario is built, checks the term and gives its bits'
-components, constants and hash classes; a selection bit whose challenge
+share one component with their arguments.  One walk per query, scenario,
+spec or check checks its terms and gives their bits' components,
+constants and one table of hash classes; a selection bit whose challenge
 bit is constant reads only the token half it selects.  A plain query,
 whose bits are constants or copies of one position and which reads no
 muxed entry (kernel, distance-law and prop34's fixed-x queries, most
@@ -68,7 +68,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial, reduce
@@ -107,11 +107,7 @@ class GuessScenario(Slotted):
 
     def __init__(self, variables: tuple[tuple[str, int], ...], knowns: tuple[Expr, ...],
                  targets: tuple[Expr, ...]):
-        walk = _walk(variables, knowns + targets)
-        object.__setattr__(self, "variables", variables)  # not ``setfields``: each query builds one
-        object.__setattr__(self, "knowns", knowns)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "_walk", walk)
+        setfields(self, variables, knowns, targets, _walk(variables, knowns + targets))
 
 
 def _analyse(e: Expr, memo: dict, fill) -> tuple:
@@ -206,11 +202,15 @@ def _analyse(e: Expr, memo: dict, fill) -> tuple:
     return got
 
 
+_HashClass = namedtuple("_HashClass", "nodes fresh args entry earlier unions")  # earlier: keys that may collide
+
+
 def _walk(variables, shown: tuple) -> tuple:
-    """Check ``variables`` and walk ``shown`` once: the memo, each term's
-    ``_analyse``, whether every term is plain, and per hash class in fill
-    order its (argument, entry) unions, nodes, fresh positions, argument
-    reads, entry and earlier classes that may collide."""
+    """Check ``variables`` and walk ``shown`` once into (memo, each term's
+    ``_analyse``, whether every term is plain, classes).  ``classes`` maps
+    the first node met of each hash class, in fill order, to its
+    ``_HashClass``: nodes, fresh positions, argument reads, entry, earlier
+    classes that may collide, and (argument, entry) unions."""
     if len(dict(variables)) < len(variables):
         name = next(n for i, (n, _) in enumerate(variables) if n in dict(variables[:i]))  # the first repeat
         raise ValueError(f"duplicate variable declaration {name!r}")
@@ -221,49 +221,51 @@ def _walk(variables, shown: tuple) -> tuple:
             raise ValueError(f"variable {name!r} width must be {need}, got {bits!r}")
         memo[name] = [1 << k for k in range(at, at + bits)], (), "." * bits, 1 << i, ((1 << bits) - 1) << at
         at += bits
-    classes, fresh, arg_reads, entries, earlier, unions = {}, {}, {}, {}, {}, {}
+    classes, plain = {}, True  # plain until a class is muxed or a bit is neither constant nor copy
 
     def fill(node, arg):  # equal nodes are one class, keyed by the first met
-        nonlocal at
-        if node not in classes:
+        nonlocal at, plain
+        if (got := classes.get(node)) is None:
             shape = len(arg), node.out_bits  # the classes that may collide with it
-            earlier[node] = same = [i for i in classes if (len(arg_reads[i]), len(fresh[i])) == shape]
-            classes[node], arg_reads[node] = [], arg
-            entry = fresh[node] = [1 << at + k for k in range(node.out_bits)]
-            at += len(entry)
-            if same:  # bit k reads every argument and bit k of each earlier entry
-                compared = reduce(or_, arg + [m for i in same for m in arg_reads[i]], 0)
-                entry = [reduce(or_, (entries[i][k] for i in same), m | compared)
-                         for k, m in enumerate(entry)]
-            entries[node], unions[node] = entry, (reduce(or_, arg, 0), reduce(or_, entry, 0))
-        classes[node].append(node)
-        return entries[node]
+            same = [key for key, c in classes.items() if (len(c.args), len(c.fresh)) == shape]
+            entry = fresh = [1 << at + k for k in range(node.out_bits)]
+            at += len(fresh)
+            if same:  # muxed: bit k reads every argument and bit k of each earlier entry
+                plain, compared = False, reduce(or_, arg + [m for key in same for m in classes[key].args], 0)
+                entry = [reduce(or_, (classes[key].entry[k] for key in same), m | compared)
+                         for k, m in enumerate(fresh)]
+            got = classes[node] = _HashClass([], fresh, arg, entry, same,
+                                             (reduce(or_, arg, 0), reduce(or_, entry, 0)))
+        got.nodes.append(node)
+        return got.entry
 
     reads = [_analyse(e, memo, fill) for e in shown]
-    plain = "?" not in "".join([r[2] for r in reads]) and not any(earlier.values())
-    return memo, reads, plain, unions, classes, fresh, arg_reads, entries, earlier
+    for r in reads:  # a plain loop: it runs on every kernel query
+        plain = plain and "?" not in r[2]
+    return memo, reads, plain, classes
 
 
 def _plain_chance(walk: tuple, knowns: Sequence[Expr], targets: Sequence[Expr], budget: int) -> Fraction | None:
-    """The chance of ``targets`` given ``knowns``, terms of the scenario
-    that made ``walk``, if the query is plain (the module docstring's rule,
+    """The chance of ``targets`` given ``knowns``, terms among those that
+    made ``walk``, if the query is plain (the module docstring's rule,
     pinning to a fixpoint only the query's own classes), else None.  The
     budget must be an int of at least 0, and 1 if the query reads a position."""
     if type(budget) is not int or budget < 0:  # a bool is not an int here
         raise ValueError(f"budget must be an int >= 0, got {budget!r}")
-    memo, unions, known, target, keys, shapes = walk[0], walk[3], 0, 0, (), ""  # keys: the query's classes
+    (memo, _, plain, classes), known, target, keys = walk, 0, 0, ()  # keys: the query's classes
     for e in knowns:  # loops, not comprehensions: this is the cost of a kernel query
         t = memo[e.name] if type(e) is exprs.Var else memo[id(e)]
-        known, keys, shapes = known | t[4], keys + t[1], shapes + t[2]
+        known, keys = known | t[4], keys + t[1]
     for e in targets:
         t = memo[e.name] if type(e) is exprs.Var else memo[id(e)]
-        target, keys, shapes = target | t[4], keys + t[1], shapes + t[2]
-    if not walk[2] and ("?" in shapes or any(walk[-1][key] for key in keys)):
+        target, keys = target | t[4], keys + t[1]
+    if not plain and (any(type(e) is not exprs.Var and "?" in memo[id(e)][2] for e in (*knowns, *targets))
+                      or any(classes[key].earlier for key in keys)):  # shapes matter on such a walk only
         return None
-    if budget < 1 and (known | target or any(any(unions[key]) for key in keys)):
+    if budget < 1 and (known | target or any(any(classes[key].unions) for key in keys)):
         raise BudgetExceededError(1, budget)
-    while keys and (pinned := [key for key in keys if not unions[key][0] & ~known]):
-        known = reduce(or_, [unions[key][1] for key in pinned], known)
+    while keys and (pinned := [key for key in keys if not classes[key].unions[0] & ~known]):
+        known = reduce(or_, [classes[key].unions[1] for key in pinned], known)
         keys = [key for key in keys if key not in pinned]
     n = (target & ~known).bit_count()
     return _POWERS[n] if n < 64 else Fraction(1, 1 << n)
@@ -399,11 +401,10 @@ def _best_counted(given: list, tables: list, k: int) -> int:
 
 
 class _TruthTables:
-    """Truth tables of a scenario's terms, its knowns then its targets
-    (``shown``, looked up by id): called as ``chance_of(knowns, targets)``
-    for a query over them, or read by ``product_rule``.  The pass tabulates
-    from the walk that the scenario made when it was built (``_walk``),
-    and walks no term again.
+    """Truth tables of the terms ``shown`` over ``variables`` (looked up
+    by id): called as ``chance_of(knowns, targets)`` for a query over them,
+    or read by ``product_rule``.  The pass tabulates from ``walk``, the
+    terms' ``_walk`` that its caller made, and walks no term again.
 
     A class's entry is its fresh bits unless an earlier class, in fill
     order, has the same shape (argument width, output width); then it is
@@ -420,17 +421,18 @@ class _TruthTables:
     be a table).  The budget must be an int of at least 0.
     """
 
-    def __init__(self, scenario: GuessScenario, budget: int):
+    def __init__(self, variables: tuple, shown: tuple, walk: tuple, budget: int):
         if type(budget) is not int or budget < 0:  # a bool is not an int here
             raise ValueError(f"budget must be an int >= 0, got {budget!r}")
-        memo, reads, plain, _, classes, fresh, arg_reads, entries, earlier = self.walk = scenario._walk
-        variables, shown, self.budget = scenario.variables, scenario.knowns + scenario.targets, budget
+        memo, reads, plain, classes = self.walk = walk
+        self.budget = budget
         if plain:
             self.widths = []  # every query is plain: the walk answers it, and nothing is tabulated
             return
         comps: list[int] = []
         covered = 0  # the union of comps
-        masks = itertools.chain(*(r[0] for r in reads), *arg_reads.values(), *entries.values())
+        masks = itertools.chain(*(r[0] for r in reads), *(c.args for c in classes.values()),
+                                *(c.entry for c in classes.values()))
         for m in filter(None, masks):  # a constant bit reads no position
             if not m & covered:
                 comps.append(m)
@@ -469,14 +471,14 @@ class _TruthTables:
 
         cols = {name: [tables.get(m, 2) for m in memo[name][0]] for name, _ in variables}
         self.args, self.entries, args = {}, {}, {}
-        for key, nodes in classes.items():
+        for key, c in classes.items():
             arg = args[key] = _slices(key.arg, cols)
-            entry = [tables.get(m, 2) for m in fresh[key]]
-            for i in reversed(earlier[key]):
+            entry = [tables.get(m, 2) for m in c.fresh]
+            for i in reversed(c.earlier):
                 eq = reduce(and_, (~(p ^ q) for p, q in zip(args[i], arg)), -1)
                 entry = [eq & e | ~eq & t for e, t in zip(cols[id(i)], entry)]
-            cols.update((id(n), entry) for n in nodes)
-            self.args[key], self.entries[key] = group(arg_reads[key], arg), group(entries[key], entry)
+            cols.update((id(n), entry) for n in c.nodes)
+            self.args[key], self.entries[key] = group(c.args, arg), group(c.entry, entry)
         # a constant term reads no position, and is not sliced on its own
         self.columns = {id(e): group(r[0], _slices(e, cols)) if any(r[0]) else ({}, 0)
                         for e, r in zip(shown, reads)}
@@ -489,7 +491,7 @@ class _TruthTables:
         known does), its own classes pinned as the module docstring says."""
         if (got := _plain_chance(self.walk, knowns, targets, self.budget)) is not None:
             return got
-        memo = self.walk[0]  # a variable reads no class
+        memo, _, _, _ = self.walk  # a variable reads no class
         remaining = list(dict.fromkeys(k for e in (*knowns, *targets) if type(e) is not exprs.Var for k in memo[id(e)][1]))
         given, known = _merged([self.columns[id(e)] for e in knowns])
         want, target = _merged([self.columns[id(e)] for e in targets])
@@ -565,14 +567,21 @@ def guess_chance(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fract
     Classes are muxed in fill order, which lists a class after those in
     its argument, so a muxed entry reads only entries already built.
     """
-    got = _plain_chance(scenario._walk, scenario.knowns, scenario.targets, budget)
-    return _TruthTables(scenario, budget)(scenario.knowns, scenario.targets) if got is None else got
+    knowns, targets, walk = scenario.knowns, scenario.targets, scenario._walk
+    got = _plain_chance(walk, knowns, targets, budget)
+    return _TruthTables(scenario.variables, knowns + targets, walk, budget)(knowns, targets) if got is None else got
 
 
 def chance(variables, knowns: Iterable[Expr], targets: Iterable[Expr], budget: int = DEFAULT_BUDGET) -> Fraction:
-    """``guess_chance`` of a scenario built in place; ``variables`` may be
-    (name, bits) pairs or a name -> bits mapping."""
-    return guess_chance(GuessScenario(_declared(variables), tuple(knowns), tuple(targets)), budget)
+    """``guess_chance`` of the scenario, which a plain query reads off its
+    terms' walk without building one; ``variables`` may be (name, bits)
+    pairs or a name -> bits mapping."""
+    variables, knowns, targets = _declared(variables), tuple(knowns), tuple(targets)
+    walk = _walk(variables, knowns + targets)
+    if (got := _plain_chance(walk, knowns, targets, budget)) is not None:
+        return got
+    setfields(scenario := object.__new__(GuessScenario), variables, knowns, targets, walk)  # walked once
+    return guess_chance(scenario, budget)
 
 
 def _declared(variables) -> tuple:
@@ -601,23 +610,25 @@ def chances(variables, shown: Iterable[Expr], budget: int = DEFAULT_BUDGET):
     ``chance`` per query, and a query over the budget raises as it would
     alone.
     """
-    return _pass(GuessScenario(_declared(variables), (), tuple(shown)), budget)
+    variables, shown = _declared(variables), tuple(shown)
+    return _pass(variables, shown, _walk(variables, shown), budget)
 
 
-def _pass(scenario: GuessScenario, budget: int):
-    """The pass over a scenario's terms, or ``chance`` per query over the budget."""
+def _pass(variables: tuple, shown: tuple, walk: tuple, budget: int):
+    """The pass over ``shown``, or ``chance`` per query over the budget."""
     try:
-        return _TruthTables(scenario, budget)
+        return _TruthTables(variables, shown, walk, budget)
     except BudgetExceededError:
-        return partial(chance, scenario.variables, budget=budget)  # each query may still fit alone
+        return partial(chance, variables, budget=budget)  # each query may still fit alone
 
 
 def advantage(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
     """How much the knowns improve on guessing the targets cold, both
     chances read off the walk if plain, else off one pass."""
-    walk = scenario._walk
-    chance_of = partial(_plain_chance, walk, budget=budget) if walk[2] else _TruthTables(scenario, budget)
-    return chance_of(scenario.knowns, scenario.targets) - chance_of((), scenario.targets)
+    knowns, targets, (_, _, plain, _) = scenario.knowns, scenario.targets, scenario._walk
+    chance_of = (partial(_plain_chance, scenario._walk, budget=budget) if plain
+                 else _TruthTables(scenario.variables, knowns + targets, scenario._walk, budget))
+    return chance_of(knowns, targets) - chance_of((), targets)
 
 
 class SubbayesReport(NamedTuple):
@@ -669,15 +680,14 @@ def check_subbayes(variables: Sequence[tuple[str, int]], xi: Sequence[Expr], gam
     theta = H(b1) give lhs = 3/8 * 3/4 = 9/32 but rhs = 5/16, since a
     collision b1 = a0 shares the table entry.
     """
-    xi, gamma, theta = tuple(xi), tuple(gamma), tuple(theta)
+    variables, xi, gamma, theta = _declared(variables), tuple(xi), tuple(gamma), tuple(theta)
     context = xi + gamma
-    scenario = GuessScenario(_declared(variables), context, theta)
-    walk = scenario._walk
-    chance_of = partial(_plain_chance, walk, budget=budget) if walk[2] else _pass(scenario, budget)
+    _, reads, plain, _ = walk = _walk(variables, shown := context + theta)
+    chance_of = partial(_plain_chance, walk, budget=budget) if plain else _pass(variables, shown, walk, budget)
     got = chance_of.product_rule(xi, gamma, theta) if isinstance(chance_of, _TruthTables) else None
     a, b, rhs = got or (chance_of(xi, gamma), chance_of(context, theta), chance_of(xi, gamma + theta))
     names, hashed = [0, 0, 0], [0, 0, 0]  # xi's, gamma's, theta's: variables by declaration, hash nodes
-    for i, t in enumerate(walk[1]):  # xi's analyses, then gamma's, then theta's
+    for i, t in enumerate(reads):  # xi's analyses, then gamma's, then theta's
         side = (i >= len(xi)) + (i >= len(context))
         names[side] |= t[3]
         hashed[side] += len(t[1])
@@ -689,16 +699,16 @@ def check_subbayes(variables: Sequence[tuple[str, int]], xi: Sequence[Expr], gam
 
 class GuardSpec(Slotted):
     """A guard-checking instance over one set of variable declarations,
-    checked when built by the walk of a scenario over all its terms, which
+    checked when built by the walk of all its terms, which
     ``check_prob_guard``'s pass reads."""
 
     __match_args__ = ("variables", "context", "target", "guards")
-    __slots__ = __match_args__ + ("_scenario",)
+    __slots__ = __match_args__ + ("_walked",)  # (declarations, terms, their walk) for the pass
 
     def __init__(self, variables: tuple[tuple[str, int], ...], context: tuple[Expr, ...],
                  target: Expr, guards: tuple[tuple[Expr, ...], ...]):
-        scenario = GuessScenario(tuple(variables), tuple(context), (target, *(e for g in guards for e in g)))
-        setfields(self, variables, context, target, guards, scenario)
+        decls, shown = tuple(variables), (*context, target, *(e for g in guards for e in g))
+        setfields(self, variables, context, target, guards, (decls, shown, _walk(decls, shown)))
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "GuardSpec":
@@ -803,7 +813,7 @@ def check_prob_guard(spec: GuardSpec, budget: int = DEFAULT_BUDGET) -> GuardRepo
     terms, from the walk made when the spec was built (``chances`` says
     what a union over the budget does).
     """
-    return cover(spec.context, spec.target, spec.guards, _pass(spec._scenario, budget))
+    return cover(spec.context, spec.target, spec.guards, _pass(*spec._walked, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -401,7 +401,9 @@ class Responder:
     bit, and returns the response bits and an early mask in the same
     layout: rounds in the mask are answered at the instant the challenge
     leaves the verifier (round trip 0), and their bits must not depend
-    on the challenge string.
+    on the challenge string.  The timing rule: a waited round i may read
+    the challenges x_1..x_i only, and an early round, its bit and its
+    place in the mask, reads no challenge.
     """
 
     position_key: str = ADVERSARY

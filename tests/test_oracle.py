@@ -386,7 +386,14 @@ def reference_chance(decls, knowns, targets) -> Fraction:
 def walked_width(decls, e) -> int:
     """The width of a term that is not masked: its bit count in the walk
     that checks it."""
-    return len(GuessScenario(tuple(decls), (), (e,))._walk[1][0][0])
+    _, reads, _, _ = GuessScenario(tuple(decls), (), (e,))._walk
+    return len(reads[0][0])
+
+
+def pass_over(scenario, budget=oracle.DEFAULT_BUDGET):
+    """The pass over a scenario's terms, tabulated from the walk the
+    scenario made when it was built."""
+    return oracle._TruthTables(scenario.variables, scenario.knowns + scenario.targets, scenario._walk, budget)
 
 
 def bit_exprs(decls, want: int, depth: int):
@@ -817,8 +824,7 @@ def test_passes_of_single_positions_build_no_tables(monkeypatch):
     want = [restart_chance(*q) for q in queries]
     assert want == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), 1]
     for decls, knowns, targets in queries:
-        assert oracle._TruthTables(GuessScenario(decls, tuple(knowns), tuple(targets)),
-                                   oracle.DEFAULT_BUDGET).widths == []
+        assert pass_over(GuessScenario(decls, tuple(knowns), tuple(targets))).widths == []
 
     def refuse(*args):
         raise AssertionError(f"a one-position pass built or merged tables: {args[-1]!r}")
@@ -947,8 +953,8 @@ def test_constants_and_copies_are_read_off_the_walk(monkeypatch):
 def is_plain(decls, knowns, targets) -> bool:
     """Whether every bit of the terms is a constant or a copy of one
     position, and no hash class they read is muxed."""
-    _, reads, *_, earlier = GuessScenario(decls, tuple(knowns), tuple(targets))._walk
-    return "?" not in "".join(r[2] for r in reads) and not any(earlier.values())
+    _, reads, _, classes = GuessScenario(decls, tuple(knowns), tuple(targets))._walk
+    return "?" not in "".join(r[2] for r in reads) and not any(c.earlier for c in classes.values())
 
 
 def refuse_tables(*args):
@@ -972,13 +978,13 @@ def test_a_plain_query_reads_its_masks_on_a_tabulated_pass(scenario):
     p, q = Var("p"), Var("q")
     chance_of = oracle.chances(decls + (("p", 1), ("q", 2)), [*knowns, *targets, BoxPlus(p, q)])
     assert 3 in chance_of.widths  # the selection's component: the pass is tabulated
-    _, reads, *_, earlier = GuessScenario(decls, tuple(knowns), tuple(targets))._walk
-    plain = "?" not in "".join(r[2] for r in reads) and not any(earlier.values())
+    plain = is_plain(decls, knowns, targets)
     with pytest.MonkeyPatch.context() as patch:
         if plain:
             for name in ("_best_rows", "_merged"):
                 patch.setattr(oracle, name, refuse_tables)
         got = chance_of(knowns, targets)
+        assert chance_of(tuple(knowns), list(targets)) == got  # knowns and targets may be any sequences
     assert got == chance(decls, knowns, targets) == restart_chance(decls, knowns, targets)
 
 
@@ -1038,14 +1044,13 @@ def counted(decls, queries):
     shown = (*(e for ks, ts in queries for e in (*ks, *ts)), BoxPlus(p, q))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_plain_chance", lambda *args: None)
-        chance_of = oracle._TruthTables(GuessScenario(decls + (("p", 1), ("q", 2)), (), shown),
-                                        oracle.DEFAULT_BUDGET)
+        chance_of = pass_over(GuessScenario(decls + (("p", 1), ("q", 2)), (), shown))
         return [chance_of(ks, ts) for ks, ts in queries], chance_of
 
 
 def on_pass(scenario, budget):
     """``chance`` and ``advantage`` as the scenario's own pass answers them."""
-    chance_of = oracle._TruthTables(scenario, budget)
+    chance_of = pass_over(scenario, budget)
     value = chance_of(scenario.knowns, scenario.targets)
     return value, value - chance_of((), scenario.targets)
 
@@ -1090,7 +1095,8 @@ def test_the_walk_answers_as_the_pass_it_bypasses(scenario, budget):
         assert list(split) == three
     got = [outcome(lambda: chance(decls, knowns, targets, budget)), outcome(lambda: advantage(s, budget)),
            outcome(lambda: check_subbayes(decls, xi, gamma, targets, budget))]
-    reads = any(r[4] for r in s._walk[1]) or any(exprs.hash_nodes(e) for e in knowns + targets)
+    _, walked, _, _ = s._walk
+    reads = any(r[4] for r in walked) or any(exprs.hash_nodes(e) for e in knowns + targets)
     if type(budget) is not int or budget < 0:
         want = [(ValueError, f"budget must be an int >= 0, got {budget!r}")] * 3
     elif not is_plain(decls, knowns, targets):  # counted on the scenario's own pass, as before
@@ -1136,6 +1142,60 @@ def test_plain_queries_build_no_pass(monkeypatch):
     rng = random.Random(1)
     built = Counter(count(check_subbayes, *oracle.random_subbayes_case(rng)) for _ in range(500))
     assert built == {0: 464, 1: 36}
+
+
+def test_a_plain_chance_builds_no_scenario(monkeypatch):
+    # the kernel query is read off its one walk: no scenario, no pass and
+    # no guess_chance; a muxed query hands that walk, through guess_chance,
+    # to one pass, and builds no scenario with a walk of its own
+    built = Counter()
+    for owner, name, label in ((oracle, "_walk", "walk"), (oracle, "guess_chance", "guess_chance"),
+                               (GuessScenario, "__init__", "scenario"), (oracle._TruthTables, "__init__", "pass")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, label=label: built.update([label]) or real(*args))
+    x, token, v0, v1 = Var("x"), lit(0b10110010, 8), Var("v0"), Var("v1")
+    assert chance({"x": 4}, [token], [BoxPlus(x, token)]) == analytic("kernel", kappa=2, ell=4)
+    assert built == {"walk": 1}
+    built.clear()
+    pair = (("v0", 1), ("v1", 1))
+    assert chance(pair, [v0], [Hash(v0, 1), Hash(v1, 1)]) == restart_chance(pair, [v0], [Hash(v0, 1), Hash(v1, 1)])
+    assert built == {"walk": 1, "guess_chance": 1, "pass": 1}
+
+
+PLANTED = {  # planted faults, in the order the walk reports them
+    "duplicate": "duplicate variable declaration 'v0'",
+    "width": "variable 'bad' width must be >= 0, got -1",
+    "undeclared": "undeclared variable 'ghost'",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(literal_scenarios(), hash_scenarios()), st.sampled_from([0, 1, 3, oracle.DEFAULT_BUDGET]),
+       st.sets(st.sampled_from([*PLANTED, "budget"])), st.sampled_from([True, -1, 1.5, "24"]))
+# every fault at once: the duplicate, declared after the bad width, is reported first
+@example(((("v0", 1),), [], [Var("v0")]), 1, {*PLANTED, "budget"}, -1)
+# an undeclared variable is reported before a malformed budget
+@example(((("v0", 1),), [], [Var("v0")]), 1, {"undeclared", "budget"}, "24")
+def test_chance_answers_as_its_scenario_does(scenario, budget, faults, malformed):
+    # chance reads a plain query off its walk, and hands any other's walk
+    # to one pass: the value guess_chance gives on the scenario, the
+    # tables' count and the restart reference, or the same first error
+    decls, knowns, targets = scenario
+    knowns, targets = tuple(knowns), tuple(targets)
+    decls = (("bad", -1),) * ("width" in faults) + decls + (("v0", 1),) * ("duplicate" in faults)
+    knowns += (Var("ghost"),) * ("undeclared" in faults)
+    budget = malformed if "budget" in faults else budget
+    got = outcome(lambda: chance(decls, knowns, targets, budget))
+    assert got == outcome(lambda: guess_chance(GuessScenario(decls, knowns, targets), budget))
+    if first := next((fault for fault in PLANTED if fault in faults), None):
+        assert got == (ValueError, PLANTED[first])
+    elif "budget" in faults:
+        assert got == (ValueError, f"budget must be an int >= 0, got {malformed!r}")
+    elif type(got) is Fraction:
+        (value,), _ = counted(decls, [(knowns, targets)])
+        assert got == value == restart_chance(decls, knowns, targets)
+    else:  # over a small budget, as the scenario's own pass or walk is
+        assert budget < oracle.DEFAULT_BUDGET and got[0] is BudgetExceededError
 
 
 # --- malformed inputs to the checks -------------------------------------------------
@@ -1647,7 +1707,7 @@ def test_a_union_over_the_budget_is_asked_query_by_query():
     for decls, first, second in ((pair, hu, hv), halves):
         shown = [first, second, *(Var(n) for n, _ in decls)]
         with pytest.raises(BudgetExceededError):
-            oracle._TruthTables(GuessScenario(decls, (), tuple(shown)), oracle.DEFAULT_BUDGET)
+            pass_over(GuessScenario(decls, (), tuple(shown)))
         chance_of = oracle.chances(decls, shown)
         for ks, ts in splits(shown):
             try:
@@ -1901,7 +1961,7 @@ def test_a_hash_free_pass_reads_the_product_rule_off_one_split(monkeypatch):
     case = [oracle.random_subbayes_case(rng) for _ in range(3)][-1]
     decls, xi, gamma, theta = case
     assert not any(exprs.hash_nodes(e) for e in xi + gamma + theta)
-    assert 3 in oracle._TruthTables(GuessScenario(decls, xi + gamma, theta), oracle.DEFAULT_BUDGET).widths
+    assert 3 in pass_over(GuessScenario(decls, xi + gamma, theta)).widths
     past = ((("w", 8),), (Proj(wide, 1, 3),), (chained(wide, 8),), (wide,))
     want = [subbayes_reference(*c, oracle.DEFAULT_BUDGET) for c in (case, hashed_case(case), past)]
     calls = Counter()
