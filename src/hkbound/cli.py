@@ -213,7 +213,10 @@ def _claim_lemma3(ell: int = 1, secret_bits: int = 2):
                                 for name, value, _, good in rows]}, rows)
 
 
-def _ell(args, default: int) -> int:
+def _ell(args, default: int, limit: int) -> int:
+    """--ell, or ``default``; past the claim's ``limit``, a usage error before any work."""
+    if args.ell is not None and args.ell > limit:
+        raise ValueError(f"--claim {args.claim} takes --ell up to {limit}, got {args.ell}")
     return default if args.ell is None else args.ell
 
 
@@ -223,15 +226,15 @@ def _unused(args, flags, where: str) -> None:
         raise ValueError(f"--{given[0].replace('_', '-')} does not apply to {where}")
 
 
-_CLAIMS = {
-    "monty": lambda args: _claim_monty(_ell(args, 4)),
-    "prop34": lambda args: _claim_prop34(_ell(args, 4)),
-    "early": lambda args: _claim_early(_ell(args, 3)),
-    "kernel": lambda args: _claim_kernel(_ell(args, 4)),
-    "hamming": lambda args: _claim_hamming(_ell(args, 3)),
+_CLAIMS = {  # each --ell claim's default and limit: its run grows fast past the limit (README)
+    "monty": lambda args: _claim_monty(_ell(args, 4, 1024)),
+    "prop34": lambda args: _claim_prop34(_ell(args, 4, 10)),
+    "early": lambda args: _claim_early(_ell(args, 3, 1024)),
+    "kernel": lambda args: _claim_kernel(_ell(args, 4, 4096)),
+    "hamming": lambda args: _claim_hamming(_ell(args, 3, 9)),
     "subbayes": lambda args: _claim_subbayes(),
-    "binomial": lambda args: _claim_binomial(_ell(args, 20)),
-    "lemma3": lambda args: _claim_lemma3(_ell(args, 1)),
+    "binomial": lambda args: _claim_binomial(_ell(args, 20, 512)),
+    "lemma3": lambda args: _claim_lemma3(_ell(args, 1, 3)),
 }
 
 
@@ -343,7 +346,7 @@ def _cmd_guard_check(args) -> int:
     elif args.builtin:
         if args.algebraic:
             raise ValueError(f"--algebraic takes builtin dh or cr, not {args.builtin!r}")
-        spec = oracle.builtin_guard_spec(args.builtin, ell=_ell(args, 1),
+        spec = oracle.builtin_guard_spec(args.builtin, ell=1 if args.ell is None else args.ell,
                                          secret_bits=2 if args.secret_bits is None else args.secret_bits)
         algebraic = False
     else:

@@ -2,10 +2,11 @@
 
 A responder holding a 2l-bit token h = h0::h1 answers an l-bit challenge
 x with the string whose i-th bit is taken from h0 when x_i = 0 and from
-h1 when x_i = 1.  We write the operation ``boxplus(x, h)``.  Positions
-where the two token halves agree form the kernel of h; on those
-positions the answer does not depend on the challenge at all, which is
-what the early-response and pre-ask analyses exploit.
+h1 when x_i = 1: ``select(x, h0, h1, l)`` on ints, the paper's x boxplus
+h.  Positions where the two token halves agree form the kernel of h
+(``kernel_mask``); on those positions the answer does not depend on the
+challenge at all, which is what the early-response and pre-ask analyses
+exploit.
 """
 
 from __future__ import annotations
@@ -52,27 +53,6 @@ class ResponseToken(Slotted):
         half = h.length // 2
         low = BitString(half, h.value & ((1 << half) - 1))
         return cls(BitString(half, h.value >> half), low) if half else cls(h, h)
-
-    @property
-    def ell(self) -> int:
-        return self.h0.length
-
-    def bits(self) -> BitString:
-        return self.h0.concat(self.h1)
-
-    def kernel(self) -> int:
-        """Positions where the two halves agree, as a ``kernel_mask``."""
-        return kernel_mask(self.h0.value, self.h1.value, self.ell)
-
-    def text(self) -> str:
-        return self.bits().text()
-
-
-def boxplus(x: BitString, h: ResponseToken) -> BitString:
-    """Per-bit half selection: bit i of the result is h[x_i]_i."""
-    if x.length != h.ell:
-        raise ValueError(f"challenge length {x.length} != token half length {h.ell}")
-    return BitString(x.length, select(x.value, h.h0.value, h.h1.value, x.length))
 
 
 def extract_token(x: BitString, r0: BitString, r1: BitString) -> ResponseToken:

@@ -58,7 +58,8 @@ session token, and every full-knowledge chance would come out wrong.
 
 A check that asks several chances over one declaration reads them off
 the walk when every term is plain, else off one enumeration of their
-terms (``chances``); ``check_subbayes`` says how it reads its three.
+terms (``_pass``, which ``chances``, ``check_subbayes`` and
+``check_prob_guard`` ask).
 
 Everything returns exact fractions; nothing here samples.
 """
@@ -413,22 +414,17 @@ class _TruthTables:
     ``eq`` is the AND of the XNORs of the argument bits.  The walk's masks
     split the positions into independent components, each of whose 2**k
     rows is an assignment.  A plain query is read off the walk
-    (``_plain_chance``), and a pass of plain terms tabulates nothing.
-    Otherwise every node is sliced once (``_slices``) into a truth table
-    per value bit, grouped by component once per term.  A two-row
+    (``_plain_chance``), and a walk of plain terms builds no pass
+    (``_pass``).  Every node is sliced once (``_slices``) into a truth
+    table per value bit, grouped by component once per term.  A two-row
     component (one position) is a bit of a mask instead: the positions on
     which one of a term's tables varies (``t & 3`` is 1 or 2; any int may
-    be a table).  The budget must be an int of at least 0.
+    be a table).  The budget is an int of at least 0, checked by the caller.
     """
 
     def __init__(self, variables: tuple, shown: tuple, walk: tuple, budget: int):
-        if type(budget) is not int or budget < 0:  # a bool is not an int here
-            raise ValueError(f"budget must be an int >= 0, got {budget!r}")
-        memo, reads, plain, classes = self.walk = walk
+        memo, reads, _, classes = self.walk = walk
         self.budget = budget
-        if plain:
-            self.widths = []  # every query is plain: the walk answers it, and nothing is tabulated
-            return
         comps: list[int] = []
         covered = 0  # the union of comps
         masks = itertools.chain(*(r[0] for r in reads), *(c.args for c in classes.values()),
@@ -593,8 +589,9 @@ def _declared(variables) -> tuple:
 
 def chances(variables, shown: Iterable[Expr], budget: int = DEFAULT_BUDGET):
     """``chance_of(knowns, targets)`` for queries whose knowns and targets
-    are taken from ``shown`` (looked up by id), all read off one
-    enumeration of ``shown``; ``variables`` as for ``chance``.
+    are taken from ``shown`` (looked up by id), all read off the walk of
+    ``shown`` or one enumeration of it (``_pass``); ``variables`` as for
+    ``chance``.
 
     That equals each query's own enumeration: the query's knowns, targets
     and own nodes' arguments and entries have the same joint law in both.
@@ -615,20 +612,17 @@ def chances(variables, shown: Iterable[Expr], budget: int = DEFAULT_BUDGET):
 
 
 def _pass(variables: tuple, shown: tuple, walk: tuple, budget: int):
-    """The pass over ``shown``, or ``chance`` per query over the budget."""
+    """``chance_of(knowns, targets)`` over ``shown``, whose ``walk`` this
+    is: off the walk when every term is plain, else off one pass, or
+    ``chance`` per query when the pass is over the budget."""
+    if type(budget) is not int or budget < 0:  # a bool is not an int here
+        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
+    if walk[2]:  # every term is plain
+        return partial(_plain_chance, walk, budget=budget)
     try:
         return _TruthTables(variables, shown, walk, budget)
     except BudgetExceededError:
         return partial(chance, variables, budget=budget)  # each query may still fit alone
-
-
-def advantage(scenario: GuessScenario, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """How much the knowns improve on guessing the targets cold, both
-    chances read off the walk if plain, else off one pass."""
-    knowns, targets, (_, _, plain, _) = scenario.knowns, scenario.targets, scenario._walk
-    chance_of = (partial(_plain_chance, scenario._walk, budget=budget) if plain
-                 else _TruthTables(scenario.variables, knowns + targets, scenario._walk, budget))
-    return chance_of(knowns, targets) - chance_of((), targets)
 
 
 class SubbayesReport(NamedTuple):
@@ -649,11 +643,10 @@ def check_subbayes(variables: Sequence[tuple[str, int]], xi: Sequence[Expr], gam
                    theta: Sequence[Expr], budget: int = DEFAULT_BUDGET) -> SubbayesReport:
     """Compare chance(xi -> gamma) * chance(xi,gamma -> theta) with chance(xi -> gamma,theta).
 
-    The three chances are read off the walk when every term is plain, else
-    off one pass over xi, gamma and theta (the last query's own terms, so
-    over the budget exactly when that query is, and then each is asked
-    alone): with no class to pin, off one split of each component's rows
-    (``_TruthTables.product_rule``).
+    The three chances are read off ``_pass`` over xi, gamma and theta (the
+    last query's own terms, so over the budget exactly when that query is,
+    and then each is asked alone): on a pass with no class to pin, off one
+    split of each component's rows (``_TruthTables.product_rule``).
 
     ``holds`` is the product inequality lhs <= rhs and ``equality`` is
     lhs == rhs.  Two conditions on the expressions are reported beside
@@ -682,8 +675,8 @@ def check_subbayes(variables: Sequence[tuple[str, int]], xi: Sequence[Expr], gam
     """
     variables, xi, gamma, theta = _declared(variables), tuple(xi), tuple(gamma), tuple(theta)
     context = xi + gamma
-    _, reads, plain, _ = walk = _walk(variables, shown := context + theta)
-    chance_of = partial(_plain_chance, walk, budget=budget) if plain else _pass(variables, shown, walk, budget)
+    _, reads, _, _ = walk = _walk(variables, shown := context + theta)
+    chance_of = _pass(variables, shown, walk, budget)
     got = chance_of.product_rule(xi, gamma, theta) if isinstance(chance_of, _TruthTables) else None
     a, b, rhs = got or (chance_of(xi, gamma), chance_of(context, theta), chance_of(xi, gamma + theta))
     names, hashed = [0, 0, 0], [0, 0, 0]  # xi's, gamma's, theta's: variables by declaration, hash nodes
@@ -774,7 +767,7 @@ def cover(context: Sequence, target, guards: Sequence[Sequence], chance_of) -> G
 
     A chance must depend on the set of known terms only, not on their
     order or repeats; each distinct (set, want) is asked once per call.
-    ``check_prob_guard`` answers every ask from one ``chances`` pass over
+    ``check_prob_guard`` answers every ask from one ``_pass`` over
     all the spec's terms.
     """
     memo: dict = {}
@@ -809,7 +802,7 @@ def cover(context: Sequence, target, guards: Sequence[Sequence], chance_of) -> G
 def check_prob_guard(spec: GuardSpec, budget: int = DEFAULT_BUDGET) -> GuardReport:
     """``cover`` with exact guessing chances over the spec's variables.
 
-    Every chance ``cover`` asks is read off one pass over all the spec's
+    Every chance ``cover`` asks is read off ``_pass`` over all the spec's
     terms, from the walk made when the spec was built (``chances`` says
     what a union over the budget does).
     """

@@ -1,4 +1,6 @@
-"""The traced benchmark wraps package names from outside (bench/layers.py).
+"""The benchmark reaches package names from outside: the traced run wraps
+them (bench/layers.py), and every run builds and checks its workloads
+through them (bench/workloads.py).
 
 Renaming or deleting one of them in src/, or a field its wrappers read,
 breaks the benchmark; this catches it in the unit suite, without running
@@ -12,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import layers  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 from hkbound import adversary, exprs, harness, oracle, symbolic  # noqa: E402
 from hkbound.protocol import ProtocolConfig  # noqa: E402
@@ -47,3 +50,13 @@ def test_every_traced_name_exists_and_is_restored():
     assert oracle.evaluate is exprs.evaluate
     assert not hasattr(harness.analytic_acceptance, "__wrapped__")
     assert not hasattr(adversary.extract_token, "__wrapped__")
+
+
+def test_one_unit_of_each_kind_holds_its_check():
+    # units named alike but for a trailing index do the same work
+    for name in workloads.NAMES:
+        kinds = {}
+        for unit in workloads.build(name, 1).units:
+            kinds.setdefault(unit.name.rstrip("0123456789"), unit)
+        for unit in kinds.values():
+            assert unit.check(unit.run()), unit.name

@@ -604,3 +604,29 @@ def test_cli_rejects_ell_below_one(argv, ell, capsys):
         cli.main(argv + ["--ell", ell])
     assert out.value.code == 2
     assert "ell must be at least 1" in capsys.readouterr().err
+
+
+ELL_LIMITS = {"monty": 1024, "prop34": 10, "early": 1024, "kernel": 4096, "hamming": 9,
+              "binomial": 512, "lemma3": 3}  # as the README states them
+
+
+@pytest.mark.parametrize("claim", sorted(ELL_LIMITS))
+@pytest.mark.parametrize("over", [1, 100_000])
+def test_cli_enumerate_bounds_ell_before_any_work(claim, over, monkeypatch, capsys):
+    # past its limit a claim is a usage error naming the limit, raised
+    # before the claim builds anything
+    assert set(ELL_LIMITS) == set(cli._CLAIMS) - {"subbayes"}
+    limit = ELL_LIMITS[claim]
+    monkeypatch.setattr(cli, f"_claim_{claim}", lambda *args: pytest.fail("the claim ran"))
+    start = time.perf_counter()
+    assert cli.main(["enumerate", "--claim", claim, "--ell", str(limit + over)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"--claim {claim} takes --ell up to {limit}, got {limit + over}" in capsys.readouterr().err
+
+
+def test_cli_enumerate_kernel_at_its_limit(capsys):
+    # 2**-4096 and its neighbours print in full: the limit keeps every
+    # value under Python's 4,300-digit bound on int to str
+    assert cli.main(["enumerate", "--claim", "kernel", "--ell", "4096"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] and len(doc["samples"]) == 20

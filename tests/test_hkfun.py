@@ -12,42 +12,46 @@ from hypothesis import given, strategies as st
 
 from hkbound.bits import BitString, sample_uniform
 from hkbound.exprs import BoxPlus, KernelMask, Var, evaluate
-from hkbound.hkfun import (
-    ResponseToken,
-    boxplus,
-    extract_token,
-    kernel_mask,
-    select,
-)
+from hkbound.hkfun import ResponseToken, extract_token, kernel_mask, select
 
 
 def tok(text: str) -> ResponseToken:
-    return ResponseToken.from_bits(BitString.from_text(text))
+    return ResponseToken.from_bits(BitString(len(text), int(text, 2)))
+
+
+def bit(v: int, n: int, i: int) -> int:
+    """Bit at 1-based position i from the left of an n-bit value."""
+    return (v >> (n - i)) & 1
+
+
+def respond(x: BitString, t: ResponseToken) -> BitString:
+    """The response to challenge x from token t: x boxplus t."""
+    return BitString(x.length, select(x.value, t.h0.value, t.h1.value, x.length))
+
+
+def flipped(x: BitString) -> BitString:
+    return BitString(x.length, x.value ^ ((1 << x.length) - 1))
+
+
+def kernel(t: ResponseToken) -> int:
+    return kernel_mask(t.h0.value, t.h1.value, t.h0.length)
 
 
 def test_split_down_the_middle():
     t = tok("011010")
-    assert t.h0.text() == "011"
-    assert t.h1.text() == "010"
-    assert t.ell == 3
-    assert t.bits().text() == "011010"
+    assert t == ResponseToken(BitString(3, 0b011), BitString(3, 0b010))
     with pytest.raises(ValueError):
-        ResponseToken.from_bits(BitString.from_text("011"))
+        ResponseToken.from_bits(BitString(3, 0b011))
     with pytest.raises(ValueError):
-        ResponseToken(BitString.from_text("0"), BitString.from_text("01"))
+        ResponseToken(BitString(1, 0), BitString(2, 0b01))
 
 
 def test_boxplus_selects_per_bit():
     # challenge bit 0 picks from h0, challenge bit 1 picks from h1
     t = tok("011010")
-    assert boxplus(BitString.from_text("000"), t) == t.h0
-    assert boxplus(BitString.from_text("111"), t) == t.h1
-    assert boxplus(BitString.from_text("010"), t).text() == "011"
-
-
-def test_boxplus_length_check():
-    with pytest.raises(ValueError):
-        boxplus(BitString.from_text("01"), tok("011010"))
+    assert respond(BitString(3, 0b000), t) == t.h0
+    assert respond(BitString(3, 0b111), t) == t.h1
+    assert respond(BitString(3, 0b010), t) == BitString(3, 0b011)
 
 
 def test_boxplus_definition_exhaustively():
@@ -56,29 +60,28 @@ def test_boxplus_definition_exhaustively():
         for hv in range(1 << (2 * ell)):
             t = ResponseToken.from_bits(BitString(2 * ell, hv))
             for xv in range(1 << ell):
-                x = BitString(ell, xv)
-                got = boxplus(x, t)
+                got = select(xv, t.h0.value, t.h1.value, ell)
                 for i in range(1, ell + 1):
-                    want = t.h1.bit(i) if x.bit(i) else t.h0.bit(i)
-                    assert got.bit(i) == want
+                    want = bit(t.h1.value, ell, i) if bit(xv, ell, i) else bit(t.h0.value, ell, i)
+                    assert bit(got, ell, i) == want
 
 
 def test_kernel_is_where_halves_agree():
     t = tok("011010")  # halves 011 and 010 agree on the first two positions
-    assert t.kernel() == 0b110
-    assert tok("0110").kernel() == 0
-    assert tok("0101").kernel() == 0b11
+    assert kernel(t) == 0b110
+    assert kernel(tok("0110")) == 0
+    assert kernel(tok("0101")) == 0b11
 
 
 @given(st.integers(0, 255))
 def test_kernel_bits_ignore_the_challenge(hv):
     t = ResponseToken.from_bits(BitString(8, hv))
-    answers = {boxplus(BitString(4, x), t) for x in range(16)}
+    answers = {select(x, t.h0.value, t.h1.value, 4) for x in range(16)}
     for i in range(1, 5):
-        in_kernel = (t.kernel() >> (4 - i)) & 1
+        in_kernel = bit(kernel(t), 4, i)
         # kernel positions answer the same to every challenge; the others
         # take both values across challenges
-        assert len({a.bit(i) for a in answers}) == (1 if in_kernel else 2)
+        assert len({bit(a, 4, i) for a in answers}) == (1 if in_kernel else 2)
 
 
 def test_extract_token_from_challenge_and_negation():
@@ -86,7 +89,7 @@ def test_extract_token_from_challenge_and_negation():
     for _ in range(50):
         t = ResponseToken.from_bits(sample_uniform(rng, 12))
         x = sample_uniform(rng, 6)
-        assert extract_token(x, boxplus(x, t), boxplus(x.negate(), t)) == t
+        assert extract_token(x, respond(x, t), respond(flipped(x), t)) == t
 
 
 def test_extract_token_exhaustive_small():
@@ -95,16 +98,12 @@ def test_extract_token_exhaustive_small():
             t = ResponseToken.from_bits(BitString(2 * ell, hv))
             for xv in range(1 << ell):
                 x = BitString(ell, xv)
-                assert extract_token(x, boxplus(x, t), boxplus(x.negate(), t)) == t
+                assert extract_token(x, respond(x, t), respond(flipped(x), t)) == t
 
 
 def test_extract_token_validation():
     with pytest.raises(ValueError):
-        extract_token(
-            BitString.from_text("01"),
-            BitString.from_text("0"),
-            BitString.from_text("01"),
-        )
+        extract_token(BitString(2, 0b01), BitString(1, 0), BitString(2, 0b01))
 
 
 # --- int primitives against their per-bit definitions ----------------------
@@ -114,10 +113,6 @@ selections = st.integers(min_value=0, max_value=64).flatmap(
     lambda n: st.tuples(st.just(n), *(st.integers(0, (1 << n) - 1),) * 3)
 )
 
-
-def bit(v: int, n: int, i: int) -> int:
-    """Bit at 1-based position i from the left of an n-bit value."""
-    return (v >> (n - i)) & 1
 
 
 @given(selections)
@@ -145,7 +140,6 @@ def test_kernel_mask_marks_where_the_halves_agree(case):
     assert k >> n == 0
     for i in range(1, n + 1):
         assert bit(k, n, i) == (bit(h0, n, i) == bit(h1, n, i))
-    assert ResponseToken(BitString(n, h0), BitString(n, h1)).kernel() == k
 
 
 @given(selections)

@@ -22,12 +22,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hkbound import cli, exprs, harness, oracle
 from hkbound.bits import BitString
 from hkbound.exprs import BoxPlus, Concat, Hash, KernelMask, Lit, Negate, Proj, Var
-from hkbound.hkfun import ResponseToken
+from hkbound.hkfun import ResponseToken, kernel_mask
 from hkbound.oracle import (
     BudgetExceededError,
     GuardSpec,
     GuessScenario,
-    advantage,
     analytic,
     binomial_identity_check,
     chance,
@@ -68,8 +67,8 @@ def test_mapping_and_pair_declarations_agree():
 
 
 def test_irrelevant_knowledge_gives_no_advantage():
-    scenario = GuessScenario((("u", 2), ("v", 2)), (Var("v"),), (Var("u"),))
-    assert advantage(scenario) == 0
+    decls = (("u", 2), ("v", 2))
+    assert chance(decls, (Var("v"),), (Var("u"),)) - chance(decls, (), (Var("u"),)) == 0
 
 
 def test_more_knowledge_never_hurts():
@@ -79,7 +78,7 @@ def test_more_knowledge_never_hurts():
         base = GuessScenario(decls, xi, theta)
         more = GuessScenario(decls, xi + gamma, theta)
         assert guess_chance(more) >= guess_chance(base)
-        assert advantage(more) >= 0
+        assert chance(decls, xi + gamma, theta) - chance(decls, (), theta) >= 0
 
 
 def test_budget_is_enforced():
@@ -249,7 +248,7 @@ def test_kernel_chance_exhaustive():
     x = Var("x")
     for hv in range(16):
         token = ResponseToken.from_bits(BitString(4, hv))
-        kappa = token.kernel().bit_count()
+        kappa = kernel_mask(token.h0.value, token.h1.value, 2).bit_count()
         p = chance({"x": 2}, [lit(hv, 4)], [BoxPlus(x, lit(hv, 4))])
         assert p == Fraction(2**kappa, 4)
         assert p == analytic("kernel", kappa=kappa, ell=2)
@@ -289,7 +288,8 @@ def test_closed_forms_at_simulation_lengths():
     rng = random.Random(32)
     for _ in range(5):
         raw = rng.getrandbits(64)
-        kappa = ResponseToken.from_bits(BitString(64, raw)).kernel().bit_count()
+        token = ResponseToken.from_bits(BitString(64, raw))
+        kappa = kernel_mask(token.h0.value, token.h1.value, 32).bit_count()
         got = chance({"x": 32}, [lit(raw, 64)], [BoxPlus(x, lit(raw, 64))])
         assert got == analytic("kernel", kappa=kappa, ell=32)
 
@@ -391,9 +391,10 @@ def walked_width(decls, e) -> int:
 
 
 def pass_over(scenario, budget=oracle.DEFAULT_BUDGET):
-    """The pass over a scenario's terms, tabulated from the walk the
-    scenario made when it was built."""
-    return oracle._TruthTables(scenario.variables, scenario.knowns + scenario.targets, scenario._walk, budget)
+    """How a check reads chances over a scenario's terms (``oracle._pass``),
+    from the walk the scenario made when it was built: a pass of truth
+    tables unless every term is plain or the pass is over the budget."""
+    return oracle._pass(scenario.variables, scenario.knowns + scenario.targets, scenario._walk, budget)
 
 
 def bit_exprs(decls, want: int, depth: int):
@@ -823,8 +824,8 @@ def test_passes_of_single_positions_build_no_tables(monkeypatch):
     queries = [kernel, pinned, unpinned, blank]
     want = [restart_chance(*q) for q in queries]
     assert want == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), 1]
-    for decls, knowns, targets in queries:
-        assert pass_over(GuessScenario(decls, tuple(knowns), tuple(targets))).widths == []
+    for decls, knowns, targets in queries:  # plain: read off the walk, with no tables at all
+        assert pass_over(GuessScenario(decls, tuple(knowns), tuple(targets))).func is oracle._plain_chance
 
     def refuse(*args):
         raise AssertionError(f"a one-position pass built or merged tables: {args[-1]!r}")
@@ -915,9 +916,9 @@ def test_folded_constants_match_the_restart_reference(scenario):
 
 def test_constants_and_copies_are_read_off_the_walk(monkeypatch):
     # once a challenge bit is known, a response bit is one token bit: the
-    # kernel query and a distance-law query are answered from the analysis
-    # walk and build no pass, and the hamming claim's pass tabulates
-    # nothing; prop34's selects by the unknown x
+    # kernel query, a distance-law query and the hamming claim are answered
+    # from the analysis walk and build no pass; prop34's selects by the
+    # unknown x
     x, h, token = Var("x"), Var("h"), lit(0b10110010, 8)
     kernel = ((("x", 4),), [token], [BoxPlus(x, token)])
     distance = ((("h", 6),), [lit(0b011, 3), lit(0b110, 3), BoxPlus(lit(0b110, 3), h)],
@@ -939,7 +940,7 @@ def test_constants_and_copies_are_read_off_the_walk(monkeypatch):
     assert chance(*distance) == analytic("hamming", delta=2)
     assert widths == []
     assert cli._claim_hamming(3)[1]
-    assert widths == [[]]
+    assert widths == []
     monkeypatch.undo()
     monkeypatch.setattr(oracle._TruthTables, "__init__", spy)
     widths.clear()
@@ -1049,7 +1050,8 @@ def counted(decls, queries):
 
 
 def on_pass(scenario, budget):
-    """``chance`` and ``advantage`` as the scenario's own pass answers them."""
+    """The chance, and its gain over guessing cold, as the scenario's own
+    pass answers them."""
     chance_of = pass_over(scenario, budget)
     value = chance_of(scenario.knowns, scenario.targets)
     return value, value - chance_of((), scenario.targets)
@@ -1080,9 +1082,10 @@ w70 = Var("w")
 @example(((("v0", 1),), [Var("v0")], [Var("v0")]), -1)
 @example(((("v0", 1), ("v1", 1)), [Var("v0")], [Hash(Var("v0"), 1), Hash(Var("v1"), 1)]), "24")
 def test_the_walk_answers_as_the_pass_it_bypasses(scenario, budget):
-    # chance, advantage and check_subbayes read a plain scenario off the
-    # walk: the same values as the tables, the product rule and the
-    # restart reference count, and the budget errors the pass raised
+    # chance, the gain over guessing cold (two chances) and check_subbayes
+    # read a plain scenario off the walk: the same values as the tables,
+    # the product rule and the restart reference count, and the budget
+    # errors the pass raised
     decls, knowns, targets = scenario
     knowns, targets = tuple(knowns), tuple(targets)
     xi, gamma = knowns[:1], knowns[1:]
@@ -1093,7 +1096,8 @@ def test_the_walk_answers_as_the_pass_it_bypasses(scenario, budget):
         assert value == restart_chance(decls, knowns, targets)
     if (split := tabulated.product_rule(xi, gamma, targets)) is not None:
         assert list(split) == three
-    got = [outcome(lambda: chance(decls, knowns, targets, budget)), outcome(lambda: advantage(s, budget)),
+    got = [outcome(lambda: chance(decls, knowns, targets, budget)),
+           outcome(lambda: chance(decls, knowns, targets, budget) - chance(decls, (), targets, budget)),
            outcome(lambda: check_subbayes(decls, xi, gamma, targets, budget))]
     _, walked, _, _ = s._walk
     reads = any(r[4] for r in walked) or any(exprs.hash_nodes(e) for e in knowns + targets)
@@ -1115,9 +1119,10 @@ def test_the_walk_answers_as_the_pass_it_bypasses(scenario, budget):
 
 
 def test_plain_queries_build_no_pass(monkeypatch):
-    # the kernel query, a distance-law query and a plain product-rule case
-    # are read off the walk; a check that counts rows, a guard check and
-    # the claims that ask many chances build exactly one pass
+    # the kernel query, a distance-law query, a plain product-rule case
+    # and the kernel and hamming claims are read off the walk, and build
+    # no pass at all; a check that counts rows, a guard check and prop34,
+    # which selects by an unknown challenge, build exactly one
     passes = []
     real = oracle._TruthTables.__init__
     monkeypatch.setattr(oracle._TruthTables, "__init__", lambda *args: passes.append(args) or real(*args))
@@ -1136,8 +1141,7 @@ def test_plain_queries_build_no_pass(monkeypatch):
     assert count(check_subbayes, pair, (v1,), (v0,), (BoxPlus(v1, v0),)) == 1  # selects by v1
     assert count(chance, (("v0", 1), ("v1", 1)), [v0], [Hash(v0, 1), Hash(v1, 1)]) == 1  # muxed
     assert count(check_prob_guard, oracle.builtin_guard_spec("attack-run")) == 1
-    for claim in (cli._claim_prop34, cli._claim_hamming, cli._claim_kernel):
-        assert count(claim, 3) == 1
+    assert [count(claim, 3) for claim in (cli._claim_prop34, cli._claim_hamming, cli._claim_kernel)] == [1, 0, 0]
     # the seed-1 corpus of the bench's exact workload: 464 plain cases of 500
     rng = random.Random(1)
     built = Counter(count(check_subbayes, *oracle.random_subbayes_case(rng)) for _ in range(500))
@@ -1209,7 +1213,7 @@ def test_a_malformed_budget_is_a_value_error(budget):
     for ask in (lambda: chance(decls, [], [Lit("1")], budget),
                 lambda: chance(decls, [u], [u], budget),
                 lambda: oracle.chances(decls, [u], budget),
-                lambda: advantage(GuessScenario(decls, (u,), (u,)), budget),
+                lambda: chance(decls, [u], [u], budget) - chance(decls, [], [u], budget),
                 lambda: check_subbayes(decls, (), (u,), (u,), budget),
                 lambda: check_prob_guard(spec, budget)):
         with pytest.raises(ValueError, match=r"budget must be an int >= 0, got ") as err:
@@ -1264,8 +1268,11 @@ def test_a_pass_analyses_each_node_once(monkeypatch):
     shown = [e for q in queries for es in q for e in es]
     want = [restart_chance(decls, *q) for q in queries]
     other = (decls, (a, inner), (BoxPlus(b, outer),), (Negate(twin), outer))
-    checks = [subbayes_reference(*other, oracle.DEFAULT_BUDGET),
-              advantage(GuessScenario(decls, *map(tuple, queries[1])))]
+
+    def gain(chance_of):  # queries[1]'s chance over guessing its targets cold
+        return chance_of(*queries[1]) - chance_of((), queries[1][1])
+
+    checks = [subbayes_reference(*other, oracle.DEFAULT_BUDGET), gain(partial(chance, decls))]
     guard = (decls, (a, inner, KernelMask(a, inner)), outer, ((Negate(twin),), (BoxPlus(b, outer),)))
     covered = per_query_cover(GuardSpec(*guard))
     analysed = spy_analyse(monkeypatch)
@@ -1278,11 +1285,12 @@ def test_a_pass_analyses_each_node_once(monkeypatch):
         analysed.clear()
         assert chance(decls, *query) == value
         assert set(analysed.values()) == {1}
-    # a scenario, a spec and a check walk their terms when built, and each
-    # pass and flag reads that walk: 8, 8 and 9 nodes, outer's and the twin's
-    # arguments and the twin's H(a) included
+    # a scenario, a pass, a spec and a check walk their terms when built,
+    # and each pass and flag reads that walk: 8, 8, 8 and 9 nodes, outer's
+    # and the twin's arguments and the twin's H(a) included
     for run, value, nodes in ((lambda: guess_chance(GuessScenario(decls, *map(tuple, queries[1]))), want[1], 8),
-                              (lambda: advantage(GuessScenario(decls, *map(tuple, queries[1]))), checks[1], 8),
+                              (lambda: gain(oracle.chances(decls, [e for es in queries[1] for e in es])),
+                               checks[1], 8),
                               (lambda: check_subbayes(*other), checks[0], 8),
                               (lambda: check_prob_guard(GuardSpec(*guard)), covered, 9)):
         analysed.clear()
@@ -1290,7 +1298,7 @@ def test_a_pass_analyses_each_node_once(monkeypatch):
         assert sorted(analysed.values()) == [1] * nodes
     scenario = GuessScenario(decls, *map(tuple, queries[1]))  # built beforehand: its passes walk nothing
     analysed.clear()
-    assert guess_chance(scenario) == want[1] and advantage(scenario) == checks[1] and not analysed
+    assert guess_chance(scenario) == want[1] and gain(pass_over(scenario)) == checks[1] and not analysed
 
 
 # --- widths that are not ints -----------------------------------------------------
@@ -1689,7 +1697,8 @@ def test_one_pass_raises_where_the_queries_asked_alone_raise():
             pytest.fail("no query raises alone")
     for scenario, bits in ((GuessScenario(wide, (), (chained(u, 30),)), 30),
                            (GuessScenario(pair, (Hash(v, 2),), (Hash(u, 2),)), 28)):
-        for check in (advantage, guess_chance):
+        for check in (lambda s: chance(s.variables, s.knowns, s.targets) - chance(s.variables, (), s.targets),
+                      guess_chance):
             with pytest.raises(BudgetExceededError) as err:
                 check(scenario)
             assert err.value.required_bits == bits
@@ -1706,8 +1715,7 @@ def test_a_union_over_the_budget_is_asked_query_by_query():
     halves = ((("w", 26),), chained(low, 13), chained(high, 14))
     for decls, first, second in ((pair, hu, hv), halves):
         shown = [first, second, *(Var(n) for n, _ in decls)]
-        with pytest.raises(BudgetExceededError):
-            pass_over(GuessScenario(decls, (), tuple(shown)))
+        assert pass_over(GuessScenario(decls, (), tuple(shown))).func is chance  # the union is over the budget
         chance_of = oracle.chances(decls, shown)
         for ks, ts in splits(shown):
             try:
@@ -1733,12 +1741,12 @@ def test_one_pass_validates_as_the_queries_do():
     with pytest.raises(ValueError, match="twice"):
         oracle.chances({"u": 1, "v": 1}, [u, mismatched])
     with pytest.raises(ValueError, match="twice"):
-        advantage(GuessScenario((("u", 1), ("v", 1)), (mismatched,), (u,)))
+        chance((("u", 1), ("v", 1)), (mismatched,), (u,))
 
 
 def test_each_check_enumerates_once(monkeypatch):
     # a check that asks several chances over one declaration reads them
-    # off at most one pass, and off none when every term is plain: a
+    # off at most one pass, and builds none when every term is plain: a
     # regression to one pass per query shows here
     passes = []
     real = oracle._TruthTables.__init__
@@ -1757,13 +1765,13 @@ def test_each_check_enumerates_once(monkeypatch):
             plain = is_plain(decls, xi + gamma, theta)
             kinds.add(plain)
             assert count(check_subbayes, decls, xi, gamma, theta) == (not plain)
-            assert count(advantage, GuessScenario(decls, xi + gamma, theta)) == (not plain)
+            assert count(oracle.chances, decls, xi + gamma + theta) == (not plain)
     assert kinds == {True, False}
     assert count(check_prob_guard, oracle.builtin_guard_spec("attack-run")) == 1
     for ell in (1, 2, 3):
         assert count(cli._claim_prop34, ell) == 1
-        assert count(cli._claim_hamming, ell) == 1
-        assert count(cli._claim_kernel, ell) == 1
+        assert count(cli._claim_hamming, ell) == 0
+        assert count(cli._claim_kernel, ell) == 0
 
 
 # --- the query regime -------------------------------------------------------------
