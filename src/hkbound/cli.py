@@ -213,11 +213,13 @@ def _claim_lemma3(ell: int = 1, secret_bits: int = 2):
                                 for name, value, _, good in rows]}, rows)
 
 
-def _ell(args, default: int, limit: int) -> int:
-    """--ell, or ``default``; past the claim's ``limit``, a usage error before any work."""
-    if args.ell is not None and args.ell > limit:
-        raise ValueError(f"--claim {args.claim} takes --ell up to {limit}, got {args.ell}")
-    return default if args.ell is None else args.ell
+def _capped(args, flag: str, default: int, limit: int) -> int:
+    """``--flag``, or ``default``; past ``limit``, a usage error before any work."""
+    value = getattr(args, flag)
+    if value is not None and value > limit:
+        where = f"--claim {args.claim}" if args.command == "enumerate" else f"--builtin {args.builtin}"
+        raise ValueError(f"{where} takes --{flag.replace('_', '-')} up to {limit}, got {value}")
+    return default if value is None else value
 
 
 def _unused(args, flags, where: str) -> None:
@@ -227,14 +229,14 @@ def _unused(args, flags, where: str) -> None:
 
 
 _CLAIMS = {  # each --ell claim's default and limit: its run grows fast past the limit (README)
-    "monty": lambda args: _claim_monty(_ell(args, 4, 1024)),
-    "prop34": lambda args: _claim_prop34(_ell(args, 4, 10)),
-    "early": lambda args: _claim_early(_ell(args, 3, 1024)),
-    "kernel": lambda args: _claim_kernel(_ell(args, 4, 4096)),
-    "hamming": lambda args: _claim_hamming(_ell(args, 3, 9)),
+    "monty": lambda args: _claim_monty(_capped(args, "ell", 4, 1024)),
+    "prop34": lambda args: _claim_prop34(_capped(args, "ell", 4, 10)),
+    "early": lambda args: _claim_early(_capped(args, "ell", 3, 1024)),
+    "kernel": lambda args: _claim_kernel(_capped(args, "ell", 4, 4096)),
+    "hamming": lambda args: _claim_hamming(_capped(args, "ell", 3, 9)),
     "subbayes": lambda args: _claim_subbayes(),
-    "binomial": lambda args: _claim_binomial(_ell(args, 20, 512)),
-    "lemma3": lambda args: _claim_lemma3(_ell(args, 1, 3)),
+    "binomial": lambda args: _claim_binomial(_capped(args, "ell", 20, 512)),
+    "lemma3": lambda args: _claim_lemma3(_capped(args, "ell", 1, 3)),
 }
 
 
@@ -346,8 +348,9 @@ def _cmd_guard_check(args) -> int:
     elif args.builtin:
         if args.algebraic:
             raise ValueError(f"--algebraic takes builtin dh or cr, not {args.builtin!r}")
-        spec = oracle.builtin_guard_spec(args.builtin, ell=1 if args.ell is None else args.ell,
-                                         secret_bits=2 if args.secret_bits is None else args.secret_bits)
+        # past either cap the walk grows fast (README)
+        spec = oracle.builtin_guard_spec(args.builtin, ell=_capped(args, "ell", 1, 1024),
+                                         secret_bits=_capped(args, "secret_bits", 2, 4096))
         algebraic = False
     else:
         with open(args.spec) as fh:

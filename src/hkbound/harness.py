@@ -30,6 +30,8 @@ def trial_seed(master_seed, index: int) -> int:
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval; behaves sanely for rates at or near 0 and 1."""
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"z must be finite and positive, got {z}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= successes <= trials:
@@ -129,7 +131,7 @@ def monte_carlo_range(cfg: ProtocolConfig, strategy, master_seed,
     transcript (see ``protocol.Transcript``); only the verdict is read.
     """
     actor = adv._as_strategy(strategy)
-    rng = random.Random()
+    rng = random.Random(0)  # every trial reseeds it; a constant spares the urandom read
     reseed = super(random.Random, rng).seed
     wins = 0
     for i in range(lo, hi):

@@ -323,12 +323,16 @@ _REUSED = Verdict(False, 0, (), 0.0, REASON_COUNTER_REUSED)
 _UNRECORDED = Transcript()
 
 
-def _judge(cfg: ProtocolConfig, bits_correct: int, rtts: tuple[int, ...]) -> Verdict:
+def _judge(cfg: ProtocolConfig, bits_correct: int, rtts: tuple[int, ...],
+           agg: float | None = None) -> Verdict:
     """The verdict on fresh counters, from the bits right and the round trips.
 
-    wrong_bits takes precedence over too_far.
+    ``agg`` is the round trips' aggregate under ``cfg.rtt_mode`` when the
+    caller knows it, else it is computed from ``rtts``.  wrong_bits takes
+    precedence over too_far.
     """
-    agg = max(rtts) if cfg.rtt_mode == "max" else sum(rtts) / cfg.ell
+    if agg is None:
+        agg = max(rtts) if cfg.rtt_mode == "max" else sum(rtts) / cfg.ell
     estimated = max(0.0, (agg - cfg.processing_ticks) * cfg.velocity / 2.0)
     if bits_correct != cfg.ell:
         reason = REASON_WRONG_BITS
@@ -517,6 +521,13 @@ class SessionView(Slotted):
 _BIT = ("0", "1")  # the values of one-bit events
 
 
+@lru_cache(maxsize=8)
+def _byte_rtts(rtt: int) -> tuple[tuple[int, ...], ...]:
+    """Per byte of an early mask: its eight rounds' round trips, 0 where a bit is set."""
+    return tuple(tuple(0 if byte >> shift & 1 else rtt for shift in range(7, -1, -1))
+                 for byte in range(256))
+
+
 @lru_cache(maxsize=64)
 def _round_labels(ell: int) -> tuple[tuple[str, str, str], ...]:
     """Per round: the challenge's name, the response's name and its term."""
@@ -544,8 +555,9 @@ def run_session(
     the bit text they carry, are built only when recording.  The verdict
     is decided from the session's bit masks: the wrong bits are the set
     bits of response xor expected, and a round trip is 0 in a round
-    answered early and the honest round trip otherwise (a mixed early
-    mask reads its round trips off its own bit text).  With
+    answered early and the honest round trip otherwise.  A mixed early
+    mask is decided from its bit count, and its round trips are read
+    byte by byte off a table per honest round trip (``_byte_rtts``).  With
     ``record=True`` the transcript holds the event log and the expected
     bits, from which ``verifier_decide`` reaches the same verdict (it
     reads a reused counter pair off the verifier's ``fresh
@@ -629,9 +641,12 @@ def run_session(
         if early_mask in (0, mask):
             verdict = _judge_uniform(cfg, bits_correct, rtt_wait if not early_mask else 0)
         else:
-            # early_mask fits in ell bits, so its text has one character per round
-            rtts = tuple(map({"0": rtt_wait, "1": 0}.__getitem__, f"{early_mask:0{ell}b}"))
-            verdict = _judge(cfg, bits_correct, rtts)
+            # a mixed mask waited at least one round; the top byte's pad rounds are sliced off
+            n, table, rtts = -(-ell // 8), _byte_rtts(rtt_wait), []
+            for byte in early_mask.to_bytes(n, "big"):
+                rtts += table[byte]  # in place, so linear in ell
+            agg = rtt_wait if cfg.rtt_mode == "max" else rtt_wait * (ell - early_mask.bit_count()) / ell
+            verdict = _judge(cfg, bits_correct, tuple(rtts[8 * n - ell:]), agg)
     if not record:
         return _UNRECORDED, verdict
 

@@ -59,6 +59,16 @@ def test_wilson_interval_contains_p_hat():
         assert lo <= successes / trials <= hi
 
 
+@pytest.mark.parametrize("z", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_wilson_interval_takes_a_finite_positive_z(z):
+    # a negative z swaps the ends, a zero one closes the band, and a nan
+    # one read as the whole of [0, 1], so calibrated() held for anything
+    with pytest.raises(ValueError, match="z must be finite and positive"):
+        wilson_interval(5, 10, z=z)
+    with pytest.raises(ValueError, match="z must be finite and positive"):
+        Estimate.from_counts(5, 10, Fraction(1, 2)).calibrated(z=z)
+
+
 def test_estimate_from_counts():
     est = Estimate.from_counts(25, 100, analytic=Fraction(1, 4))
     assert est.p_hat == 0.25
@@ -622,6 +632,24 @@ def test_cli_enumerate_bounds_ell_before_any_work(claim, over, monkeypatch, caps
     assert cli.main(["enumerate", "--claim", claim, "--ell", str(limit + over)]) == 2
     assert time.perf_counter() - start < 1.0
     assert f"--claim {claim} takes --ell up to {limit}, got {limit + over}" in capsys.readouterr().err
+
+
+GUARD_LIMITS = {"ell": 1024, "secret-bits": 4096}  # as the README states them
+
+
+@pytest.mark.parametrize("builtin", ["attack-run", "early-run"])
+@pytest.mark.parametrize("flag", sorted(GUARD_LIMITS))
+@pytest.mark.parametrize("over", [1, 100_000])
+def test_cli_guard_check_bounds_its_sizes_before_any_work(builtin, flag, over, monkeypatch, capsys):
+    # past its limit either size is a usage error naming the limit,
+    # raised before the spec is built or the oracle walks it
+    limit = GUARD_LIMITS[flag]
+    for name in ("builtin_guard_spec", "check_prob_guard", "_walk"):
+        monkeypatch.setattr(oracle, name, lambda *args, **kwargs: pytest.fail("the oracle ran"))
+    start = time.perf_counter()
+    assert cli.main(["guard-check", "--builtin", builtin, f"--{flag}", str(limit + over)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"--builtin {builtin} takes --{flag} up to {limit}, got {limit + over}" in capsys.readouterr().err
 
 
 def test_cli_enumerate_kernel_at_its_limit(capsys):

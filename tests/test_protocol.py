@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkbound.adversary import PreQueryStick, StrategyInfeasibleError, make_strategy
-from hkbound import bits, harness, hkfun
+from hkbound import bits, harness, hkfun, protocol
 from hkbound.hkfun import select
 from hkbound.protocol import (
     PROVER,
@@ -405,16 +405,22 @@ class _ChosenEarly(Responder):
 
 def test_every_early_mask_matches_the_reference():
     # the round trips of a mixed early mask, against verifier_decide: every
-    # mask at ell 1..8, and seeded masks at two widths past a machine word
+    # mask at ell 1..8, and seeded masks at widths with a padded top byte
+    # (13, 33), whole bytes (32) and past a machine word (40)
     rng = random.Random("early masks")
     masks = {ell: range(1 << ell) for ell in range(1, 9)}
-    masks.update({ell: [rng.getrandbits(ell) for _ in range(200)] for ell in (32, 40)})
+    masks.update({ell: [rng.getrandbits(ell) for _ in range(200)] for ell in (13, 32, 33, 40)})
     reasons = set()
-    # the adversary at 7 is too far unless it answers (nearly) every round early
-    for ell, rtt_mode, processing_ticks, at in itertools.product(
-            masks, ("max", "mean"), (0, 2), (2.0, 7.0)):
+    # (prover, adversary, bound): the adversary at 7 is too far unless it
+    # answers (nearly) every round early; at 300 its round trip passes 255
+    # ticks, and in mean mode a third of the rounds answered early bring it
+    # within the bound of 200
+    geometries = ((3.0, 2.0, 5.0), (3.0, 7.0, 5.0), (300.0, 300.0, 200.0))
+    for ell, rtt_mode, processing_ticks, (prover, at, bound) in itertools.product(
+            masks, ("max", "mean"), (0, 2), geometries):
         cfg = ProtocolConfig(ell=ell, rtt_mode=rtt_mode, processing_ticks=processing_ticks,
-                             positions={"verifier": 0.0, "prover": 3.0, "adversary": at})
+                             distance_bound=bound,
+                             positions={"verifier": 0.0, "prover": prover, "adversary": at})
         for early_mask in masks[ell]:
             actor = _ChosenEarly(early_mask, early_mask % 3 % ell)
             seed = f"{ell}:{early_mask}"
@@ -555,6 +561,13 @@ def test_the_verdict_memo_stays_small():
         harness.monte_carlo_range(cfg, strategy, "memo", 0, 2_000)
     per_rtt = collections.Counter(rtt for _, rtt in cfg._uniform_verdicts)
     assert set(per_rtt) == {0, 6} and max(per_rtt.values()) <= cfg.ell + 1
+    # the per-byte round-trip tables stay within their cache's bound over
+    # more distinct round trips than it holds
+    bound = protocol._byte_rtts.cache_info().maxsize
+    for at in range(1, 2 * bound + 2):
+        far = ProtocolConfig(ell=32, positions={"verifier": 0.0, "prover": float(at)})
+        harness.monte_carlo_range(far, "early-kernel", "tables", 0, 5)
+    assert protocol._byte_rtts.cache_info().currsize == bound
 
 
 # --- config -----------------------------------------------------------------
