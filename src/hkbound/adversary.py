@@ -8,10 +8,12 @@ one catalogue, keyed by each class's ``kind``.
 
 Strategies work on plain ints at the config's widths: ``play`` receives
 the challenges as an ell-bit int, round 1 in the most significant bit,
-and answers through ``hkfun.select``.  Every strategy keeps its scratch
-state inside the session view lifetime, so one instance can be reused
-across any number of independent trials.  The strategies only play;
-their exact acceptance chances live in ``harness.analytic_acceptance``.
+and answers through ``hkfun.select``.  ``PreQueryStick``,
+``CounterReuseExtract`` and ``SecretGuesser`` keep scratch state on the
+instance, which each session's ``setup`` overwrites: an instance plays
+any number of independent trials, one at a time, so parallel sessions
+need one instance per worker.  The strategies only play; their exact
+acceptance chances live in ``harness.analytic_acceptance``.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from .protocol import ProtocolConfig
 
 
 _frac = oracle.prob_json
+SESSION_ELL_MAX = 4096  # simulate's and sweep's cap on ell: a session's cost grows as ell**2 (README)
 
 
 def _lit(value: int, bits: int) -> exprs.Lit:
@@ -213,13 +214,14 @@ def _claim_lemma3(ell: int = 1, secret_bits: int = 2):
                                 for name, value, _, good in rows]}, rows)
 
 
-def _capped(args, flag: str, default: int, limit: int) -> int:
-    """``--flag``, or ``default``; past ``limit``, a usage error before any work."""
-    value = getattr(args, flag)
-    if value is not None and value > limit:
-        where = f"--claim {args.claim}" if args.command == "enumerate" else f"--builtin {args.builtin}"
-        raise ValueError(f"{where} takes --{flag.replace('_', '-')} up to {limit}, got {value}")
-    return default if value is None else value
+def _capped(args, flag: str, default, limit: int):
+    """``--flag``, or ``default``; past ``limit`` (a range by its end), a usage error before any work."""
+    value = default if getattr(args, flag) is None else getattr(args, flag)
+    if (top := value[-1] if type(value) is range else value) > limit:
+        where = (f"--claim {args.claim}" if args.command == "enumerate" else
+                 f"--builtin {args.builtin}" if args.command == "guard-check" else args.command)
+        raise ValueError(f"{where} takes --{flag.replace('_', '-')} up to {limit}, got {top}")
+    return value
 
 
 def _unused(args, flags, where: str) -> None:
@@ -257,11 +259,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _load_config(args) -> ProtocolConfig:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = ProtocolConfig.from_json(json.load(fh))
-        return cfg if args.ell is None else dataclasses.replace(cfg, ell=args.ell)
-    return ProtocolConfig(ell=args.ell if args.ell is not None else 8)
+    if not args.config:
+        return ProtocolConfig(ell=_capped(args, "ell", 8, SESSION_ELL_MAX))
+    with open(args.config) as fh:
+        cfg = ProtocolConfig.from_json(json.load(fh))
+    return dataclasses.replace(cfg, ell=_capped(args, "ell", cfg.ell, SESSION_ELL_MAX))
 
 
 def _lint_config(cfg: ProtocolConfig) -> None:
@@ -312,20 +314,20 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(msg) from None
 
 
-def _parse_ell_range(text: str) -> list[int]:
+def _parse_ell_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if lo < 1 or hi < lo:
             raise argparse.ArgumentTypeError("ell range must be A..B with 1 <= A <= B")
-        return list(range(lo, hi + 1))
-    return [_at_least_one("ell")(text)]
+        return range(lo, hi + 1)
+    return range(ell := _at_least_one("ell")(text), ell + 1)
 
 
 def _cmd_sweep(args) -> int:
     try:
-        rows = harness.sweep(args.strategy, args.ell, args.trials, args.seed,
-                             csv_path=args.out)
+        rows = harness.sweep(args.strategy, _capped(args, "ell", None, SESSION_ELL_MAX), args.trials,
+                             args.seed, csv_path=args.out)
     except adv.StrategyInfeasibleError as exc:
         return _infeasible(args, exc)
     summary = [

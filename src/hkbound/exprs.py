@@ -17,6 +17,7 @@ does not call it.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Union
 
 from ._slotted import Slotted, setfields
@@ -114,22 +115,40 @@ class Hash(Slotted):
 Expr = Union[Var, Lit, Concat, Negate, Proj, BoxPlus, KernelMask, Hash]
 
 
+# Each node kind once: its JSON ``op``, and its JSON keys in its fields' order, each
+# with the JSON type it holds (a ``dict`` is a subterm, a ``list`` a tuple of them).
+NODES = MappingProxyType({
+    Var: ("var", (("name", str),)),
+    Lit: ("lit", (("bits", str),)),
+    Concat: ("concat", (("args", list),)),
+    Negate: ("negate", (("arg", dict),)),
+    Proj: ("proj", (("arg", dict), ("lo", int), ("hi", int))),
+    BoxPlus: ("boxplus", (("x", dict), ("h", dict))),
+    KernelMask: ("kernel_mask", (("x", dict), ("h", dict))),
+    Hash: ("hash", (("arg", dict), ("bits", int))),
+})
+
+
+def _fields(e: Expr) -> tuple:
+    """``e``'s op and its (JSON key, kind, value) per field, in order."""
+    if type(e) not in NODES:
+        raise TypeError(f"not an expression: {e!r}")
+    op, keys = NODES[type(e)]
+    return op, [(key, kind, getattr(e, name)) for name, (key, kind) in zip(e.__match_args__, keys)]
+
+
+def _subterms(e: Expr) -> list:
+    """``e``'s direct subterms, in field order."""
+    return [s for _, kind, v in _fields(e)[1] for s in ((v,) if kind is dict else v if kind is list else ())]
+
+
 def free_vars(e: Expr, found: set[str] | None = None) -> set[str]:
     """The names of the variables in ``e``, added to ``found`` when given."""
     found = set() if found is None else found
-    kind = type(e)
-    if kind is Var:
+    if type(e) is Var:
         found.add(e.name)
-    elif kind is Concat:
-        for p in e.parts:
-            free_vars(p, found)
-    elif kind is BoxPlus or kind is KernelMask:
-        free_vars(e.x, found)
-        free_vars(e.h, found)
-    elif kind is Negate or kind is Proj or kind is Hash:
-        free_vars(e.arg, found)
-    elif kind is not Lit:
-        raise TypeError(f"not an expression: {e!r}")
+    for sub in _subterms(e):
+        free_vars(sub, found)
     return found
 
 
@@ -141,17 +160,9 @@ def hash_nodes(e: Expr) -> list[Hash]:
 
 
 def _find_hashes(n: Expr, found: dict) -> None:
-    kind = type(n)
-    if kind is Concat:
-        for p in n.parts:
-            _find_hashes(p, found)
-    elif kind is Negate or kind is Proj:
-        _find_hashes(n.arg, found)
-    elif kind is BoxPlus or kind is KernelMask:
-        _find_hashes(n.x, found)
-        _find_hashes(n.h, found)
-    elif kind is Hash:
-        _find_hashes(n.arg, found)
+    for sub in _subterms(n) if type(n) in NODES else ():
+        _find_hashes(sub, found)
+    if type(n) is Hash:
         found.setdefault(id(n), n)
 
 
@@ -197,23 +208,9 @@ def evaluate(e: Expr, env: dict[str, Value], htable: dict) -> Value:
 
 
 def to_json(e: Expr) -> dict[str, Any]:
-    if isinstance(e, Var):
-        return {"op": "var", "name": e.name}
-    if isinstance(e, Lit):
-        return {"op": "lit", "bits": e.text}
-    if isinstance(e, Concat):
-        return {"op": "concat", "args": [to_json(p) for p in e.parts]}
-    if isinstance(e, Negate):
-        return {"op": "negate", "arg": to_json(e.arg)}
-    if isinstance(e, Proj):
-        return {"op": "proj", "arg": to_json(e.arg), "lo": e.lo, "hi": e.hi}
-    if isinstance(e, BoxPlus):
-        return {"op": "boxplus", "x": to_json(e.x), "h": to_json(e.h)}
-    if isinstance(e, KernelMask):
-        return {"op": "kernel_mask", "x": to_json(e.x), "h": to_json(e.h)}
-    if isinstance(e, Hash):
-        return {"op": "hash", "arg": to_json(e.arg), "bits": e.out_bits}
-    raise TypeError(f"not an expression: {e!r}")
+    op, fields = _fields(e)
+    return {"op": op, **{key: to_json(v) if kind is dict else [*map(to_json, v)] if kind is list else v
+                         for key, kind, v in fields}}
 
 
 def json_field(doc, key: str, kind, default=None, item=None):
@@ -255,27 +252,15 @@ def json_fields(doc, allowed) -> None:
 
 
 def from_json(doc: dict[str, Any]) -> Expr:
-    def sub(key: str) -> Expr:
-        return from_json(json_field(doc, key, dict))
-
     op = json_field(doc, "op", str)
-    if op == "var":
-        return Var(json_field(doc, "name", str))
-    if op == "lit":
-        return Lit(json_field(doc, "bits", str))
-    if op == "concat":
-        return Concat(tuple(from_json(d) for d in json_field(doc, "args", list)))
-    if op == "negate":
-        return Negate(sub("arg"))
-    if op == "proj":
-        return Proj(sub("arg"), json_field(doc, "lo", int), json_field(doc, "hi", int))
-    if op == "boxplus":
-        return BoxPlus(sub("x"), sub("h"))
-    if op == "kernel_mask":
-        return KernelMask(sub("x"), sub("h"))
-    if op == "hash":
-        return Hash(sub("arg"), json_field(doc, "bits", int))
-    raise ValueError(f"unknown expression op {op!r}")
+    kind = next((k for k, row in NODES.items() if row[0] == op), None)
+    if kind is None:
+        raise ValueError(f"unknown expression op {op!r}")
+    args = []  # each field checked, and each subterm read whole, before the next
+    for key, of in NODES[kind][1]:
+        value = json_field(doc, key, of)
+        args.append(from_json(value) if of is dict else tuple(map(from_json, value)) if of is list else value)
+    return kind(*args)
 
 
 def render(e: Expr) -> str:

@@ -690,6 +690,17 @@ def check_subbayes(variables: Sequence[tuple[str, int]], xi: Sequence[Expr], gam
     return SubbayesReport(a, b, rhs, left <= right, not names[0] & names[2], left == right, independent)
 
 
+SPEC_TERMS_MAX, SPEC_BITS_MAX = 12, 10_240  # cover doubles per context term; the walk holds a mask per bit
+
+
+def spec_caps(context: Sequence, bits: int = 0) -> None:
+    """Refuse a guard spec read from JSON past a cap, before it is built."""
+    if len(context) > SPEC_TERMS_MAX:
+        raise ValueError(f"a guard spec takes up to {SPEC_TERMS_MAX} context terms, got {len(context)}")
+    if bits > SPEC_BITS_MAX:
+        raise ValueError(f"a guard spec takes up to {SPEC_BITS_MAX} variable and hash bits, got {bits}")
+
+
 class GuardSpec(Slotted):
     """A guard-checking instance over one set of variable declarations,
     checked when built by the walk of all its terms, which
@@ -710,13 +721,13 @@ class GuardSpec(Slotted):
         exprs.json_fields(doc, ("vars", "context", "target", "guards"))
         field = exprs.json_field
         guards = field(doc, "guards", list, item=list)
-        return cls(
-            variables=tuple((field(v, "name", str), field(v, "bits", int))
-                            for v in field(doc, "vars", list)),
-            context=tuple(exprs.from_json(d) for d in field(doc, "context", list)),
-            target=exprs.from_json(field(doc, "target", dict)),
-            guards=tuple(tuple(exprs.from_json(d) for d in g) for g in guards),
-        )
+        variables = tuple((field(v, "name", str), field(v, "bits", int)) for v in field(doc, "vars", list))
+        context = tuple(exprs.from_json(d) for d in field(doc, "context", list))
+        target = exprs.from_json(field(doc, "target", dict))
+        guards = tuple(tuple(exprs.from_json(d) for d in g) for g in guards)
+        hashed = {n for e in (*context, target, *itertools.chain(*guards)) for n in exprs.hash_nodes(e)}
+        spec_caps(context, sum(max(b, 0) for _, b in variables) + sum(n.out_bits for n in hashed))
+        return cls(variables, context, target, guards)
 
     def to_json(self) -> dict:
         return {

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._slotted import Slotted, setfields
 from .exprs import json_field, json_fields
-from .oracle import GuardReport, GuardRow, cover
+from .oracle import GuardReport, GuardRow, cover, spec_caps
 
 
 class Term(Slotted):
@@ -359,12 +359,11 @@ class AlgGuardSpec(Slotted):
                 checked(a)
             return t
 
-        return cls(
-            theory=THEORIES[name],
-            context=tuple(checked(parse(t)) for t in json_field(doc, "context", list)),
-            target=checked(parse(json_field(doc, "target", str))),
-            guards=tuple(tuple(checked(parse(t)) for t in g) for g in guards),
-        )
+        context = tuple(checked(parse(t)) for t in json_field(doc, "context", list))
+        target = checked(parse(json_field(doc, "target", str)))
+        guards = tuple(tuple(checked(parse(t)) for t in g) for g in guards)
+        spec_caps(context)
+        return cls(THEORIES[name], context, target, guards)
 
 
 def check_alg_guard(spec: AlgGuardSpec) -> GuardReport:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hkbound import cli, oracle
+from hkbound import cli, harness, oracle, symbolic
 from hkbound.adversary import STRATEGIES
 from hkbound.protocol import ProtocolConfig, Responder
 from hkbound.harness import (
@@ -650,6 +650,89 @@ def test_cli_guard_check_bounds_its_sizes_before_any_work(builtin, flag, over, m
     assert cli.main(["guard-check", "--builtin", builtin, f"--{flag}", str(limit + over)]) == 2
     assert time.perf_counter() - start < 1.0
     assert f"--builtin {builtin} takes --{flag} up to {limit}, got {limit + over}" in capsys.readouterr().err
+
+
+def _spec_file(tmp_path, doc) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _var_spec(widths: dict, context=None, target=None) -> dict:
+    """A guard spec over 1-bit-or-wider variables, by default shown and guessed as themselves."""
+    first = {"op": "var", "name": next(iter(widths))}
+    return {"vars": [{"name": n, "bits": b} for n, b in widths.items()],
+            "context": [first] if context is None else context,
+            "target": first if target is None else target, "guards": [[first]]}
+
+
+SPEC_CASES = {  # argv past a guard spec's cap, given how far past, with the message
+    "context-terms": lambda tmp, over: (
+        ["--spec", _spec_file(tmp, _var_spec({"v": 1}, context=[{"op": "var", "name": "v"}] * (12 + over)))],
+        f"a guard spec takes up to 12 context terms, got {12 + over}"),
+    "algebraic-context-terms": lambda tmp, over: (
+        ["--algebraic", "--spec", _spec_file(tmp, {"context": ["a"] * (12 + over), "target": "a",
+                                                   "guards": [["a"]]})],
+        f"a guard spec takes up to 12 context terms, got {12 + over}"),
+    "variable-bits": lambda tmp, over: (
+        ["--spec", _spec_file(tmp, _var_spec({"s": 10_000, "t": 240 + over}))],
+        f"a guard spec takes up to 10240 variable and hash bits, got {10_240 + over}"),
+    # a negative width counts as none here, and the walk names it once under the cap
+    "negative-width": lambda tmp, over: (
+        ["--spec", _spec_file(tmp, _var_spec({"s": 10_240 + over, "t": -10_240 - over}))],
+        f"a guard spec takes up to 10240 variable and hash bits, got {10_240 + over}"),
+    "hash-bits": lambda tmp, over: (
+        ["--spec", _spec_file(tmp, _var_spec({"s": 240}, target={"op": "hash", "arg": {"op": "var", "name": "s"},
+                                                                 "bits": 10_000 + over}))],
+        f"a guard spec takes up to 10240 variable and hash bits, got {10_240 + over}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPEC_CASES))
+@pytest.mark.parametrize("over", [1, 1000])
+def test_cli_guard_check_bounds_a_spec_before_any_work(case, over, tmp_path, monkeypatch, capsys):
+    # past a cap a spec is a usage error naming the cap, raised before the
+    # oracle walks the spec or the quantifier runs over its context subsets
+    argv, message = SPEC_CASES[case](tmp_path, over)
+    for module, name in ((oracle, "_walk"), (oracle, "cover"), (symbolic, "cover")):
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("the check ran"))
+    start = time.perf_counter()
+    assert cli.main(["guard-check", *argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+
+
+def test_cli_guard_check_runs_a_spec_at_its_caps(tmp_path, capsys):
+    # at the caps a spec is checked; equal hash nodes are one entry, counted once
+    hashed = {"op": "hash", "arg": {"op": "var", "name": "s"}, "bits": 10_000}
+    context = [{"op": "var", "name": f"v{i}"} for i in range(12)]
+    for doc, rows in ((_var_spec({"s": 10_240}), 2), (_var_spec({"s": 240}, context=[hashed], target=hashed), 2),
+                      (_var_spec({f"v{i}": 1 for i in range(12)}, context=context), 2**12)):
+        assert cli.main(["guard-check", "--spec", _spec_file(tmp_path, doc)]) in (0, 1)
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == rows
+
+
+@pytest.mark.parametrize("over", [1, 100_000])
+@pytest.mark.parametrize("command", ["simulate", "simulate-config", "sweep"])
+def test_cli_sessions_bound_ell_before_any_session(command, over, tmp_path, monkeypatch, capsys):
+    # past 4096 a session's cost grows as ell**2: a usage error naming the
+    # cap, whether ell comes from --ell, from --config, or ends a range
+    for name in ("monte_carlo", "monte_carlo_range", "sweep"):
+        monkeypatch.setattr(harness, name, lambda *args, **kwargs: pytest.fail("a session ran"))
+    ell = 4096 + over
+    argv = {"simulate": ["simulate", "--ell", str(ell)],
+            "simulate-config": ["simulate", "--config", _spec_file(tmp_path, {"ell": ell})],
+            "sweep": ["sweep", "--ell", f"4090..{ell}", "--out", str(tmp_path / "rows.csv")]}[command]
+    start = time.perf_counter()
+    assert cli.main([*argv, "--strategy", "honest", "--trials", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"{argv[0]} takes --ell up to 4096, got {ell}" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+    # --ell overrides the config's ell, and under the cap the sessions run
+    monkeypatch.undo()
+    if command == "simulate-config":
+        assert cli.main([*argv, "--ell", "3", "--strategy", "honest", "--trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["ell"] == 3
 
 
 def test_cli_enumerate_kernel_at_its_limit(capsys):
