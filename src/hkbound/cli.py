@@ -31,6 +31,7 @@ from .protocol import ProtocolConfig
 
 _frac = oracle.prob_json
 SESSION_ELL_MAX = 4096  # simulate's and sweep's cap on ell: a session's cost grows as ell**2 (README)
+SECRET_BITS_MAX = 4096  # guard-check's cap on --secret-bits, and simulate's on a config's secret_bits (README)
 
 
 def _lit(value: int, bits: int) -> exprs.Lit:
@@ -263,6 +264,9 @@ def _load_config(args) -> ProtocolConfig:
         return ProtocolConfig(ell=_capped(args, "ell", 8, SESSION_ELL_MAX))
     with open(args.config) as fh:
         cfg = ProtocolConfig.from_json(json.load(fh))
+    if cfg.secret_bits > SECRET_BITS_MAX:  # the secret guess's exact value has secret_bits + ell bits
+        raise ValueError(f"{args.command} takes a config's secret_bits up to {SECRET_BITS_MAX}, "
+                         f"got {cfg.secret_bits}")
     return dataclasses.replace(cfg, ell=_capped(args, "ell", cfg.ell, SESSION_ELL_MAX))
 
 
@@ -325,6 +329,9 @@ def _parse_ell_range(text: str) -> range:
 
 
 def _cmd_sweep(args) -> int:
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"sweep cannot write --out {args.out}: "
+                         + ("it is a directory" if os.path.isdir(args.out) else "its directory does not exist"))
     try:
         rows = harness.sweep(args.strategy, _capped(args, "ell", None, SESSION_ELL_MAX), args.trials,
                              args.seed, csv_path=args.out)
@@ -352,7 +359,7 @@ def _cmd_guard_check(args) -> int:
             raise ValueError(f"--algebraic takes builtin dh or cr, not {args.builtin!r}")
         # past either cap the walk grows fast (README)
         spec = oracle.builtin_guard_spec(args.builtin, ell=_capped(args, "ell", 1, 1024),
-                                         secret_bits=_capped(args, "secret_bits", 2, 4096))
+                                         secret_bits=_capped(args, "secret_bits", 2, SECRET_BITS_MAX))
         algebraic = False
     else:
         with open(args.spec) as fh:

@@ -24,7 +24,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
@@ -70,8 +70,15 @@ class ProtocolConfig:
     adversary's entry is optional and defaults to the verifier's own
     coordinate (the attacker walks right up to the reader).  A config is
     immutable, ``positions`` included (it holds a read-only copy of the
-    mapping it was given): the tick delays, the reach and the timeout are
-    computed once per config and then reused by every session.
+    mapping it was given).  Building one checks every field and derives,
+    once, what every session reads: ``counter_width``, ``reach`` (the
+    greatest distance estimate accepted), ``timeout_rtt`` and
+    ``timeout_ticks`` (the wait for a round, and the round trip logged
+    when its answer never arrives), ``_session_ticks`` ((delay, rtt_wait,
+    hop) keyed by (relayed?, responder): the trip to the responder, its
+    honest round trip, a counter's stage-1 trip) and the empty memo
+    ``_uniform_verdicts``; a tick count too long to take raises here.  A
+    copy (pickle, deepcopy) is rebuilt from ``to_json()``.
     """
 
     ell: int
@@ -81,9 +88,7 @@ class ProtocolConfig:
     distance_bound: float = 5.0
     acceptance_slack: float = 0.0  # extra distance the verifier tolerates
     processing_ticks: int = 0
-    positions: Mapping[str, float] = field(
-        default_factory=lambda: {VERIFIER: 0.0, PROVER: 3.0}
-    )
+    positions: Mapping[str, float] = field(default_factory=lambda: {VERIFIER: 0.0, PROVER: 3.0})
     rtt_mode: str = "max"  # "max" or "mean" aggregation of per-bit RTTs
     enforce_counter_freshness: bool = True
 
@@ -95,10 +100,9 @@ class ProtocolConfig:
         for key, kinds in _JSON_FIELDS.items():
             json_field(doc, key, kinds)
         json_field(doc, "positions", dict, item=_NUMBER)
-        if self.ell < 1:
-            raise ValueError("ell must be at least 1")
-        if self.secret_bits < 1:
-            raise ValueError("secret_bits must be at least 1")
+        for name in ("ell", "secret_bits"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.counter_bits is not None and self.counter_bits < 1:
             raise ValueError("counter_bits must be at least 1 when given")
         for name in ("velocity", "distance_bound", "acceptance_slack"):
@@ -109,29 +113,30 @@ class ProtocolConfig:
                 raise ValueError(f"the position of the {who} must be finite, got {at}")
         if self.velocity <= 0:
             raise ValueError("velocity must be positive")
-        if self.distance_bound < 0:
-            raise ValueError("distance_bound must be nonnegative")
-        if self.acceptance_slack < 0:
-            raise ValueError("acceptance_slack must be nonnegative")
-        if self.processing_ticks < 0:
-            raise ValueError("processing_ticks must be nonnegative")
+        for name in ("distance_bound", "acceptance_slack", "processing_ticks"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.rtt_mode not in ("max", "mean"):
             raise ValueError("rtt_mode must be 'max' or 'mean'")
         for who in (VERIFIER, PROVER):
             if who not in self.positions:
                 raise ValueError(f"positions must place the {who}")
-        _ = self._session_ticks, self.timeout_ticks  # every tick count, so that an overflow raises here
+        d, wait = self.delay_ticks, self.processing_ticks
+        hops = {False: d(VERIFIER, PROVER), True: d(VERIFIER, ADVERSARY) + d(ADVERSARY, PROVER)}
+        reach = self.distance_bound + self.acceptance_slack
+        timeout_rtt = 2.0 * reach / self.velocity + wait
+        for name, value in dict(
+            counter_width=self.ell if self.counter_bits is None else self.counter_bits,
+            reach=reach, timeout_rtt=timeout_rtt,
+            _session_ticks={(relayed, who): (d(VERIFIER, who), 2 * d(VERIFIER, who) + wait, hop)
+                            for relayed, hop in hops.items() for who in {*self.positions, ADVERSARY}},
+            timeout_ticks=_ticks(timeout_rtt), _uniform_verdicts={},
+        ).items():
+            object.__setattr__(self, name, value)
 
-    def __getstate__(self) -> dict:
-        # a read-only mapping does not pickle, so ``positions`` travels as a dict
-        return {**self.__dict__, "positions": dict(self.positions)}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, positions=MappingProxyType(state["positions"]))
-
-    @cached_property
-    def counter_width(self) -> int:
-        return self.counter_bits if self.counter_bits is not None else self.ell
+    def __reduce__(self):
+        # a read-only mapping does not pickle: a copy is rebuilt, and checked, from the JSON
+        return type(self).from_json, (self.to_json(),)
 
     def position(self, principal: str) -> float:
         if principal == ADVERSARY and principal not in self.positions:
@@ -143,39 +148,6 @@ class ProtocolConfig:
 
     def delay_ticks(self, p: str, q: str) -> int:
         return _ticks(self.distance(p, q) / self.velocity)
-
-    @cached_property
-    def _session_ticks(self) -> dict[tuple[bool, str], tuple[int, int, int]]:
-        """(delay, rtt_wait, hop) keyed by (adversary in the middle?, responder):
-        the one-way trip to the responder, its honest round trip, and the
-        stage-1 trip of a counter."""
-        d = self.delay_ticks
-        hops = {False: d(VERIFIER, PROVER),
-                True: d(VERIFIER, ADVERSARY) + d(ADVERSARY, PROVER)}
-        return {(relayed, who): (d(VERIFIER, who),
-                                 2 * d(VERIFIER, who) + self.processing_ticks, hop)
-                for relayed, hop in hops.items() for who in {*self.positions, ADVERSARY}}
-
-    @cached_property
-    def _uniform_verdicts(self) -> dict[tuple[int, int], "Verdict"]:
-        """Verdicts on rounds that all took one round trip, keyed by
-        (bits correct, round trip); filled by ``_judge_uniform``."""
-        return {}
-
-    @cached_property
-    def reach(self) -> float:
-        """The greatest distance estimate the verifier accepts."""
-        return self.distance_bound + self.acceptance_slack
-
-    @property
-    def timeout_rtt(self) -> float:
-        """Ticks the verifier waits for a round before giving up."""
-        return 2.0 * self.reach / self.velocity + self.processing_ticks
-
-    @cached_property
-    def timeout_ticks(self) -> int:
-        """The round trip logged for a round whose answer never arrived."""
-        return _ticks(self.timeout_rtt)
 
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)} | {"positions": dict(self.positions)}
@@ -540,7 +512,6 @@ def run_session(
     adversary: Responder | None = None,
     verifier_store: CounterStore | None = None,
     prover_store: CounterStore | None = None,
-    oracle: RandomOracle | None = None,
     record: bool = True,
     rng: random.Random | None = None,
 ) -> tuple[Transcript, Verdict]:
@@ -570,15 +541,14 @@ def run_session(
 
     ``rng`` is the session's draw source, already seeded; by default it
     is ``random.Random(seed)``, and passing a generator in that state
-    replays the same session (``seed`` still names the default oracle).
-    The session and its responder draw from it while the session runs,
-    so a caller may reseed and reuse one generator across sessions, as
-    ``harness.monte_carlo_range`` does.
+    replays the same session.  The session and its responder draw from
+    it while the session runs, so a caller may reseed and reuse one
+    generator across sessions, as ``harness.monte_carlo_range`` does.
+    ``seed`` also names the session's own oracle, ``RandomOracle(seed, 2 * ell)``.
     """
     if rng is None:
         rng = random.Random(seed)
-    if oracle is None:
-        oracle = RandomOracle(seed, 2 * cfg.ell)
+    oracle = RandomOracle(seed, 2 * cfg.ell)
     w, ell = cfg.counter_width, cfg.ell
     events: list[Event] | None = [] if record else None
 

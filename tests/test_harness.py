@@ -735,6 +735,40 @@ def test_cli_sessions_bound_ell_before_any_session(command, over, tmp_path, monk
         assert json.loads(capsys.readouterr().out)["ell"] == 3
 
 
+@pytest.mark.parametrize("secret_bits", [4097, 20_000])
+def test_cli_simulate_bounds_a_config_secret_before_any_session(secret_bits, tmp_path, monkeypatch, capsys):
+    # the secret guess's exact value has secret_bits + ell bits: past 4096
+    # it may have more digits than Python prints, so no session is run
+    monkeypatch.setattr(harness, "monte_carlo", lambda *args, **kwargs: pytest.fail("a session ran"))
+    argv = ["simulate", "--config", _spec_file(tmp_path, {"ell": 8, "secret_bits": secret_bits}),
+            "--strategy", "secret-guess", "--trials", "200"]
+    start = time.perf_counter()
+    err = _usage_error(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert f"simulate takes a config's secret_bits up to 4096, got {secret_bits}" in err
+
+
+def test_cli_simulate_runs_a_config_at_both_caps(tmp_path, capsys):
+    argv = ["simulate", "--config", _spec_file(tmp_path, {"ell": 4096, "secret_bits": 4096}),
+            "--strategy", "secret-guess", "--trials", "2"]
+    assert cli.main(argv) == 0
+    analytic = json.loads(capsys.readouterr().out)["analytic"]
+    assert Fraction(int(analytic["num"]), int(analytic["den"])) == oracle.analytic(
+        "secret-guess", ell=4096, secret_bits=4096)
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_sweep_checks_its_out_path_before_any_session(where, tmp_path, monkeypatch, capsys):
+    # the CSV is written after every session: a path it cannot be written
+    # to is a usage error first, and no file is made
+    monkeypatch.setattr(harness, "sweep", lambda *args, **kwargs: pytest.fail("a session ran"))
+    out = {"missing-directory": tmp_path / "absent" / "rows.csv", "directory": tmp_path}[where]
+    err = _usage_error(["sweep", "--strategy", "prequery-stick", "--ell", "2..12",
+                        "--trials", "20000", "--out", str(out)], capsys)
+    assert f"sweep cannot write --out {out}: " in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_enumerate_kernel_at_its_limit(capsys):
     # 2**-4096 and its neighbours print in full: the limit keeps every
     # value under Python's 4,300-digit bound on int to str

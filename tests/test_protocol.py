@@ -5,8 +5,10 @@ an honest round trip is 6 ticks and the estimate lands exactly on 3.
 """
 
 import collections
+import collections.abc
 import copy
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import itertools
@@ -24,8 +26,10 @@ from hypothesis import given, settings, strategies as st
 
 from hkbound.adversary import PreQueryStick, StrategyInfeasibleError, make_strategy
 from hkbound import bits, harness, hkfun, protocol
+from hkbound.exprs import json_field
 from hkbound.hkfun import select
 from hkbound.protocol import (
+    ADVERSARY,
     PROVER,
     VERIFIER,
     Event,
@@ -573,39 +577,42 @@ def test_the_verdict_memo_stays_small():
 # --- config -----------------------------------------------------------------
 
 
+BAD_CONFIGS = (
+    dict(ell=0),
+    dict(ell=1, secret_bits=0),
+    dict(ell=1, counter_bits=0),
+    dict(ell=1, velocity=0.0),
+    dict(ell=1, distance_bound=-1.0),
+    dict(ell=1, processing_ticks=-1),
+    dict(ell=1, rtt_mode="median"),
+    dict(ell=1, positions={"verifier": 0.0}),
+    # non-finite numbers, and finite ones whose tick counts overflow
+    dict(ell=1, velocity=float("nan")),
+    dict(ell=1, velocity=float("inf")),
+    dict(ell=1, distance_bound=float("inf")),
+    dict(ell=1, acceptance_slack=float("nan")),
+    dict(ell=1, positions={"verifier": 0.0, "prover": float("-inf")}),
+    dict(ell=1, positions={"verifier": 0.0, "prover": 3.0, "adversary": float("nan")}),
+    dict(ell=1, velocity=1e-320),
+    dict(ell=1, positions={"verifier": -1e308, "prover": 1e308}),
+    dict(ell=1, distance_bound=1e308, velocity=1e-10),
+    # a field of the wrong type, as from_json would find it (a bool is not a number)
+    dict(ell=True),
+    dict(ell=2.5),
+    dict(ell=1, secret_bits=3.0),
+    dict(ell=1, counter_bits=2.5),
+    dict(ell=1, processing_ticks=0.5),
+    dict(ell=1, velocity="1"),
+    dict(ell=1, rtt_mode=None),
+    dict(ell=1, enforce_counter_freshness=1),
+    dict(ell=1, positions=[("verifier", 0.0), ("prover", 3.0)]),
+    dict(ell=1, positions={"verifier": False, "prover": 3.0}),
+    dict(ell=1, positions={"verifier": 0.0, "prover": "3"}),
+)
+
+
 def test_config_validation():
-    for bad in (
-        dict(ell=0),
-        dict(ell=1, secret_bits=0),
-        dict(ell=1, counter_bits=0),
-        dict(ell=1, velocity=0.0),
-        dict(ell=1, distance_bound=-1.0),
-        dict(ell=1, processing_ticks=-1),
-        dict(ell=1, rtt_mode="median"),
-        dict(ell=1, positions={"verifier": 0.0}),
-        # non-finite numbers, and finite ones whose tick counts overflow
-        dict(ell=1, velocity=float("nan")),
-        dict(ell=1, velocity=float("inf")),
-        dict(ell=1, distance_bound=float("inf")),
-        dict(ell=1, acceptance_slack=float("nan")),
-        dict(ell=1, positions={"verifier": 0.0, "prover": float("-inf")}),
-        dict(ell=1, positions={"verifier": 0.0, "prover": 3.0, "adversary": float("nan")}),
-        dict(ell=1, velocity=1e-320),
-        dict(ell=1, positions={"verifier": -1e308, "prover": 1e308}),
-        dict(ell=1, distance_bound=1e308, velocity=1e-10),
-        # a field of the wrong type, as from_json would find it (a bool is not a number)
-        dict(ell=True),
-        dict(ell=2.5),
-        dict(ell=1, secret_bits=3.0),
-        dict(ell=1, counter_bits=2.5),
-        dict(ell=1, processing_ticks=0.5),
-        dict(ell=1, velocity="1"),
-        dict(ell=1, rtt_mode=None),
-        dict(ell=1, enforce_counter_freshness=1),
-        dict(ell=1, positions=[("verifier", 0.0), ("prover", 3.0)]),
-        dict(ell=1, positions={"verifier": False, "prover": 3.0}),
-        dict(ell=1, positions={"verifier": 0.0, "prover": "3"}),
-    ):
+    for bad in BAD_CONFIGS:
         with pytest.raises(ValueError):
             ProtocolConfig(**bad)
     # positions may be any mapping of numbers, ints included
@@ -643,6 +650,148 @@ def test_counter_width_override():
     transcript, _ = run_session(cfg, 0)
     a_events = [e for e in transcript.events if e.name == "a"]
     assert all(len(e.value) == 16 for e in a_events)
+
+
+@dataclasses.dataclass(frozen=True)
+class _LazyConfig:
+    """Reference: the config as it was checked and derived through lazy
+    properties, its checks in their order and its formulas as they stood."""
+
+    ell: int
+    secret_bits: int = 256
+    counter_bits: int | None = None
+    velocity: float = 1.0
+    distance_bound: float = 5.0
+    acceptance_slack: float = 0.0
+    processing_ticks: int = 0
+    positions: dict = dataclasses.field(default_factory=lambda: {VERIFIER: 0.0, PROVER: 3.0})
+    rtt_mode: str = "max"
+    enforce_counter_freshness: bool = True
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.positions, collections.abc.Mapping):
+            raise ValueError(f"positions must be a mapping, got {self.positions!r}")
+        object.__setattr__(self, "positions", types.MappingProxyType(dict(self.positions)))
+        doc = self.to_json()
+        for key, kinds in _JSON_FIELDS.items():
+            json_field(doc, key, kinds)
+        json_field(doc, "positions", dict, item=protocol._NUMBER)
+        if self.ell < 1:
+            raise ValueError("ell must be at least 1")
+        if self.secret_bits < 1:
+            raise ValueError("secret_bits must be at least 1")
+        if self.counter_bits is not None and self.counter_bits < 1:
+            raise ValueError("counter_bits must be at least 1 when given")
+        for name in ("velocity", "distance_bound", "acceptance_slack"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for who, at in self.positions.items():
+            if not math.isfinite(at):
+                raise ValueError(f"the position of the {who} must be finite, got {at}")
+        if self.velocity <= 0:
+            raise ValueError("velocity must be positive")
+        if self.distance_bound < 0:
+            raise ValueError("distance_bound must be nonnegative")
+        if self.acceptance_slack < 0:
+            raise ValueError("acceptance_slack must be nonnegative")
+        if self.processing_ticks < 0:
+            raise ValueError("processing_ticks must be nonnegative")
+        if self.rtt_mode not in ("max", "mean"):
+            raise ValueError("rtt_mode must be 'max' or 'mean'")
+        for who in (VERIFIER, PROVER):
+            if who not in self.positions:
+                raise ValueError(f"positions must place the {who}")
+        _ = self._session_ticks, self.timeout_ticks
+
+    @functools.cached_property
+    def counter_width(self) -> int:
+        return self.counter_bits if self.counter_bits is not None else self.ell
+
+    @functools.cached_property
+    def _session_ticks(self) -> dict:
+        d = self.delay_ticks
+        hops = {False: d(VERIFIER, PROVER),
+                True: d(VERIFIER, ADVERSARY) + d(ADVERSARY, PROVER)}
+        return {(relayed, who): (d(VERIFIER, who),
+                                 2 * d(VERIFIER, who) + self.processing_ticks, hop)
+                for relayed, hop in hops.items() for who in {*self.positions, ADVERSARY}}
+
+    @functools.cached_property
+    def reach(self) -> float:
+        return self.distance_bound + self.acceptance_slack
+
+    @property
+    def timeout_rtt(self) -> float:
+        return 2.0 * self.reach / self.velocity + self.processing_ticks
+
+    @functools.cached_property
+    def timeout_ticks(self) -> int:
+        return protocol._ticks(self.timeout_rtt)
+
+    # the methods that did not change
+    position, distance, delay_ticks = ProtocolConfig.position, ProtocolConfig.distance, ProtocolConfig.delay_ticks
+    to_json, from_json = ProtocolConfig.to_json, classmethod(ProtocolConfig.from_json.__func__)
+
+
+_DERIVED = ("counter_width", "reach", "timeout_rtt", "timeout_ticks", "_session_ticks")
+
+
+def _derived(cfg) -> dict:
+    """Each derived attribute with its type, so that 3 and 3.0 differ."""
+    return {name: (getattr(cfg, name), type(getattr(cfg, name))) for name in _DERIVED}
+
+
+@settings(max_examples=200, deadline=None)
+@given(session_configs())
+def test_a_config_derives_once_what_the_lazy_properties_computed(cfg):
+    assert _derived(cfg) == _derived(_LazyConfig(**cfg.to_json()))
+    assert cfg._uniform_verdicts == {}
+    # plain attributes, set when the config is built: nothing lazy is left
+    kept = vars(ProtocolConfig)
+    assert not [name for name, v in kept.items() if isinstance(v, (property, functools.cached_property))]
+    assert "__getstate__" not in kept and "__setstate__" not in kept
+    assert set(_DERIVED) | {"_uniform_verdicts"} <= set(vars(cfg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(session_configs(), st.integers(0, 2**32))
+def test_a_copy_is_rebuilt_from_the_json_with_an_empty_memo(cfg, seed):
+    for actor in (None, make_strategy("early-kernel"), make_strategy("naive-guess")):
+        run_session(cfg, seed, adversary=actor, record=False)
+    for again in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), copy.copy(cfg)):
+        assert again == cfg and again.to_json() == cfg.to_json() and _derived(again) == _derived(cfg)
+        assert type(again.positions) is types.MappingProxyType
+        assert again._uniform_verdicts == {} and again._uniform_verdicts is not cfg._uniform_verdicts
+
+
+def _failure(build, *args, **kwargs) -> tuple[type, str]:
+    with pytest.raises(Exception) as caught:
+        build(*args, **kwargs)
+    return caught.type, str(caught.value)
+
+
+def test_a_rejected_config_reports_what_the_lazy_checks_reported():
+    faults = [
+        *BAD_CONFIGS,
+        # two faults: the first in the order of the checks is reported
+        dict(ell=0, secret_bits=0), dict(ell=1, secret_bits=0, counter_bits=0),
+        dict(ell=1, velocity=-1.0, distance_bound=-1.0),
+        dict(ell=1, distance_bound=-1.0, acceptance_slack=-1.0, processing_ticks=-1),
+        dict(ell=1, acceptance_slack=-1.0, processing_ticks=-1),
+        dict(ell=1, processing_ticks=-1, rtt_mode="median"),
+        dict(ell=1, velocity=1e-320, acceptance_slack=-1.0),
+        # one overflow in the stage-1 hops, one in the timeout alone
+        dict(ell=1, positions={"verifier": 0.0, "prover": 3.0, "adversary": 1e308}, velocity=1e-10),
+        dict(ell=1, acceptance_slack=1e308, velocity=1e-10),
+    ]
+    for bad in faults:
+        assert _failure(ProtocolConfig, **bad) == _failure(_LazyConfig, **bad), bad
+    # the documents that ``simulate --config`` rejects
+    for doc in ({"ell": "8"}, {"ell": True}, {"ell": 2, "positions": {"verifier": 0, "prover": "3"}}, [2],
+                {"ell": 3, "velocity": 1e-320}, {"ell": 3, "velocity": 1e400},
+                {"ell": 3, "distance_bound": -1e400}, {"ell": 3, "positions": {"verifier": 0, "prover": 1e400}},
+                {"ell": 3, "secret_bits": 0}, {"ell": 3, "processing_ticks": -2}):
+        assert _failure(ProtocolConfig.from_json, doc) == _failure(_LazyConfig.from_json, doc), doc
 
 
 # --- random oracle and counter store ------------------------------------------
