@@ -145,7 +145,7 @@ class SecretGuesser(Responder):
 
     def setup(self, view: SessionView) -> None:
         guess = view.rng.getrandbits(view.cfg.secret_bits)
-        self._token = session_token(view.oracle, view.cfg, guess, view.a, view.b)
+        self._token = session_token(view.seed, view.cfg, guess, view.a, view.b)
 
     def play(self, view: SessionView, challenges: int) -> tuple[int, int]:
         ell = view.cfg.ell

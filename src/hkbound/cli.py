@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--builtin", choices=("attack-run", "early-run", "dh", "cr"))
     p_guard.add_argument("--algebraic", action="store_true")
     p_guard.add_argument("--ell", type=_at_least_one("ell"), default=None)
-    p_guard.add_argument("--secret-bits", type=int, default=None, dest="secret_bits")
+    p_guard.add_argument("--secret-bits", type=_at_least_one("secret-bits"), default=None, dest="secret_bits")
     p_guard.set_defaults(func=_cmd_guard_check)
 
     p_bound = sub.add_parser("bound", help="acceptance-confidence lower bound")

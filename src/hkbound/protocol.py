@@ -176,54 +176,46 @@ _JSON_FIELDS = {
 }
 
 
-class RandomOracle:
-    """Idealized hash: independent uniform outputs, memoized per input.
+def oracle_entry(master_seed, out_bits: int, length: int, value: int) -> int:
+    """The random oracle's out_bits-bit entry for the length-bit input ``value``.
 
-    An input is a ``length``-bit int and an output an ``out_bits``-bit
-    int.  Entries are derived from a dedicated master seed (read once,
-    at construction), not a real hash, so replaying a seed replays the
-    whole table: the entry of (length, value) is the leading out_bits
-    bits of the SHA-256 digests of ``<seed>|<length>|<value in hex>#<i>``
-    for blocks i = 0, 1, ...  The block count and the shift that drops
-    the surplus bits are fixed at construction, and an entry of at most
-    256 bits takes one digest.  ``sha256`` is the interpreter's built-in
-    module, which gives hashlib's digests without loading OpenSSL; where
-    the interpreter has no ``_sha256`` (Python 3.12 and later) it is
-    hashlib's.  Concurrent insert is first-writer-wins; every writer would
-    store the same value anyway.
-    """
+    It is the leading out_bits bits of the SHA-256 digests of
+    ``<seed>|<length>|<value in hex>#<i>`` for blocks i = 0, 1, ... (one
+    digest up to 256 bits), so a seed replays its whole table.  ``sha256``
+    is the interpreter's built-in ``_sha256`` (hashlib's digests without
+    OpenSSL), else hashlib's (Python 3.12 and later)."""
+    material = f"{master_seed}|".encode() + b"%d|%x#" % (length, value)
+    blocks = -(-out_bits // 256)
+    raw = (sha256(material + b"0").digest() if blocks == 1
+           else b"".join([sha256(b"%s%d" % (material, i)).digest() for i in range(blocks)]))
+    return int.from_bytes(raw, "big") >> 256 * blocks - out_bits
+
+
+class RandomOracle:
+    """Idealized hash: ``oracle_entry`` under one master seed and output
+    width, memoized per input (a ``length``-bit int).  Concurrent insert
+    is first-writer-wins; every writer would store the same value anyway."""
 
     def __init__(self, master_seed, out_bits: int):
         if out_bits < 1:
             raise ValueError("out_bits must be at least 1")
-        self.master_seed = master_seed
-        self.out_bits = out_bits
+        self.master_seed, self.out_bits = master_seed, out_bits
         self._table: dict[tuple[int, int], int] = {}
-        self._prefix = f"{master_seed}|".encode()
-        self._blocks = -(-out_bits // 256)
-        self._shift = 256 * self._blocks - out_bits
 
     def query(self, length: int, value: int) -> int:
-        k = (length, value)
-        hit = self._table.get(k)
-        if hit is not None:
-            return hit
-        material = b"%s%d|%x#" % (self._prefix, length, value)
-        if self._blocks == 1:
-            raw = sha256(material + b"0").digest()
-        else:
-            raw = b"".join([sha256(b"%s%d" % (material, i)).digest() for i in range(self._blocks)])
-        out = self._table[k] = int.from_bytes(raw, "big") >> self._shift
-        return out
+        hit = self._table.get(k := (length, value))
+        if hit is None:
+            hit = self._table[k] = oracle_entry(self.master_seed, self.out_bits, length, value)
+        return hit
 
     def __len__(self) -> int:
         return len(self._table)
 
 
-def session_token(oracle: RandomOracle, cfg: ProtocolConfig, secret: int, a: int, b: int) -> int:
-    """The 2l-bit token h0::h1 = H(s::a::b), with s and the counters at their config widths."""
+def session_token(seed, cfg: ProtocolConfig, secret: int, a: int, b: int) -> int:
+    """Session ``seed``'s 2l-bit token h0::h1 = H(s::a::b), s and the counters at their config widths."""
     w = cfg.counter_width
-    return oracle.query(cfg.secret_bits + 2 * w, (secret << w | a) << w | b)
+    return oracle_entry(seed, 2 * cfg.ell, cfg.secret_bits + 2 * w, (secret << w | a) << w | b)
 
 
 class CounterStore:
@@ -398,7 +390,8 @@ class SessionView(Slotted):
     token is h0::h1, so ``select(x, token >> ell, token, ell)`` answers
     challenges x: ``select`` reads only the low ell bits, which are h1.
     ``rng`` is the session's generator; Monte Carlo reseeds it for the
-    next trial, so neither it nor the view outlives the session.
+    next trial, so neither it nor the view outlives the session.  ``seed``
+    keys the session's oracle entries (``session_token``).
 
     The view also gives query access to the honest prover for an
     attacker's pre-phase (``view.prover.respond_to``), and records those
@@ -406,14 +399,14 @@ class SessionView(Slotted):
     recording) from tick ``clock`` on.
     """
 
-    __match_args__ = ("cfg", "rng", "oracle", "a", "b", "secret", "token", "prover_store", "events", "clock")
+    __match_args__ = ("cfg", "rng", "seed", "a", "b", "secret", "token", "prover_store", "events", "clock")
     __slots__ = __match_args__ + ("_label_state",)
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # a view is mutable
 
-    def __init__(self, cfg: ProtocolConfig, rng: random.Random, oracle: RandomOracle,
+    def __init__(self, cfg: ProtocolConfig, rng: random.Random, seed,
                  a: int, b: int, secret: int, token: int,
                  prover_store: CounterStore | None, events: list[Event] | None, clock: int):
-        self.cfg, self.rng, self.oracle, self.a, self.b, self.clock = cfg, rng, oracle, a, b, clock
+        self.cfg, self.rng, self.seed, self.a, self.b, self.clock = cfg, rng, seed, a, b, clock
         self.secret, self.token = secret, token  # only dishonest-prover strategies may read these
         self.prover_store, self.events, self._label_state = prover_store, events, None
 
@@ -442,7 +435,7 @@ class SessionView(Slotted):
                 f"prover already answered under counters {a:0{w}b},{b:0{w}b}"
             )
         token = (self.token if (a, b) == (self.a, self.b)
-                 else session_token(self.oracle, cfg, self.secret, a, b))
+                 else session_token(self.seed, cfg, self.secret, a, b))
         reply = select(challenges, token >> ell, token, ell)
         if self.events is not None:
             self._note_interrogation(a, b, challenges, reply)
@@ -544,11 +537,10 @@ def run_session(
     replays the same session.  The session and its responder draw from
     it while the session runs, so a caller may reseed and reuse one
     generator across sessions, as ``harness.monte_carlo_range`` does.
-    ``seed`` also names the session's own oracle, ``RandomOracle(seed, 2 * ell)``.
+    ``seed`` also keys the session's oracle entries (``session_token``).
     """
     if rng is None:
         rng = random.Random(seed)
-    oracle = RandomOracle(seed, 2 * cfg.ell)
     w, ell = cfg.counter_width, cfg.ell
     events: list[Event] | None = [] if record else None
 
@@ -581,12 +573,12 @@ def run_session(
         events.append(Event(clock, VERIFIER, "fresh", REASON_COUNTER_REUSED))
         return Transcript(events), _REUSED
 
-    token = session_token(oracle, cfg, secret, a, b)
+    token = session_token(seed, cfg, secret, a, b)
     mask = (1 << ell) - 1
 
     silent = False
     if adversary is not None:
-        view = SessionView(cfg, rng, oracle, a, b, secret, token, prover_store, events, clock)
+        view = SessionView(cfg, rng, seed, a, b, secret, token, prover_store, events, clock)
         adversary.setup(view)
     else:
         # The honest prover answers under these counters exactly once; on

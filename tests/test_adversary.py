@@ -14,7 +14,7 @@ import pytest
 from hkbound.exprs import BoxPlus, Lit, Var
 from hkbound.hkfun import select
 from hkbound.oracle import chance
-from hkbound.protocol import CounterStore, ProtocolConfig, RandomOracle, Responder, SessionView, session_token
+from hkbound.protocol import CounterStore, ProtocolConfig, Responder, SessionView, session_token
 from hkbound.adversary import (
     STRATEGIES,
     CounterReuseExtract,
@@ -240,9 +240,8 @@ def causality_faults(strategy: Responder, cfg: ProtocolConfig, seed) -> list[tup
     changed early bit or a changed early mask is a fault (j, what)."""
     ell, w = cfg.ell, cfg.counter_width
     rng = random.Random(seed)
-    oracle = RandomOracle(seed, 2 * ell)
     secret, a, b = rng.getrandbits(cfg.secret_bits), rng.getrandbits(w), rng.getrandbits(w)
-    view = SessionView(cfg, rng, oracle, a, b, secret, session_token(oracle, cfg, secret, a, b), None, None, 0)
+    view = SessionView(cfg, rng, seed, a, b, secret, session_token(seed, cfg, secret, a, b), None, None, 0)
     strategy.setup(view)
     challenges = rng.getrandbits(ell)
     state = rng.getstate()

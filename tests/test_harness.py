@@ -395,8 +395,11 @@ def test_cli_guard_check_malformed_declarations_exit_2(tmp_path, capsys):
         path.write_text(json.dumps({**spec, **change}))
         assert cli.main(["guard-check", "--spec", str(path)]) == 2
         assert message in capsys.readouterr().err
-    assert cli.main(["guard-check", "--builtin", "attack-run", "--secret-bits", "-1"]) == 2
-    assert "variable 's' width must be >= 0" in capsys.readouterr().err
+    # a negative --secret-bits is a usage error of the flag, before any walk
+    with pytest.raises(SystemExit) as out:
+        cli.main(["guard-check", "--builtin", "attack-run", "--secret-bits", "-1"])
+    assert out.value.code == 2
+    assert "secret-bits must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_usage_errors(capsys):
@@ -614,6 +617,19 @@ def test_cli_rejects_ell_below_one(argv, ell, capsys):
         cli.main(argv + ["--ell", ell])
     assert out.value.code == 2
     assert "ell must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bits", ["0", "-2"])
+@pytest.mark.parametrize("builtin", ["attack-run", "early-run"])
+def test_cli_rejects_secret_bits_below_one(builtin, bits, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spec was built")
+
+    monkeypatch.setattr(oracle, "builtin_guard_spec", refuse)
+    with pytest.raises(SystemExit) as out:
+        cli.main(["guard-check", "--builtin", builtin, "--secret-bits", bits])
+    assert out.value.code == 2
+    assert "secret-bits must be at least 1" in capsys.readouterr().err
 
 
 ELL_LIMITS = {"monty": 1024, "prop34": 10, "early": 1024, "kernel": 4096, "hamming": 9,

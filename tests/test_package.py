@@ -1,16 +1,22 @@
 """Package hygiene: every export resolves, the runtime needs only the
-standard library (``dependencies = []`` in pyproject.toml), and the exact
-engine keeps no state across calls beyond its row-bit tables."""
+standard library (``dependencies = []`` in pyproject.toml), the exact
+engine keeps no state across calls beyond its row-bit tables, and every
+Python the package supports prints the same."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import random
+import shutil
+import subprocess
 import sys
 from collections.abc import Sized
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import hkbound
 from hkbound import exprs, oracle
@@ -90,3 +96,36 @@ def test_the_oracle_keeps_only_row_tables_across_calls():
     for k, row_bits in tables.items():
         assert type(k) is int and 1 <= k <= 12
         assert row_bits == tuple(oracle._pattern(j, k) for j in range(k))
+
+
+# README commands, one per engine: the simulator (hashing), the exact oracle, the term algebra
+README_COMMANDS = (
+    ["simulate", "--strategy", "prequery-stick", "--ell", "8", "--trials", "2000", "--seed", "7"],
+    ["enumerate", "--claim", "monty", "--ell", "4"],
+    ["guard-check", "--builtin", "dh", "--algebraic"],
+)
+
+
+def test_commands_print_the_same_on_every_python_found():
+    # requires-python = ">=3.10", and on 3.12+ the hashlib fallback must print the same
+    env = {**os.environ, "PYTHONPATH": str(Path(hkbound.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def run(python: str) -> list[tuple[int, str]]:
+        return [(done.returncode, done.stdout) for done in (
+            subprocess.run([python, "-m", "hkbound.cli", *argv], capture_output=True, text=True, env=env,
+                           timeout=300) for argv in README_COMMANDS)]
+
+    here, others = os.path.realpath(sys.executable), []
+    for name in ("python3.10", "python3.11", "python3.12", "python3.13"):
+        if (path := shutil.which(name)) is None:
+            continue
+        probe = subprocess.run([path, "-c", "import sys; print(sys.executable)"], capture_output=True,
+                               text=True, env=env, timeout=60)
+        if probe.returncode == 0 and os.path.realpath(probe.stdout.strip()) != here:
+            others.append(path)
+    if not others:
+        pytest.skip("no Python 3.10-3.13 other than this one starts from PATH")
+    want = run(sys.executable)
+    assert all(code == 0 and out for code, out in want)
+    for python in others:
+        assert run(python) == want, python

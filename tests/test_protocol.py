@@ -24,8 +24,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkbound.adversary import PreQueryStick, StrategyInfeasibleError, make_strategy
-from hkbound import bits, harness, hkfun, protocol
+from hkbound.adversary import STRATEGIES, PreQueryStick, StrategyInfeasibleError, make_strategy
+from hkbound import bits, cli, harness, hkfun, protocol
 from hkbound.exprs import json_field
 from hkbound.hkfun import select
 from hkbound.protocol import (
@@ -44,6 +44,7 @@ from hkbound.protocol import (
     _judge,
     _round_labels,
     run_session,
+    session_token,
     verifier_decide,
 )
 
@@ -842,8 +843,41 @@ def test_oracle_entries_follow_the_documented_derivation():
     for seed in ("seed", 7, 2**64 - 1):
         for out_bits in (1, 16, 64, 255, 256, 257, 600):
             for length, value in ((4, 5), (320, (1 << 319) | 12345)):
-                oracle = RandomOracle(seed, out_bits)
-                assert oracle.query(length, value) == entry(seed, out_bits, length, value)
+                want = entry(seed, out_bits, length, value)
+                assert protocol.oracle_entry(seed, out_bits, length, value) == want
+                assert RandomOracle(seed, out_bits).query(length, value) == want
+                if out_bits % 2 == 0:  # a session's token, s::a::b with w-bit counters, is 2l bits
+                    w = length // 8 or 1
+                    cfg = ProtocolConfig(ell=out_bits // 2, secret_bits=length - 2 * w, counter_bits=w)
+                    mask = (1 << w) - 1
+                    assert session_token(seed, cfg, value >> 2 * w, value >> w & mask, value & mask) == want
+
+
+def test_no_session_builds_a_random_oracle(monkeypatch, tmp_path, capsys):
+    # sessions read their entries through session_token; RandomOracle is a memo for library callers
+    cfg = ProtocolConfig(ell=4, enforce_counter_freshness=False)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_json()))
+
+    def runs():
+        out = []
+        for name in ("honest", *STRATEGIES):
+            actor = PreQueryStick(3) if name == "prequery-stick" else make_strategy(name)
+            out.append([run_session(cfg, f"spy{i}", adversary=actor, record=record)[1]
+                        for i in range(20) for record in (True, False)])
+            out.append(harness.monte_carlo_range(cfg, actor, "spy", 0, 300))
+            argv = ["simulate", "--strategy", name, "--config", str(path), "--trials", "300", "--seed", "spy"]
+            assert cli.main(argv + ["--pre-queries", "3"] * (name == "prequery-stick")) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    before = runs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a session built a RandomOracle")
+
+    monkeypatch.setattr(RandomOracle, "__init__", refuse)
+    assert runs() == before
 
 
 @given(st.one_of(st.text(), st.integers()), st.integers(0, 2**64))
@@ -898,7 +932,7 @@ def test_counter_store_semantics():
 
 def _handle(cfg):
     """A session view whose counters, secret and token are set by hand, and its prover."""
-    view = SessionView(cfg, random.Random(0), RandomOracle(0, 2 * cfg.ell), 0b00, 0b01,
+    view = SessionView(cfg, random.Random(0), 0, 0b00, 0b01,
                        (1 << cfg.secret_bits) - 1, 0b0110, CounterStore(), None, 0)
     return view, view.prover
 
@@ -927,7 +961,7 @@ def test_prover_handle_checks_widths():
 
 def test_prover_store_is_made_on_the_first_query():
     cfg = ProtocolConfig(ell=2)
-    view = SessionView(cfg, random.Random(0), RandomOracle(0, 4), 0b00, 0b01, 0, 0b0110, None, None, 0)
+    view = SessionView(cfg, random.Random(0), 0, 0b00, 0b01, 0, 0b0110, None, None, 0)
     assert view.prover is view and view.prover_store is None
     assert view.prover.respond_to(view.a, view.b, 0b10) == 0b11
     assert len(view.prover_store) == 1

@@ -45,6 +45,15 @@ def test_parse_render_roundtrip():
         parse("pair(x,y) extra")
 
 
+def test_parse_reads_a_dot_chain_as_right_nested_pairs():
+    s, a, b = atom("s"), atom("a"), atom("b")
+    assert parse("H(s.a.b)") == app("H", app("pair", s, app("pair", a, b)))
+    assert parse("pair(s,a).b") == app("pair", app("pair", s, a), b)
+    for text in ("s.", ".s", "s..a", "H(s.)"):
+        with pytest.raises(ValueError):
+            parse(text)
+
+
 def test_pairing_projections():
     a, b = atom("a"), atom("b")
     pab = app("pair", a, b)

@@ -134,7 +134,7 @@ def test_theories_equal_themselves_alone():
 
 def test_session_views_are_mutable_and_unhashable():
     cfg = protocol.ProtocolConfig(ell=2)
-    args = (cfg, random.Random(0), protocol.RandomOracle(0, 4), 0, 1, 0, 0b0110, None, None, 0)
+    args = (cfg, random.Random(0), 0, 0, 1, 0, 0b0110, None, None, 0)
     view = protocol.SessionView(*args)
     assert view == protocol.SessionView(**dict(zip(protocol.SessionView.__match_args__, args)))
     with pytest.raises(TypeError):
