@@ -332,17 +332,23 @@ def _cmd_sweep(args) -> int:
     if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ValueError(f"sweep cannot write --out {args.out}: "
                          + ("it is a directory" if os.path.isdir(args.out) else "its directory does not exist"))
+    ells = _capped(args, "ell", None, SESSION_ELL_MAX)
     try:
-        rows = harness.sweep(args.strategy, _capped(args, "ell", None, SESSION_ELL_MAX), args.trials,
-                             args.seed, csv_path=args.out)
+        rows = harness.sweep(args.strategy, ells, args.trials, args.seed)
     except adv.StrategyInfeasibleError as exc:
         return _infeasible(args, exc)
-    summary = [
-        {"ell": r.ell, "p_hat": r.p_hat,
-         "analytic": None if r.analytic is None else _frac(r.analytic),
-         "ratio_to_prev": r.ratio_to_prev}
-        for r in rows
-    ]
+    with open(args.out, "w", newline="") as fh:  # after every session: a failed sweep writes none
+        writer = csv.writer(fh)
+        writer.writerow(["ell", "strategy", "trials", "successes", "p_hat", "ci_lo", "ci_hi",
+                         "analytic_num", "analytic_den", "z"])
+        for ell, est in zip(ells, rows):
+            exact = ("", "") if est.analytic is None else (est.analytic.numerator, est.analytic.denominator)
+            writer.writerow([ell, args.strategy, est.trials, est.successes, *map(repr, (est.p_hat, *est.ci95)),
+                             *exact, "" if est.z_score is None else repr(est.z_score)])
+    summary = [{"ell": ell, "p_hat": est.p_hat,
+                "analytic": None if est.analytic is None else _frac(est.analytic),
+                "ratio_to_prev": est.p_hat / prev.p_hat if prev and prev.p_hat else None}
+               for ell, est, prev in zip(ells, rows, [None, *rows])]
     print(json.dumps({"strategy": args.strategy, "trials": args.trials,
                       "out": args.out, "rows": summary}, indent=2))
     return 0

@@ -11,11 +11,10 @@ of the SHA-256 digest of ``<master seed>:<index>``, taken from
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from . import adversary as adv
 from . import oracle
@@ -68,7 +67,7 @@ class Estimate(NamedTuple):
             p = float(analytic)
             sd = math.sqrt(p * (1 - p) / trials)
             if sd == 0.0:
-                z = 0.0 if p_hat == p else math.inf
+                z = 0.0 if p_hat == p else math.copysign(math.inf, p_hat - p)
             else:
                 z = (p_hat - p) / sd
         return cls(trials, successes, p_hat, ci, analytic, z)
@@ -87,7 +86,9 @@ class Estimate(NamedTuple):
             "p_hat": self.p_hat,
             "ci95": list(self.ci95),
             "analytic": None if self.analytic is None else oracle.prob_json(self.analytic),
-            "z_score": self.z_score,
+            # JSON has no infinity: a certain value missed reads "inf" or "-inf", as repr writes it
+            "z_score": self.z_score if self.z_score is None or math.isfinite(self.z_score)
+            else repr(self.z_score),
         }
 
 
@@ -170,59 +171,11 @@ def bayes_bound(pA, pE, C, D):
     return min(one, max(zero, raw))
 
 
-class SweepRow(NamedTuple):
-    ell: int
-    strategy: str
-    trials: int
-    successes: int
-    p_hat: float
-    ci95: tuple[float, float]
-    analytic: Fraction | None
-    z_score: float | None
-    ratio_to_prev: float | None
-
-
-CSV_COLUMNS = (
-    "ell,strategy,trials,successes,p_hat,ci_lo,ci_hi,analytic_num,analytic_den,z"
-)
-
-
-def sweep(
-    strategy,
-    ells: Iterable[int],
-    trials: int,
-    master_seed,
-    csv_path=None,
-) -> list[SweepRow]:
-    """One Monte Carlo estimate per challenge length, optionally as CSV."""
+def sweep(strategy, ells: Iterable[int], trials: int, master_seed) -> list[Estimate]:
+    """One Monte Carlo estimate per challenge length ell, each under the
+    default config at that ell and the master seed ``<master_seed>|ell=<ell>``."""
     ells = list(ells)
     if not ells:
         raise ValueError("ell range must be non-empty")
-    name = adv._strategy_key(strategy)
-    rows: list[SweepRow] = []
-    prev: float | None = None
-    for ell in ells:
-        est = monte_carlo(ProtocolConfig(ell=ell), strategy, trials, f"{master_seed}|ell={ell}")
-        ratio = None if prev in (None, 0.0) else est.p_hat / prev
-        rows.append(
-            SweepRow(ell, name, trials, est.successes, est.p_hat, est.ci95,
-                     est.analytic, est.z_score, ratio)
-        )
-        prev = est.p_hat
-    if csv_path is not None:
-        write_sweep_csv(rows, csv_path)
-    return rows
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS.split(","))
-        for r in rows:
-            num = "" if r.analytic is None else r.analytic.numerator
-            den = "" if r.analytic is None else r.analytic.denominator
-            z = "" if r.z_score is None else repr(r.z_score)
-            writer.writerow(
-                [r.ell, r.strategy, r.trials, r.successes, repr(r.p_hat),
-                 repr(r.ci95[0]), repr(r.ci95[1]), num, den, z]
-            )
+    return [monte_carlo(ProtocolConfig(ell=ell), strategy, trials, f"{master_seed}|ell={ell}")
+            for ell in ells]

@@ -77,8 +77,8 @@ class ProtocolConfig:
     when its answer never arrives), ``_session_ticks`` ((delay, rtt_wait,
     hop) keyed by (relayed?, responder): the trip to the responder, its
     honest round trip, a counter's stage-1 trip) and the empty memo
-    ``_uniform_verdicts``; a tick count too long to take raises here.  A
-    copy (pickle, deepcopy) is rebuilt from ``to_json()``.
+    ``_uniform_verdicts``; a tick count too long to take, or past a float's
+    range, raises here.  A copy (pickle, deepcopy) is rebuilt from ``to_json()``.
     """
 
     ell: int
@@ -123,13 +123,22 @@ class ProtocolConfig:
                 raise ValueError(f"positions must place the {who}")
         d, wait = self.delay_ticks, self.processing_ticks
         hops = {False: d(VERIFIER, PROVER), True: d(VERIFIER, ADVERSARY) + d(ADVERSARY, PROVER)}
+        ticks = {(relayed, who): (d(VERIFIER, who), 2 * d(VERIFIER, who) + wait, hop)
+                 for relayed, hop in hops.items() for who in sorted({*self.positions, ADVERSARY})}
+        # a verdict takes round trips as floats; a delay, and the direct hop, is at most a round trip
+        for what, n in (("processing_ticks", wait),
+                        *((f"the round trip to the {who}", rtt) for (_, who), (_, rtt, _) in ticks.items()),
+                        ("the relayed counter hop", hops[True])):
+            try:
+                float(n)
+            except OverflowError:
+                raise ValueError(f"{what} is too long: a tick count of {n.bit_length()} bits "
+                                 "does not fit a float") from None
         reach = self.distance_bound + self.acceptance_slack
         timeout_rtt = 2.0 * reach / self.velocity + wait
         for name, value in dict(
             counter_width=self.ell if self.counter_bits is None else self.counter_bits,
-            reach=reach, timeout_rtt=timeout_rtt,
-            _session_ticks={(relayed, who): (d(VERIFIER, who), 2 * d(VERIFIER, who) + wait, hop)
-                            for relayed, hop in hops.items() for who in {*self.positions, ADVERSARY}},
+            reach=reach, timeout_rtt=timeout_rtt, _session_ticks=ticks,
             timeout_ticks=_ticks(timeout_rtt), _uniform_verdicts={},
         ).items():
             object.__setattr__(self, name, value)

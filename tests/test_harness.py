@@ -19,7 +19,6 @@ from hkbound import cli, harness, oracle, symbolic
 from hkbound.adversary import STRATEGIES
 from hkbound.protocol import ProtocolConfig, Responder
 from hkbound.harness import (
-    CSV_COLUMNS,
     Estimate,
     analytic_acceptance,
     bayes_bound,
@@ -80,7 +79,11 @@ def test_estimate_from_counts():
     sure = Estimate.from_counts(10, 10, analytic=Fraction(1))
     assert sure.z_score == 0.0
     off = Estimate.from_counts(9, 10, analytic=Fraction(1))
-    assert off.z_score == math.inf and not off.calibrated()
+    assert off.z_score == -math.inf and not off.calibrated()  # below a certain 1
+    never = Estimate.from_counts(1, 10, analytic=Fraction(0))
+    assert never.z_score == math.inf and not never.calibrated()  # above a certain 0
+    # JSON has no infinity: the z-score reads as repr writes it
+    assert (off.to_json()["z_score"], never.to_json()["z_score"]) == ("-inf", "inf")
 
     bare = Estimate.from_counts(5, 10)
     assert bare.analytic is None and bare.z_score is None
@@ -118,6 +121,13 @@ def test_monte_carlo_honest_runs():
     assert est.analytic == 1
 
 
+class Quiet(Responder):
+    """A custom strategy with no exact value: it answers all zeros."""
+
+    def play(self, view, challenges):
+        return 0, 0
+
+
 def test_analytic_acceptance_catalog():
     cfg = ProtocolConfig(ell=4)
     assert analytic_acceptance(None, cfg) == 1
@@ -129,58 +139,73 @@ def test_analytic_acceptance_catalog():
     assert analytic_acceptance(
         "counter-reuse", ProtocolConfig(ell=4, enforce_counter_freshness=False)
     ) == 1
-
-    class Quiet(Responder):
-        def play(self, view, challenges):
-            return 0, 0
-
     assert analytic_acceptance(Quiet(), cfg) is None
 
 
-def test_sweep_rows_and_csv(tmp_path):
-    out = tmp_path / "rates.csv"
-    rows = sweep("naive-guess", [1, 2, 3], 600, "sweep-seed", csv_path=out)
-    assert [r.ell for r in rows] == [1, 2, 3]
-    assert rows[0].ratio_to_prev is None
-    for prev, row in zip(rows, rows[1:]):
-        assert row.ratio_to_prev == pytest.approx(row.p_hat / prev.p_hat)
-        assert row.analytic == prev.analytic / 2
+SWEEP_HEADER = "ell,strategy,trials,successes,p_hat,ci_lo,ci_hi,analytic_num,analytic_den,z"
 
-    with open(out) as fh:
+
+def _sweep(tmp_path, capsys, *argv) -> tuple[dict, list[dict]]:
+    """Run ``hkbound sweep`` with exit code 0; its JSON summary and its CSV rows."""
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *argv, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
         table = list(csv.reader(fh))
-    assert table[0] == CSV_COLUMNS.split(",")
-    assert len(table) == 4
-    first = dict(zip(table[0], table[1]))
+    assert ",".join(table[0]) == SWEEP_HEADER
+    return json.loads(capsys.readouterr().out), [dict(zip(table[0], row)) for row in table[1:]]
+
+
+def test_sweep_is_one_monte_carlo_estimate_per_ell():
+    for strategy in ("naive-guess", None, Quiet()):
+        rows = sweep(strategy, range(1, 4), 40, "sweep-seed")
+        assert all(type(row) is Estimate for row in rows)
+        assert rows == [monte_carlo(ProtocolConfig(ell=ell), strategy, 40, f"sweep-seed|ell={ell}")
+                        for ell in (1, 2, 3)]
+    with pytest.raises(ValueError, match="non-empty"):
+        sweep("naive-guess", [], 10, "s")
+
+
+def test_cli_sweep_rows_and_csv(tmp_path, capsys):
+    doc, table = _sweep(tmp_path, capsys, "--strategy", "naive-guess", "--ell", "1..3",
+                        "--trials", "600", "--seed", "sweep-seed")
+    rows = doc["rows"]
+    assert [r["ell"] for r in rows] == [int(t["ell"]) for t in table] == [1, 2, 3]
+    assert rows[0]["ratio_to_prev"] is None
+    for prev, row in zip(rows, rows[1:]):
+        assert row["ratio_to_prev"] == pytest.approx(row["p_hat"] / prev["p_hat"])
+        assert Fraction(row["analytic"]["num"], row["analytic"]["den"]) == Fraction(
+            prev["analytic"]["num"], prev["analytic"]["den"]) / 2
+    first = table[0]
     assert first["strategy"] == "naive-guess"
     assert first["analytic_num"] == "1" and first["analytic_den"] == "2"
-    assert float(first["p_hat"]) == rows[0].p_hat
-
-    # the honest prover's rows are named honest, from the API and the CLI alike
-    assert [r.strategy for r in sweep(None, [1, 2], 5, "h")] == ["honest", "honest"]
-    honest = tmp_path / "honest.csv"
-    assert cli.main(["sweep", "--strategy", "honest", "--ell", "1..2", "--trials", "5",
-                     "--out", str(honest)]) == 0
-    assert [line.split(",")[:2] for line in honest.read_text().splitlines()[1:]] == [
-        ["1", "honest"], ["2", "honest"]]
+    assert float(first["p_hat"]) == rows[0]["p_hat"]
+    # the honest prover's rows are named honest
+    _, honest = _sweep(tmp_path, capsys, "--strategy", "honest", "--ell", "1..2", "--trials", "5")
+    assert [(t["ell"], t["strategy"]) for t in honest] == [("1", "honest"), ("2", "honest")]
 
 
-def test_sweep_without_analytic_leaves_blanks(tmp_path):
-    class Quiet(Responder):
-        def play(self, view, challenges):
-            return 0, 0
-
-    out = tmp_path / "quiet.csv"
-    sweep(Quiet(), [1], 30, "q", csv_path=out)
-    line = out.read_text().splitlines()[1]
-    assert line.split(",")[7:9] == ["", ""]
+def test_cli_sweep_without_analytic_leaves_blanks(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "analytic_acceptance", lambda strategy, cfg: None)
+    doc, table = _sweep(tmp_path, capsys, "--strategy", "naive-guess", "--ell", "1",
+                        "--trials", "30", "--seed", "q")
+    assert [t[col] for t in table for col in ("analytic_num", "analytic_den", "z")] == ["", "", ""]
+    assert doc["rows"][0]["analytic"] is None
 
 
-def test_sweep_validation(tmp_path):
-    with pytest.raises(ValueError):
-        sweep("naive-guess", [], 10, "s")
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        sweep("naive-guess", [1], 0, "s", csv_path=tmp_path / "none.csv")
-    assert not (tmp_path / "none.csv").exists()
+def test_cli_sweep_ratio_is_none_after_a_zero_estimate(tmp_path, capsys):
+    doc, table = _sweep(tmp_path, capsys, "--strategy", "naive-guess", "--ell", "10..12",
+                        "--trials", "20")
+    assert [r["p_hat"] for r in doc["rows"]] == [0.0, 0.0, 0.0]
+    assert [r["ratio_to_prev"] for r in doc["rows"]] == [None, None, None]
+    assert len(table) == 3
+
+
+def test_cli_sweep_of_no_trials_writes_no_csv(tmp_path, capsys):
+    out = tmp_path / "none.csv"
+    err = _usage_error(["sweep", "--strategy", "naive-guess", "--ell", "1", "--trials", "0",
+                        "--out", str(out)], capsys)
+    assert "trials must be at least 1" in err
+    assert not out.exists()
 
 
 # --- the acceptance-confidence bound ------------------------------------------
@@ -333,7 +358,7 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
          "--seed", "s", "--out", str(out)]
     )
     assert rc == 0
-    assert out.read_text().startswith(CSV_COLUMNS)
+    assert out.read_text().startswith(SWEEP_HEADER)
     doc = json.loads(capsys.readouterr().out)
     assert [r["ell"] for r in doc["rows"]] == [1, 2]
 
@@ -505,6 +530,47 @@ def test_cli_malformed_config_is_a_usage_error(tmp_path, capsys):
             err = _usage_error(["simulate", "--strategy", strategy, "--trials", "5",
                                 "--config", str(path)], capsys)
             assert field in err
+
+
+# configs whose tick counts a float cannot hold: a round trip to the adversary,
+# the same averaged, a processing time, and a round trip to the prover
+OVERFLOWING_CONFIGS = {
+    "adversary": {"ell": 4, "positions": {"verifier": 0.0, "prover": 3.0, "adversary": 1e308}},
+    "adversary-mean": {"ell": 4, "rtt_mode": "mean",
+                       "positions": {"verifier": 0.0, "prover": 3.0, "adversary": 1e308}},
+    "processing": {"ell": 4, "processing_ticks": 10**400},
+    "prover": {"ell": 4, "positions": {"verifier": 0.0, "prover": 1e308}},
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_CONFIGS)
+def test_a_tick_count_past_a_float_is_a_usage_error(case, tmp_path, capsys):
+    doc = OVERFLOWING_CONFIGS[case]
+    with pytest.raises(ValueError, match="too long: a tick count of .* bits does not fit a float"):
+        ProtocolConfig(**doc)
+    for strategy in ("naive-guess", "honest"):
+        err = _usage_error(["simulate", "--strategy", strategy, "--trials", "20", "--seed", "1",
+                            "--config", _spec_file(tmp_path, doc)], capsys)
+        assert "does not fit a float" in err and "Traceback" not in err
+    # just inside a float's range, the sessions run
+    near = {**doc, "processing_ticks": 2**1000} if case == "processing" else json.loads(
+        json.dumps(doc).replace("1e+308", "8e+307"))
+    assert cli.main(["simulate", "--strategy", "naive-guess", "--trials", "5",
+                     "--config", _spec_file(tmp_path, near)]) == 0
+
+
+def test_cli_simulate_writes_an_infinite_z_score_as_strict_json(tmp_path, capsys):
+    # the prover is out of range, so the exact value is 1 and early answers miss it
+    path = _spec_file(tmp_path, {"ell": 4, "positions": {"verifier": 0.0, "prover": 10.0}})
+    assert cli.main(["simulate", "--strategy", "early-kernel", "--trials", "200", "--seed", "1",
+                     "--config", path]) == 0
+
+    def no_constants(token):
+        raise ValueError(f"{token} is not JSON")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+    assert doc["p_hat"] < 1 and doc["analytic"]["decimal"] == 1.0
+    assert doc["z_score"] == "-inf"
 
 
 def test_cli_malformed_guard_specs_are_usage_errors(tmp_path, capsys):

@@ -34,8 +34,6 @@ VALUES = [
     (symbolic.AlgGuardSpec, (symbolic.HK, (T,), T, ()), (symbolic.DH, (T,), T, ())),
     (protocol.Verdict, (True, 3, (1, 2, 2), 1.5, "ok"), (False, 3, (1, 2, 2), 1.5, "too_far")),
     (harness.Estimate, (10, 3, 0.3, (0.1, 0.6), None, None), (10, 4, 0.4, (0.1, 0.6), None, None)),
-    (harness.SweepRow, (2, "honest", 5, 5, 1.0, (0.5, 1.0), Fraction(1), 0.0, None),
-     (3, "honest", 5, 5, 1.0, (0.5, 1.0), Fraction(1), 0.0, None)),
     (oracle.SubbayesReport, (Fraction(1, 2),) * 3 + (True,) * 4, (Fraction(1, 4),) * 3 + (True,) * 4),
     (oracle.GuardRow, ROW_ARGS, ((0, 2), Fraction(1), *ROW_ARGS[2:])),
     (oracle.GuardReport, (Fraction(0), (ROW,), True), (Fraction(0), (), True)),
