@@ -24,6 +24,8 @@ from ._slotted import Slotted, setfields
 from .hkfun import kernel_mask, select
 
 Value = tuple  # (length, value) or (length, value, stars)
+MAX_DEPTH = 256  # the levels a spec's term may nest, its leaves included; the bundled specs nest 4 or fewer
+TOO_DEEP = f"the input nests its terms too deeply: more than {MAX_DEPTH} levels"
 
 
 class NeedHash(Exception):
@@ -252,15 +254,20 @@ def json_fields(doc, allowed) -> None:
 
 
 def from_json(doc: dict[str, Any]) -> Expr:
-    op = json_field(doc, "op", str)
-    kind = next((k for k, row in NODES.items() if row[0] == op), None)
-    if kind is None:
-        raise ValueError(f"unknown expression op {op!r}")
-    args = []  # each field checked, and each subterm read whole, before the next
-    for key, of in NODES[kind][1]:
-        value = json_field(doc, key, of)
-        args.append(from_json(value) if of is dict else tuple(map(from_json, value)) if of is list else value)
-    return kind(*args)
+    def read(doc, room: int) -> Expr:  # ``room``: the levels ``doc`` may nest
+        if room == 0:
+            raise ValueError(TOO_DEEP)
+        op = json_field(doc, "op", str)
+        kind = next((k for k, row in NODES.items() if row[0] == op), None)
+        if kind is None:
+            raise ValueError(f"unknown expression op {op!r}")
+        args = []  # each field checked, and each subterm read whole, before the next
+        for key, of in NODES[kind][1]:
+            v = json_field(doc, key, of)
+            args.append(read(v, room - 1) if of is dict else tuple(read(s, room - 1) for s in v) if of is list else v)
+        return kind(*args)
+
+    return read(doc, MAX_DEPTH)
 
 
 def render(e: Expr) -> str:

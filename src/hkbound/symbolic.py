@@ -1,8 +1,8 @@
 """Term algebras, derivability, and algebraic guard checking.
 
 Terms are free applications of theory operators over named atoms.  A
-theory contributes a normalizer (a confluent rewrite applied bottom-up
-to a fixpoint) and optionally multi-premise inference rules, e.g. the
+theory contributes a normalizer (a confluent rewrite, applied in one
+bottom-up pass) and optionally multi-premise inference rules, e.g. the
 token-extraction step: responses to a challenge and to its negation
 together surrender the whole token.
 
@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._slotted import Slotted, setfields
-from .exprs import json_field, json_fields
+from .exprs import MAX_DEPTH, TOO_DEEP, json_field, json_fields
 from .oracle import GuardReport, GuardRow, cover, spec_caps
 
 
@@ -133,10 +133,12 @@ class Theory(Slotted):
     inferences: each rule takes the known set and ``can``, the synthesizer
     over it that ``derive_closure`` built for the round, and yields terms.
 
-    Every theory has pairing: ``normalize`` tries the projection rewrite
-    before ``step``, and ``derive_closure`` projects a known pair before
-    applying ``destruct``.  Theories are module singletons, so a theory
-    equals and hashes as itself alone.
+    Every theory has pairing: ``rewrite`` tries the projection step before
+    ``step``, and ``derive_closure`` projects a known pair before applying
+    ``destruct``.  A root step, given a term whose arguments are normal,
+    returns one whose arguments are normal, so ``normalize`` builds each
+    node once and ``rewrite`` steps at its root alone.  Theories are
+    module singletons, so a theory equals and hashes as itself alone.
     """
 
     __slots__ = __match_args__ = ("name", "ops", "step", "destruct", "compose", "rules")
@@ -150,16 +152,12 @@ class Theory(Slotted):
         setfields(self, name, ops, step, destruct, compose, rules)
 
     def normalize(self, t: Term) -> Term:
-        args = tuple(self.normalize(a) for a in t.args)
-        cur = Term(t.op, args)
-        while True:
-            nxt = _pairing_step(cur)
-            if nxt is None:
-                nxt = self.step(cur)
-            if nxt is None:
-                return cur
-            # A root rewrite can expose a new redex below, renormalize.
-            cur = self.normalize(nxt)
+        return self.rewrite(Term(t.op, tuple(self.normalize(a) for a in t.args)))
+
+    def rewrite(self, t: Term) -> Term:
+        while (nxt := _pairing_step(t) or self.step(t)) is not None:
+            t = nxt
+        return t
 
 
 _PAIRING_OPS = (("pair", 2), ("p1", 1), ("p2", 1))
@@ -233,7 +231,7 @@ def _hk_extract(known: frozenset, can: Callable[[Term], bool]) -> Iterable[Term]
             seen.setdefault(t.args[1], set()).add(t.args[0])
     for token, challenges in seen.items():
         for c in challenges:
-            flipped = HK.normalize(app("neg", c))
+            flipped = HK.rewrite(app("neg", c))
             if flipped in challenges and can(c):
                 yield token
                 break
@@ -314,7 +312,7 @@ def derive_closure(start: Iterable[Term], theory: Theory) -> Closure:
     known = frozenset(theory.normalize(t) for t in start)
     while True:
         can = _synthesizer(known, theory)
-        fresh = {theory.normalize(a) for t in known
+        fresh = {theory.rewrite(a) for t in known
                  for a in (*_pairing_destruct(t), *theory.destruct(t))
                  if all(can(arg) for arg in a.args)}
         fresh.update(*(rule(known, can) for rule in theory.rules))
@@ -350,13 +348,15 @@ class AlgGuardSpec(Slotted):
         guards = json_field(doc, "guards", list, item=list)
         arity = dict(THEORIES[name].ops)
 
-        def checked(t: Term) -> Term:
-            """``t``, once each theory operator in it has its arity (a DH exp two or more)."""
+        def checked(t: Term, room: int = MAX_DEPTH) -> Term:
+            """``t``, once it nests ``room`` levels or fewer and each theory operator in it has its arity."""
+            if room == 0:
+                raise ValueError(TOO_DEEP)
             n = arity.get(t.op, len(t.args))
             if t.args and not (len(t.args) == n or t.op == "exp" and len(t.args) > n):
                 raise ValueError(f"term {t.render()!r} gives {t.op!r} {len(t.args)} arguments; theory {name!r} takes {n}")
             for a in t.args:
-                checked(a)
+                checked(a, room - 1)
             return t
 
         context = tuple(checked(parse(t)) for t in json_field(doc, "context", list))

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from hkbound import cli, harness, oracle, symbolic
+from hkbound import cli, exprs, harness, oracle, symbolic
+from hkbound.exprs import MAX_DEPTH
 from hkbound.adversary import STRATEGIES
 from hkbound.protocol import ProtocolConfig, Responder
 from hkbound.harness import (
@@ -670,6 +671,54 @@ def test_cli_too_deep_specs_are_usage_errors(tmp_path, capsys):
         paired = f"pair({paired},a)"
     path.write_text(json.dumps({"context": [paired], "target": "a", "guards": [["a"]]}))
     assert "too deeply" in _usage_error(["guard-check", "--spec", str(path), "--algebraic"], capsys)
+
+
+def _deep_specs(levels: int) -> tuple[dict, dict]:
+    """A probabilistic and an algebraic guard spec, each with a context term ``levels`` levels deep."""
+    negated, paired = {"op": "var", "name": "s"}, "a"
+    for _ in range(levels - 1):
+        negated, paired = {"op": "negate", "arg": negated}, f"pair({paired},a)"
+    return ({**oracle.builtin_guard_spec("early-run").to_json(), "context": [negated]},
+            {"context": [paired], "target": "a", "guards": [["a"]]})
+
+
+@pytest.mark.parametrize("algebraic", [False, True], ids=["probabilistic", "algebraic"])
+def test_cli_answers_specs_to_the_depth_cap_and_refuses_deeper_before_analysis(algebraic, tmp_path, capsys,
+                                                                               monkeypatch):
+    argv = ["guard-check", "--spec", str(tmp_path / "spec.json")] + ["--algebraic"] * algebraic
+    (tmp_path / "spec.json").write_text(json.dumps(_deep_specs(MAX_DEPTH)[algebraic]))
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    (tmp_path / "spec.json").write_text(json.dumps(_deep_specs(MAX_DEPTH + 1)[algebraic]))
+
+    def refuse(*args):
+        raise AssertionError("analysis ran")
+
+    monkeypatch.setattr(symbolic, "derive_closure", refuse)
+    monkeypatch.setattr(oracle, "_walk", refuse)
+    assert f"too deeply: more than {MAX_DEPTH} levels" in _usage_error(argv, capsys)
+
+
+def test_spec_readers_refuse_terms_past_the_depth_cap():
+    assert MAX_DEPTH == 256
+    probabilistic, algebraic = _deep_specs(MAX_DEPTH)
+    oracle.GuardSpec.from_json(probabilistic)
+    symbolic.AlgGuardSpec.from_json(algebraic)
+    probabilistic, algebraic = _deep_specs(MAX_DEPTH + 1)
+    deep, concat = probabilistic["context"][0], {"op": "var", "name": "s"}
+    for _ in range(MAX_DEPTH):
+        concat = {"op": "concat", "args": [{"op": "var", "name": "s"}, concat]}
+    dotted = ".".join(["a"] * (MAX_DEPTH + 1))  # read without nesting, nested as pairs
+    refused = [(oracle.GuardSpec.from_json, probabilistic),
+               (oracle.GuardSpec.from_json, {**probabilistic, "context": [], "target": deep}),
+               (oracle.GuardSpec.from_json, {**probabilistic, "context": [], "guards": [[deep]]}),
+               (exprs.from_json, concat),
+               (symbolic.AlgGuardSpec.from_json, algebraic),
+               (symbolic.AlgGuardSpec.from_json, {**algebraic, "context": [], "target": dotted}),
+               (symbolic.AlgGuardSpec.from_json, {**algebraic, "guards": [[dotted]]})]
+    for read, doc in refused:
+        with pytest.raises(ValueError, match=f"too deeply: more than {MAX_DEPTH} levels"):
+            read(doc)
 
 
 @pytest.mark.parametrize("ell", ["0", "-1"])

@@ -7,6 +7,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import os
 import random
 import shutil
@@ -106,14 +107,25 @@ README_COMMANDS = (
 )
 
 
-def test_commands_print_the_same_on_every_python_found():
-    # requires-python = ">=3.10", and on 3.12+ the hashlib fallback must print the same
+def test_commands_print_the_same_on_every_python_found(tmp_path):
+    # requires-python = ">=3.10", and on 3.12+ the hashlib fallback must print the same; a spec
+    # nested to the depth cap is answered, and one level deeper refused, whatever the interpreter
     env = {**os.environ, "PYTHONPATH": str(Path(hkbound.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+    deep = []
+    for levels in (exprs.MAX_DEPTH, exprs.MAX_DEPTH + 1):
+        negated, paired = {"op": "var", "name": "s"}, "a"
+        for _ in range(levels - 1):
+            negated, paired = {"op": "negate", "arg": negated}, f"pair({paired},a)"
+        for mode, doc in (([], {**oracle.builtin_guard_spec("early-run").to_json(), "context": [negated]}),
+                          (["--algebraic"], {"context": [paired], "target": "a", "guards": [["a"]]})):
+            path = tmp_path / f"spec-{levels}{''.join(mode)}.json"
+            path.write_text(json.dumps(doc))
+            deep.append(["guard-check", "--spec", str(path), *mode])
 
     def run(python: str) -> list[tuple[int, str]]:
         return [(done.returncode, done.stdout) for done in (
             subprocess.run([python, "-m", "hkbound.cli", *argv], capture_output=True, text=True, env=env,
-                           timeout=300) for argv in README_COMMANDS)]
+                           timeout=300) for argv in (*README_COMMANDS, *deep))]
 
     here, others = os.path.realpath(sys.executable), []
     for name in ("python3.10", "python3.11", "python3.12", "python3.13"):
@@ -126,6 +138,7 @@ def test_commands_print_the_same_on_every_python_found():
     if not others:
         pytest.skip("no Python 3.10-3.13 other than this one starts from PATH")
     want = run(sys.executable)
-    assert all(code == 0 and out for code, out in want)
+    assert all(code == 0 and out for code, out in want[:len(README_COMMANDS)])
+    assert [code for code, _ in want[len(README_COMMANDS):]] == [0, 0, 2, 2]
     for python in others:
         assert run(python) == want, python

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import json
+import time
 from typing import Iterable
 
 import pytest
@@ -194,18 +195,34 @@ def saturate(
     return Closure(frozenset(current), saturated)
 
 
-def terms_of(theory: Theory):
-    """Normal-form terms over a few atoms: the theory's operators, an
-    opaque ``f``, the non-appliable ``rVP`` and three-argument ``exp``,
-    and the malformed ``pair`` of one argument and atom ``neg``."""
-    ops = theory.ops + (("f", 1), ("rVP", 1), ("exp", 3), ("pair", 1))
+def operators_of(theory: Theory) -> tuple:
+    """The theory's operators, an opaque ``f``, the non-appliable ``rVP``
+    and three-argument ``exp``, and the malformed ``pair`` of one argument."""
+    return theory.ops + (("f", 1), ("rVP", 1), ("exp", 3), ("pair", 1))
 
+
+def applications(theory: Theory, t: Term) -> list:
+    """The applications analysis and synthesis build over ``t``: most are root redexes."""
+    return [*symbolic._pairing_destruct(t), *theory.destruct(t), *theory.compose(t)]
+
+
+def built_terms_of(theory: Theory, redexes: bool = False):
+    """Terms over a few atoms, atom ``neg`` among them, and ``operators_of(theory)``,
+    as built.  With ``redexes``, a node may be one of its ``applications`` instead."""
     def extend(children):
-        return st.sampled_from(ops).flatmap(
+        applied = st.sampled_from(operators_of(theory)).flatmap(
             lambda op: st.tuples(*[children] * op[1]).map(lambda args, name=op[0]: Term(name, args)))
+        if not redexes:
+            return applied
+        return st.one_of(applied, applied.flatmap(lambda t: st.sampled_from(applications(theory, t) or [t])))
 
     leaves = st.sampled_from(("a", "b", "k", "sVP", "neg")).map(atom)
-    return st.recursive(leaves, extend, max_leaves=6).map(theory.normalize)
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def terms_of(theory: Theory):
+    """Normal-form terms: the normal forms of ``built_terms_of(theory)``."""
+    return built_terms_of(theory).map(theory.normalize)
 
 
 def subterms(t: Term) -> set:
@@ -237,9 +254,44 @@ def test_destruct_and_compose_are_operator_applications(theory, data):
             assert (application.op, len(application.args)) in theory.ops
             assert t in application.args
             assert theory.normalize(application) in subterms(t) - {t}
+            assert theory.rewrite(application) == theory.normalize(application)
         for application in theory.compose(t):
             assert (application.op, len(application.args)) in theory.ops
             assert theory.normalize(application) == t
+
+
+def renormalize(theory: Theory, t: Term) -> Term:
+    """The reference normal form: every root step's result normalized again whole."""
+    cur = Term(t.op, tuple(renormalize(theory, a) for a in t.args))
+    while True:
+        nxt = symbolic._pairing_step(cur)
+        if nxt is None:
+            nxt = theory.step(cur)
+        if nxt is None:
+            return cur
+        cur = renormalize(theory, nxt)
+
+
+@ALL_THEORIES
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_normalize_agrees_with_renormalizing_every_root_step(theory, data):
+    t = data.draw(built_terms_of(theory, redexes=True))
+    assert theory.normalize(t) == renormalize(theory, t)
+
+
+@ALL_THEORIES
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_root_step_over_normal_arguments_gives_normal_arguments(theory, data):
+    # the contract that lets ``normalize`` rewrite each node at its root alone
+    op, arity = data.draw(st.sampled_from(operators_of(theory)))
+    built = Term(op, tuple(data.draw(terms_of(theory)) for _ in range(arity)))
+    t = data.draw(st.sampled_from([built, *applications(theory, data.draw(terms_of(theory)))]))
+    while (nxt := symbolic._pairing_step(t) or theory.step(t)) is not None:
+        assert [a for a in nxt.args if theory.normalize(a) != a] == [], (t, nxt)
+        t = nxt
+    assert theory.normalize(t) == t
 
 
 @ALL_THEORIES
@@ -333,6 +385,18 @@ def test_alg_guard_analyses_each_known_set_once(monkeypatch):
     assert report.ok and len(report.rows) == 32
     # the guards are context terms, so every known set is a context subset
     assert len(calls) <= 32
+
+
+def test_alg_guard_takes_a_deep_pair_chain_apart_within_a_second():
+    # a destructor application is rewritten at its root alone, so the
+    # analysis of a d-deep chain costs about d**2, not d**3
+    a = atom("a")
+    chain = a
+    for _ in range(99):
+        chain = app("pair", chain, a)
+    start = time.perf_counter()
+    assert check_alg_guard(AlgGuardSpec(PAIRING, (chain,), a, ((a,),))).ok
+    assert time.perf_counter() - start < 1.0
 
 
 def test_alg_guard_violation_detected():
